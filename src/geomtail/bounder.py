@@ -16,11 +16,11 @@ carries an explicit grid-only caveat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .compound import DeltaTable, delta_from_tails, mc_tail, panjer_tail
+from .compound import DeltaTable, TailTable, delta_from_tails, mc_tail, panjer_tail
 from .dist import (
     GeometricParams,
     ParetoDist,
@@ -69,6 +69,30 @@ class FTerms:
     f3: float
 
 
+def _kernel_point(dist: SummandDistribution, h: CutoffFunction, x: float) -> tuple:
+    """(x, h(x), K, J, tail(h(x))): the part of the contraction terms at x
+    that does not depend on the test function."""
+    r = float(h(x))
+    if not (0.0 < r <= x / 2.0):
+        raise ValueError(f"cutoff h(x)={r:g} outside (0, x/2] at x={x:g}")
+    K = K_kernel(dist, x, r)
+    J = J_kernel(dist, x, r) if r < x / 2.0 else 0.0
+    return x, r, K, J, float(dist.tail(r))
+
+
+def _combine(params: GeometricParams, g: TestFunction, point: tuple) -> FTerms:
+    """The contraction terms from the kernel values of one _kernel_point."""
+    x, r, K, J, tail_r = point
+    q = params.q
+    gx = g(x)
+    if not (gx > 0.0):
+        raise ValueError(f"test function must be positive; g({x:g})={gx:g}")
+    f1 = q * g(x - r) * (K + 1.0) * (1.0 - tail_r) / gx
+    f2 = q * g(r) * J / gx
+    f3 = (q * J + (1.0 - params.p**2) * K - q * (K + 1.0) * tail_r) / gx
+    return FTerms(x=x, f1=f1, f2=f2, f3=f3)
+
+
 def f_terms(
     dist: SummandDistribution,
     params: GeometricParams,
@@ -81,21 +105,7 @@ def f_terms(
     f1 + f2 multiplies the running supremum of delta/g in the recursive
     step, and f3 is the inhomogeneous remainder. All three divide by g(x).
     """
-    x = float(x)
-    r = float(h(x))
-    if not (0.0 < r <= x / 2.0):
-        raise ValueError(f"cutoff h(x)={r:g} outside (0, x/2] at x={x:g}")
-    q = params.q
-    K = K_kernel(dist, x, r)
-    J = J_kernel(dist, x, r) if r < x / 2.0 else 0.0
-    gx = g(x)
-    if not (gx > 0.0):
-        raise ValueError(f"test function must be positive; g({x:g})={gx:g}")
-    tail_r = float(dist.tail(r))
-    f1 = q * g(x - r) * (K + 1.0) * (1.0 - tail_r) / gx
-    f2 = q * g(r) * J / gx
-    f3 = (q * J + (1.0 - params.p**2) * K - q * (K + 1.0) * tail_r) / gx
-    return FTerms(x=x, f1=f1, f2=f2, f3=f3)
+    return _combine(params, g, _kernel_point(dist, h, float(x)))
 
 
 @dataclass(frozen=True)
@@ -125,12 +135,6 @@ class _TailEnvelopes:
     f3: float | None
     certified: bool
     note: str
-
-
-def _mixture_mean_above(terms, r: float) -> float:
-    # E[X; X > r] for a unit-threshold power mixture
-    rr = max(r, 1.0)
-    return math.fsum(c * a / (a - 1.0) * rr ** (1.0 - a) for c, a in terms)
 
 
 def _nonincreasing(vals: np.ndarray) -> bool:
@@ -193,7 +197,7 @@ def _power_tail_envelopes(
     # power kernel with the largest exponent
     m = 16.0
     kappa_m = m * math.expm1(-a_max * math.log1p(-1.0 / m))
-    mean_above = np.array([_mixture_mean_above(terms, ri) for ri in r])
+    mean_above = np.array([dist.tail_mean_above(ri) for ri in r])
     tail = dist.tail
     i1 = kappa_m * mean_above / xs + math.expm1(a_max * math.log(2.0)) * np.asarray(
         tail(xs / m), dtype=float
@@ -307,63 +311,60 @@ def _sup_grid(from_x: float, x_far: float, grid_ratio: float) -> np.ndarray:
     return np.append(grid, x_far)
 
 
-def _sup_pair(
-    dist: SummandDistribution,
-    params: GeometricParams,
-    h: CutoffFunction,
-    g: TestFunction,
-    from_x: float,
-    x_far: float = 1e8,
-    grid_ratio: float = 1.02,
-) -> tuple[SupResult, SupResult]:
-    """One sweep of the contraction terms, returning the f1+f2 supremum and
-    the f3 supremum together."""
-    if from_x < h.domain_start * (1.0 - 1e-12):
-        raise ValueError(
-            f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}"
-        )
-    grid = _sup_grid(from_x, x_far, grid_ratio)
-    f12 = np.empty(grid.size)
-    f3 = np.empty(grid.size)
-    for i, x in enumerate(grid):
-        ft = f_terms(dist, params, h, g, float(x))
+@dataclass(frozen=True)
+class _KernelSweep:
+    """_kernel_point values along the sweep grid up to x_far; they do not
+    depend on g, so one sweep serves every test function on the cutoff.
+    ``points`` stops at the first point that raised; _sup_pair raises that
+    ``error`` once g is checked on the points before it, as f_terms would."""
+
+    dist: SummandDistribution
+    h: CutoffFunction
+    x_far: float
+    points: tuple[tuple, ...]
+    error: Exception | None
+
+
+def _kernel_sweep(dist, h, from_x, x_far, grid_ratio) -> _KernelSweep:
+    points, error = [], None
+    try:
+        if from_x < h.domain_start * (1.0 - 1e-12):
+            raise ValueError(
+                f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}"
+            )
+        for x in _sup_grid(from_x, x_far, grid_ratio):
+            points.append(_kernel_point(dist, h, float(x)))
+    except (ValueError, RuntimeError) as exc:
+        error = exc
+    return _KernelSweep(dist, h, x_far, tuple(points), error)
+
+
+def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
+    """The f1+f2 supremum and the f3 supremum over [from_x, infinity)
+    together, from one kernel sweep and the test function g."""
+    f12 = np.empty(len(sweep.points))
+    f3 = np.empty(len(sweep.points))
+    for i, point in enumerate(sweep.points):
+        ft = _combine(params, g, point)
         f12[i] = ft.f1 + ft.f2
         f3[i] = ft.f3
+    if sweep.error is not None:
+        raise sweep.error
 
-    i12 = int(np.argmax(f12))
-    i3 = int(np.argmax(f3))
-    env = _tail_envelopes(dist, params, h, g, x_far)
-
-    if env.certified:
-        d_val = max(float(f12[i12]), env.f12)
-        p_raw = max(float(f3[i3]), env.f3)
-        d_note = p_note = ""
-    else:
-        d_val = float(f12[i12])
-        p_raw = float(f3[i3])
-        d_note = p_note = f"grid maximum only; tail beyond {x_far:g} not certified: {env.note}"
-
-    p_val = p_raw
-    if p_raw < 0.0:
-        p_val = 0.0
-        p_note = (p_note + "; " if p_note else "") + "negative remainder supremum clamped to 0"
-
-    d_res = SupResult(
-        value=d_val,
-        grid_max=float(f12[i12]),
-        grid_argmax=float(grid[i12]),
-        tail_bound=env.f12,
-        tail_certified=env.certified,
-        note=d_note,
+    env = _tail_envelopes(sweep.dist, params, sweep.h, g, sweep.x_far)
+    note = "" if env.certified else (
+        f"grid maximum only; tail beyond {sweep.x_far:g} not certified: {env.note}"
     )
-    p_res = SupResult(
-        value=p_val,
-        grid_max=float(f3[i3]),
-        grid_argmax=float(grid[i3]),
-        tail_bound=env.f3,
-        tail_certified=env.certified,
-        note=p_note,
-    )
+
+    def sup(vals: np.ndarray, bound: float | None) -> SupResult:
+        i = int(np.argmax(vals))
+        value = max(float(vals[i]), bound) if env.certified else float(vals[i])
+        return SupResult(value, float(vals[i]), sweep.points[i][0], bound, env.certified, note)
+
+    d_res, p_res = sup(f12, env.f12), sup(f3, env.f3)
+    if p_res.value < 0.0:
+        p_note = (note + "; " if note else "") + "negative remainder supremum clamped to 0"
+        p_res = replace(p_res, value=0.0, note=p_note)
     return d_res, p_res
 
 
@@ -377,7 +378,7 @@ def delta_sup(
     grid_ratio: float = 1.02,
 ) -> SupResult:
     """Supremum of f1 + f2 over [from_x, infinity)."""
-    return _sup_pair(dist, params, h, g, from_x, x_far, grid_ratio)[0]
+    return _sup_pair(_kernel_sweep(dist, h, from_x, x_far, grid_ratio), params, g)[0]
 
 
 def phi_sup(
@@ -391,7 +392,7 @@ def phi_sup(
 ) -> SupResult:
     """Supremum of the remainder term f3 over [from_x, infinity), clamped
     below at zero."""
-    return _sup_pair(dist, params, h, g, from_x, x_far, grid_ratio)[1]
+    return _sup_pair(_kernel_sweep(dist, h, from_x, x_far, grid_ratio), params, g)[1]
 
 
 def c_interval(delta_table: DeltaTable, g: TestFunction, a: float, b: float) -> float:
@@ -463,12 +464,10 @@ class BoundCertificate:
     mc_samples: int | None
     seed: int | None
     B: float
-    b: float
     delta_b: float
     phi: float
     c_hb_b: float
     C: float
-    valid_from: float
     kappa_splice: float | None
     tail_coefficient: float | None
     delta_tail_certified: bool
@@ -480,6 +479,13 @@ class BoundCertificate:
         expected = max(self.phi / (1.0 - self.delta_b), self.phi + self.delta_b * self.c_hb_b)
         if abs(self.C - expected) > 1e-12 * max(1.0, abs(expected)):
             raise ValueError("certificate constant does not match its components")
+
+    # the contraction starts at the anchor B and the bound holds from there on
+    @property
+    def b(self) -> float:
+        return self.B
+
+    valid_from = b
 
     def to_text(self) -> str:
         lines = ["# bound certificate"]
@@ -544,36 +550,37 @@ class BoundCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _build_delta_table(
-    dist: SummandDistribution,
-    params: GeometricParams,
-    B: float,
-    table_lo: float,
-    engine: str,
-    bandwidth: float | None,
-    truncation: float | None,
-    mc_samples: int | None,
-    seed: int | None,
-    mc_grid_points: int,
-    mode: str,
-) -> tuple[DeltaTable, float | None]:
+def _tail_table(dist, params, xmax, engine, bandwidth, truncation, mc_samples, seed, mode,
+                mc_xs) -> tuple[TailTable, float | None]:
+    """Compound tails up to xmax from the chosen engine, and the lattice
+    truncation (None for Monte Carlo, which estimates the tails at mc_xs).
+
+    The one place that sizes the Panjer lattice: the truncation (default
+    2 * xmax) is rounded up to whole cells, so the lattice reaches it.
+    """
     if engine == "panjer":
         if bandwidth is None:
             raise ValueError("the recursion engine requires a bandwidth")
-        trunc = 2.0 * B if truncation is None else truncation
-        n_cells = round(trunc / bandwidth)
-        trunc = n_cells * bandwidth
+        trunc = 2.0 * xmax if truncation is None else truncation
+        trunc = math.ceil(trunc / bandwidth - 1e-9) * bandwidth
         lattice = discretize(dist, bandwidth, trunc, mode=mode)
-        tails = panjer_tail(lattice, params, B)
-    elif engine == "mc":
+        return panjer_tail(lattice, params, xmax), trunc
+    if engine == "mc":
         if mc_samples is None or seed is None:
             raise ValueError("the Monte Carlo engine requires mc_samples and a seed")
-        xgrid = np.geomspace(0.999 * table_lo, B, mc_grid_points)
-        tails = mc_tail(dist, params, mc_samples, seed, xgrid)
-        trunc = None
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return delta_from_tails(tails, dist, params), (trunc if engine == "panjer" else None)
+        return mc_tail(dist, params, mc_samples, seed, mc_xs), None
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def _build_delta_table(dist, params, B, table_lo, engine, bandwidth, truncation, mc_samples,
+                       seed, mc_grid_points, mode) -> tuple[DeltaTable, float | None]:
+    """The exact-error table up to B and the lattice truncation; Monte Carlo
+    estimates it at mc_grid_points geometric points of [table_lo, B]."""
+    mc_xs = np.geomspace(0.999 * table_lo, B, mc_grid_points) if engine == "mc" else None
+    tails, trunc = _tail_table(
+        dist, params, B, engine, bandwidth, truncation, mc_samples, seed, mode, mc_xs
+    )
+    return delta_from_tails(tails, dist, params), trunc
 
 
 def _search_min_b(dist, params, h, g, B, cap, x_far, grid_ratio) -> int | None:
@@ -585,14 +592,12 @@ def _search_min_b(dist, params, h, g, B, cap, x_far, grid_ratio) -> int | None:
     lo = max(int(math.floor(B)), int(math.ceil(h.domain_start + 1e-9)))
     if cap <= lo:
         return None
-    d_hi, _ = _sup_pair(dist, params, h, g, float(cap), x_far, grid_ratio)
-    if d_hi.value >= 1.0:
+    if delta_sup(dist, params, h, g, float(cap), x_far, grid_ratio).value >= 1.0:
         return None
     hi = cap
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        d_mid, _ = _sup_pair(dist, params, h, g, float(mid), x_far, grid_ratio)
-        if d_mid.value < 1.0:
+        if delta_sup(dist, params, h, g, float(mid), x_far, grid_ratio).value < 1.0:
             hi = mid
         else:
             lo = mid
@@ -611,6 +616,18 @@ def _certificate_outputs(g: TestFunction, C: float, b: float):
         return None, coef, report
     report = f"Delta(x) <= {C:.6g} * K(x,h(x)) for x >= {b:g}, h(x) = {g.h.describe()}"
     return None, None, report
+
+
+def _certify(table: DeltaTable, sweep: _KernelSweep, params, g, B):
+    """The certify core of build_bound and tune: the delta and phi suprema
+    from B, the interval constant over [h(B), B], the constant C and the
+    certificate outputs, all but the suprema None when delta >= 1."""
+    d_res, p_res = _sup_pair(sweep, params, g)
+    if d_res.value >= 1.0:
+        return d_res, p_res, None, None, (None, None, None)
+    chb = c_interval(table, g, float(sweep.h(B)), B)
+    C = bound_constant(d_res.value, p_res.value, chb)
+    return d_res, p_res, chb, C, _certificate_outputs(g, C, B)
 
 
 def build_bound(
@@ -649,21 +666,15 @@ def build_bound(
         mc_grid_points, mode,
     )
 
-    if bstar is not None:
-        if not isinstance(g, PowerTestFunction):
-            raise ValueError("splicing requires a power test function for the tail piece")
-        g_final: TestFunction = build_spliced_g(table, bstar, g)
-    else:
-        g_final = g
+    if bstar is not None and not isinstance(g, PowerTestFunction):
+        raise ValueError("splicing requires a power test function for the tail piece")
+    g_final = g if bstar is None else build_spliced_g(table, bstar, g)
 
-    d_res, p_res = _sup_pair(dist, params, h, g_final, B, x_far, grid_ratio)
-    if d_res.value >= 1.0:
+    sweep = _kernel_sweep(dist, h, B, x_far, grid_ratio)
+    d_res, p_res, chb, C, (kappa, coef, report) = _certify(table, sweep, params, g_final, B)
+    if C is None:
         min_b = _search_min_b(dist, params, h, g_final, B, min_b_cap, x_far, grid_ratio)
         raise ProcedureFailed(B, d_res.value, min_b, min_b_cap)
-
-    b = B
-    chb = c_interval(table, g_final, hB, b)
-    C = bound_constant(d_res.value, p_res.value, chb)
 
     caveats = []
     if not d_res.tail_certified:
@@ -675,7 +686,6 @@ def build_bound(
             "interval constant from a Monte Carlo table with a two-standard-error margin"
         )
 
-    kappa, coef, report = _certificate_outputs(g_final, C, b)
     return BoundCertificate(
         params=params,
         dist=dist,
@@ -687,12 +697,10 @@ def build_bound(
         mc_samples=mc_samples if engine == "mc" else None,
         seed=seed if engine == "mc" else None,
         B=float(B),
-        b=float(b),
         delta_b=d_res.value,
         phi=p_res.value,
         c_hb_b=chb,
         C=C,
-        valid_from=float(b),
         kappa_splice=kappa,
         tail_coefficient=coef,
         delta_tail_certified=d_res.tail_certified,
@@ -774,26 +782,16 @@ def tune(
             for bst in b_list:
                 rows.append(TuneRow(s, bst, False, None, None, "horizon below cutoff domain"))
             continue
+        sweep = _kernel_sweep(dist, hs, B, x_far, grid_ratio)
         for bst in b_list:
             try:
-                if bst is None:
-                    g_final: TestFunction = g
-                else:
-                    g_final = build_spliced_g(table, float(bst), g)
-                d_res, p_res = _sup_pair(dist, params, hs, g_final, B, x_far, grid_ratio)
-                if d_res.value >= 1.0:
-                    rows.append(
-                        TuneRow(s, bst, False, None, None,
-                                f"delta = {d_res.value:.4g} >= 1")
-                    )
-                    continue
-                chb = c_interval(table, g_final, float(hs(B)), B)
-                C = bound_constant(d_res.value, p_res.value, chb)
-                coef = C * (g_final.tail_coef if isinstance(g_final, SplicedTestFunction)
-                            else g.coef)
-                rows.append(TuneRow(s, bst, True, C, coef))
+                g_final = g if bst is None else build_spliced_g(table, float(bst), g)
+                d_res, _, _, C, (_, coef, _) = _certify(table, sweep, params, g_final, B)
+                note = "" if C is not None else f"delta = {d_res.value:.4g} >= 1"
             except (ValueError, RuntimeError) as exc:
-                rows.append(TuneRow(s, bst, False, None, None, str(exc)))
+                C = coef = None
+                note = str(exc)
+            rows.append(TuneRow(s, bst, C is not None, C, coef, note))
 
     feasible = [r for r in rows if r.feasible]
     if not feasible:

@@ -25,13 +25,16 @@ from .bounder import (
     BoundCertificate,
     ProcedureFailed,
     _build_delta_table,
+    _tail_table,
     build_bound,
     build_spliced_g,
     tune,
 )
-from .compound import TailTable, delta_from_tails, mc_tail, panjer_tail
+# the CLI reaches the engines through bounder; mc_tail, panjer_tail and discretize
+# stay importable here because perfbench/tracing.py wraps them on this module too
+from .compound import TailTable, delta_from_tails, mc_tail, panjer_tail  # noqa: F401
 from .config import ConfigError, RunConfig, build_dist, build_g, build_h, parse_kv
-from .dist import GeometricParams, ParetoDist, WeibullDist, discretize
+from .dist import GeometricParams, ParetoDist, WeibullDist, discretize  # noqa: F401
 from .kernels import (
     J_kernel,
     K_kernel,
@@ -97,27 +100,23 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _tail_table_on_grid(cfg: RunConfig, dist, params, xs: np.ndarray) -> TailTable:
+def _tail_table_on_grid(cfg: RunConfig):
+    """P(S > x) on the config's xgrid, with the severity and count used."""
+    dist = build_dist(cfg)
+    params = GeometricParams(p=cfg.require("p"))
+    xs = _grid_from_config(cfg)
     engine = cfg.require_engine_inputs()
-    xmax = float(np.max(xs))
+    bw = cfg.get("bandwidth")
+    table, _ = _tail_table(
+        dist, params, float(np.max(xs)), engine, bw, cfg.get("truncation"),
+        cfg.get("mc_samples"), cfg.get("seed"), cfg.get("mode", "rounded"), xs,
+    )
     if engine == "panjer":
-        bw = cfg.get("bandwidth")
-        trunc_raw = cfg.get("truncation", 2.0 * xmax)
-        n_cells = int(math.ceil(trunc_raw / bw - 1e-9))
-        lattice = discretize(dist, bw, n_cells * bw, mode=cfg.get("mode", "rounded"))
-        table = panjer_tail(lattice, params, xmax)
         # S is lattice-valued, so P(S > x) is constant between lattice points
-        idx = np.minimum(
-            np.floor(xs / bw + 1e-9).astype(int), len(table) - 1
-        )
-        return TailTable(
-            xs=xs,
-            tails=table.tails[idx],
-            stderrs=np.zeros(xs.size),
-            engine="panjer",
-            bandwidth=bw,
-        )
-    return mc_tail(dist, params, cfg.require("mc_samples"), cfg.require("seed"), xs)
+        idx = np.minimum(np.floor(xs / bw + 1e-9).astype(int), len(table) - 1)
+        table = TailTable(xs=xs, tails=table.tails[idx], stderrs=np.zeros(xs.size),
+                          engine="panjer", bandwidth=bw)
+    return table, dist, params
 
 
 def _grid_from_config(cfg: RunConfig) -> np.ndarray:
@@ -128,10 +127,7 @@ def _grid_from_config(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_tail(cfg: RunConfig, args) -> str:
-    dist = build_dist(cfg)
-    params = GeometricParams(p=cfg.require("p"))
-    xs = _grid_from_config(cfg)
-    table = _tail_table_on_grid(cfg, dist, params, xs)
+    table, _, _ = _tail_table_on_grid(cfg)
     lines = ["x,tail,stderr,engine"]
     for row in table:
         lines.append(_fmt(row.x, row.tail, row.stderr) + f",{row.engine}")
@@ -139,10 +135,7 @@ def cmd_tail(cfg: RunConfig, args) -> str:
 
 
 def cmd_delta(cfg: RunConfig, args) -> str:
-    dist = build_dist(cfg)
-    params = GeometricParams(p=cfg.require("p"))
-    xs = _grid_from_config(cfg)
-    table = delta_from_tails(_tail_table_on_grid(cfg, dist, params, xs), dist, params)
+    table = delta_from_tails(*_tail_table_on_grid(cfg))
     lines = ["x,delta,delta_stderr"]
     for x, d, s in zip(table.xs, table.delta, table.delta_stderr):
         lines.append(_fmt(float(x), float(d), float(s)))

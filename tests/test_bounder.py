@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from geomtail import bounder
 from geomtail.bounder import (
     BoundCertificate,
     ProcedureFailed,
@@ -80,6 +81,25 @@ def test_f_terms_vanish_for_degenerate_count():
 def test_f_terms_rejects_bad_cut():
     with pytest.raises(ValueError):
         f_terms(PARETO, HALF, H_PARETO, G_PARETO, 1.0)  # h(x) > x/2 there
+
+
+def test_f_terms_equals_sweep_at_grid_points():
+    """The sweep splits f_terms into a g-free kernel step and a combination
+    step; at every grid point the two give f_terms bit for bit."""
+    spliced = bounder.build_spliced_g(pareto_delta_table(bw=0.05, xmax=100.0), 21.3, G_PARETO)
+    sweep = bounder._kernel_sweep(PARETO, H_PARETO, 100.0, 1e5, 1.3)
+    assert sweep.error is None and len(sweep.points) > 20
+    for g in (G_PARETO, spliced):
+        terms = [f_terms(PARETO, HALF, H_PARETO, g, point[0]) for point in sweep.points]
+        for point, ft in zip(sweep.points, terms):
+            assert bounder._combine(HALF, g, point) == ft
+        d_res, p_res = bounder._sup_pair(sweep, HALF, g)
+        f12 = [ft.f1 + ft.f2 for ft in terms]
+        f3 = [ft.f3 for ft in terms]
+        assert d_res.grid_max == max(f12)
+        assert d_res.grid_argmax == terms[int(np.argmax(f12))].x
+        assert p_res.grid_max == max(f3)
+        assert p_res.grid_argmax == terms[int(np.argmax(f3))].x
 
 
 # ---------------------------------------------------------------- constant
@@ -246,8 +266,8 @@ def test_verify_bound_flags_undersized_constant():
     tiny = BoundCertificate(
         params=HALF, dist=PARETO, h=H_PARETO, g=G_PARETO,
         engine="panjer", bandwidth=0.05, truncation=None, mc_samples=None,
-        seed=None, B=20.0, b=20.0, delta_b=0.5, phi=1e-6, c_hb_b=0.0,
-        C=2e-6, valid_from=20.0, kappa_splice=None, tail_coefficient=None,
+        seed=None, B=20.0, delta_b=0.5, phi=1e-6, c_hb_b=0.0,
+        C=2e-6, kappa_splice=None, tail_coefficient=None,
         delta_tail_certified=True, phi_tail_certified=True,
         caveats=(), report="")
     rep = verify_bound(tiny, table)
@@ -258,14 +278,58 @@ def test_verify_bound_flags_undersized_constant():
 
 # ---------------------------------------------------------------- tuning
 
-def test_tune_single_candidate_matches_build():
-    res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0], [None],
+@pytest.mark.parametrize("bstar", [None, 21.3])
+@pytest.mark.parametrize("scale", [1.0, 1.14, 1.7])
+def test_tune_single_candidate_matches_build(scale, bstar):
+    # tune and build_bound share one certify core, so a one-candidate tune
+    # reproduces the certificate exactly
+    res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [scale], [bstar],
                engine="panjer", bandwidth=0.05)
-    direct = build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0,
-                         engine="panjer", bandwidth=0.05)
-    assert res.scale == 1.0 and res.bstar is None
-    assert res.C == pytest.approx(direct.C, rel=1e-12)
-    assert res.coefficient == pytest.approx(direct.tail_coefficient, rel=1e-12)
+    direct = build_bound(PARETO, HALF, H_PARETO.with_scale(scale), G_PARETO, 100.0,
+                         engine="panjer", bandwidth=0.05, bstar=bstar)
+    assert res.scale == scale and res.bstar == bstar
+    assert res.C == direct.C
+    assert res.coefficient == direct.tail_coefficient
+
+
+def test_tune_sweeps_kernels_once_per_scale(monkeypatch):
+    calls = []
+    real = bounder.J_kernel
+
+    def counting(dist, x, r, *args, **kwargs):
+        calls.append(x)
+        return real(dist, x, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounder, "J_kernel", counting)
+    res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14, 1e6],
+               [None, 15.0, 21.3], engine="panjer", bandwidth=0.05,
+               x_far=1e5, grid_ratio=1.2)
+    assert sum(r.feasible for r in res.rows) == 6  # the 1e6 scale is unusable
+    points = len(bounder._sup_grid(100.0, 1e5, 1.2))
+    assert len(calls) == 2 * points
+
+
+def test_tune_notes_when_kernel_sweep_raises(monkeypatch):
+    """A kernel failure inside a scale's sweep lands in every candidate row
+    of that scale, after any failure of the candidate's own splice."""
+    real = bounder.J_kernel
+
+    def failing(dist, x, r, *args, **kwargs):
+        if x > 1e3:
+            raise RuntimeError(f"J kernel quadrature did not converge at x={x:g}")
+        return real(dist, x, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounder, "J_kernel", failing)
+    with pytest.raises(ValueError, match="no feasible tuning candidate") as exc:
+        tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0], [None, 21.3, 150.0],
+             engine="panjer", bandwidth=0.05, x_far=1e4, grid_ratio=1.5)
+    assert "bstar=150 outside the table range" in str(exc.value)
+    first = bounder._sup_grid(100.0, 1e4, 1.5)
+    x_fail = float(first[first > 1e3][0])
+    assert f"did not converge at x={x_fail:g}" in str(exc.value)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, engine="panjer",
+                    bandwidth=0.05, x_far=1e4, grid_ratio=1.5)
 
 
 def test_tune_prefers_smaller_coefficient():

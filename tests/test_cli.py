@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from geomtail.bounder import _build_delta_table, build_bound
 from geomtail.cli import main
 from geomtail.compound import panjer_tail
 from geomtail.config import parse_kv
 from geomtail.dist import GeometricParams, ParetoDist, discretize
+from geomtail.kernels import CutoffFunction, PowerTestFunction
 
 BASE = """\
 family = pareto
@@ -123,6 +125,29 @@ def test_delta_command_output(tmp_path):
     assert lines[0] == "x,delta,delta_stderr"
     vals = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert all(v > 0.0 for v in vals)  # approximation underestimates here
+
+
+def test_truncation_rounds_up_to_whole_cells(tmp_path):
+    """A truncation that is not a whole number of cells is rounded up to the
+    next cell, by the library and the CLI alike, so the lattice reaches B."""
+    dist, params = ParetoDist(2.2), GeometricParams(0.5)
+    cert = build_bound(dist, params, CutoffFunction.power(1, 1 / 3.2),
+                       PowerTestFunction(1, 0.6875), 100.0, bandwidth=0.3, truncation=100.0)
+    assert cert.truncation == pytest.approx(334 * 0.3)
+    table, _ = _build_delta_table(dist, params, 100.0, 4.0, "panjer", 0.3, 100.0,
+                                  None, None, 512, "rounded")
+    assert table.xs[-1] == pytest.approx(99.9)
+    cfg = write_cfg(tmp_path, BASE.replace("bandwidth = 0.05", "bandwidth = 0.3")
+                    + "truncation = 100\nxgrid = 100\n")
+    out = tmp_path / "delta.csv"
+    assert main(["delta", "--config", cfg, "--out", str(out)]) == 0
+    x, delta, _ = (float(v) for v in out.read_text().splitlines()[1].split(","))
+    assert x == 100.0
+    # S lives on the lattice, so P(S > 100) = P(S > 99.9): the CLI's delta at
+    # 100 and the table's at 99.9 rescale the same compound tail
+    compound_tail = (1.0 + delta) * dist.tail(100.0) / params.p
+    assert compound_tail == pytest.approx(
+        (1.0 + table.delta[-1]) * dist.tail(table.xs[-1]) / params.p, rel=1e-12)
 
 
 def test_mc_tail_respects_seed_flag(tmp_path):
