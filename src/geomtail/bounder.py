@@ -16,7 +16,7 @@ carries an explicit grid-only caveat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .kernels import (
     SplicedTestFunction,
     TestFunction,
     build_spliced_g,
+    weibull_J_envelope,
+    weibull_K_envelope,
 )
 
 __all__ = [
@@ -264,26 +266,20 @@ def _weibull_tail_envelopes(
             None, None, False, "x_far too small for the Weibull envelope regime"
         )
 
-    def k_up(y: np.ndarray) -> np.ndarray:
-        # K(y, h(y)) <= expm1(beta h(y) (y - h(y))^(beta-1)) by concavity
-        ry = np.asarray(h(y), dtype=float)
-        return np.expm1(beta * ry * np.power(y - ry, beta - 1.0))
-
     q = params.q
     xs = np.geomspace(x_far, x_far * 1e12, 40)
     r = np.asarray(h(xs), dtype=float)
     u = r / xs
     k_low = beta * r * np.power(xs, beta - 1.0)
-
-    head = np.exp(-(1.0 - beta) * np.power(r, beta)) / (1.0 - beta)
-    far = np.exp(-(2.0 ** (1.0 - beta) - 1.0) * np.power(xs, beta))
-    j_env = head + far
+    j_env = weibull_J_envelope(beta, xs, r)
+    # K(y, h(y)) is below its closed-form envelope by concavity
+    k_x = weibull_K_envelope(beta, xs, r)
 
     # g(x - h(x)) / g(x) <= (1 - 2u)^(beta-1) * exp(A2) with
     # A2 = beta h(x) (x - 2 h(x))^(beta-1)
     a2 = beta * r * np.power(xs - 2.0 * r, beta - 1.0)
-    f1 = q * np.power(1.0 - 2.0 * u, beta - 1.0) * np.exp(a2) * (1.0 + k_up(xs))
-    f2 = q * k_up(r) * j_env / k_low
+    f1 = q * np.power(1.0 - 2.0 * u, beta - 1.0) * np.exp(a2) * (1.0 + k_x)
+    f2 = q * weibull_K_envelope(beta, r, h(r)) * j_env / k_low
     f3 = q * j_env / k_low + (1.0 - params.p**2)
 
     f12 = f1 + f2
@@ -468,12 +464,9 @@ class BoundCertificate:
     phi: float
     c_hb_b: float
     C: float
-    kappa_splice: float | None
-    tail_coefficient: float | None
     delta_tail_certified: bool
     phi_tail_certified: bool
     caveats: tuple[str, ...]
-    report: str
 
     def __post_init__(self):
         expected = max(self.phi / (1.0 - self.delta_b), self.phi + self.delta_b * self.c_hb_b)
@@ -486,6 +479,26 @@ class BoundCertificate:
         return self.B
 
     valid_from = b
+
+    @property
+    def kappa_splice(self) -> float | None:
+        """The splice constant of a spliced test function, else None."""
+        return self.g.kappa_splice if isinstance(self.g, SplicedTestFunction) else None
+
+    @property
+    def tail_coefficient(self) -> float | None:
+        """The M of Delta(x) <= M * x^-e for a power or spliced g, else None."""
+        return _tail_coefficient(self.g, self.C)
+
+    @property
+    def report(self) -> str:
+        """The certified statement as one human-readable line."""
+        g, coef = self.g, self.tail_coefficient
+        if coef is None:
+            return (f"Delta(x) <= {self.C:.6g} * K(x,h(x)) for x >= {self.B:g}, "
+                    f"h(x) = {g.h.describe()}")
+        e = g.tailg.exponent if isinstance(g, SplicedTestFunction) else g.exponent
+        return f"Delta(x) <= {coef:.6g} * x^-{e:.6g} for x > {self.B:g}"
 
     def to_text(self) -> str:
         lines = ["# bound certificate"]
@@ -550,8 +563,8 @@ class BoundCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _tail_table(dist, params, xmax, engine, bandwidth, truncation, mc_samples, seed, mode,
-                mc_xs) -> tuple[TailTable, float | None]:
+def _tail_table(dist, params, xmax, engine, bandwidth, truncation, mc_samples, seed, mc_xs,
+                mode="rounded") -> tuple[TailTable, float | None]:
     """Compound tails up to xmax from the chosen engine, and the lattice
     truncation (None for Monte Carlo, which estimates the tails at mc_xs).
 
@@ -573,12 +586,13 @@ def _tail_table(dist, params, xmax, engine, bandwidth, truncation, mc_samples, s
 
 
 def _build_delta_table(dist, params, B, table_lo, engine, bandwidth, truncation, mc_samples,
-                       seed, mc_grid_points, mode) -> tuple[DeltaTable, float | None]:
+                       seed, mc_grid_points,
+                       mode="rounded") -> tuple[DeltaTable, float | None]:
     """The exact-error table up to B and the lattice truncation; Monte Carlo
     estimates it at mc_grid_points geometric points of [table_lo, B]."""
     mc_xs = np.geomspace(0.999 * table_lo, B, mc_grid_points) if engine == "mc" else None
     tails, trunc = _tail_table(
-        dist, params, B, engine, bandwidth, truncation, mc_samples, seed, mode, mc_xs
+        dist, params, B, engine, bandwidth, truncation, mc_samples, seed, mc_xs, mode
     )
     return delta_from_tails(tails, dist, params), trunc
 
@@ -604,30 +618,24 @@ def _search_min_b(dist, params, h, g, B, cap, x_far, grid_ratio) -> int | None:
     return hi
 
 
-def _certificate_outputs(g: TestFunction, C: float, b: float):
-    """Tail coefficient and the one-line human report for a certificate."""
+def _tail_coefficient(g: TestFunction, C: float) -> float | None:
+    """C times the coefficient of the power tail of g; None for the K kernel."""
     if isinstance(g, SplicedTestFunction):
-        coef = C * g.tail_coef
-        report = f"Delta(x) <= {coef:.6g} * x^-{g.tailg.exponent:.6g} for x > {b:g}"
-        return g.kappa_splice, coef, report
+        return C * g.tail_coef
     if isinstance(g, PowerTestFunction):
-        coef = C * g.coef
-        report = f"Delta(x) <= {coef:.6g} * x^-{g.exponent:.6g} for x > {b:g}"
-        return None, coef, report
-    report = f"Delta(x) <= {C:.6g} * K(x,h(x)) for x >= {b:g}, h(x) = {g.h.describe()}"
-    return None, None, report
+        return C * g.coef
+    return None
 
 
 def _certify(table: DeltaTable, sweep: _KernelSweep, params, g, B):
     """The certify core of build_bound and tune: the delta and phi suprema
-    from B, the interval constant over [h(B), B], the constant C and the
-    certificate outputs, all but the suprema None when delta >= 1."""
+    from B, the interval constant over [h(B), B] and the constant C, the
+    last two None when delta >= 1."""
     d_res, p_res = _sup_pair(sweep, params, g)
     if d_res.value >= 1.0:
-        return d_res, p_res, None, None, (None, None, None)
+        return d_res, p_res, None, None
     chb = c_interval(table, g, float(sweep.h(B)), B)
-    C = bound_constant(d_res.value, p_res.value, chb)
-    return d_res, p_res, chb, C, _certificate_outputs(g, C, B)
+    return d_res, p_res, chb, bound_constant(d_res.value, p_res.value, chb)
 
 
 def build_bound(
@@ -671,7 +679,7 @@ def build_bound(
     g_final = g if bstar is None else build_spliced_g(table, bstar, g)
 
     sweep = _kernel_sweep(dist, h, B, x_far, grid_ratio)
-    d_res, p_res, chb, C, (kappa, coef, report) = _certify(table, sweep, params, g_final, B)
+    d_res, p_res, chb, C = _certify(table, sweep, params, g_final, B)
     if C is None:
         min_b = _search_min_b(dist, params, h, g_final, B, min_b_cap, x_far, grid_ratio)
         raise ProcedureFailed(B, d_res.value, min_b, min_b_cap)
@@ -701,12 +709,9 @@ def build_bound(
         phi=p_res.value,
         c_hb_b=chb,
         C=C,
-        kappa_splice=kappa,
-        tail_coefficient=coef,
         delta_tail_certified=d_res.tail_certified,
         phi_tail_certified=p_res.tail_certified,
         caveats=tuple(caveats),
-        report=report,
     )
 
 
@@ -786,7 +791,8 @@ def tune(
         for bst in b_list:
             try:
                 g_final = g if bst is None else build_spliced_g(table, float(bst), g)
-                d_res, _, _, C, (_, coef, _) = _certify(table, sweep, params, g_final, B)
+                d_res, _, _, C = _certify(table, sweep, params, g_final, B)
+                coef = None if C is None else _tail_coefficient(g_final, C)
                 note = "" if C is not None else f"delta = {d_res.value:.4g} >= 1"
             except (ValueError, RuntimeError) as exc:
                 C = coef = None

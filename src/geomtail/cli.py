@@ -22,9 +22,9 @@ import sys
 import numpy as np
 
 from .bounder import (
-    BoundCertificate,
     ProcedureFailed,
     _build_delta_table,
+    _kernel_point,
     _tail_table,
     build_bound,
     build_spliced_g,
@@ -36,8 +36,6 @@ from .compound import TailTable, delta_from_tails, mc_tail, panjer_tail  # noqa:
 from .config import ConfigError, RunConfig, build_dist, build_g, build_h, parse_kv
 from .dist import GeometricParams, ParetoDist, WeibullDist, discretize  # noqa: F401
 from .kernels import (
-    J_kernel,
-    K_kernel,
     PowerTestFunction,
     pareto_J_envelope,
     pareto_K_envelope,
@@ -100,6 +98,17 @@ def _load(args) -> RunConfig:
     return cfg
 
 
+def _configured(cfg: RunConfig, *keys: str) -> dict:
+    """The keys the config sets, as keyword arguments; the library's own
+    signatures hold the defaults of the rest."""
+    return {k: cfg.values[k] for k in keys if k in cfg.values}
+
+
+# run controls that build_bound and tune share
+_RUN_KEYS = ("bandwidth", "truncation", "mc_samples", "seed", "mode", "x_far", "grid_ratio",
+             "mc_grid_points")
+
+
 def _tail_table_on_grid(cfg: RunConfig):
     """P(S > x) on the config's xgrid, with the severity and count used."""
     dist = build_dist(cfg)
@@ -109,13 +118,13 @@ def _tail_table_on_grid(cfg: RunConfig):
     bw = cfg.get("bandwidth")
     table, _ = _tail_table(
         dist, params, float(np.max(xs)), engine, bw, cfg.get("truncation"),
-        cfg.get("mc_samples"), cfg.get("seed"), cfg.get("mode", "rounded"), xs,
+        cfg.get("mc_samples"), cfg.get("seed"), xs, **_configured(cfg, "mode"),
     )
     if engine == "panjer":
         # S is lattice-valued, so P(S > x) is constant between lattice points
         idx = np.minimum(np.floor(xs / bw + 1e-9).astype(int), len(table) - 1)
         table = TailTable(xs=xs, tails=table.tails[idx], stderrs=np.zeros(xs.size),
-                          engine="panjer", bandwidth=bw)
+                          engine="panjer")
     return table, dist, params
 
 
@@ -129,8 +138,8 @@ def _grid_from_config(cfg: RunConfig) -> np.ndarray:
 def cmd_tail(cfg: RunConfig, args) -> str:
     table, _, _ = _tail_table_on_grid(cfg)
     lines = ["x,tail,stderr,engine"]
-    for row in table:
-        lines.append(_fmt(row.x, row.tail, row.stderr) + f",{row.engine}")
+    for x, t, s in zip(table.xs, table.tails, table.stderrs):
+        lines.append(_fmt(float(x), float(t), float(s)) + f",{table.engine}")
     return "\n".join(lines) + "\n"
 
 
@@ -149,14 +158,13 @@ def cmd_kernels(cfg: RunConfig, args) -> str:
     lines = ["x,K,J,envelopeK,envelopeJ"]
     for x in xs:
         x = float(x)
-        r = float(h(x))
         try:
-            kv = K_kernel(dist, x, r)
-            jv = J_kernel(dist, x, r) if r < x / 2.0 else 0.0
+            _, _, kv, jv, _ = _kernel_point(dist, h, x)
         except (ValueError, RuntimeError):
             kv = jv = math.nan
         ek = ej = math.nan
         try:
+            r = float(h(x))
             if isinstance(dist, ParetoDist):
                 ek = pareto_K_envelope(dist.alpha, x, r)
                 ej = pareto_J_envelope(dist.alpha, x, r)
@@ -169,34 +177,14 @@ def cmd_kernels(cfg: RunConfig, args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _bound_from_config(cfg: RunConfig) -> BoundCertificate:
+def cmd_bound(cfg: RunConfig, args) -> str:
     dist = build_dist(cfg)
     params = GeometricParams(p=cfg.require("p"))
     h = build_h(cfg)
     g, bstar = build_g(cfg, dist, h)
     engine = cfg.require_engine_inputs()
-    return build_bound(
-        dist,
-        params,
-        h,
-        g,
-        B=cfg.require("B"),
-        engine=engine,
-        bandwidth=cfg.get("bandwidth"),
-        truncation=cfg.get("truncation"),
-        mc_samples=cfg.get("mc_samples"),
-        seed=cfg.get("seed"),
-        bstar=bstar,
-        mode=cfg.get("mode", "rounded"),
-        x_far=cfg.get("x_far", 1e8),
-        grid_ratio=cfg.get("grid_ratio", 1.02),
-        min_b_cap=cfg.get("min_b_cap", 10_000),
-        mc_grid_points=cfg.get("mc_grid_points", 512),
-    )
-
-
-def cmd_bound(cfg: RunConfig, args) -> str:
-    cert = _bound_from_config(cfg)
+    cert = build_bound(dist, params, h, g, B=cfg.require("B"), engine=engine, bstar=bstar,
+                       **_configured(cfg, *_RUN_KEYS, "min_b_cap"))
     return cert.to_text()
 
 
@@ -208,24 +196,9 @@ def cmd_tune(cfg: RunConfig, args) -> str:
     if not isinstance(g, PowerTestFunction):
         raise ConfigError("tuning requires g.variant = power (the tail shape to compare)")
     engine = cfg.require_engine_inputs()
-    result = tune(
-        dist,
-        params,
-        h,
-        g,
-        B=cfg.require("B"),
-        s_grid=cfg.require("tune.s"),
-        bstar_grid=cfg.require("tune.bstar"),
-        engine=engine,
-        bandwidth=cfg.get("bandwidth"),
-        truncation=cfg.get("truncation"),
-        mc_samples=cfg.get("mc_samples"),
-        seed=cfg.get("seed"),
-        mode=cfg.get("mode", "rounded"),
-        x_far=cfg.get("x_far", 1e8),
-        grid_ratio=cfg.get("grid_ratio", 1.02),
-        mc_grid_points=cfg.get("mc_grid_points", 512),
-    )
+    result = tune(dist, params, h, g, B=cfg.require("B"), s_grid=cfg.require("tune.s"),
+                  bstar_grid=cfg.require("tune.bstar"), engine=engine,
+                  **_configured(cfg, *_RUN_KEYS))
     lines = [
         f"# best scale = {result.scale:.12g}",
         f"# best bstar = {'none' if result.bstar is None else f'{result.bstar:.12g}'}",
@@ -269,15 +242,16 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
 
     xmax = cfg.get("plot.xmax", B)
     npts = cfg.get("plot.points", 200)
-    engine = cert_cfg.get("engine", "panjer")
+    engine = cert_cfg.require_engine_inputs()
     trunc = cert_cfg.get("truncation")
     if engine == "panjer" and trunc is not None and trunc < 2.0 * xmax:
         trunc = None  # recompute with enough headroom for the plot range
+    # the certificate does not record the discretization mode; the run config does
     table, _ = _build_delta_table(
         dist, params, max(xmax, B), float(h(B)), engine,
         cert_cfg.get("bandwidth"), trunc,
         cert_cfg.get("mc_samples"), cert_cfg.get("seed"),
-        max(npts, 256), cert_cfg.get("mode", "rounded"),
+        max(npts, 256), **_configured(cfg, "mode"),
     )
     if bstar is not None:
         g_final = build_spliced_g(table, bstar, g)

@@ -17,7 +17,6 @@ import numpy as np
 from .dist import GeometricParams, LatticeDistribution, SummandDistribution
 
 __all__ = [
-    "TailEstimate",
     "TailTable",
     "DeltaTable",
     "panjer_tail",
@@ -30,28 +29,16 @@ _MC_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
-class TailEstimate:
-    """One tail probability P(S > x) with its sampling uncertainty."""
-
-    x: float
-    tail: float
-    stderr: float
-    engine: str
-
-
-@dataclass(frozen=True)
 class TailTable:
     """Tail probabilities P(S > x) on a grid, with per-point uncertainty.
 
-    Behaves as a sequence of TailEstimate records. ``stderrs`` is zero for
-    the exact engines.
+    ``stderrs`` is zero for the exact engines.
     """
 
     xs: np.ndarray
     tails: np.ndarray
     stderrs: np.ndarray
     engine: str
-    bandwidth: float | None = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -70,17 +57,6 @@ class TailTable:
     def __len__(self) -> int:
         return self.xs.size
 
-    def __getitem__(self, i: int) -> TailEstimate:
-        return TailEstimate(
-            x=float(self.xs[i]),
-            tail=float(self.tails[i]),
-            stderr=float(self.stderrs[i]),
-            engine=self.engine,
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 @dataclass(frozen=True)
 class DeltaTable:
@@ -90,7 +66,6 @@ class DeltaTable:
     delta: np.ndarray
     delta_stderr: np.ndarray
     engine: str
-    bandwidth: float | None = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -105,9 +80,6 @@ class DeltaTable:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "delta_stderr", s)
-
-    def __len__(self) -> int:
-        return self.xs.size
 
 
 def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
@@ -172,7 +144,6 @@ def panjer_tail(
         tails=tails,
         stderrs=np.zeros(n + 1),
         engine="panjer",
-        bandwidth=bw,
     )
 
 
@@ -224,7 +195,7 @@ def mc_tail(
 
     phat = counts / float(n)
     stderr = np.sqrt(phat * (1.0 - phat) / float(n))
-    return TailTable(xs=xs_sorted, tails=phat, stderrs=stderr, engine="mc", bandwidth=None)
+    return TailTable(xs=xs_sorted, tails=phat, stderrs=stderr, engine="mc")
 
 
 def brute_force_tail(
@@ -267,7 +238,6 @@ def brute_force_tail(
         tails=tails,
         stderrs=np.full(nn, residual),
         engine="brute",
-        bandwidth=lattice.bandwidth,
     )
 
 
@@ -291,5 +261,4 @@ def delta_from_tails(
         delta=delta,
         delta_stderr=stderr,
         engine=tails.engine,
-        bandwidth=tails.bandwidth,
     )

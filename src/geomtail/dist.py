@@ -10,8 +10,7 @@ distribution suitable for the recursion engine.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +29,11 @@ __all__ = [
 class SummandDistribution:
     """Base class for positive severity distributions.
 
-    Subclasses must provide ``tail``, ``density`` and ``sample``. The
-    remaining hooks have generic defaults that subclasses may override with
-    numerically safer forms.
+    Subclasses must provide ``tail``, ``density`` and ``sample``; the kernels
+    also need the scalar ``k_value(x, r)`` = tail(x - r)/tail(x) - 1 and
+    ``j_integrand(x, y)`` = tail(x - y)/tail(x) * density(y), each family in
+    its own numerically safe form. ``tail_ge``, ``integrand_breakpoints`` and
+    ``tail_power_terms`` have defaults that a family may override.
     """
 
     def tail(self, x):
@@ -54,21 +55,6 @@ class SummandDistribution:
     def tail_ge(self, x):
         """P(X >= x). Coincides with ``tail`` for continuous distributions."""
         return self.tail(x)
-
-    def tail_ratio(self, x: float, y: float) -> float:
-        """tail(x - y) / tail(x) for scalar 0 <= y < x."""
-        tx = self.tail(x)
-        if tx == 0.0:
-            raise ValueError("tail vanishes at x; ratio undefined")
-        return float(self.tail(x - y) / tx)
-
-    def k_value(self, x: float, r: float) -> float:
-        """tail(x - r)/tail(x) - 1 for scalar 0 <= r < x."""
-        return self.tail_ratio(x, r) - 1.0
-
-    def j_integrand(self, x: float, y: float) -> float:
-        """Integrand tail(x - y)/tail(x) * density(y) of the J kernel."""
-        return self.tail_ratio(x, y) * float(self.density(y))
 
     def integrand_breakpoints(self, x: float) -> list[float]:
         """Interior points where the J integrand has kinks, if any."""
@@ -112,9 +98,6 @@ class ParetoDist(SummandDistribution):
         _check_uniforms(u)
         s = np.exp(-np.log1p(-u) / self.alpha)
         return s if s.ndim else float(s)
-
-    def tail_ratio(self, x: float, y: float) -> float:
-        return self.k_value(x, y) + 1.0
 
     def k_value(self, x: float, r: float) -> float:
         # exact on the power region; below the threshold the tail plateaus at 1
@@ -181,9 +164,6 @@ class WeibullDist(SummandDistribution):
             return float(x) ** self.beta
         return float(x) ** self.beta * (-math.expm1(self.beta * math.log1p(-r / x)))
 
-    def tail_ratio(self, x: float, y: float) -> float:
-        return math.exp(self.diff_pow(x, y))
-
     def k_value(self, x: float, r: float) -> float:
         if x - r <= 0.0:
             raise ValueError("requires r < x")
@@ -220,10 +200,6 @@ class PowerMixtureDist(SummandDistribution):
                 raise ValueError("mixture weights must be positive")
             if a <= 1.0:
                 raise ValueError("mixture exponents must exceed 1")
-
-    @property
-    def max_exponent(self) -> float:
-        return max(a for _, a in self.terms)
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
@@ -272,9 +248,6 @@ class PowerMixtureDist(SummandDistribution):
         if x <= 1.0:
             return 1.0
         return sum(c * x**-a for c, a in self.terms)
-
-    def tail_ratio(self, x: float, y: float) -> float:
-        return self._tail_scalar(x - y) / self._tail_scalar(x)
 
     def k_value(self, x: float, r: float) -> float:
         return self._tail_scalar(x - r) / self._tail_scalar(x) - 1.0
@@ -350,7 +323,6 @@ def discretize(
     bandwidth: float,
     truncation: float,
     mode: str = "rounded",
-    max_truncated_mass: float | None = None,
 ) -> LatticeDistribution:
     """Project a severity distribution onto a lattice of step ``bandwidth``.
 
@@ -389,11 +361,6 @@ def discretize(
 
     masses = np.maximum(masses, 0.0)
     truncated = max(0.0, 1.0 - math.fsum(masses))
-    if max_truncated_mass is not None and truncated > max_truncated_mass:
-        raise ValueError(
-            f"truncated mass {truncated:.3e} exceeds the allowed {max_truncated_mass:.3e};"
-            " increase the truncation point"
-        )
     return LatticeDistribution(
         bandwidth=bandwidth,
         masses=masses,

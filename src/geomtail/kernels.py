@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .dist import ParetoDist, SummandDistribution, WeibullDist
+from .dist import SummandDistribution
 
 __all__ = [
     "CutoffFunction",
@@ -137,7 +137,7 @@ def K_kernel(dist: SummandDistribution, x: float, r: float) -> float:
     return max(0.0, dist.k_value(x, r))
 
 
-def J_kernel(dist: SummandDistribution, x: float, r: float, epsrel: float = 1e-10) -> float:
+def J_kernel(dist: SummandDistribution, x: float, r: float) -> float:
     """Integral of tail(x-y)/tail(x) against the severity density over [r, x-r].
 
     Empty for r >= x/2 (returns 0 at equality, rejects beyond). Integration
@@ -161,7 +161,7 @@ def J_kernel(dist: SummandDistribution, x: float, r: float, epsrel: float = 1e-1
             points=pts or None,
             limit=512,
             epsabs=1e-300,
-            epsrel=epsrel,
+            epsrel=1e-10,
         )
     if abserr > max(1e-8 * abs(val), 1e-13):
         raise RuntimeError(
@@ -265,28 +265,34 @@ def pareto_J_envelope(alpha: float, x: float, h: float) -> float:
     return 2.0 * (2.0 / h) ** alpha + (4.0 / x) ** alpha
 
 
-def weibull_K_envelope(beta: float, x: float, h: float) -> float:
+def weibull_K_envelope(beta: float, x, h):
     """Dominator of K(x, h) for the Weibull tail exp(-x^beta):
-    expm1(beta * h * (x - h)^(beta - 1)), valid for h < x/2."""
-    if not (0.0 < h < x / 2.0):
+    expm1(beta * h * (x - h)^(beta - 1)), valid for h < x/2. Vectorized
+    over ``x`` and ``h``."""
+    x = np.asarray(x, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if not np.all((0.0 < h) & (h < x / 2.0)):
         raise ValueError("requires 0 < h < x/2")
-    return math.expm1(beta * h * (x - h) ** (beta - 1.0))
+    v = np.expm1(beta * h * np.power(x - h, beta - 1.0))
+    return v if v.ndim else float(v)
 
 
-def weibull_J_envelope(beta: float, x: float, r: float) -> float:
+def weibull_J_envelope(beta: float, x, r):
     """Dominator of J(x, r) for the Weibull tail exp(-x^beta):
-    exp(-(1-beta) r^beta)/(1-beta) + exp(-(2^(1-beta)-1) x^beta)."""
-    if not (0.0 < r <= x / 2.0):
+    exp(-(1-beta) r^beta)/(1-beta) + exp(-(2^(1-beta)-1) x^beta), valid for
+    r <= x/2. Vectorized over ``x`` and ``r``."""
+    x = np.asarray(x, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 < r) & (r <= x / 2.0)):
         raise ValueError("requires 0 < r <= x/2")
-    head = math.exp(-(1.0 - beta) * r**beta) / (1.0 - beta)
-    far = math.exp(-(2.0 ** (1.0 - beta) - 1.0) * x**beta)
-    return head + far
+    head = np.exp(-(1.0 - beta) * np.power(r, beta)) / (1.0 - beta)
+    far = np.exp(-(2.0 ** (1.0 - beta) - 1.0) * np.power(x, beta))
+    v = head + far
+    return v if v.ndim else float(v)
 
 
 class TestFunction:
     """Base class for the shape g(x) the error bound is expressed against."""
-
-    variant: str = "abstract"
 
     def __call__(self, x: float) -> float:
         raise NotImplementedError
@@ -301,7 +307,6 @@ class PowerTestFunction(TestFunction):
 
     coef: float = 1.0
     exponent: float = 1.0
-    variant: str = field(default="power", init=False)
 
     def __post_init__(self):
         if not (self.coef > 0.0):
@@ -322,7 +327,6 @@ class KKernelTestFunction(TestFunction):
 
     dist: SummandDistribution
     h: CutoffFunction
-    variant: str = field(default="kkernel", init=False)
 
     def __call__(self, x: float) -> float:
         r = float(self.h(x))
@@ -377,7 +381,6 @@ class SplicedTestFunction(TestFunction):
     envelope: MonotoneEnvelope
     kappa_splice: float
     tailg: PowerTestFunction
-    variant: str = field(default="spliced", init=False)
 
     def __call__(self, x: float) -> float:
         x = float(x)

@@ -267,9 +267,7 @@ def test_verify_bound_flags_undersized_constant():
         params=HALF, dist=PARETO, h=H_PARETO, g=G_PARETO,
         engine="panjer", bandwidth=0.05, truncation=None, mc_samples=None,
         seed=None, B=20.0, delta_b=0.5, phi=1e-6, c_hb_b=0.0,
-        C=2e-6, kappa_splice=None, tail_coefficient=None,
-        delta_tail_certified=True, phi_tail_certified=True,
-        caveats=(), report="")
+        C=2e-6, delta_tail_certified=True, phi_tail_certified=True, caveats=())
     rep = verify_bound(tiny, table)
     assert not rep.ok
     assert len(rep.violations) > 0

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,16 +163,36 @@ def test_mc_tail_respects_seed_flag(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+WEIBULL_LOGPOWER = """\
+family = weibull
+beta = 0.5
+p = 0.5
+engine = panjer
+bandwidth = 0.05
+B = 100
+h.family = logpower
+h.scale = 0.179
+h.kappa = 2
+g.variant = kkernel
+"""
+
+
 def test_kernels_command_output(tmp_path):
-    cfg = write_cfg(tmp_path, BASE + "xgrid = 50, 100, 500\n")
-    out = tmp_path / "kern.csv"
-    assert main(["kernels", "--config", cfg, "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x,K,J,envelopeK,envelopeJ"
-    for ln in lines[1:]:
-        x, kv, jv, ek, ej = (float(v) for v in ln.split(","))
-        assert 0.0 <= kv <= ek  # envelope dominates
-        assert jv <= ej
+    # a log-power cutoff is undefined at x <= 1: that point is a NaN row
+    for text in (BASE + "xgrid = 50, 100, 500\n",
+                 WEIBULL_LOGPOWER + "xgrid = 0.5, 50, 100, 500\n"):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "kern.csv"
+        assert main(["kernels", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "x,K,J,envelopeK,envelopeJ"
+        for ln in lines[1:]:
+            x, kv, jv, ek, ej = (float(v) for v in ln.split(","))
+            if x <= 1.0:
+                assert all(math.isnan(v) for v in (kv, jv, ek, ej))
+                continue
+            assert 0.0 <= kv <= ek  # envelope dominates
+            assert jv <= ej
 
 
 # ---------------------------------------------------------------- tune
@@ -214,6 +235,23 @@ def test_plot_data_bounds_exact_curve(tmp_path):
     assert checked >= 5
 
 
+def test_plot_data_rebuilds_with_the_configured_mode(tmp_path):
+    # the certificate does not record the discretization mode, so plot-data
+    # takes it from the run config and rebuilds the certified splice constant
+    text = (BASE.replace("h.scale = 1.0", "h.scale = 1.14")
+            .replace("g.variant = power", "g.variant = spliced")
+            + "g.bstar = 21.3\nmode = lower\n")
+    cfg = write_cfg(tmp_path, text)
+    cert_path = tmp_path / "cert.txt"
+    assert main(["bound", "--config", cfg, "--out", str(cert_path)]) == 0
+    out = tmp_path / "plot.csv"
+    assert main(["plot-data", "--config", cfg, "--certificate", str(cert_path),
+                 "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0]
+    kappa = float(parse_kv(cert_path.read_text())["kappa_splice"])
+    assert header == f"# spliced test function rebuilt, kappa = {kappa:.12g}"
+
+
 # ---------------------------------------------------------------- packaging
 
 def test_module_entry_point(tmp_path):
@@ -223,3 +261,20 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,tail,stderr,engine")
+
+
+def test_benchmark_tracing_installs():
+    # perfbench/tracing.py wraps package attributes by name; removing one
+    # must fail here, not only in a traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import importlib.util, sys\n"
+        f"sys.path.insert(0, {str(root / 'src')!r})\n"
+        "spec = importlib.util.spec_from_file_location("
+        f"'tracing', {str(root / 'perfbench' / 'tracing.py')!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "tracing.install(tracing.Tracer())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -211,8 +211,6 @@ def test_discretize_rejections():
         discretize(d, 0.3, 10.0)  # truncation not on the lattice
     with pytest.raises(ValueError):
         discretize(d, 0.5, 10.0, mode="nearest")
-    with pytest.raises(ValueError):
-        discretize(d, 0.5, 10.0, max_truncated_mass=1e-6)
 
 
 def test_lattice_validation():

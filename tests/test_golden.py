@@ -1,0 +1,184 @@
+"""Pinned outputs: three certificates and one tune table, byte for byte.
+
+A change meant to leave the arithmetic alone must leave these texts exactly as
+they are. A change that does alter the arithmetic updates the literals and
+records the drift in CHANGES.md.
+"""
+
+import pytest
+
+from geomtail.cli import main
+
+PURE_CONFIG = """\
+family = pareto
+alpha = 2.2
+p = 0.5
+engine = panjer
+bandwidth = 0.05
+B = 100
+h.family = power
+h.scale = 1.0
+h.gamma = 0.3125
+g.variant = power
+g.exponent = 0.6875
+"""
+
+PURE_OUTPUT = """\
+# bound certificate
+family = pareto
+alpha = 2.2
+p = 0.5
+engine = panjer
+bandwidth = 0.05
+truncation = 200
+h.family = power
+h.scale = 1
+h.gamma = 0.3125
+g.variant = power
+g.coef = 1
+g.exponent = 0.6875
+B = 100
+b = 100
+delta_b = 0.785556796676
+phi = 1.87267007011
+c_hb_b = 14.2233674643
+C = 13.0459330533
+valid_from = 100
+tail_coefficient = 13.0459330533
+delta_tail_certified = true
+phi_tail_certified = true
+report = Delta(x) <= 13.0459 * x^-0.6875 for x > 100
+"""
+
+SPLICED_CONFIG = """\
+family = pareto
+alpha = 2.2
+p = 0.5
+engine = panjer
+bandwidth = 0.05
+mode = lower
+B = 100
+h.family = power
+h.scale = 1.14
+h.gamma = 0.3125
+g.variant = spliced
+g.exponent = 0.6875
+g.bstar = 21.3
+"""
+
+SPLICED_OUTPUT = """\
+# bound certificate
+family = pareto
+alpha = 2.2
+p = 0.5
+engine = panjer
+bandwidth = 0.05
+truncation = 200
+h.family = power
+h.scale = 1.14
+h.gamma = 0.3125
+g.variant = spliced
+g.bstar = 21.3
+g.coef = 1
+g.exponent = 0.6875
+B = 100
+b = 100
+delta_b = 0.751412792012
+phi = 0.263121385476
+c_hb_b = 1
+C = 1.05846711746
+valid_from = 100
+kappa_splice = 8.08532625641
+tail_coefficient = 8.55805197632
+delta_tail_certified = true
+phi_tail_certified = true
+report = Delta(x) <= 8.55805 * x^-0.6875 for x > 100
+"""
+
+KKERNEL_CONFIG = """\
+family = weibull
+beta = 0.5
+p = 0.5
+engine = panjer
+bandwidth = 0.05
+B = 100
+h.family = logpower
+h.scale = 0.179
+h.kappa = 2
+g.variant = kkernel
+"""
+
+KKERNEL_OUTPUT = """\
+# bound certificate
+family = weibull
+beta = 0.5
+p = 0.5
+engine = panjer
+bandwidth = 0.05
+truncation = 200
+h.family = logpower
+h.scale = 0.179
+h.kappa = 2
+g.variant = kkernel
+B = 100
+b = 100
+delta_b = 0.601057223183
+phi = 1.17765519214
+c_hb_b = 2.66927320023
+C = 2.9519401292
+valid_from = 100
+delta_tail_certified = false
+phi_tail_certified = false
+caveats = delta sup: grid maximum only; tail beyond 1e+08 not certified: remainder term does not vanish for kappa*beta < 1 (or = 1 with scale < 1); the supremum diverges | phi sup: grid maximum only; tail beyond 1e+08 not certified: remainder term does not vanish for kappa*beta < 1 (or = 1 with scale < 1); the supremum diverges
+report = Delta(x) <= 2.95194 * K(x,h(x)) for x >= 100, h(x) = 0.179 * (log x)^2
+"""
+
+TUNE_CONFIG = """\
+family = pareto
+alpha = 2.2
+p = 0.5
+engine = panjer
+bandwidth = 0.05
+B = 100
+h.family = power
+h.scale = 1.0
+h.gamma = 0.3125
+g.variant = power
+g.exponent = 0.6875
+x_far = 1e6
+grid_ratio = 1.2
+tune.s = 1.0, 1.14, 1.7
+tune.bstar = none, 21.3
+"""
+
+TUNE_OUTPUT = """\
+# best scale = 1.14
+# best bstar = 21.3
+# coefficient = 8.52081308451
+# C = 1.01131591668
+scale,bstar,feasible,C,coefficient,note
+1,none,1,13.0459330533,13.0459330533,
+1,21.3,1,1.05444249945,8.88417486368,
+1.14,none,1,12.5272249128,12.5272249128,
+1.14,21.3,1,1.01131591668,8.52081308451,
+1.7,none,1,12.8195605207,12.8195605207,
+1.7,21.3,1,1.29153020618,10.8817504979,
+"""
+
+
+CASES = {
+    "pure": ("bound", PURE_CONFIG, PURE_OUTPUT),
+    "spliced": ("bound", SPLICED_CONFIG, SPLICED_OUTPUT),
+    "kkernel": ("bound", KKERNEL_CONFIG, KKERNEL_OUTPUT),
+    "tune": ("tune", TUNE_CONFIG, TUNE_OUTPUT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(tmp_path, name):
+    command, config, expected = CASES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == expected
