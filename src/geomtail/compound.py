@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 _MC_BLOCK = 1 << 16
+# most severity draws held at once: a block samples its sums in groups of
+# whole sums up to this many draws, and a longer sum takes a group of its own
+_MC_GROUP_DRAWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,17 @@ def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dyadic_uniforms(k: np.ndarray) -> np.ndarray:
+    """Map integers k in [0, 2^53) to uniforms (k + 1/2) 2^-53 in (0, 1).
+
+    k + 1/2 needs 54 bits, so it rounds for k >= 2^52, and to 2^53 itself
+    for k = 2^53 - 1; moving that one value below 1 leaves every other
+    uniform as it was.
+    """
+    u = (k + 0.5) * 0.5**53
+    return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+
+
 def panjer_tail(
     lattice: LatticeDistribution,
     params: GeometricParams,
@@ -160,8 +174,9 @@ def mc_tail(
     streams, so results depend only on (seed, n) and merging block counts is
     order-independent. Uniforms are taken as dyadic rationals strictly inside
     (0, 1). Geometric counts use the inversion nu = ceil(log u / log q).
-    Memory per block scales like block size divided by p. The returned table
-    is in ascending grid order regardless of the order of ``xgrid``.
+    A block draws its severities in groups of whole sums, so at most 2^22
+    draws (or one longer sum) are held at once, whatever p is. The returned
+    table is in ascending grid order regardless of the order of ``xgrid``.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -177,21 +192,28 @@ def mc_tail(
     nblocks = (n + _MC_BLOCK - 1) // _MC_BLOCK
     seeds = np.random.SeedSequence(seed).spawn(nblocks)
     counts = np.zeros(xs_sorted.size, dtype=np.int64)
-    scale = 0.5**53
     for b in range(nblocks):
         m = min(_MC_BLOCK, n - b * _MC_BLOCK)
         rng = np.random.Generator(np.random.PCG64(seeds[b]))
-        u_count = (rng.integers(0, 1 << 53, size=m, dtype=np.uint64) + 0.5) * scale
+        u_count = _dyadic_uniforms(rng.integers(0, 1 << 53, size=m, dtype=np.uint64))
         nu = np.ceil(np.log(u_count) / lnq).astype(np.int64)
         nu = np.maximum(nu, 1)
-        total = int(nu.sum())
-        u_sev = (rng.integers(0, 1 << 53, size=total, dtype=np.uint64) + 0.5) * scale
-        sev = np.asarray(dist.sample(u_sev), dtype=float)
-        starts = np.zeros(m, dtype=np.int64)
-        np.cumsum(nu[:-1], out=starts[1:])
-        sums = np.add.reduceat(sev, starts)
-        sums.sort()
-        counts += m - np.searchsorted(sums, xs_sorted, side="right")
+        ends = np.cumsum(nu, out=nu)
+        # groups split only between sums, so the severity stream and every
+        # sum are those of one draw for the whole block, and counts add up
+        i = 0
+        while i < m:
+            base = int(ends[i - 1]) if i else 0
+            j = max(i + 1, int(np.searchsorted(ends, base + _MC_GROUP_DRAWS, side="right")))
+            u_sev = _dyadic_uniforms(
+                rng.integers(0, 1 << 53, size=int(ends[j - 1]) - base, dtype=np.uint64))
+            sev = np.asarray(dist.sample(u_sev), dtype=float)
+            starts = np.zeros(j - i, dtype=np.int64)
+            np.subtract(ends[i : j - 1], base, out=starts[1:])
+            sums = np.add.reduceat(sev, starts)
+            sums.sort()
+            counts += (j - i) - np.searchsorted(sums, xs_sorted, side="right")
+            i = j
 
     phat = counts / float(n)
     stderr = np.sqrt(phat * (1.0 - phat) / float(n))

@@ -67,8 +67,16 @@ class SummandDistribution:
         return None
 
 
+# Newton steps a power-mixture draw takes before it falls back to bisection;
+# random mixtures of up to 4 terms with exponents in [1.05, 10] need at most 6
+_NEWTON_STEPS = 12
+# uniforms a power mixture inverts at a time
+_SAMPLE_CHUNK = 1 << 14
+
+
 def _check_uniforms(u: np.ndarray) -> None:
-    if u.size and (np.min(u) <= 0.0 or np.max(u) >= 1.0):
+    # written so that a NaN, which fails every comparison, is rejected too
+    if u.size and not (np.min(u) > 0.0 and np.max(u) < 1.0):
         raise ValueError("uniform inputs must lie strictly inside (0, 1)")
 
 
@@ -221,27 +229,83 @@ class PowerMixtureDist(SummandDistribution):
 
     def sample(self, u):
         u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
         _check_uniforms(u)
-        target = 1.0 - u
-        # invert the tail by bisection on t = log x; the tail is strictly
-        # decreasing on [1, inf) so the root is unique
+        target = 1.0 - u.reshape(-1)
+        s = np.empty_like(target)
+        # chunks small enough for the solver's temporaries to stay in cache
+        for i in range(0, s.size, _SAMPLE_CHUNK):
+            s[i : i + _SAMPLE_CHUNK] = self._quantile(target[i : i + _SAMPLE_CHUNK])
+        return s.reshape(u.shape) if u.ndim else float(s[0])
+
+    def _quantile(self, target):
+        """The smallest double x >= 1 with tail(x) <= target, elementwise.
+
+        Each draw is thus a function of its own uniform alone, and monotone in
+        it. Newton on t = log x lands within a few ulps of it; stepping x one
+        ulp at a time against ``tail`` then finds that double exactly.
+        """
+        s = np.exp(self._log_quantile(target))
+        high = self.tail(s) > target
+        live = np.flatnonzero(high)
+        while live.size:
+            s[live] = np.nextafter(s[live], np.inf)
+            live = live[self.tail(s[live]) > target[live]]
+        live = np.flatnonzero(~high & (s > 1.0))
+        while live.size:
+            prev = np.nextafter(s[live], 0.0)
+            down = self.tail(prev) <= target[live]
+            live = live[down]
+            s[live] = prev[down]
+            live = live[s[live] > 1.0]
+        return s
+
+    def _log_tail(self, t):
+        """The tail at x = exp(t) and minus its derivative in t."""
+        f = np.zeros_like(t)
+        df = np.zeros_like(t)
+        for c, a in self.terms:
+            term = c * np.exp(-a * t)
+            f += term
+            df += a * term
+        return f, df
+
+    def _log_quantile(self, target):
+        """Solve sum_i c_i exp(-a_i t) = target for t >= 0, to a few ulps.
+
+        Each term alone is below the tail, so its own root bounds t from
+        below; c_sum exp(-a_min t) is above the tail and bounds t from above.
+        Newton runs on the log of both sides: the log of the tail is convex
+        and decreasing in t (and linear for one term), so Newton started from
+        the lower bound rises to the root without overshooting. Steps are
+        still clamped into the bracket, and an element still moving after
+        ``_NEWTON_STEPS`` finishes by bisection.
+        """
+        log_target = np.log(target)
+        lo = np.zeros_like(target)
+        for c, a in self.terms:
+            np.maximum(lo, (math.log(c) - log_target) / a, out=lo)
+        c_sum = math.fsum(c for c, _ in self.terms)
         a_min = min(a for _, a in self.terms)
-        t_hi = max(5.0, (-np.log(np.min(target)) + 5.0) / a_min)
-        for _ in range(200):
-            if self.tail(math.exp(t_hi)) < np.min(target):
-                break
-            t_hi *= 2.0
-        lo = np.zeros_like(u)
-        hi = np.full_like(u, t_hi)
+        hi = np.maximum(lo, (math.log(c_sum) - log_target) / a_min)
+        t = lo.copy()
+        live = np.arange(t.size)
+        for _ in range(_NEWTON_STEPS):
+            if not live.size:
+                return t
+            t_old = t[live]
+            f, df = self._log_tail(t_old)
+            step = f * (np.log(f) - log_target[live]) / df
+            t_new = np.clip(t_old + step, lo[live], hi[live])
+            t[live] = t_new
+            live = live[np.abs(t_new - t_old) > 4.0 * np.spacing(np.maximum(t_old, 1.0))]
+        lo, hi, target = t[live], hi[live], target[live]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            too_high = self.tail(np.exp(mid)) > target
-            lo = np.where(too_high, mid, lo)
-            hi = np.where(too_high, hi, mid)
-        s = np.exp(0.5 * (lo + hi))
-        return float(s[0]) if scalar else s
+            above = self._log_tail(mid)[0] > target
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        t[live] = hi
+        return t
 
     def _tail_scalar(self, x: float) -> float:
         # scalar fast path; the kernel quadrature calls this in a tight loop

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from geomtail import compound
 from geomtail.compound import (
     TailTable,
+    _dyadic_uniforms,
     brute_force_tail,
     delta_from_tails,
     mc_tail,
@@ -16,6 +18,7 @@ from geomtail.dist import (
     GeometricParams,
     LatticeDistribution,
     ParetoDist,
+    SummandDistribution,
     discretize,
 )
 from conftest import random_lattice
@@ -134,6 +137,50 @@ def test_mc_different_seeds_agree_statistically():
     assert a.tails[0] != b.tails[0]
     joint = math.hypot(a.stderrs[0], b.stderrs[0])
     assert abs(a.tails[0] - b.tails[0]) < 4.0 * joint
+
+
+def test_dyadic_uniforms_stay_strictly_inside_the_unit_interval():
+    u = _dyadic_uniforms(np.array([0, 2**52 + 1, 2**53 - 1], dtype=np.uint64))
+    assert u[0] == 2.0**-54
+    # above 2^52, k + 1/2 rounds to even, as it always did
+    assert u[1] == 0.5 + 2.0**-52
+    # (2^53 - 1/2) 2^-53 rounds to 1.0, which every sampler rejects
+    assert u[2] == np.nextafter(1.0, 0.0)
+    ParetoDist(2.2).sample(u)
+
+
+class RecordingPareto(SummandDistribution):
+    """Pareto severity that records the size of every sample call."""
+
+    def __init__(self):
+        self.inner = ParetoDist(2.2)
+        self.calls = []
+
+    def tail(self, x):
+        return self.inner.tail(x)
+
+    def sample(self, u):
+        self.calls.append(np.size(u))
+        return self.inner.sample(u)
+
+
+@pytest.mark.parametrize("cap, n", [(64, 70_000), (1, 3_000)])
+def test_mc_draws_severities_in_bounded_groups(monkeypatch, cap, n):
+    params = GeometricParams(0.5)
+    xgrid = [1.5, 3.0, 10.0, 40.0]
+    whole = RecordingPareto()
+    expect = mc_tail(whole, params, n, seed=5, xgrid=xgrid)
+    monkeypatch.setattr(compound, "_MC_GROUP_DRAWS", cap)
+    grouped = RecordingPareto()
+    got = mc_tail(grouped, params, n, seed=5, xgrid=xgrid)
+    assert np.array_equal(got.tails, expect.tails)
+    assert sum(grouped.calls) == sum(whole.calls)
+    assert len(whole.calls) == (n + compound._MC_BLOCK - 1) // compound._MC_BLOCK
+    if cap == 1:
+        # every sum is longer than the cap and takes a group of its own
+        assert len(grouped.calls) == n
+    else:
+        assert max(grouped.calls) <= cap
 
 
 def test_mc_handles_unsorted_grid():

@@ -2,9 +2,13 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geomtail import dist as dist_module
 from geomtail.dist import (
     GeometricParams,
     LatticeDistribution,
@@ -131,10 +135,104 @@ def test_mixture_sample_round_trip_and_oracle(rng):
         assert float(d.sample(np.array([ui]))[0]) == pytest.approx(oracle, rel=1e-9)
 
 
+def bisection_sample(terms, u):
+    """The 60-round bisection the mixture sampler used before Newton, kept as
+    the oracle. It sizes one bracket for the whole batch."""
+    def tail(x):
+        x = np.asarray(x, dtype=float)
+        t = sum(c * np.power(np.maximum(x, 1.0), -a) for c, a in terms)
+        return np.where(x <= 1.0, 1.0, t)
+
+    target = 1.0 - u
+    a_min = min(a for _, a in terms)
+    t_hi = max(5.0, (-np.log(np.min(target)) + 5.0) / a_min)
+    for _ in range(200):
+        if tail(math.exp(t_hi)) < np.min(target):
+            break
+        t_hi *= 2.0
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, t_hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        too_high = tail(np.exp(mid)) > target
+        lo = np.where(too_high, mid, lo)
+        hi = np.where(too_high, hi, mid)
+    return np.exp(0.5 * (lo + hi))
+
+
+def log_grid_ulps(x):
+    """Spacing of the draws exp(t) for a double t near log x: the resolution
+    of samplers that solve for t = log x, such as the bisection oracle and
+    the closed-form Pareto sampler. Near t = 35 it is 32 ulps of x."""
+    return x * np.spacing(np.log(x))
+
+
+@st.composite
+def mixtures(draw):
+    m = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+    exponents = draw(st.lists(st.floats(1.05, 10.0), min_size=m, max_size=m))
+    total = math.fsum(raw)
+    return PowerMixtureDist(tuple((w / total, a) for w, a in zip(raw, exponents)))
+
+
+UNIFORMS = hnp.arrays(float, st.integers(1, 40),
+                      elements=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixtures(), UNIFORMS)
+def test_mixture_sample_is_the_quantile_of_tail(d, u):
+    x = d.sample(u)
+    target = 1.0 - u
+    # the smallest double x >= 1 with tail(x) <= 1 - u
+    assert np.all(x >= 1.0)
+    assert np.all(d.tail(x) <= target)
+    assert np.all((x == 1.0) | (d.tail(np.nextafter(x, 0.0)) > target))
+    assert np.all(np.abs(d.tail(x) - target) <= 1e-13 * target)
+    # draws agree with the bisection oracle to 8 ulps beyond its own resolution
+    old = bisection_sample(d.terms, u)
+    assert np.all(np.abs(x - old) <= 8.0 * np.spacing(old) + log_grid_ulps(old))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixtures(), UNIFORMS, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_mixture_sample_is_monotone_and_batch_independent(d, u, base):
+    # sorted draws, plus a run of consecutive doubles where rounding could
+    # reorder draws that are not an exact function of the tail
+    run = base + np.arange(-32, 32) * np.spacing(base)
+    u = np.sort(np.concatenate([u, run[(run > 0.0) & (run < 1.0)]]))
+    x = d.sample(u)
+    assert np.all(np.diff(x) >= 0.0)
+    for i in range(u.size):
+        assert d.sample(u[i:i + 1])[0] == x[i]
+    assert d.sample(float(u[-1])) == x[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1.05, 10.0), UNIFORMS)
+def test_one_term_mixture_matches_pareto_sampler(alpha, u):
+    x = PowerMixtureDist(((1.0, alpha),)).sample(u)
+    ref = ParetoDist(alpha).sample(u)
+    # the Pareto sampler rounds t = -log1p(-u)/alpha twice before exp(t)
+    assert np.all(np.abs(x - ref) <= 8.0 * np.spacing(ref) + 2.0 * log_grid_ulps(ref))
+
+
+@pytest.mark.parametrize("name, value", [("_NEWTON_STEPS", 0), ("_NEWTON_STEPS", 2),
+                                         ("_SAMPLE_CHUNK", 7)])
+def test_mixture_draws_do_not_depend_on_the_solver_path(monkeypatch, name, value):
+    # all-bisection, Newton cut short, and many small chunks give the same draws
+    d = PowerMixtureDist(((0.2, 1.2), (0.3, 2.5), (0.5, 6.0)))
+    u = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001), [2.0**-54, 1.0 - 2.0**-53]])
+    expect = d.sample(u)
+    monkeypatch.setattr(dist_module, name, value)
+    assert np.array_equal(d.sample(u), expect)
+
+
 def test_sample_rejects_boundary_uniforms():
-    for d in (ParetoDist(2.2), WeibullDist(0.5),
-              PowerMixtureDist(((1.0, 3.0),))):
-        for bad in (0.0, 1.0, -0.1, 1.1):
+    for d in (ParetoDist(2.2), WeibullDist(0.5), PowerMixtureDist(((1.0, 3.0),)),
+              PowerMixtureDist(((1.0 / 3.0, 2.0), (2.0 / 3.0, 3.0)))):
+        for bad in (0.0, 1.0, -0.1, 1.1, math.nan):
             with pytest.raises(ValueError):
                 d.sample(np.array([0.5, bad]))
 

@@ -1,4 +1,4 @@
-"""Pinned outputs: three certificates and one tune table, byte for byte.
+"""Pinned outputs: four certificates and one tune table, byte for byte.
 
 A change meant to leave the arithmetic alone must leave these texts exactly as
 they are. A change that does alter the arithmetic updates the literals and
@@ -165,12 +165,59 @@ scale,bstar,feasible,C,coefficient,note
 1.7,21.3,1,1.29153020618,10.8817504979,
 """
 
+# criterion 5 of the acceptance suite at 2e5 sums and a coarser sweep: pins
+# the seeded Monte Carlo engine and the mixture sampler
+MIXTURE_MC_CONFIG = """\
+family = mixture
+terms = (0.3333333333333333, 2), (0.6666666666666666, 3)
+p = 0.5
+engine = mc
+mc_samples = 200000
+seed = 20250817
+B = 80
+h.family = power
+h.scale = 1.0
+h.gamma = 0.3333333333333333
+g.variant = power
+g.exponent = 0.6666666666666666
+grid_ratio = 1.2
+"""
+
+MIXTURE_MC_OUTPUT = """\
+# bound certificate
+family = mixture
+terms = [(0.333333333333, 2), (0.666666666667, 3)]
+p = 0.5
+engine = mc
+mc_samples = 200000
+seed = 20250817
+h.family = power
+h.scale = 1
+h.gamma = 0.333333333333
+g.variant = power
+g.coef = 1
+g.exponent = 0.666666666667
+B = 80
+b = 80
+delta_b = 0.690798789541
+phi = 1.71198447385
+c_hb_b = 16.6099030379
+C = 13.1860853868
+valid_from = 80
+tail_coefficient = 13.1860853868
+delta_tail_certified = true
+phi_tail_certified = true
+caveats = interval constant from a Monte Carlo table with a two-standard-error margin
+report = Delta(x) <= 13.1861 * x^-0.666667 for x > 80
+"""
+
 
 CASES = {
     "pure": ("bound", PURE_CONFIG, PURE_OUTPUT),
     "spliced": ("bound", SPLICED_CONFIG, SPLICED_OUTPUT),
     "kkernel": ("bound", KKERNEL_CONFIG, KKERNEL_OUTPUT),
     "tune": ("tune", TUNE_CONFIG, TUNE_OUTPUT),
+    "mixture_mc": ("bound", MIXTURE_MC_CONFIG, MIXTURE_MC_OUTPUT),
 }
 
 
