@@ -219,7 +219,7 @@ def _power_tail_envelopes(
         sum(c * np.power(xs, a_min - a) * np.expm1(-a * np.log1p(-u)) for c, a in terms)
         / c_min
     )
-    gx = np.array([g(float(x)) for x in xs])
+    gx = g.evaluate(xs)
     f3 = (q * j_excess + (1.0 - params.p**2) * k_bound) / gx
 
     f12 = f1 + f2
@@ -321,15 +321,22 @@ class _KernelSweep:
     error: Exception | None
 
 
+def _kernel_points(dist, h, from_x, x_far, grid_ratio):
+    """_kernel_point at each sweep grid point from from_x to x_far, lazily:
+    a reader that stops early pays no quadrature beyond its last point."""
+    if from_x < h.domain_start * (1.0 - 1e-12):
+        raise ValueError(
+            f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}"
+        )
+    for x in _sup_grid(from_x, x_far, grid_ratio):
+        yield _kernel_point(dist, h, float(x))
+
+
 def _kernel_sweep(dist, h, from_x, x_far, grid_ratio) -> _KernelSweep:
     points, error = [], None
     try:
-        if from_x < h.domain_start * (1.0 - 1e-12):
-            raise ValueError(
-                f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}"
-            )
-        for x in _sup_grid(from_x, x_far, grid_ratio):
-            points.append(_kernel_point(dist, h, float(x)))
+        for point in _kernel_points(dist, h, from_x, x_far, grid_ratio):
+            points.append(point)
     except (ValueError, RuntimeError) as exc:
         error = exc
     return _KernelSweep(dist, h, x_far, tuple(points), error)
@@ -407,7 +414,7 @@ def c_interval(delta_table: DeltaTable, g: TestFunction, a: float, b: float) -> 
         raise ValueError(f"no table points inside [{a:g}, {b:g}]")
     dv = delta_table.delta[sel] + 2.0 * delta_table.delta_stderr[sel]
     dv = np.maximum(dv, 0.0)
-    gx = np.array([g(float(x)) for x in xs[sel]])
+    gx = g.evaluate(xs[sel])
     if np.any(gx <= 0.0):
         raise ValueError("test function must be positive on the interval")
     return float(np.max(dv / gx))
@@ -601,17 +608,33 @@ def _search_min_b(dist, params, h, g, B, cap, x_far, grid_ratio) -> int | None:
     """Smallest integer n <= cap with delta(n) < 1, by bisection.
 
     The supremum over [n, infinity) is non-increasing in n, so the predicate
-    is monotone up to grid discretization.
+    is monotone up to grid discretization. delta(n) < 1 is delta_sup's
+    answer: the far-tail envelope, which does not depend on n, is below one
+    if it is certified, and f1 + f2 is below one at every grid point from n.
+    Each sweep stops at the first point where it is not, so a kernel error
+    past that point is never met.
     """
     lo = max(int(math.floor(B)), int(math.ceil(h.domain_start + 1e-9)))
     if cap <= lo:
         return None
-    if delta_sup(dist, params, h, g, float(cap), x_far, grid_ratio).value >= 1.0:
+    env = _tail_envelopes(dist, params, h, g, x_far)
+    if env.certified and not (env.f12 < 1.0):
+        return None
+
+    def below_one(n: int) -> bool:
+        for point in _kernel_points(dist, h, float(n), x_far, grid_ratio):
+            ft = _combine(params, g, point)
+            # a NaN is not below one, as delta_sup's np.argmax picks a NaN
+            if not (ft.f1 + ft.f2 < 1.0):
+                return False
+        return True
+
+    if not below_one(cap):
         return None
     hi = cap
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if delta_sup(dist, params, h, g, float(mid), x_far, grid_ratio).value < 1.0:
+        if below_one(mid):
             hi = mid
         else:
             lo = mid
@@ -838,9 +861,10 @@ def verify_bound(certificate: BoundCertificate, delta_table: DeltaTable) -> Veri
     violations = []
     max_excess = 0.0
     checked = 0
-    for x, d, s in zip(xs[sel], delta_table.delta[sel], delta_table.delta_stderr[sel]):
+    gx = certificate.g.evaluate(xs[sel])
+    for x, gv, d, s in zip(xs[sel], gx, delta_table.delta[sel], delta_table.delta_stderr[sel]):
         checked += 1
-        allowed = certificate.C * certificate.g(float(x)) + 2.0 * s
+        allowed = certificate.C * gv + 2.0 * s
         slack = 1e-9 * max(1.0, abs(allowed))
         if d > allowed + slack:
             violations.append((float(x), float(d), float(allowed)))

@@ -31,8 +31,9 @@ class SummandDistribution:
 
     Subclasses must provide ``tail``, ``density`` and ``sample``; the kernels
     also need the scalar ``k_value(x, r)`` = tail(x - r)/tail(x) - 1 and
-    ``j_integrand(x, y)`` = tail(x - y)/tail(x) * density(y), each family in
-    its own numerically safe form. ``tail_ge``, ``integrand_breakpoints`` and
+    ``j_integrand(x)``, the function y -> tail(x - y)/tail(x) * density(y)
+    that the J quadrature integrates, each family in its own numerically
+    safe form. ``tail_ge``, ``integrand_breakpoints`` and
     ``tail_power_terms`` have defaults that a family may override.
     """
 
@@ -113,14 +114,22 @@ class ParetoDist(SummandDistribution):
             return float(x) ** self.alpha - 1.0
         return math.expm1(-self.alpha * math.log1p(-r / x))
 
-    def j_integrand(self, x: float, y: float) -> float:
-        if y < 1.0:
-            return 0.0
-        if x - y <= 1.0:
-            ratio = float(x) ** self.alpha
-        else:
-            ratio = math.exp(-self.alpha * (math.log(x - y) - math.log(x)))
-        return ratio * self.alpha * float(y) ** (-self.alpha - 1.0)
+    def j_integrand(self, x: float):
+        alpha = self.alpha
+        dens_exp = -alpha - 1.0
+        log_x = math.log(x)
+
+        def integrand(y: float) -> float:
+            if y < 1.0:
+                return 0.0
+            if x - y <= 1.0:
+                # not hoisted: x^alpha may overflow where this branch is never taken
+                ratio = float(x) ** alpha
+            else:
+                ratio = math.exp(-alpha * (math.log(x - y) - log_x))
+            return ratio * alpha * float(y) ** dens_exp
+
+        return integrand
 
     def integrand_breakpoints(self, x: float) -> list[float]:
         return [1.0, x - 1.0]
@@ -177,12 +186,24 @@ class WeibullDist(SummandDistribution):
             raise ValueError("requires r < x")
         return math.expm1(self.diff_pow(x, r))
 
-    def j_integrand(self, x: float, y: float) -> float:
-        # combine exponents before exponentiating; the ratio alone overflows
-        if y <= 0.0:
-            return 0.0
-        e = self.diff_pow(x, y) - float(y) ** self.beta
-        return self.beta * float(y) ** (self.beta - 1.0) * math.exp(e)
+    def j_integrand(self, x: float):
+        beta = self.beta
+        dens_exp = beta - 1.0
+        x_beta = float(x) ** beta
+
+        def integrand(y: float) -> float:
+            # combine exponents before exponentiating; the ratio alone
+            # overflows. The exponent difference is diff_pow(x, y), inlined.
+            if y <= 0.0:
+                return 0.0
+            if y >= x:
+                diff = x_beta
+            else:
+                diff = x_beta * (-math.expm1(beta * math.log1p(-y / x)))
+            e = diff - float(y) ** beta
+            return beta * float(y) ** dens_exp * math.exp(e)
+
+        return integrand
 
 
 @dataclass(frozen=True)
@@ -316,11 +337,21 @@ class PowerMixtureDist(SummandDistribution):
     def k_value(self, x: float, r: float) -> float:
         return self._tail_scalar(x - r) / self._tail_scalar(x) - 1.0
 
-    def j_integrand(self, x: float, y: float) -> float:
-        if y < 1.0:
-            return 0.0
-        dens = sum(c * a * y ** (-a - 1.0) for c, a in self.terms)
-        return self._tail_scalar(x - y) / self._tail_scalar(x) * dens
+    def j_integrand(self, x: float):
+        terms = self.terms
+        tail_x = self._tail_scalar(x)
+        dens_terms = tuple((c * a, -a - 1.0) for c, a in terms)
+
+        def integrand(y: float) -> float:
+            # the sums of _tail_scalar(x - y) and density(y), term for term
+            if y < 1.0:
+                return 0.0
+            dens = sum(ca * y ** e for ca, e in dens_terms)
+            u = x - y
+            tail_u = 1.0 if u <= 1.0 else sum(c * u**-a for c, a in terms)
+            return tail_u / tail_x * dens
+
+        return integrand
 
     def integrand_breakpoints(self, x: float) -> list[float]:
         return [1.0, x - 1.0]

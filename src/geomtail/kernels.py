@@ -155,7 +155,7 @@ def J_kernel(dist: SummandDistribution, x: float, r: float) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, abserr = integrate.quad(
-            lambda y: dist.j_integrand(x, y),
+            dist.j_integrand(x),
             r,
             x - r,
             points=pts or None,
@@ -297,6 +297,12 @@ class TestFunction:
     def __call__(self, x: float) -> float:
         raise NotImplementedError
 
+    def evaluate(self, xs) -> np.ndarray:
+        """g at every point of the 1-d array xs, each element equal to
+        g(float(x))."""
+        xs = np.asarray(xs, dtype=float)
+        return np.fromiter(map(self, xs.tolist()), dtype=float, count=xs.size)
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -331,6 +337,14 @@ class KKernelTestFunction(TestFunction):
     def __call__(self, x: float) -> float:
         r = float(self.h(x))
         return K_kernel(self.dist, float(x), r)
+
+    def evaluate(self, xs) -> np.ndarray:
+        # the cutoff once over the array: numpy's array and 0-d power and
+        # log give the same doubles, and the scalar h calls are most of g's cost
+        xs = np.asarray(xs, dtype=float)
+        rs = np.asarray(self.h(xs), dtype=float)
+        return np.fromiter((K_kernel(self.dist, float(x), float(r)) for x, r in zip(xs, rs)),
+                           dtype=float, count=xs.size)
 
     def describe(self) -> str:
         return f"K(x, h(x)) with h(x) = {self.h.describe()}"

@@ -242,6 +242,99 @@ def test_contraction_failure_is_reported():
     assert "no b <= 150" in str(err)
 
 
+# ---------------------------------------------------------------- min-b search
+
+# criterion 3 pure on a coarse sweep: delta(100) >= 1, and the smallest
+# workable integer anchor is 1082
+MINB_ARGS = (PARETO, GeometricParams(0.2), H_PARETO, G_PARETO)
+MINB_SWEEP = dict(x_far=1e6, grid_ratio=1.5)
+
+
+def bisect_min_b(lo, cap, below_one):
+    """The bisection of the min-b search, over any predicate."""
+    if not below_one(cap):
+        return None
+    hi = cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below_one(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def count_J_calls(monkeypatch):
+    calls = []
+    real = bounder.J_kernel
+
+    def counting(dist, x, r, *args, **kwargs):
+        calls.append(x)
+        return real(dist, x, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounder, "J_kernel", counting)
+    return calls
+
+
+def search_min_b(cap=10_000):
+    return bounder._search_min_b(*MINB_ARGS, 100.0, cap, MINB_SWEEP["x_far"],
+                                 MINB_SWEEP["grid_ratio"])
+
+
+def test_min_b_is_the_bisection_over_delta_sup(monkeypatch):
+    with pytest.raises(ProcedureFailed) as exc:
+        build_bound(*MINB_ARGS, 100.0, engine="panjer", bandwidth=0.05, **MINB_SWEEP)
+    calls = count_J_calls(monkeypatch)
+    assert search_min_b() == exc.value.min_b == 1082
+    searched = len(calls)
+    calls.clear()
+    expect = bisect_min_b(
+        100, 10_000, lambda n: delta_sup(*MINB_ARGS, float(n), **MINB_SWEEP).value < 1.0)
+    assert exc.value.min_b == expect
+    # full sweeps for every bisection step cost 243 quadratures; sweeps that
+    # stop at their deciding point cost 140
+    assert searched < 0.6 * len(calls)
+
+
+def test_min_b_counts_nan_as_not_below_one(monkeypatch):
+    real = bounder.J_kernel
+    nan_below = [3000.0]
+
+    def nan_J(dist, x, r, *args, **kwargs):
+        return math.nan if x < nan_below[0] else real(dist, x, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounder, "J_kernel", nan_J)
+    # every sweep from below 3000 starts on a NaN point
+    assert search_min_b() == 3000
+    # NaN at the cap too: no anchor qualifies
+    nan_below[0] = math.inf
+    assert search_min_b() is None
+
+
+def test_min_b_kernel_errors_after_a_deciding_point_are_not_met(monkeypatch):
+    real = bounder.J_kernel
+
+    def failing(dist, x, r, *args, **kwargs):
+        if x > 1e5:
+            raise RuntimeError(f"J kernel quadrature did not converge at x={x:g}")
+        return real(dist, x, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounder, "J_kernel", failing)
+    # delta(500) >= 1 is decided at x = 500, long before the failing points
+    assert search_min_b(cap=500) is None
+    # a sweep that must reach x_far to decide still raises
+    with pytest.raises(RuntimeError, match="did not converge"):
+        search_min_b()
+
+
+def test_min_b_skips_sweeps_when_the_envelope_reaches_one(monkeypatch):
+    calls = count_J_calls(monkeypatch)
+    monkeypatch.setattr(bounder, "_tail_envelopes",
+                        lambda *args: bounder._TailEnvelopes(1.0, 0.0, True, ""))
+    assert search_min_b() is None
+    assert calls == []
+
+
 def test_b_must_exceed_cutoff_domain():
     with pytest.raises(ValueError):
         build_bound(PARETO, HALF, CutoffFunction.power(1.7, 1.0 / 3.2),

@@ -243,7 +243,39 @@ def test_single_term_mixture_matches_pareto():
     xs = np.geomspace(1.0, 1e6, 100)
     assert np.allclose(mix.tail(xs), par.tail(xs), rtol=1e-13)
     assert mix.k_value(100.0, 7.0) == pytest.approx(par.k_value(100.0, 7.0), rel=1e-12)
-    assert mix.j_integrand(100.0, 30.0) == pytest.approx(par.j_integrand(100.0, 30.0), rel=1e-12)
+    assert mix.j_integrand(100.0)(30.0) == pytest.approx(par.j_integrand(100.0)(30.0), rel=1e-12)
+
+
+@st.composite
+def severity_and_point(draw):
+    """A severity with 1 <= x and 0 < y < x inside the range where its tails
+    do not underflow (the Weibull exponent x^beta stays below 300).
+
+    Weibull's y stays in (0, x/2]: its integrand forms (x - y)^beta from
+    log1p(-y / x), which keeps only the absolute accuracy of y / x, so as
+    y -> x it drifts from the tail ratio by more than 1e-12 (about 5e-12 at
+    y = x - h(x) for x = 1e6 and the criterion-6 cutoff)."""
+    kind = draw(st.sampled_from(["pareto", "weibull", "mixture"]))
+    y_frac = 1.0
+    if kind == "pareto":
+        d, x_max = ParetoDist(draw(st.floats(1.05, 10.0))), 1e8
+    elif kind == "weibull":
+        d = WeibullDist(draw(st.floats(0.1, 0.95)))
+        x_max, y_frac = min(1e8, 300.0 ** (1.0 / d.beta)), 0.5
+    else:
+        d, x_max = draw(mixtures()), 1e8
+    x = x_max ** draw(st.floats(0.0, 1.0))
+    y = x * draw(st.floats(1e-12, y_frac, exclude_max=y_frac == 1.0))
+    return d, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(severity_and_point())
+def test_j_integrand_is_the_tail_ratio_times_the_density(case):
+    d, x, y = case
+    got = d.j_integrand(x)(y)
+    want = float(d.tail(x - y)) / float(d.tail(x)) * float(d.density(y))
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_weibull_exponent_difference_stability():

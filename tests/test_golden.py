@@ -1,4 +1,5 @@
-"""Pinned outputs: four certificates and one tune table, byte for byte.
+"""Pinned outputs: four certificates, one tune table and two failure
+messages, byte for byte.
 
 A change meant to leave the arithmetic alone must leave these texts exactly as
 they are. A change that does alter the arithmetic updates the literals and
@@ -211,6 +212,47 @@ caveats = interval constant from a Monte Carlo table with a two-standard-error m
 report = Delta(x) <= 13.1861 * x^-0.666667 for x > 80
 """
 
+# criteria 3 (pure) and 6 (unscaled) fail at the benchmark's resolution
+# (Panjer bandwidth x4, grid_ratio 1.2); the messages pin the min-b search
+C3_PURE_CONFIG = """\
+family = pareto
+alpha = 2.2
+p = 0.2
+engine = panjer
+bandwidth = 0.02
+grid_ratio = 1.2
+B = 100
+h.family = power
+h.scale = 1.0
+h.gamma = 0.3125
+g.variant = power
+g.exponent = 0.6875
+"""
+
+C3_PURE_MESSAGE = (
+    "bound construction failed: delta(100) = 1.25689 >= 1; the bound construction "
+    "requires delta < 1 (smallest integer b with delta(b) < 1 is 1082)\n"
+)
+
+C6_UNSCALED_CONFIG = """\
+family = weibull
+beta = 0.5
+p = 0.5
+engine = panjer
+bandwidth = 0.008
+grid_ratio = 1.2
+B = 100
+h.family = logpower
+h.scale = 1.0
+h.kappa = 2
+g.variant = kkernel
+"""
+
+C6_UNSCALED_MESSAGE = (
+    "bound construction failed: delta(100) = 1.6247 >= 1; the bound construction "
+    "requires delta < 1 (smallest integer b with delta(b) < 1 is 1658)\n"
+)
+
 
 CASES = {
     "pure": ("bound", PURE_CONFIG, PURE_OUTPUT),
@@ -229,3 +271,20 @@ def test_output_is_byte_identical(tmp_path, name):
     out = tmp_path / "out.txt"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_text() == expected
+
+
+FAILURES = {
+    "c3_pure": (C3_PURE_CONFIG, C3_PURE_MESSAGE),
+    "c6_unscaled": (C6_UNSCALED_CONFIG, C6_UNSCALED_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_failure_message_is_byte_identical(tmp_path, capsys, name):
+    config, expected = FAILURES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out.txt"
+    assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == expected
+    assert not out.exists()

@@ -29,7 +29,8 @@ def midpoint_J(dist, x, r, n=100_000):
     ys = np.linspace(r, x - r, n + 1)
     mids = 0.5 * (ys[:-1] + ys[1:])
     dy = ys[1] - ys[0]
-    vals = [dist.j_integrand(x, float(y)) for y in mids]
+    integrand = dist.j_integrand(x)
+    vals = [integrand(float(y)) for y in mids]
     return math.fsum(vals) * dy
 
 
@@ -234,6 +235,22 @@ def test_kkernel_test_function_matches_kernel():
     x = 500.0
     hv = float(h(np.array([x]))[0])
     assert g(x) == pytest.approx(K_kernel(d, x, hv), rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [
+    KKernelTestFunction(WeibullDist(0.5), CutoffFunction.logpower(0.179, 2.0)),
+    KKernelTestFunction(WeibullDist(0.5), CutoffFunction.logpower(1.0, 2.0)),
+    KKernelTestFunction(ParetoDist(2.2), CutoffFunction.power(1.0, 1.0 / 3.2)),
+    PowerTestFunction(1.0, 0.6875),
+], ids=["kkernel-log-0.179", "kkernel-log-1", "kkernel-power", "power"])
+def test_evaluate_equals_the_scalar_calls(g):
+    # c_interval and verify_bound read g through evaluate, which must not move
+    # a digit of a certificate: a Panjer table's points, a strided view of
+    # them, and random points up to x_far
+    table_xs = np.arange(380, 12501) * 0.008
+    far = np.sort(np.random.default_rng(5).uniform(3.0, 1e8, 2000))
+    for xs in (table_xs, table_xs[1::3], far):
+        assert np.array_equal(g.evaluate(xs), [g(float(x)) for x in xs])
 
 
 def test_monotone_envelope_properties(rng):
