@@ -77,9 +77,7 @@ def _kernel_point(dist: SummandDistribution, h: CutoffFunction, x: float) -> tup
     r = float(h(x))
     if not (0.0 < r <= x / 2.0):
         raise ValueError(f"cutoff h(x)={r:g} outside (0, x/2] at x={x:g}")
-    K = K_kernel(dist, x, r)
-    J = J_kernel(dist, x, r) if r < x / 2.0 else 0.0
-    return x, r, K, J, float(dist.tail(r))
+    return x, r, K_kernel(dist, x, r), J_kernel(dist, x, r), float(dist.tail(r))
 
 
 def _combine(params: GeometricParams, g: TestFunction, point: tuple) -> FTerms:
@@ -438,7 +436,6 @@ class ProcedureFailed(RuntimeError):
         self.from_b = from_b
         self.delta_value = delta_value
         self.min_b = min_b
-        self.cap = cap
         if min_b is not None:
             hint = f"smallest integer b with delta(b) < 1 is {min_b}"
         else:
@@ -570,13 +567,16 @@ class BoundCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _tail_table(dist, params, xmax, engine, bandwidth, truncation, mc_samples, seed, mc_xs,
+def _tail_table(dist, params, xmax, engine, bandwidth, truncation, mc_samples, seed, xs=None,
                 mode="rounded") -> tuple[TailTable, float | None]:
-    """Compound tails up to xmax from the chosen engine, and the lattice
-    truncation (None for Monte Carlo, which estimates the tails at mc_xs).
+    """Compound tails P(S > x) at the points xs up to xmax, and the lattice
+    truncation (None for Monte Carlo). Panjer with xs None gives the tails at
+    every lattice point up to xmax; Monte Carlo needs xs.
 
-    The one place that sizes the Panjer lattice: the truncation (default
-    2 * xmax) is rounded up to whole cells, so the lattice reaches it.
+    The one place that sizes, truncates and reads the Panjer lattice: the
+    truncation (default 2 * xmax) is rounded up to whole cells, so the lattice
+    reaches it, and S is lattice-valued and non-negative, so P(S > x) is its
+    value at the last lattice point at or below x, and 1 for x < 0.
     """
     if engine == "panjer":
         if bandwidth is None:
@@ -584,11 +584,16 @@ def _tail_table(dist, params, xmax, engine, bandwidth, truncation, mc_samples, s
         trunc = 2.0 * xmax if truncation is None else truncation
         trunc = math.ceil(trunc / bandwidth - 1e-9) * bandwidth
         lattice = discretize(dist, bandwidth, trunc, mode=mode)
-        return panjer_tail(lattice, params, xmax), trunc
+        table = panjer_tail(lattice, params, xmax)
+        if xs is not None:
+            idx = np.floor(xs / bandwidth + 1e-9).astype(int)
+            tails = np.where(idx < 0, 1.0, table.tails[np.clip(idx, 0, len(table) - 1)])
+            table = TailTable(xs=xs, tails=tails, stderrs=np.zeros(xs.size), engine="panjer")
+        return table, trunc
     if engine == "mc":
         if mc_samples is None or seed is None:
             raise ValueError("the Monte Carlo engine requires mc_samples and a seed")
-        return mc_tail(dist, params, mc_samples, seed, mc_xs), None
+        return mc_tail(dist, params, mc_samples, seed, xs), None
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -597,9 +602,9 @@ def _build_delta_table(dist, params, B, table_lo, engine, bandwidth, truncation,
                        mode="rounded") -> tuple[DeltaTable, float | None]:
     """The exact-error table up to B and the lattice truncation; Monte Carlo
     estimates it at mc_grid_points geometric points of [table_lo, B]."""
-    mc_xs = np.geomspace(0.999 * table_lo, B, mc_grid_points) if engine == "mc" else None
+    xs = np.geomspace(0.999 * table_lo, B, mc_grid_points) if engine == "mc" else None
     tails, trunc = _tail_table(
-        dist, params, B, engine, bandwidth, truncation, mc_samples, seed, mc_xs, mode
+        dist, params, B, engine, bandwidth, truncation, mc_samples, seed, xs, mode
     )
     return delta_from_tails(tails, dist, params), trunc
 
@@ -653,9 +658,12 @@ def _tail_coefficient(g: TestFunction, C: float) -> float | None:
 def _certify(table: DeltaTable, sweep: _KernelSweep, params, g, B):
     """The certify core of build_bound and tune: the delta and phi suprema
     from B, the interval constant over [h(B), B] and the constant C, the
-    last two None when delta >= 1."""
+    last two None when delta >= 1. A NaN delta, which the min-b search also
+    counts as not below one, raises."""
     d_res, p_res = _sup_pair(sweep, params, g)
-    if d_res.value >= 1.0:
+    if not (d_res.value < 1.0):
+        if math.isnan(d_res.value):
+            raise ValueError(f"delta supremum is NaN: f1 + f2 is NaN at x={d_res.grid_argmax:g}")
         return d_res, p_res, None, None
     chb = c_interval(table, g, float(sweep.h(B)), B)
     return d_res, p_res, chb, bound_constant(d_res.value, p_res.value, chb)
@@ -858,20 +866,13 @@ def verify_bound(certificate: BoundCertificate, delta_table: DeltaTable) -> Veri
     xs = delta_table.xs
     tol = 1e-9 * max(1.0, certificate.valid_from)
     sel = xs >= certificate.valid_from - tol
-    violations = []
-    max_excess = 0.0
-    checked = 0
-    gx = certificate.g.evaluate(xs[sel])
-    for x, gv, d, s in zip(xs[sel], gx, delta_table.delta[sel], delta_table.delta_stderr[sel]):
-        checked += 1
-        allowed = certificate.C * gv + 2.0 * s
-        slack = 1e-9 * max(1.0, abs(allowed))
-        if d > allowed + slack:
-            violations.append((float(x), float(d), float(allowed)))
-            max_excess = max(max_excess, float(d - allowed))
+    x, d = xs[sel], delta_table.delta[sel]
+    allowed = certificate.C * certificate.g.evaluate(x) + 2.0 * delta_table.delta_stderr[sel]
+    bad = d > allowed + 1e-9 * np.maximum(1.0, np.abs(allowed))
+    excess = d[bad] - allowed[bad]
     return VerifyReport(
-        ok=not violations,
-        checked=checked,
-        violations=tuple(violations),
-        max_excess=max_excess,
+        ok=not excess.size,
+        checked=int(x.size),
+        violations=tuple(zip(x[bad].tolist(), d[bad].tolist(), allowed[bad].tolist())),
+        max_excess=float(np.max(excess)) if excess.size else 0.0,
     )

@@ -32,7 +32,7 @@ from .bounder import (
 )
 # the CLI reaches the engines through bounder; mc_tail, panjer_tail and discretize
 # stay importable here because perfbench/tracing.py wraps them on this module too
-from .compound import TailTable, delta_from_tails, mc_tail, panjer_tail  # noqa: F401
+from .compound import delta_from_tails, mc_tail, panjer_tail  # noqa: F401
 from .config import ConfigError, RunConfig, build_dist, build_g, build_h, parse_kv
 from .dist import GeometricParams, ParetoDist, WeibullDist, discretize  # noqa: F401
 from .kernels import (
@@ -114,17 +114,11 @@ def _tail_table_on_grid(cfg: RunConfig):
     dist = build_dist(cfg)
     params = GeometricParams(p=cfg.require("p"))
     xs = _grid_from_config(cfg)
-    engine = cfg.require_engine_inputs()
-    bw = cfg.get("bandwidth")
     table, _ = _tail_table(
-        dist, params, float(np.max(xs)), engine, bw, cfg.get("truncation"),
-        cfg.get("mc_samples"), cfg.get("seed"), xs, **_configured(cfg, "mode"),
+        dist, params, float(np.max(xs)), cfg.require_engine_inputs(), cfg.get("bandwidth"),
+        cfg.get("truncation"), cfg.get("mc_samples"), cfg.get("seed"), xs,
+        **_configured(cfg, "mode"),
     )
-    if engine == "panjer":
-        # S is lattice-valued, so P(S > x) is constant between lattice points
-        idx = np.minimum(np.floor(xs / bw + 1e-9).astype(int), len(table) - 1)
-        table = TailTable(xs=xs, tails=table.tails[idx], stderrs=np.zeros(xs.size),
-                          engine="panjer")
     return table, dist, params
 
 
@@ -219,8 +213,7 @@ def cmd_tune(cfg: RunConfig, args) -> str:
 
 
 _CERT_CONFIG_KEYS = (
-    "family", "alpha", "beta", "terms", "p", "engine", "bandwidth", "truncation",
-    "mc_samples", "seed", "B",
+    "family", "alpha", "beta", "terms", "p", "engine", "bandwidth", "mc_samples", "seed", "B",
     "h.family", "h.scale", "h.gamma", "h.kappa",
     "g.variant", "g.coef", "g.exponent", "g.bstar",
 )
@@ -242,15 +235,12 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
 
     xmax = cfg.get("plot.xmax", B)
     npts = cfg.get("plot.points", 200)
-    engine = cert_cfg.require_engine_inputs()
-    trunc = cert_cfg.get("truncation")
-    if engine == "panjer" and trunc is not None and trunc < 2.0 * xmax:
-        trunc = None  # recompute with enough headroom for the plot range
-    # the certificate does not record the discretization mode; the run config does
+    # the library's default lattice: every lattice that reaches xmax gives the
+    # same tails up to xmax, whatever truncation the certificate records. The
+    # certificate does not record the discretization mode; the run config does
     table, _ = _build_delta_table(
-        dist, params, max(xmax, B), float(h(B)), engine,
-        cert_cfg.get("bandwidth"), trunc,
-        cert_cfg.get("mc_samples"), cert_cfg.get("seed"),
+        dist, params, max(xmax, B), float(h(B)), cert_cfg.require_engine_inputs(),
+        cert_cfg.get("bandwidth"), None, cert_cfg.get("mc_samples"), cert_cfg.get("seed"),
         max(npts, 256), **_configured(cfg, "mode"),
     )
     if bstar is not None:

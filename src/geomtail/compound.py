@@ -224,14 +224,13 @@ def brute_force_tail(
     lattice: LatticeDistribution,
     params: GeometricParams,
     term_cap: int,
-    tol: float = 1e-12,
 ) -> TailTable:
     """Oracle engine: sum p q^(k-1) P(X_1+...+X_k > x) over k up to term_cap,
     with each convolution power computed directly.
 
     The neglected count mass q^term_cap bounds the truncation error and is
     reported as the per-point stderr; a warning is raised when it exceeds
-    ``tol``. Quadratic in the lattice size, intended for small test lattices.
+    1e-12. Quadratic in the lattice size, intended for small test lattices.
     """
     if term_cap < 1:
         raise ValueError("term_cap must be at least 1")
@@ -248,7 +247,7 @@ def brute_force_tail(
         tail_k = 1.0 - np.cumsum(fk)
         acc += weight * np.maximum(tail_k, 0.0)
     residual = q**term_cap
-    if residual > tol:
+    if residual > 1e-12:
         warnings.warn(
             f"brute force truncated the count at {term_cap}; residual mass {residual:.3e}",
             stacklevel=2,

@@ -8,6 +8,7 @@ loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .dist import ParetoDist, PowerMixtureDist, SummandDistribution, WeibullDist
@@ -128,48 +129,50 @@ class RunConfig:
     def get(self, key: str, default=None):
         return self.values.get(key, default)
 
-    def require(self, *keys: str):
+    def require(self, key: str):
+        self._require_set(key)
+        return self.values[key]
+
+    def _require_set(self, *keys: str) -> None:
         missing = [k for k in keys if k not in self.values]
         if missing:
             raise ConfigError(f"missing required configuration keys: {', '.join(missing)}")
-        if len(keys) == 1:
-            return self.values[keys[0]]
-        return tuple(self.values[k] for k in keys)
 
     def require_engine_inputs(self) -> str:
         engine = self.get("engine", "panjer")
-        if engine == "panjer":
-            self.require("bandwidth")
-        else:
-            self.require("mc_samples", "seed")
+        self._require_set(*(("bandwidth",) if engine == "panjer" else ("mc_samples", "seed")))
         return engine
+
+
+@contextmanager
+def _config_errors():
+    """Report a ValueError raised while building from the config as a
+    ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_dist(cfg: RunConfig) -> SummandDistribution:
     family = cfg.require("family")
-    try:
+    with _config_errors():
         if family == "pareto":
             return ParetoDist(alpha=cfg.require("alpha"))
         if family == "weibull":
             return WeibullDist(beta=cfg.require("beta"))
         return PowerMixtureDist(terms=cfg.require("terms"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
 
 
 def build_h(cfg: RunConfig) -> CutoffFunction:
     family = cfg.require("h.family")
     scale = cfg.require("h.scale")
-    try:
+    with _config_errors():
         if family == "power":
             return CutoffFunction.power(scale, cfg.require("h.gamma"))
         return CutoffFunction.logpower(scale, cfg.require("h.kappa"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
 
 
 def build_g(
@@ -183,14 +186,10 @@ def build_g(
     exists; here it contributes its power tail piece and bstar.
     """
     variant = cfg.require("g.variant")
-    try:
+    with _config_errors():
         if variant == "kkernel":
             return KKernelTestFunction(dist=dist, h=h), None
         g = PowerTestFunction(coef=cfg.get("g.coef", 1.0), exponent=cfg.require("g.exponent"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
     if variant == "spliced":
         return g, cfg.require("g.bstar")
     return g, None

@@ -33,8 +33,10 @@ class SummandDistribution:
     also need the scalar ``k_value(x, r)`` = tail(x - r)/tail(x) - 1 and
     ``j_integrand(x)``, the function y -> tail(x - y)/tail(x) * density(y)
     that the J quadrature integrates, each family in its own numerically
-    safe form. ``tail_ge``, ``integrand_breakpoints`` and
-    ``tail_power_terms`` have defaults that a family may override.
+    safe form. ``tail_ge`` and ``tail_power_terms`` have defaults that a
+    family may override; a power-type family, one that sets
+    ``tail_power_terms``, gets ``integrand_breakpoints`` and
+    ``tail_mean_above`` from its terms.
     """
 
     def tail(self, x):
@@ -57,15 +59,21 @@ class SummandDistribution:
         """P(X >= x). Coincides with ``tail`` for continuous distributions."""
         return self.tail(x)
 
-    def integrand_breakpoints(self, x: float) -> list[float]:
-        """Interior points where the J integrand has kinks, if any."""
-        return []
-
     @property
     def tail_power_terms(self):
         """Mixture representation sum_i c_i x^(-a_i) of the tail beyond the
-        support threshold, or None when the tail is not of power type."""
+        unit support threshold, or None when the tail is not of power type."""
         return None
+
+    def integrand_breakpoints(self, x: float) -> list[float]:
+        """Interior points where the J integrand has kinks: the unit threshold
+        of a power-type tail, in y and in x - y."""
+        return [] if self.tail_power_terms is None else [1.0, x - 1.0]
+
+    def tail_mean_above(self, r: float) -> float:
+        """E[X; X > r] in closed form, for a power-type tail."""
+        rr = max(r, 1.0)
+        return math.fsum(c * a / (a - 1.0) * rr ** (1.0 - a) for c, a in self.tail_power_terms)
 
 
 # Newton steps a power-mixture draw takes before it falls back to bisection;
@@ -131,17 +139,9 @@ class ParetoDist(SummandDistribution):
 
         return integrand
 
-    def integrand_breakpoints(self, x: float) -> list[float]:
-        return [1.0, x - 1.0]
-
     @property
     def tail_power_terms(self):
         return ((1.0, self.alpha),)
-
-    def tail_mean_above(self, r: float) -> float:
-        """E[X; X > r] in closed form."""
-        rr = max(r, 1.0)
-        return self.alpha / (self.alpha - 1.0) * rr ** (1.0 - self.alpha)
 
 
 @dataclass(frozen=True)
@@ -353,17 +353,9 @@ class PowerMixtureDist(SummandDistribution):
 
         return integrand
 
-    def integrand_breakpoints(self, x: float) -> list[float]:
-        return [1.0, x - 1.0]
-
     @property
     def tail_power_terms(self):
         return self.terms
-
-    def tail_mean_above(self, r: float) -> float:
-        """E[X; X > r] in closed form."""
-        rr = max(r, 1.0)
-        return math.fsum(c * a / (a - 1.0) * rr ** (1.0 - a) for c, a in self.terms)
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,14 @@ class CutoffFunction:
         return f"{self.scale:g} * (log x)^{self.kappa:g}"
 
 
+def _clamp_at_zero(name: str, value: float, x: float, r: float) -> float:
+    # max(0.0, nan) is 0.0, which would hide a failed family hook inside the
+    # contraction terms as a kernel that vanishes
+    if math.isnan(value):
+        raise ValueError(f"{name} kernel is NaN at x={x:g}, r={r:g}")
+    return max(0.0, value)
+
+
 def K_kernel(dist: SummandDistribution, x: float, r: float) -> float:
     """Relative overshoot of the tail over a shift r: tail(x-r)/tail(x) - 1."""
     if r < 0.0:
@@ -134,14 +142,14 @@ def K_kernel(dist: SummandDistribution, x: float, r: float) -> float:
         raise ValueError("requires r < x")
     # stability beyond floating-point tail underflow is the distribution's
     # job: k_value works on ratios, never on the raw tails
-    return max(0.0, dist.k_value(x, r))
+    return _clamp_at_zero("K", dist.k_value(x, r), x, r)
 
 
 def J_kernel(dist: SummandDistribution, x: float, r: float) -> float:
     """Integral of tail(x-y)/tail(x) against the severity density over [r, x-r].
 
     Empty for r >= x/2 (returns 0 at equality, rejects beyond). Integration
-    failures are reported rather than silently returned.
+    failures and NaN values are reported rather than silently returned.
     """
     if not (r > 0.0):
         raise ValueError("r must be positive")
@@ -168,7 +176,7 @@ def J_kernel(dist: SummandDistribution, x: float, r: float) -> float:
             f"J kernel quadrature did not converge at x={x:g}, r={r:g}: "
             f"value {val:.6e}, error estimate {abserr:.2e}"
         )
-    return max(0.0, val)
+    return _clamp_at_zero("J", val, x, r)
 
 
 @dataclass(frozen=True)
@@ -204,10 +212,9 @@ def validate_h(
     dist: SummandDistribution,
     h: CutoffFunction,
     grid,
-    c: float = 2.0,
 ) -> HValidationReport:
     """Check cutoff conditions on a grid: monotone, concave, h <= x/2, and the
-    kernel smallness conditions J(x, h(x)) <= c * tail(h(x)) and
+    kernel smallness conditions J(x, h(x)) <= 2 * tail(h(x)) and
     K(x, h(x)) <= tail(h(x))."""
     xs = np.asarray(grid, dtype=float)
     if xs.ndim != 1 or xs.size < 3 or np.any(np.diff(xs) <= 0.0):
@@ -238,11 +245,11 @@ def validate_h(
             if K_kernel(dist, float(x), float(r)) > th + 1e-12:
                 k_first = float(x)
         if j_first is None:
-            if J_kernel(dist, float(x), float(r)) > c * th + 1e-12:
+            if J_kernel(dist, float(x), float(r)) > 2.0 * th + 1e-12:
                 j_first = float(x)
         if j_first is not None and k_first is not None:
             break
-    conditions["J_small"] = ConditionResult(j_first is None, j_first, f"J <= {c:g} * tail(h)")
+    conditions["J_small"] = ConditionResult(j_first is None, j_first, "J <= 2 * tail(h)")
     conditions["K_small"] = ConditionResult(k_first is None, k_first, "K <= tail(h)")
 
     return HValidationReport(grid=xs, conditions=conditions)

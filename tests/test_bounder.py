@@ -311,6 +311,22 @@ def test_min_b_counts_nan_as_not_below_one(monkeypatch):
     assert search_min_b() is None
 
 
+def test_nan_delta_supremum_names_its_grid_point(monkeypatch):
+    real = bounder.J_kernel
+
+    def nan_J(dist, x, r, *args, **kwargs):
+        return math.nan if x > 5e3 else real(dist, x, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounder, "J_kernel", nan_J)
+    grid = bounder._sup_grid(100.0, MINB_SWEEP["x_far"], MINB_SWEEP["grid_ratio"])
+    first_nan = float(grid[grid > 5e3][0])
+    # criterion 2 pure: delta(100) < 1 but for the NaN, which must not pass
+    # as a delta below one
+    with pytest.raises(ValueError, match=f"NaN at x={first_nan:g}$"):
+        build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0,
+                    engine="panjer", bandwidth=0.05, **MINB_SWEEP)
+
+
 def test_min_b_kernel_errors_after_a_deciding_point_are_not_met(monkeypatch):
     real = bounder.J_kernel
 
@@ -365,6 +381,44 @@ def test_verify_bound_flags_undersized_constant():
     assert not rep.ok
     assert len(rep.violations) > 0
     assert rep.max_excess > 0.0
+
+
+def verify_by_loop(certificate, delta_table):
+    """verify_bound's earlier per-point loop, the reference for its arrays."""
+    xs = delta_table.xs
+    tol = 1e-9 * max(1.0, certificate.valid_from)
+    sel = xs >= certificate.valid_from - tol
+    violations = []
+    max_excess = 0.0
+    checked = 0
+    gx = certificate.g.evaluate(xs[sel])
+    for x, gv, d, s in zip(xs[sel], gx, delta_table.delta[sel], delta_table.delta_stderr[sel]):
+        checked += 1
+        allowed = certificate.C * gv + 2.0 * s
+        slack = 1e-9 * max(1.0, abs(allowed))
+        if d > allowed + slack:
+            violations.append((float(x), float(d), float(allowed)))
+            max_excess = max(max_excess, float(d - allowed))
+    return checked, tuple(violations), max_excess
+
+
+def test_verify_bound_matches_the_per_point_loop():
+    cert = build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0,
+                       engine="panjer", bandwidth=0.05, x_far=1e6)
+    table = pareto_delta_table(bw=0.05, xmax=200.0)
+    # with a standard error, so the margin term takes part
+    mc_like = DeltaTable(xs=table.xs, delta=table.delta,
+                         delta_stderr=np.abs(table.delta) * 1e-3, engine="mc")
+    undersized = dataclasses.replace(cert, phi=0.0, c_hb_b=0.0, C=0.0)
+    for certificate in (cert, undersized):
+        for tab in (table, mc_like):
+            rep = verify_bound(certificate, tab)
+            checked, violations, max_excess = verify_by_loop(certificate, tab)
+            assert (rep.checked, rep.violations, rep.max_excess) == (
+                checked, violations, max_excess)
+            assert rep.ok == (violations == ())
+    assert verify_bound(cert, table).ok
+    assert len(verify_bound(undersized, table).violations) > 100
 
 
 # ---------------------------------------------------------------- tuning

@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, determinism."""
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,17 @@ def test_tail_command_matches_engine(tmp_path):
         assert float(r[1]) == pytest.approx(ref.tails[j], rel=1e-12)
         assert float(r[2]) == 0.0
         assert r[3] == "panjer"
+
+
+def test_tail_command_below_the_lattice(tmp_path):
+    # S > 0, so P(S > x) = 1 for x < 0 on both engines; the lattice lookup
+    # must not read a negative index from the far end of the table
+    mc = BASE.replace("engine = panjer", "engine = mc") + "mc_samples = 1000\nseed = 1\n"
+    for text in (BASE, mc):
+        cfg = write_cfg(tmp_path, text + "xgrid = -1, 5\n")
+        out = tmp_path / "tail.csv"
+        assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[:2] == ["-1", "1"]
 
 
 def test_delta_command_output(tmp_path):
@@ -252,13 +264,35 @@ def test_plot_data_rebuilds_with_the_configured_mode(tmp_path):
     assert header == f"# spliced test function rebuilt, kappa = {kappa:.12g}"
 
 
+def test_plot_data_ignores_the_certificate_truncation(tmp_path):
+    # plot-data rebuilds its table on the library's default lattice: the
+    # tails up to plot.xmax are the same on every lattice that reaches it
+    spliced = (BASE.replace("h.scale = 1.0", "h.scale = 1.14")
+               .replace("g.variant = power", "g.variant = spliced") + "g.bstar = 21.3\n")
+    texts = {100: set(), 300: set()}
+    for trunc in (None, 150, 500, 1000):
+        text = spliced if trunc is None else spliced + f"truncation = {trunc}\n"
+        cert_path = tmp_path / f"cert_{trunc}.txt"
+        assert main(["bound", "--config", write_cfg(tmp_path, text),
+                     "--out", str(cert_path)]) == 0
+        for xmax in texts:
+            cfg = write_cfg(tmp_path, text + f"plot.xmax = {xmax}\n", name="plot.cfg")
+            out = tmp_path / "plot.csv"
+            assert main(["plot-data", "--config", cfg, "--certificate", str(cert_path),
+                         "--out", str(out)]) == 0
+            texts[xmax].add(out.read_text())
+    assert all(len(found) == 1 for found in texts.values())
+
+
 # ---------------------------------------------------------------- packaging
 
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, BASE + "xgrid = 5, 10\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "geomtail", "tail", "--config", cfg],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,tail,stderr,engine")
 

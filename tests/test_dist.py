@@ -246,6 +246,18 @@ def test_single_term_mixture_matches_pareto():
     assert mix.j_integrand(100.0)(30.0) == pytest.approx(par.j_integrand(100.0)(30.0), rel=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1.05, 10.0), st.floats(0.0, 1e8))
+def test_pareto_tail_mean_from_its_power_term(alpha, r):
+    # the power-type default sums c a / (a - 1) r^(1 - a) over the terms; for
+    # Pareto's one term (1, alpha) that is the closed form bit for bit
+    d = ParetoDist(alpha)
+    rr = max(r, 1.0)
+    assert d.tail_mean_above(r) == alpha / (alpha - 1.0) * rr ** (1.0 - alpha)
+    assert d.integrand_breakpoints(50.0) == [1.0, 49.0]
+    assert WeibullDist(0.5).integrand_breakpoints(50.0) == []
+
+
 @st.composite
 def severity_and_point(draw):
     """A severity with 1 <= x and 0 < y < x inside the range where its tails

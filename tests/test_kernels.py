@@ -115,6 +115,25 @@ def test_J_rejections():
         J_kernel(d, 100.0, 60.0)
 
 
+class NanPareto(ParetoDist):
+    """A family whose kernel hooks fail by returning NaN."""
+
+    def k_value(self, x, r):
+        return math.nan
+
+    def j_integrand(self, x):
+        return lambda y: math.nan
+
+
+def test_kernels_refuse_nan():
+    # clamping a NaN at zero would give K = J = 0, which lowers f1 to f3
+    d = NanPareto(2.2)
+    with pytest.raises(ValueError, match=r"K kernel is NaN at x=100, r=10"):
+        K_kernel(d, 100.0, 10.0)
+    with pytest.raises(ValueError, match=r"J kernel is NaN at x=100, r=10"):
+        J_kernel(d, 100.0, 10.0)
+
+
 # ---------------------------------------------------------------- envelopes
 
 def test_pareto_envelopes_dominate(rng):
