@@ -31,10 +31,16 @@ class SummandDistribution:
 
     Subclasses must provide ``tail``, ``density`` and ``sample``; the kernels
     also need the scalar ``k_value(x, r)`` = tail(x - r)/tail(x) - 1 and
-    ``j_integrand(x)``, the function y -> tail(x - y)/tail(x) * density(y)
-    that the J quadrature integrates, each family in its own numerically
-    safe form. ``tail_ge`` and ``tail_power_terms`` have defaults that a
-    family may override; a power-type family, one that sets
+    ``j_integrand(x)``, each family in its own numerically safe form.
+    ``j_integrand(x)`` returns the array function (y, u=None) ->
+    tail(x - y)/tail(x) * density(y) for 0 < y < x, one numpy expression over
+    arrays of y;
+    ``u``, when given, is x - y to full relative accuracy, which a y near x
+    does not carry. ``J_kernel`` integrates it with the 24-node
+    Gauss-Legendre rule on panels that grow geometrically from both ends
+    (cut at r * 2^k and x - r * 2^k), taking the gap to the 16-node rule as
+    each panel's error estimate. ``tail_ge`` and ``tail_power_terms`` have
+    defaults that a family may override; a power-type family, one that sets
     ``tail_power_terms``, gets ``integrand_breakpoints`` and
     ``tail_mean_above`` from its terms.
     """
@@ -127,15 +133,11 @@ class ParetoDist(SummandDistribution):
         dens_exp = -alpha - 1.0
         log_x = math.log(x)
 
-        def integrand(y: float) -> float:
-            if y < 1.0:
-                return 0.0
-            if x - y <= 1.0:
-                # not hoisted: x^alpha may overflow where this branch is never taken
-                ratio = float(x) ** alpha
-            else:
-                ratio = math.exp(-alpha * (math.log(x - y) - log_x))
-            return ratio * alpha * float(y) ** dens_exp
+        def integrand(y, u=None):
+            u = x - y if u is None else u
+            # where x - y <= 1 the tail ratio is x^alpha, this log form at x - y = 1
+            ratio = np.exp(-alpha * (np.log(np.maximum(u, 1.0)) - log_x))
+            return np.where(y < 1.0, 0.0, ratio * alpha * np.maximum(y, 1.0) ** dens_exp)
 
         return integrand
 
@@ -191,17 +193,15 @@ class WeibullDist(SummandDistribution):
         dens_exp = beta - 1.0
         x_beta = float(x) ** beta
 
-        def integrand(y: float) -> float:
+        def integrand(y, u=None):
+            u = x - y if u is None else u
             # combine exponents before exponentiating; the ratio alone
-            # overflows. The exponent difference is diff_pow(x, y), inlined.
-            if y <= 0.0:
-                return 0.0
-            if y >= x:
-                diff = x_beta
-            else:
-                diff = x_beta * (-math.expm1(beta * math.log1p(-y / x)))
-            e = diff - float(y) ** beta
-            return beta * float(y) ** dens_exp * math.exp(e)
+            # overflows. The exponent x^beta - (x - y)^beta - y^beta is
+            # symmetric in y and x - y: formed from the nearer end v, as
+            # diff_pow(x, v) - v^beta inlined, nothing in it cancels
+            v = np.minimum(y, u)
+            e = -x_beta * np.expm1(beta * np.log1p(-v / x)) - v**beta
+            return beta * y**dens_exp * np.exp(e)
 
         return integrand
 
@@ -329,7 +329,7 @@ class PowerMixtureDist(SummandDistribution):
         return t
 
     def _tail_scalar(self, x: float) -> float:
-        # scalar fast path; the kernel quadrature calls this in a tight loop
+        # scalar fast path for k_value and the per-x constant of j_integrand
         if x <= 1.0:
             return 1.0
         return sum(c * x**-a for c, a in self.terms)
@@ -340,16 +340,15 @@ class PowerMixtureDist(SummandDistribution):
     def j_integrand(self, x: float):
         terms = self.terms
         tail_x = self._tail_scalar(x)
-        dens_terms = tuple((c * a, -a - 1.0) for c, a in terms)
 
-        def integrand(y: float) -> float:
-            # the sums of _tail_scalar(x - y) and density(y), term for term
-            if y < 1.0:
-                return 0.0
-            dens = sum(ca * y ** e for ca, e in dens_terms)
-            u = x - y
-            tail_u = 1.0 if u <= 1.0 else sum(c * u**-a for c, a in terms)
-            return tail_u / tail_x * dens
+        def integrand(y, u=None):
+            u = x - y if u is None else u
+            # the sums of _tail_scalar(u) and density(y), term for term
+            us = np.maximum(u, 1.0)
+            tail_u = np.where(u <= 1.0, 1.0, sum(c * us**-a for c, a in terms))
+            ys = np.maximum(y, 1.0)
+            dens = sum(c * a * ys ** (-a - 1.0) for c, a in terms)
+            return np.where(y < 1.0, 0.0, tail_u / tail_x * dens)
 
         return integrand
 

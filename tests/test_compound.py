@@ -2,13 +2,17 @@
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomtail import compound
 from geomtail.compound import (
     TailTable,
     _dyadic_uniforms,
+    _kahan_cumsum,
     brute_force_tail,
     delta_from_tails,
     mc_tail,
@@ -77,6 +81,38 @@ def test_brute_force_single_term():
     tail_x = np.array([1.0, 0.5, 0.2, 0.0])
     assert np.allclose(bf.tails, 0.4 * tail_x, rtol=1e-14)
     assert np.all(bf.stderrs == pytest.approx(0.6))
+
+
+def kahan_cumsum_on_numpy_scalars(values):
+    """The compensated running sum as it ran on numpy scalars, element by
+    element into a preallocated array."""
+    out = np.empty_like(values)
+    total = 0.0
+    comp = 0.0
+    for i, v in enumerate(values):
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        out[i] = total
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.integers(0, 300),
+                  elements=st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)))
+def test_kahan_cumsum_is_the_numpy_scalar_loop_bit_for_bit(values):
+    got = _kahan_cumsum(values)
+    assert got.dtype == np.float64 and got.shape == values.shape
+    assert got.tobytes() == kahan_cumsum_on_numpy_scalars(values).tobytes()
+
+
+def test_kahan_cumsum_on_compound_masses_is_the_numpy_scalar_loop(rng):
+    # masses like the Panjer recursion's, falling over 16 decades; 5,001 and
+    # 12,501 cells run over several of _kahan_cumsum's chunks
+    for n in (1, 5001, 12501):
+        values = rng.random(n) * np.exp(-np.arange(n) * (37.0 / n))
+        assert _kahan_cumsum(values).tobytes() == kahan_cumsum_on_numpy_scalars(values).tobytes()
 
 
 def test_panjer_tails_non_increasing_and_bounded():

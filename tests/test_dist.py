@@ -243,7 +243,8 @@ def test_single_term_mixture_matches_pareto():
     xs = np.geomspace(1.0, 1e6, 100)
     assert np.allclose(mix.tail(xs), par.tail(xs), rtol=1e-13)
     assert mix.k_value(100.0, 7.0) == pytest.approx(par.k_value(100.0, 7.0), rel=1e-12)
-    assert mix.j_integrand(100.0)(30.0) == pytest.approx(par.j_integrand(100.0)(30.0), rel=1e-12)
+    ys = np.linspace(0.5, 99.5, 199)
+    assert np.allclose(mix.j_integrand(100.0)(ys), par.j_integrand(100.0)(ys), rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -259,35 +260,36 @@ def test_pareto_tail_mean_from_its_power_term(alpha, r):
 
 
 @st.composite
-def severity_and_point(draw):
-    """A severity with 1 <= x and 0 < y < x inside the range where its tails
-    do not underflow (the Weibull exponent x^beta stays below 300).
-
-    Weibull's y stays in (0, x/2]: its integrand forms (x - y)^beta from
-    log1p(-y / x), which keeps only the absolute accuracy of y / x, so as
-    y -> x it drifts from the tail ratio by more than 1e-12 (about 5e-12 at
-    y = x - h(x) for x = 1e6 and the criterion-6 cutoff)."""
+def severity_and_points(draw):
+    """A severity with 1 <= x and an array of points 0 < y < x, inside the
+    range where its tails do not underflow (the Weibull exponent x^beta stays
+    below 300)."""
     kind = draw(st.sampled_from(["pareto", "weibull", "mixture"]))
-    y_frac = 1.0
     if kind == "pareto":
         d, x_max = ParetoDist(draw(st.floats(1.05, 10.0))), 1e8
     elif kind == "weibull":
         d = WeibullDist(draw(st.floats(0.1, 0.95)))
-        x_max, y_frac = min(1e8, 300.0 ** (1.0 / d.beta)), 0.5
+        x_max = min(1e8, 300.0 ** (1.0 / d.beta))
     else:
         d, x_max = draw(mixtures()), 1e8
     x = x_max ** draw(st.floats(0.0, 1.0))
-    y = x * draw(st.floats(1e-12, y_frac, exclude_max=y_frac == 1.0))
-    return d, x, y
+    fracs = draw(hnp.arrays(float, st.integers(1, 20),
+                            elements=st.floats(1e-12, 1.0, exclude_max=True)))
+    return d, x, x * fracs
 
 
 @settings(max_examples=300, deadline=None)
-@given(severity_and_point())
+@given(severity_and_points())
 def test_j_integrand_is_the_tail_ratio_times_the_density(case):
-    d, x, y = case
-    got = d.j_integrand(x)(y)
-    want = float(d.tail(x - y)) / float(d.tail(x)) * float(d.density(y))
-    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+    # Weibull's exponent is formed from the nearer end of (0, x), so its y
+    # runs up to x too: x - y is exact there, and nothing cancels
+    d, x, ys = case
+    integrand = d.j_integrand(x)
+    got = integrand(ys)
+    want = d.tail(x - ys) / float(d.tail(x)) * d.density(ys)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    # x - y passed as u is what the integrand forms from y by default
+    assert np.array_equal(integrand(ys, x - ys), got)
 
 
 def test_weibull_exponent_difference_stability():

@@ -1,4 +1,4 @@
-"""Pinned outputs: four certificates, one tune table and two failure
+"""Pinned outputs: four certificates, two tune tables and two failure
 messages, byte for byte.
 
 A change meant to leave the arithmetic alone must leave these texts exactly as
@@ -166,6 +166,37 @@ scale,bstar,feasible,C,coefficient,note
 1.7,21.3,1,1.29153020618,10.8817504979,
 """
 
+# criterion 2 at its acceptance bandwidth with a small cutoff scale: at 0.3
+# the sweep reaches x = 8.8e7, where J is 4.9e-5, and every J must converge
+# there so that the rows report the contraction's delta, not a kernel failure
+TUNE_SMALL_SCALE_CONFIG = """\
+family = pareto
+alpha = 2.2
+p = 0.5
+engine = panjer
+bandwidth = 0.005
+B = 100
+h.family = power
+h.scale = 1.0
+h.gamma = 0.3125
+g.variant = power
+g.exponent = 0.6875
+tune.s = 0.3, 1.0
+tune.bstar = none, 21.3
+"""
+
+TUNE_SMALL_SCALE_OUTPUT = """\
+# best scale = 1
+# best bstar = 21.3
+# coefficient = 8.90525777702
+# C = 1.04969587112
+scale,bstar,feasible,C,coefficient,note
+0.3,none,0,,,delta = 6.711 >= 1
+0.3,21.3,0,,,delta = 3.171 >= 1
+1,none,1,13.138050355,13.138050355,
+1,21.3,1,1.04969587112,8.90525777702,
+"""
+
 # criterion 5 of the acceptance suite at 2e5 sums and a coarser sweep: pins
 # the seeded Monte Carlo engine and the mixture sampler
 MIXTURE_MC_CONFIG = """\
@@ -259,6 +290,7 @@ CASES = {
     "spliced": ("bound", SPLICED_CONFIG, SPLICED_OUTPUT),
     "kkernel": ("bound", KKERNEL_CONFIG, KKERNEL_OUTPUT),
     "tune": ("tune", TUNE_CONFIG, TUNE_OUTPUT),
+    "tune_small_scale": ("tune", TUNE_SMALL_SCALE_CONFIG, TUNE_SMALL_SCALE_OUTPUT),
     "mixture_mc": ("bound", MIXTURE_MC_CONFIG, MIXTURE_MC_OUTPUT),
 }
 
