@@ -71,26 +71,45 @@ class FTerms:
     f3: float
 
 
-def _kernel_point(dist: SummandDistribution, h: CutoffFunction, x: float) -> tuple:
-    """(x, h(x), K, J, tail(h(x))): the part of the contraction terms at x
-    that does not depend on the test function."""
-    r = float(h(x))
-    if not (0.0 < r <= x / 2.0):
-        raise ValueError(f"cutoff h(x)={r:g} outside (0, x/2] at x={x:g}")
-    return x, r, K_kernel(dist, x, r), J_kernel(dist, x, r), float(dist.tail(r))
+def _kernel_grid(dist: SummandDistribution, h: CutoffFunction, xs: np.ndarray) -> tuple:
+    """(x, h(x), K, tail(h(x)), error) over the points xs: the part of the
+    contraction terms at x that depends neither on the test function nor on
+    J. The arrays stop at the first point where h(x) leaves (0, x/2] or K
+    raises, and ``error`` is that exception (None if no point failed)."""
+    rs = np.asarray(h(xs), dtype=float)
+    n = int(np.argmin(np.append((0.0 < rs) & (rs <= xs / 2.0), False)))
+    error = None if n == xs.size else ValueError(
+        f"cutoff h(x)={rs[n]:g} outside (0, x/2] at x={xs[n]:g}")
+    K = np.empty(0)
+    while n:
+        try:
+            K = K_kernel(dist, xs[:n], rs[:n])
+            break
+        except ValueError as exc:
+            # K names the first point where it fails: drop points until it passes
+            n, error = n - 1, exc
+    return xs[:n], rs[:n], K, np.asarray(dist.tail(rs[:n]), dtype=float), error
 
 
-def _combine(params: GeometricParams, g: TestFunction, point: tuple) -> FTerms:
-    """The contraction terms from the kernel values of one _kernel_point."""
-    x, r, K, J, tail_r = point
+def _g_values(g: TestFunction, x: np.ndarray, r: np.ndarray) -> tuple:
+    """g(x), g(x - h(x)) and g(h(x)), the test-function values the
+    contraction terms need; g must be positive at x."""
+    gx = g.evaluate(x)
+    bad = np.flatnonzero(~(gx > 0.0))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"test function must be positive; g({x[i]:g})={gx[i]:g}")
+    return gx, g.evaluate(x - r), g.evaluate(r)
+
+
+def _combine(params: GeometricParams, gx, g_xr, g_r, K, J, tail_r) -> tuple:
+    """The contraction terms (f1, f2, f3) from the values of g at x, x - h(x)
+    and h(x) and the kernel values at x, as arrays or numpy scalars."""
     q = params.q
-    gx = g(x)
-    if not (gx > 0.0):
-        raise ValueError(f"test function must be positive; g({x:g})={gx:g}")
-    f1 = q * g(x - r) * (K + 1.0) * (1.0 - tail_r) / gx
-    f2 = q * g(r) * J / gx
+    f1 = q * g_xr * (K + 1.0) * (1.0 - tail_r) / gx
+    f2 = q * g_r * J / gx
     f3 = (q * J + (1.0 - params.p**2) * K - q * (K + 1.0) * tail_r) / gx
-    return FTerms(x=x, f1=f1, f2=f2, f3=f3)
+    return f1, f2, f3
 
 
 def f_terms(
@@ -105,7 +124,13 @@ def f_terms(
     f1 + f2 multiplies the running supremum of delta/g in the recursive
     step, and f3 is the inhomogeneous remainder. All three divide by g(x).
     """
-    return _combine(params, g, _kernel_point(dist, h, float(x)))
+    x = float(x)
+    xs, rs, K, tail_r, error = _kernel_grid(dist, h, np.array([x]))
+    if error is not None:
+        raise error
+    J = J_kernel(dist, x, float(rs[0]))
+    f1, f2, f3 = _combine(params, *_g_values(g, xs, rs), K, J, tail_r)
+    return FTerms(x, float(f1[0]), float(f2[0]), float(f3[0]))
 
 
 @dataclass(frozen=True)
@@ -307,48 +332,43 @@ def _sup_grid(from_x: float, x_far: float, grid_ratio: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _KernelSweep:
-    """_kernel_point values along the sweep grid up to x_far; they do not
+    """The kernel values along the sweep grid up to x_far; they do not
     depend on g, so one sweep serves every test function on the cutoff.
-    ``points`` stops at the first point that raised; _sup_pair raises that
+    The arrays stop at the first point that raised; _sup_pair raises that
     ``error`` once g is checked on the points before it, as f_terms would."""
 
     dist: SummandDistribution
     h: CutoffFunction
     x_far: float
-    points: tuple[tuple, ...]
+    x: np.ndarray
+    r: np.ndarray
+    K: np.ndarray
+    J: np.ndarray
+    tail_r: np.ndarray
     error: Exception | None
 
 
-def _kernel_points(dist, h, from_x, x_far, grid_ratio):
-    """_kernel_point at each sweep grid point from from_x to x_far, lazily:
-    a reader that stops early pays no quadrature beyond its last point."""
-    if from_x < h.domain_start * (1.0 - 1e-12):
-        raise ValueError(
-            f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}"
-        )
-    for x in _sup_grid(from_x, x_far, grid_ratio):
-        yield _kernel_point(dist, h, float(x))
-
-
 def _kernel_sweep(dist, h, from_x, x_far, grid_ratio) -> _KernelSweep:
-    points, error = [], None
-    try:
-        for point in _kernel_points(dist, h, from_x, x_far, grid_ratio):
-            points.append(point)
-    except (ValueError, RuntimeError) as exc:
-        error = exc
-    return _KernelSweep(dist, h, x_far, tuple(points), error)
+    if from_x < h.domain_start * (1.0 - 1e-12):
+        raise ValueError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
+    xs, rs, K, tail_r, error = _kernel_grid(dist, h, _sup_grid(from_x, x_far, grid_ratio))
+    J = []
+    for x, r in zip(xs.tolist(), rs.tolist()):
+        try:
+            J.append(J_kernel(dist, x, r))
+        except (ValueError, RuntimeError) as exc:
+            error = exc
+            break
+    n = len(J)
+    return _KernelSweep(dist, h, x_far, xs[:n], rs[:n], K[:n], np.array(J, dtype=float),
+                        tail_r[:n], error)
 
 
 def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
     """The f1+f2 supremum and the f3 supremum over [from_x, infinity)
     together, from one kernel sweep and the test function g."""
-    f12 = np.empty(len(sweep.points))
-    f3 = np.empty(len(sweep.points))
-    for i, point in enumerate(sweep.points):
-        ft = _combine(params, g, point)
-        f12[i] = ft.f1 + ft.f2
-        f3[i] = ft.f3
+    f1, f2, f3 = _combine(params, *_g_values(g, sweep.x, sweep.r), sweep.K, sweep.J,
+                          sweep.tail_r)
     if sweep.error is not None:
         raise sweep.error
 
@@ -360,9 +380,9 @@ def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
     def sup(vals: np.ndarray, bound: float | None) -> SupResult:
         i = int(np.argmax(vals))
         value = max(float(vals[i]), bound) if env.certified else float(vals[i])
-        return SupResult(value, float(vals[i]), sweep.points[i][0], bound, env.certified, note)
+        return SupResult(value, float(vals[i]), float(sweep.x[i]), bound, env.certified, note)
 
-    d_res, p_res = sup(f12, env.f12), sup(f3, env.f3)
+    d_res, p_res = sup(f1 + f2, env.f12), sup(f3, env.f3)
     if p_res.value < 0.0:
         p_note = (note + "; " if note else "") + "negative remainder supremum clamped to 0"
         p_res = replace(p_res, value=0.0, note=p_note)
@@ -627,11 +647,16 @@ def _search_min_b(dist, params, h, g, B, cap, x_far, grid_ratio) -> int | None:
         return None
 
     def below_one(n: int) -> bool:
-        for point in _kernel_points(dist, h, float(n), x_far, grid_ratio):
-            ft = _combine(params, g, point)
+        xs, rs, K, tail_r, error = _kernel_grid(dist, h, _sup_grid(float(n), x_far, grid_ratio))
+        gx, g_xr, g_r = _g_values(g, xs, rs)
+        for i, (x, r) in enumerate(zip(xs.tolist(), rs.tolist())):
+            f1, f2, _ = _combine(params, gx[i], g_xr[i], g_r[i], K[i], J_kernel(dist, x, r),
+                                 tail_r[i])
             # a NaN is not below one, as delta_sup's np.argmax picks a NaN
-            if not (ft.f1 + ft.f2 < 1.0):
+            if not (f1 + f2 < 1.0):
                 return False
+        if error is not None:
+            raise error
         return True
 
     if not below_one(cap):

@@ -24,7 +24,7 @@ import numpy as np
 from .bounder import (
     ProcedureFailed,
     _build_delta_table,
-    _kernel_point,
+    _kernel_grid,
     _tail_table,
     build_bound,
     build_spliced_g,
@@ -36,6 +36,7 @@ from .compound import delta_from_tails, mc_tail, panjer_tail  # noqa: F401
 from .config import ConfigError, RunConfig, build_dist, build_g, build_h, parse_kv
 from .dist import GeometricParams, ParetoDist, WeibullDist, discretize  # noqa: F401
 from .kernels import (
+    J_kernel,
     PowerTestFunction,
     pareto_J_envelope,
     pareto_K_envelope,
@@ -150,12 +151,15 @@ def cmd_kernels(cfg: RunConfig, args) -> str:
     h = build_h(cfg)
     xs = _grid_from_config(cfg)
     lines = ["x,K,J,envelopeK,envelopeJ"]
-    for x in xs:
-        x = float(x)
+    for x in xs.tolist():
+        # each row on its own: a failing h or kernel leaves a NaN row
+        kv = jv = math.nan
         try:
-            _, _, kv, jv, _ = _kernel_point(dist, h, x)
+            _, r, K, _, error = _kernel_grid(dist, h, np.array([x]))
+            if error is None:
+                kv, jv = float(K[0]), J_kernel(dist, x, float(r[0]))
         except (ValueError, RuntimeError):
-            kv = jv = math.nan
+            pass
         ek = ej = math.nan
         try:
             r = float(h(x))
@@ -266,10 +270,9 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
 
     lines = [header, f"# C = {C:.12g}, valid from {valid_from:.12g}",
              "x,log10_delta_exact,log10_delta_upper"]
-    for x, d in zip(xs, dv):
+    for x, d, u in zip(xs.tolist(), dv.tolist(), (C * g_final.evaluate(xs)).tolist()):
         exact = math.log10(d) if d > 0.0 else math.nan
-        upper = math.log10(C * g_final(float(x)))
-        lines.append(_fmt(float(x), exact, upper))
+        lines.append(_fmt(x, exact, math.log10(u)))
     return "\n".join(lines) + "\n"
 
 

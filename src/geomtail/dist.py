@@ -30,9 +30,10 @@ class SummandDistribution:
     """Base class for positive severity distributions.
 
     Subclasses must provide ``tail``, ``density`` and ``sample``; the kernels
-    also need the scalar ``k_value(x, r)`` = tail(x - r)/tail(x) - 1 and
+    also need ``k_value(x, r)`` = tail(x - r)/tail(x) - 1 and
     ``j_integrand(x)``, each family in its own numerically safe form.
-    ``j_integrand(x)`` returns the array function (y, u=None) ->
+    ``k_value`` is an array hook: one numpy expression over arrays x and r
+    with 0 <= r < x. ``j_integrand(x)`` returns the array function (y, u=None) ->
     tail(x - y)/tail(x) * density(y) for 0 < y < x, one numpy expression over
     arrays of y;
     ``u``, when given, is x - y to full relative accuracy, which a y near x
@@ -122,11 +123,10 @@ class ParetoDist(SummandDistribution):
         s = np.exp(-np.log1p(-u) / self.alpha)
         return s if s.ndim else float(s)
 
-    def k_value(self, x: float, r: float) -> float:
+    def k_value(self, x, r):
         # exact on the power region; below the threshold the tail plateaus at 1
-        if x - r <= 1.0:
-            return float(x) ** self.alpha - 1.0
-        return math.expm1(-self.alpha * math.log1p(-r / x))
+        return np.where(x - r <= 1.0, np.power(x, self.alpha) - 1.0,
+                        np.expm1(-self.alpha * np.log1p(-r / x)))
 
     def j_integrand(self, x: float):
         alpha = self.alpha
@@ -175,18 +175,9 @@ class WeibullDist(SummandDistribution):
         s = np.power(-np.log1p(-u), 1.0 / self.beta)
         return s if s.ndim else float(s)
 
-    def diff_pow(self, x: float, r: float) -> float:
-        """x^beta - (x-r)^beta without cancellation, for 0 <= r <= x."""
-        if r <= 0.0:
-            return 0.0
-        if r >= x:
-            return float(x) ** self.beta
-        return float(x) ** self.beta * (-math.expm1(self.beta * math.log1p(-r / x)))
-
-    def k_value(self, x: float, r: float) -> float:
-        if x - r <= 0.0:
-            raise ValueError("requires r < x")
-        return math.expm1(self.diff_pow(x, r))
+    def k_value(self, x, r):
+        # the exponent x^beta - (x - r)^beta, formed without cancellation
+        return np.expm1(-np.power(x, self.beta) * np.expm1(self.beta * np.log1p(-r / x)))
 
     def j_integrand(self, x: float):
         beta = self.beta
@@ -197,8 +188,8 @@ class WeibullDist(SummandDistribution):
             u = x - y if u is None else u
             # combine exponents before exponentiating; the ratio alone
             # overflows. The exponent x^beta - (x - y)^beta - y^beta is
-            # symmetric in y and x - y: formed from the nearer end v, as
-            # diff_pow(x, v) - v^beta inlined, nothing in it cancels
+            # symmetric in y and x - y: formed from the nearer end v, as in
+            # k_value, nothing in it cancels
             v = np.minimum(y, u)
             e = -x_beta * np.expm1(beta * np.log1p(-v / x)) - v**beta
             return beta * y**dens_exp * np.exp(e)
@@ -328,27 +319,19 @@ class PowerMixtureDist(SummandDistribution):
         t[live] = hi
         return t
 
-    def _tail_scalar(self, x: float) -> float:
-        # scalar fast path for k_value and the per-x constant of j_integrand
-        if x <= 1.0:
-            return 1.0
-        return sum(c * x**-a for c, a in self.terms)
-
-    def k_value(self, x: float, r: float) -> float:
-        return self._tail_scalar(x - r) / self._tail_scalar(x) - 1.0
+    def k_value(self, x, r):
+        # term by term, c x^-a ((1 - r/x)^-a - 1) does not cancel as
+        # tail(x - r) / tail(x) - 1 does; below the threshold tail(x - r) is 1
+        tail_x = self.tail(x)
+        log_shift = np.log1p(-r / x)
+        excess = sum(c * np.power(x, -a) * np.expm1(-a * log_shift) for c, a in self.terms)
+        return np.where(x - r <= 1.0, 1.0 / tail_x - 1.0, excess / tail_x)
 
     def j_integrand(self, x: float):
-        terms = self.terms
-        tail_x = self._tail_scalar(x)
+        tail_x = float(self.tail(x))
 
         def integrand(y, u=None):
-            u = x - y if u is None else u
-            # the sums of _tail_scalar(u) and density(y), term for term
-            us = np.maximum(u, 1.0)
-            tail_u = np.where(u <= 1.0, 1.0, sum(c * us**-a for c, a in terms))
-            ys = np.maximum(y, 1.0)
-            dens = sum(c * a * ys ** (-a - 1.0) for c, a in terms)
-            return np.where(y < 1.0, 0.0, tail_u / tail_x * dens)
+            return self.tail(x - y if u is None else u) / tail_x * self.density(y)
 
         return integrand
 

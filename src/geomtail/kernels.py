@@ -122,25 +122,29 @@ class CutoffFunction:
         return f"{self.scale:g} * (log x)^{self.kappa:g}"
 
 
-def _clamp_at_zero(name: str, value: float, x: float, r: float) -> float:
+def _clamp_at_zero(name: str, value, x, r):
     # max(0.0, nan) is 0.0, which would hide a failed family hook inside the
     # contraction terms as a kernel that vanishes
-    if math.isnan(value):
-        raise ValueError(f"{name} kernel is NaN at x={x:g}, r={r:g}")
-    return max(0.0, value)
+    nan = np.isnan(value)
+    if np.count_nonzero(nan):
+        i = np.flatnonzero(nan)[0]
+        raise ValueError(f"{name} kernel is NaN at x={np.ravel(x)[i]:g}, r={np.ravel(r)[i]:g}")
+    return np.maximum(value, 0.0)
 
 
-def K_kernel(dist: SummandDistribution, x: float, r: float) -> float:
-    """Relative overshoot of the tail over a shift r: tail(x-r)/tail(x) - 1."""
-    if r < 0.0:
+def K_kernel(dist: SummandDistribution, x, r):
+    """Relative overshoot of the tail over a shift r: tail(x-r)/tail(x) - 1,
+    0 at r = 0. Vectorized over ``x`` and ``r``; a float for scalar input."""
+    x, r = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(r, dtype=float))
+    if np.any(r < 0.0):
         raise ValueError("r must be non-negative")
-    if r == 0.0:
-        return 0.0
-    if r >= x:
+    shift = r > 0.0
+    if np.any(shift & (r >= x)):
         raise ValueError("requires r < x")
     # stability beyond floating-point tail underflow is the distribution's
     # job: k_value works on ratios, never on the raw tails
-    return _clamp_at_zero("K", dist.k_value(x, r), x, r)
+    k = _clamp_at_zero("K", np.where(shift, dist.k_value(x, r), 0.0), x, r)
+    return k if k.ndim else float(k)
 
 
 def _legendre(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,7 +241,7 @@ def J_kernel(dist: SummandDistribution, x: float, r: float) -> float:
         bad = errs > _J_RTOL * abs(val)
         if not bad.any():
             # a NaN fails every comparison and reaches _clamp_at_zero
-            return _clamp_at_zero("J", val, x, r)
+            return float(_clamp_at_zero("J", val, x, r))
         if halvings == _J_HALVINGS:
             raise RuntimeError(
                 f"J kernel quadrature did not converge at x={x:g}, r={r:g}: "
@@ -307,20 +311,14 @@ def validate_h(
     hbad = np.nonzero(hv > xs / 2.0 + 1e-12 * xs)[0]
     conditions["half"] = ConditionResult(hbad.size == 0, xs[hbad[0]] if hbad.size else None)
 
-    j_first = None
-    k_first = None
-    for x, r in zip(xs, hv):
-        if r >= x / 2.0 or r <= 0.0:
-            continue
-        th = float(dist.tail(r))
-        if k_first is None:
-            if K_kernel(dist, float(x), float(r)) > th + 1e-12:
-                k_first = float(x)
-        if j_first is None:
-            if J_kernel(dist, float(x), float(r)) > 2.0 * th + 1e-12:
-                j_first = float(x)
-        if j_first is not None and k_first is not None:
-            break
+    # the kernel conditions where h(x) is a usable cut, (0, x/2)
+    cut = (hv > 0.0) & (hv < xs / 2.0)
+    xc, rc = xs[cut], hv[cut]
+    th = np.asarray(dist.tail(rc), dtype=float)
+    kbad = np.flatnonzero(K_kernel(dist, xc, rc) > th + 1e-12)
+    k_first = float(xc[kbad[0]]) if kbad.size else None
+    j_first = next((x for x, r, t in zip(xc.tolist(), rc.tolist(), th.tolist())
+                    if J_kernel(dist, x, r) > 2.0 * t + 1e-12), None)
     conditions["J_small"] = ConditionResult(j_first is None, j_first, "J <= 2 * tail(h)")
     conditions["K_small"] = ConditionResult(k_first is None, k_first, "K <= tail(h)")
 
@@ -371,16 +369,15 @@ def weibull_J_envelope(beta: float, x, r):
 
 
 class TestFunction:
-    """Base class for the shape g(x) the error bound is expressed against."""
+    """Base class for the shape g(x) the error bound is expressed against. A
+    test function defines ``evaluate(xs)``, g over an array as one numpy
+    expression; calling it gives g at one point."""
 
     def __call__(self, x: float) -> float:
-        raise NotImplementedError
+        return float(self.evaluate(x))
 
     def evaluate(self, xs) -> np.ndarray:
-        """g at every point of the 1-d array xs, each element equal to
-        g(float(x))."""
-        xs = np.asarray(xs, dtype=float)
-        return np.fromiter(map(self, xs.tolist()), dtype=float, count=xs.size)
+        raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -399,8 +396,8 @@ class PowerTestFunction(TestFunction):
         if not (self.exponent > 0.0):
             raise ValueError("exponent must be positive")
 
-    def __call__(self, x: float) -> float:
-        return self.coef * float(x) ** (-self.exponent)
+    def evaluate(self, xs):
+        return self.coef * np.power(np.asarray(xs, dtype=float), -self.exponent)
 
     def describe(self) -> str:
         return f"{self.coef:g} * x^-{self.exponent:g}"
@@ -413,17 +410,8 @@ class KKernelTestFunction(TestFunction):
     dist: SummandDistribution
     h: CutoffFunction
 
-    def __call__(self, x: float) -> float:
-        r = float(self.h(x))
-        return K_kernel(self.dist, float(x), r)
-
-    def evaluate(self, xs) -> np.ndarray:
-        # the cutoff once over the array: numpy's array and 0-d power and
-        # log give the same doubles, and the scalar h calls are most of g's cost
-        xs = np.asarray(xs, dtype=float)
-        rs = np.asarray(self.h(xs), dtype=float)
-        return np.fromiter((K_kernel(self.dist, float(x), float(r)) for x, r in zip(xs, rs)),
-                           dtype=float, count=xs.size)
+    def evaluate(self, xs):
+        return K_kernel(self.dist, xs, self.h(xs))
 
     def describe(self) -> str:
         return f"K(x, h(x)) with h(x) = {self.h.describe()}"
@@ -456,13 +444,13 @@ class MonotoneEnvelope:
         env = np.maximum.accumulate(v[::-1])[::-1]
         return MonotoneEnvelope(grid=np.asarray(xs, dtype=float), values=env)
 
-    def __call__(self, x: float) -> float:
-        x = float(x)
-        if x < self.grid[0] - 1e-9 * max(1.0, abs(self.grid[0])):
-            raise ValueError(f"x={x:g} below the envelope range start {self.grid[0]:g}")
-        if x >= self.grid[-1]:
-            return float(self.values[-1])
-        return float(np.interp(x, self.grid, self.values))
+    def __call__(self, x):
+        """The envelope at x, vectorized; the last value beyond the grid."""
+        x = np.asarray(x, dtype=float)
+        below = x < self.grid[0] - 1e-9 * max(1.0, abs(self.grid[0]))
+        if np.any(below):
+            raise ValueError(f"x={x[below][0]:g} below the envelope range start {self.grid[0]:g}")
+        return np.interp(x, self.grid, self.values)
 
 
 @dataclass(frozen=True)
@@ -475,11 +463,10 @@ class SplicedTestFunction(TestFunction):
     kappa_splice: float
     tailg: PowerTestFunction
 
-    def __call__(self, x: float) -> float:
-        x = float(x)
-        if x >= self.bstar:
-            return self.kappa_splice * self.tailg(x)
-        return self.envelope(x)
+    def evaluate(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.where(xs >= self.bstar, self.kappa_splice * self.tailg.evaluate(xs),
+                        self.envelope(xs))
 
     @property
     def tail_coef(self) -> float:

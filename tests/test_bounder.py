@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,15 +85,20 @@ def test_f_terms_rejects_bad_cut():
 
 
 def test_f_terms_equals_sweep_at_grid_points():
-    """The sweep splits f_terms into a g-free kernel step and a combination
-    step; at every grid point the two give f_terms bit for bit."""
+    """The sweep evaluates the kernels over the whole grid and combines them
+    with g's values as arrays; f_terms is the one-point case, and at every
+    grid point the two agree bit for bit."""
     spliced = bounder.build_spliced_g(pareto_delta_table(bw=0.05, xmax=100.0), 21.3, G_PARETO)
     sweep = bounder._kernel_sweep(PARETO, H_PARETO, 100.0, 1e5, 1.3)
-    assert sweep.error is None and len(sweep.points) > 20
-    for g in (G_PARETO, spliced):
-        terms = [f_terms(PARETO, HALF, H_PARETO, g, point[0]) for point in sweep.points]
-        for point, ft in zip(sweep.points, terms):
-            assert bounder._combine(HALF, g, point) == ft
+    assert sweep.error is None and sweep.x.size > 20
+    for g in (G_PARETO, spliced, KKernelTestFunction(PARETO, H_PARETO)):
+        terms = [f_terms(PARETO, HALF, H_PARETO, g, x) for x in sweep.x.tolist()]
+        assert [ft.x for ft in terms] == sweep.x.tolist()
+        f1, f2, f3 = bounder._combine(HALF, *bounder._g_values(g, sweep.x, sweep.r),
+                                      sweep.K, sweep.J, sweep.tail_r)
+        assert [ft.f1 for ft in terms] == f1.tolist()
+        assert [ft.f2 for ft in terms] == f2.tolist()
+        assert [ft.f3 for ft in terms] == f3.tolist()
         d_res, p_res = bounder._sup_pair(sweep, HALF, g)
         f12 = [ft.f1 + ft.f2 for ft in terms]
         f3 = [ft.f3 for ft in terms]
@@ -341,6 +347,46 @@ def test_min_b_kernel_errors_after_a_deciding_point_are_not_met(monkeypatch):
     # a sweep that must reach x_far to decide still raises
     with pytest.raises(RuntimeError, match="did not converge"):
         search_min_b()
+
+
+class NanKBeyond(ParetoDist):
+    """Pareto whose K hook returns NaN beyond x = 1e5."""
+
+    def k_value(self, x, r):
+        return np.where(x > 1e5, math.nan, super().k_value(x, r))
+
+
+class CutoffBreaksBeyond(CutoffFunction):
+    """A power cutoff that jumps to h(x) = x beyond x = 1e5."""
+
+    def __call__(self, x):
+        return np.where(np.asarray(x) > 1e5, x, super().__call__(x))
+
+
+@pytest.mark.parametrize("kind", ["K", "cutoff"])
+def test_min_b_K_and_cutoff_errors_after_a_deciding_point_are_not_met(kind):
+    """K and h are evaluated over a sweep's whole grid at once; a point
+    where either fails cuts the sweep there, and its error is raised only
+    by a reader that gets that far."""
+    first = float(next(x for x in bounder._sup_grid(100.0, 1e6, 1.5) if x > 1e5))
+    if kind == "K":
+        dist, h = NanKBeyond(2.2), H_PARETO
+        failed, message = "K kernel is NaN", f"K kernel is NaN at x={first:g}, r="
+    else:
+        dist, h = PARETO, CutoffBreaksBeyond("power", 1.0, 1.0 / 3.2)
+        failed = "outside (0, x/2]"
+        message = f"cutoff h(x)={first:g} {failed} at x={first:g}"
+    args = (dist, GeometricParams(0.2), h, G_PARETO, 100.0)
+    # delta(500) >= 1 is decided at x = 500, long before the failing points
+    assert bounder._search_min_b(*args, 500, 1e6, 1.5) is None
+    # a sweep that must reach x_far to decide still raises
+    with pytest.raises(ValueError, match=re.escape(failed)):
+        bounder._search_min_b(*args, 10_000, 1e6, 1.5)
+    sweep = bounder._kernel_sweep(dist, h, 100.0, 1e6, 1.5)
+    assert sweep.x.size > 5 and sweep.x[-1] < 1e5 and str(sweep.error).startswith(message)
+    assert sweep.x.size == sweep.r.size == sweep.K.size == sweep.J.size == sweep.tail_r.size
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bounder._sup_pair(sweep, HALF, G_PARETO)
 
 
 def test_min_b_skips_sweeps_when_the_envelope_reaches_one(monkeypatch):

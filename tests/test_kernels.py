@@ -105,6 +105,64 @@ def test_K_rejections():
         K_kernel(d, 100.0, -1.0)
 
 
+@st.composite
+def severities(draw):
+    """A Pareto, a Weibull or a power mixture of 1 to 4 terms."""
+    kind = draw(st.sampled_from(["pareto", "weibull", "mixture"]))
+    if kind == "pareto":
+        return ParetoDist(draw(st.floats(1.05, 10.0)))
+    if kind == "weibull":
+        return WeibullDist(draw(st.floats(0.1, 0.95)))
+    m = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+    exponents = draw(st.lists(st.floats(1.05, 10.0), min_size=m, max_size=m))
+    return PowerMixtureDist(tuple((w / math.fsum(raw), a) for w, a in zip(raw, exponents)))
+
+
+def mpmath_K(dist, x, r):
+    """K at 50 digits from the tails themselves, tail(x - r)/tail(x) - 1."""
+    with mpmath.workdps(50):
+        X, R = mpmath.mpf(x), mpmath.mpf(r)
+        if isinstance(dist, WeibullDist):
+            b = mpmath.mpf(dist.beta)
+            return float(mpmath.expm1(X**b - (X - R) ** b))
+        terms = [(mpmath.mpf(c), mpmath.mpf(a)) for c, a in dist.tail_power_terms]
+
+        def tail(u):
+            return 1 if u <= 1 else mpmath.fsum(c * u**-a for c, a in terms)
+
+        return float(tail(X - R) / tail(X) - 1)
+
+
+@st.composite
+def k_cases(draw):
+    """A severity and arrays 1.5 <= x <= 1e8 and 0 < r <= x/2; a Weibull x
+    keeps x^beta, which bounds the exponent of K, below 60."""
+    d = draw(severities())
+    x_max = min(1e8, 60.0 ** (1.0 / d.beta)) if isinstance(d, WeibullDist) else 1e8
+    n = draw(st.integers(1, 8))
+    spans = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    fracs = draw(st.lists(st.floats(1e-12, 0.5), min_size=n, max_size=n))
+    xs = 1.5 * (x_max / 1.5) ** np.array(spans)
+    return d, xs, xs * np.array(fracs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k_cases())
+def test_K_matches_mpmath(case):
+    # every family forms K without cancellation: the Pareto and mixture
+    # power terms by expm1(-a log1p(-r/x)), the Weibull exponent by
+    # x^beta expm1(beta log1p(-r/x))
+    d, xs, rs = case
+    got = K_kernel(d, xs, rs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    for x, r, k in zip(xs.tolist(), rs.tolist(), got.tolist()):
+        assert math.isclose(k, mpmath_K(d, x, r), rel_tol=1e-13, abs_tol=0.0), (x, r)
+        # a scalar call is a float and the array element bit for bit
+        one = K_kernel(d, x, r)
+        assert type(one) is float and one == k
+
+
 # ---------------------------------------------------------------- J kernel
 
 def test_J_against_midpoint_rule(rng):
@@ -127,16 +185,7 @@ def test_J_against_midpoint_rule(rng):
 def j_cases(draw):
     """A severity, a power or log-power cutoff h, and x in [h's domain, 1e8]
     where tail(h(x)), about the size of J, is a normal double."""
-    kind = draw(st.sampled_from(["pareto", "weibull", "mixture"]))
-    if kind == "pareto":
-        d = ParetoDist(draw(st.floats(1.05, 10.0)))
-    elif kind == "weibull":
-        d = WeibullDist(draw(st.floats(0.1, 0.95)))
-    else:
-        m = draw(st.integers(1, 4))
-        raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
-        exponents = draw(st.lists(st.floats(1.05, 10.0), min_size=m, max_size=m))
-        d = PowerMixtureDist(tuple((w / math.fsum(raw), a) for w, a in zip(raw, exponents)))
+    d = draw(severities())
     if draw(st.booleans()):
         h = CutoffFunction.power(draw(st.floats(0.2, 2.0)), draw(st.floats(0.1, 0.6)))
     else:
@@ -378,16 +427,24 @@ def test_kkernel_test_function_matches_kernel():
     assert g(x) == pytest.approx(K_kernel(d, x, hv), rel=1e-12)
 
 
+TABLE_XS = np.linspace(0.0, 100.0, 2001)
+SPLICED_G = build_spliced_g(
+    DeltaTable(xs=TABLE_XS, delta=3.0 / (1.0 + TABLE_XS), delta_stderr=np.zeros(2001),
+               engine="panjer"),
+    21.3, PowerTestFunction(1.0, 0.6875))
+
+
 @pytest.mark.parametrize("g", [
     KKernelTestFunction(WeibullDist(0.5), CutoffFunction.logpower(0.179, 2.0)),
     KKernelTestFunction(WeibullDist(0.5), CutoffFunction.logpower(1.0, 2.0)),
     KKernelTestFunction(ParetoDist(2.2), CutoffFunction.power(1.0, 1.0 / 3.2)),
     PowerTestFunction(1.0, 0.6875),
-], ids=["kkernel-log-0.179", "kkernel-log-1", "kkernel-power", "power"])
+    SPLICED_G,
+], ids=["kkernel-log-0.179", "kkernel-log-1", "kkernel-power", "power", "spliced"])
 def test_evaluate_equals_the_scalar_calls(g):
-    # c_interval and verify_bound read g through evaluate, which must not move
-    # a digit of a certificate: a Panjer table's points, a strided view of
-    # them, and random points up to x_far
+    # a sweep reads g over its whole grid and f_terms at one point, so
+    # evaluate must give every element as a one-point call does: on a Panjer
+    # table's points, a strided view of them, and random points up to x_far
     table_xs = np.arange(380, 12501) * 0.008
     far = np.sort(np.random.default_rng(5).uniform(3.0, 1e8, 2000))
     for xs in (table_xs, table_xs[1::3], far):
@@ -419,6 +476,10 @@ def test_spliced_continuity_and_tail():
     dense = np.linspace(1.0, 60.0, 2000)
     gv = np.array([g(x) for x in dense])
     assert np.all(np.diff(gv) <= 1e-12)
+    assert np.array_equal(g.evaluate(dense), gv)
+    # below the table the envelope is undefined, wherever the point sits
+    with pytest.raises(ValueError, match=r"x=0\.5 below the envelope range start 1$"):
+        g.evaluate(np.array([25.0, 0.5, 0.7]))
 
 
 def test_spliced_constant_table_kappa():
