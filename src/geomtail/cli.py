@@ -300,7 +300,8 @@ def main(argv=None) -> int:
     except ProcedureFailed as exc:
         print(f"bound construction failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        # MemoryError: a lattice (2 * max(xgrid) / bandwidth cells) too large to allocate
         print(f"engine error: {exc}", file=sys.stderr)
         return 4
 

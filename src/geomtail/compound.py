@@ -130,6 +130,11 @@ def panjer_tail(
     it back to the count on {1, 2, ...}. The coefficients are exact whenever
     the severity lattice carries no truncated mass, or extends to at least
     xmax; requiring 2 * xmax leaves headroom and is the default upstream.
+
+    The recursion makes one dot product per lattice cell, over all earlier
+    cells (or the whole severity lattice, if shorter), so its cost is
+    quadratic in xmax / bandwidth. The compound masses are kept newest
+    first, so each cell's history is a contiguous slice that no cell copies.
     """
     p, q = params.p, params.q
     bw = lattice.bandwidth
@@ -146,11 +151,15 @@ def panjer_tail(
         raise ValueError("q * P(X=0) >= 1; recursion denominator vanishes")
 
     a = q / (1.0 - q * f0)
-    w = np.empty(n + 1)
-    w[0] = p / (1.0 - q * f0)
+    fs = f[1:]
+    # rev[n - j] = w[j], so cell k's history w[k-1], w[k-2], ... starts at
+    # rev[n - k + 1] and np.dot reads it in place
+    rev = np.empty(n + 1)
+    rev[n] = p / (1.0 - q * f0)
     for k in range(1, n + 1):
-        m = min(k, f.size - 1)
-        w[k] = a * float(np.dot(f[1 : m + 1], w[k - m : k][::-1]))
+        m = min(k, fs.size)
+        rev[n - k] = a * float(np.dot(fs[:m], rev[n - k + 1 : n - k + 1 + m]))
+    w = rev[::-1]
     if np.min(w) < -1e-12:
         raise RuntimeError("mass conservation violated: negative compound mass")
     w = np.maximum(w, 0.0)

@@ -422,7 +422,7 @@ def discretize(
         masses[0] = cdf[0]
         masses[1:] = np.diff(cdf)
     elif mode == "lower":
-        tg = np.array([dist.tail_ge(v) for v in np.arange(n + 2) * bandwidth], dtype=float)
+        tg = np.asarray(dist.tail_ge(np.arange(n + 2) * bandwidth), dtype=float)
         masses = tg[:-1] - tg[1:]
     else:
         t = np.asarray(dist.tail(np.arange(-1, n + 1) * bandwidth), dtype=float)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geomtail import bounder
 from geomtail.bounder import _build_delta_table, build_bound
 from geomtail.cli import main
 from geomtail.compound import panjer_tail
@@ -89,6 +90,21 @@ def test_engine_error_exits_4(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE + "truncation = 30\n")
     assert main(["bound", "--config", cfg]) == 4
     assert "engine error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tail", "delta"])
+def test_unallocatable_lattice_exits_4(tmp_path, capsys, monkeypatch, command):
+    # an xgrid up to 1e8 at bandwidth 0.05 sizes a lattice of 4e9 cells; numpy
+    # raises MemoryError for it, stood in for here so nothing large is allocated
+    def refuse(dist, bandwidth, truncation, mode="rounded"):
+        cells = round(truncation / bandwidth) + 1
+        raise MemoryError(f"Unable to allocate {cells * 8 / 2**30:.1f} GiB for an array")
+
+    monkeypatch.setattr(bounder, "discretize", refuse)
+    cfg = write_cfg(tmp_path, BASE + "xgrid = 10, 1e8\n")
+    assert main([command, "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err == "engine error: Unable to allocate 29.8 GiB for an array\n"
 
 
 def test_no_command_exits_3(capsys):

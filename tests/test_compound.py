@@ -23,6 +23,7 @@ from geomtail.dist import (
     LatticeDistribution,
     ParetoDist,
     SummandDistribution,
+    WeibullDist,
     discretize,
 )
 from conftest import random_lattice
@@ -68,6 +69,63 @@ def test_panjer_matches_brute_force_random_lattices(rng):
         bf = brute_force_tail(lat_ext, params, cap_for(params.q))
         n = min(tt.xs.size, bf.xs.size)
         assert np.allclose(tt.tails[:n], bf.tails[:n], rtol=0, atol=2e-13)
+
+
+def panjer_tails_oldest_first(lattice, params, xmax):
+    """The recursion over an oldest-first history: each cell dots the severity
+    masses with a reversed view of the earlier cells, which np.dot copies
+    before it runs. The Kahan sum and the 1 - cdf step are panjer_tail's."""
+    p, q = params.p, params.q
+    n = int(math.floor(xmax / lattice.bandwidth + 1e-9))
+    f = lattice.masses
+    f0 = float(f[0])
+    a = q / (1.0 - q * f0)
+    w = np.empty(n + 1)
+    w[0] = p / (1.0 - q * f0)
+    for k in range(1, n + 1):
+        m = min(k, f.size - 1)
+        w[k] = a * float(np.dot(f[1 : m + 1], w[k - m : k][::-1]))
+    cdf = _kahan_cumsum(np.maximum(w, 0.0))
+    return np.minimum(1.0, np.maximum(0.0, (1.0 - cdf) / q))
+
+
+@st.composite
+def panjer_cases(draw):
+    """A lattice, p and xmax: either a compact support of 1-60 atoms with no
+    truncated mass, run past its end (so the history is cut at the support
+    length), or a discretized Pareto or Weibull truncated at 2 * xmax."""
+    p = draw(st.floats(0.05, 0.95))
+    bw = draw(st.sampled_from([0.02, 0.25, 0.5, 1.0]))
+    cells = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        raw = draw(hnp.arrays(float, st.integers(2, 61), elements=st.floats(0.0, 1.0))
+                   .filter(lambda r: r.sum() > 0.0))
+        lattice = LatticeDistribution(bandwidth=bw, masses=raw / raw.sum(),
+                                      truncation_point=bw * (raw.size - 1),
+                                      truncated_mass=0.0)
+    else:
+        d = draw(st.sampled_from([ParetoDist(2.2), ParetoDist(5.0), WeibullDist(0.5)]))
+        mode = draw(st.sampled_from(["rounded", "lower", "upper"]))
+        lattice = discretize(d, bw, 2 * cells * bw, mode=mode)
+    return lattice, GeometricParams(p), cells * bw
+
+
+@settings(max_examples=150, deadline=None)
+@given(panjer_cases())
+def test_panjer_is_the_oldest_first_recursion_bit_for_bit(case):
+    lattice, params, xmax = case
+    got = panjer_tail(lattice, params, xmax).tails
+    assert got.tobytes() == panjer_tails_oldest_first(lattice, params, xmax).tobytes()
+
+
+def test_panjer_is_the_oldest_first_recursion_on_a_12501_cell_weibull():
+    # the criterion-6 table of the benchmark: Weibull(0.5), p = 0.5, bandwidth
+    # 0.008, 12,501 cells, dots of up to 12,500 terms
+    lattice = discretize(WeibullDist(0.5), 0.008, 200.0)
+    params = GeometricParams(0.5)
+    got = panjer_tail(lattice, params, 100.0).tails
+    assert got.size == 12_501
+    assert got.tobytes() == panjer_tails_oldest_first(lattice, params, 100.0).tobytes()
 
 
 def test_brute_force_single_term():

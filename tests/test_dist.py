@@ -348,6 +348,27 @@ def test_discretize_modes_bracket_rounded():
     assert np.all(cm >= cu - 1e-12)
 
 
+LOWER_MODE_FAMILIES = {
+    "pareto-2.2": ParetoDist(2.2),
+    "pareto-5": ParetoDist(5.0),
+    "weibull-0.5": WeibullDist(0.5),
+    "mixture-2-3": PowerMixtureDist(((1.0 / 3.0, 2.0), (2.0 / 3.0, 3.0))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LOWER_MODE_FAMILIES)),
+       st.sampled_from([0.002, 0.005, 0.01, 0.02, 0.25, 1.0]),
+       st.integers(1, 5000))
+def test_discretize_lower_is_the_per_point_tail_ge_bit_for_bit(name, bw, n):
+    # lower mode reads tail_ge over the whole lattice in one array call; the
+    # masses are those of one scalar call per lattice point
+    d = LOWER_MODE_FAMILIES[name]
+    lat = discretize(d, bw, n * bw, mode="lower")
+    tg = np.array([d.tail_ge(v) for v in np.arange(n + 2) * bw], dtype=float)
+    assert lat.masses.tobytes() == np.maximum(tg[:-1] - tg[1:], 0.0).tobytes()
+
+
 def test_discretize_rejections():
     d = ParetoDist(2.2)
     with pytest.raises(ValueError):
