@@ -348,20 +348,38 @@ class _KernelSweep:
     error: Exception | None
 
 
+# sweep points per J call after the first: fewer leave more per-call cost,
+# more let the quadrature's temporaries (about 10 KB a point) leave the cache
+_J_CHUNK = 8
+
+
+def _j_chunks(dist, xs: np.ndarray, rs: np.ndarray):
+    """J at the points (xs, rs) in order, as arrays: the first point alone,
+    where a failing min-b probe mostly decides, then _J_CHUNK at a time. A
+    chunk where J raises is redone one point at a time, so the values before
+    its first failing point come out before that point's error is raised."""
+    edges = [0, *range(1, xs.size, _J_CHUNK), xs.size]
+    for lo, hi in zip(edges, edges[1:]):
+        try:
+            yield J_kernel(dist, xs[lo:hi], rs[lo:hi])
+        except (ValueError, RuntimeError):
+            for i in range(lo, hi):
+                yield J_kernel(dist, xs[i : i + 1], rs[i : i + 1])
+
+
 def _kernel_sweep(dist, h, from_x, x_far, grid_ratio) -> _KernelSweep:
     if from_x < h.domain_start * (1.0 - 1e-12):
         raise ValueError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
     xs, rs, K, tail_r, error = _kernel_grid(dist, h, _sup_grid(from_x, x_far, grid_ratio))
-    J = []
-    for x, r in zip(xs.tolist(), rs.tolist()):
-        try:
-            J.append(J_kernel(dist, x, r))
-        except (ValueError, RuntimeError) as exc:
-            error = exc
-            break
-    n = len(J)
-    return _KernelSweep(dist, h, x_far, xs[:n], rs[:n], K[:n], np.array(J, dtype=float),
-                        tail_r[:n], error)
+    J = [np.empty(0)]
+    try:
+        for values in _j_chunks(dist, xs, rs):
+            J.append(values)
+    except (ValueError, RuntimeError) as exc:
+        error = exc
+    J = np.concatenate(J)
+    n = J.size
+    return _KernelSweep(dist, h, x_far, xs[:n], rs[:n], K[:n], J, tail_r[:n], error)
 
 
 def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
@@ -649,12 +667,14 @@ def _search_min_b(dist, params, h, g, B, cap, x_far, grid_ratio) -> int | None:
     def below_one(n: int) -> bool:
         xs, rs, K, tail_r, error = _kernel_grid(dist, h, _sup_grid(float(n), x_far, grid_ratio))
         gx, g_xr, g_r = _g_values(g, xs, rs)
-        for i, (x, r) in enumerate(zip(xs.tolist(), rs.tolist())):
-            f1, f2, _ = _combine(params, gx[i], g_xr[i], g_r[i], K[i], J_kernel(dist, x, r),
-                                 tail_r[i])
+        i = 0
+        for J in _j_chunks(dist, xs, rs):
+            at = slice(i, i + J.size)
+            f1, f2, _ = _combine(params, gx[at], g_xr[at], g_r[at], K[at], J, tail_r[at])
             # a NaN is not below one, as delta_sup's np.argmax picks a NaN
-            if not (f1 + f2 < 1.0):
+            if not np.all(f1 + f2 < 1.0):
                 return False
+            i += J.size
         if error is not None:
             raise error
         return True

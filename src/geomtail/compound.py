@@ -135,6 +135,9 @@ def panjer_tail(
     cells (or the whole severity lattice, if shorter), so its cost is
     quadratic in xmax / bandwidth. The compound masses are kept newest
     first, so each cell's history is a contiguous slice that no cell copies.
+    The loop is split where the history reaches the severity lattice's
+    length: the cells before it dot a prefix of the severity masses, and
+    every later cell dots all of them, with no per-cell length to work out.
     """
     p, q = params.p, params.q
     bw = lattice.bandwidth
@@ -152,13 +155,17 @@ def panjer_tail(
 
     a = q / (1.0 - q * f0)
     fs = f[1:]
+    m = fs.size
+    dot = np.dot
     # rev[n - j] = w[j], so cell k's history w[k-1], w[k-2], ... starts at
     # rev[n - k + 1] and np.dot reads it in place
     rev = np.empty(n + 1)
     rev[n] = p / (1.0 - q * f0)
-    for k in range(1, n + 1):
-        m = min(k, fs.size)
-        rev[n - k] = a * float(np.dot(fs[:m], rev[n - k + 1 : n - k + 1 + m]))
+    # cells k <= m see their whole history, later ones the last m cells of it
+    for k in range(1, min(m, n) + 1):
+        rev[n - k] = a * float(dot(fs[:k], rev[n - k + 1 :]))
+    for j in range(n - m - 1, -1, -1):
+        rev[j] = a * float(dot(fs, rev[j + 1 : j + 1 + m]))
     w = rev[::-1]
     if np.min(w) < -1e-12:
         raise RuntimeError("mass conservation violated: negative compound mass")

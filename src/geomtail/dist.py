@@ -35,7 +35,8 @@ class SummandDistribution:
     ``k_value`` is an array hook: one numpy expression over arrays x and r
     with 0 <= r < x. ``j_integrand(x)`` returns the array function (y, u=None) ->
     tail(x - y)/tail(x) * density(y) for 0 < y < x, one numpy expression over
-    arrays of y;
+    arrays of y; x is an array that broadcasts against y (J_kernel passes one
+    x per row of nodes), and the per-x constants are arrays computed once.
     ``u``, when given, is x - y to full relative accuracy, which a y near x
     does not carry. ``J_kernel`` integrates it with the 24-node
     Gauss-Legendre rule on panels that grow geometrically from both ends
@@ -72,9 +73,10 @@ class SummandDistribution:
         unit support threshold, or None when the tail is not of power type."""
         return None
 
-    def integrand_breakpoints(self, x: float) -> list[float]:
+    def integrand_breakpoints(self, x) -> list:
         """Interior points where the J integrand has kinks: the unit threshold
-        of a power-type tail, in y and in x - y."""
+        of a power-type tail, in y and in x - y. ``x`` is an array, and each
+        point is a float or an array like it."""
         return [] if self.tail_power_terms is None else [1.0, x - 1.0]
 
     def tail_mean_above(self, r: float) -> float:
@@ -128,10 +130,10 @@ class ParetoDist(SummandDistribution):
         return np.where(x - r <= 1.0, np.power(x, self.alpha) - 1.0,
                         np.expm1(-self.alpha * np.log1p(-r / x)))
 
-    def j_integrand(self, x: float):
+    def j_integrand(self, x):
         alpha = self.alpha
         dens_exp = -alpha - 1.0
-        log_x = math.log(x)
+        log_x = np.log(x)
 
         def integrand(y, u=None):
             u = x - y if u is None else u
@@ -179,10 +181,10 @@ class WeibullDist(SummandDistribution):
         # the exponent x^beta - (x - r)^beta, formed without cancellation
         return np.expm1(-np.power(x, self.beta) * np.expm1(self.beta * np.log1p(-r / x)))
 
-    def j_integrand(self, x: float):
+    def j_integrand(self, x):
         beta = self.beta
         dens_exp = beta - 1.0
-        x_beta = float(x) ** beta
+        x_beta = np.power(x, beta)
 
         def integrand(y, u=None):
             u = x - y if u is None else u
@@ -327,8 +329,8 @@ class PowerMixtureDist(SummandDistribution):
         excess = sum(c * np.power(x, -a) * np.expm1(-a * log_shift) for c, a in self.terms)
         return np.where(x - r <= 1.0, 1.0 / tail_x - 1.0, excess / tail_x)
 
-    def j_integrand(self, x: float):
-        tail_x = float(self.tail(x))
+    def j_integrand(self, x):
+        tail_x = self.tail(x)
 
         def integrand(y, u=None):
             return self.tail(x - y if u is None else u) / tail_x * self.density(y)

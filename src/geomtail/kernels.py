@@ -181,78 +181,121 @@ _J_RTOL = 1e-10
 _J_HALVINGS = 8
 
 
-def _j_panels(dist: SummandDistribution, x: float, r: float) -> tuple:
-    """Panels (lo, hi, right) covering [r, x - r], split at x/2: a left panel
-    spans y in [lo, hi], a right panel x - y in [lo, hi]. Both halves cut at
-    r * 2^k below x/2, and at the family's breakpoints, so the panels grow
-    geometrically from both ends: the integrand is steep near y = r and has
-    a spike of width about r at y -> x - r."""
+def _j_panels(dist: SummandDistribution, x: np.ndarray, r: np.ndarray) -> tuple:
+    """Panels (owner, lo, hi, right) covering [r, x - r] at every point
+    (x, r) with r < x/2, split at x/2: panel i of point owner[i] spans y in
+    [lo, hi] if it is a left panel, x - y in [lo, hi] if ``right``. Both
+    halves cut at r * 2^k below x/2, and at the family's breakpoints, so the
+    panels grow geometrically from both ends: the integrand is steep near
+    y = r and has a spike of width about r at y -> x - r. A point's panels
+    are adjacent, its left ones first, each half in increasing order."""
     half = x / 2.0
-    steps = []
-    step = 2.0 * r
-    while step < half:
-        steps.append(step)
-        step *= 2.0
-    cuts = [p for p in dist.integrand_breakpoints(x) if r < p < x - r]
-    left = sorted({r, half, *steps, *(p for p in cuts if p <= half)})
-    right = sorted({r, half, *steps, *(x - p for p in cuts if p > half)})
-    lo = np.array(left[:-1] + right[:-1])
-    hi = np.array(left[1:] + right[1:])
-    return lo, hi, np.arange(lo.size) >= len(left) - 1
+    xc, rc, hc = x[:, None], r[:, None], half[:, None]
+    # r * 2^k from k = 0 until every point has passed x/2
+    k = np.arange(int(math.log2(half.max()) - math.log2(r.min())) + 3)
+    breaks = dist.integrand_breakpoints(x)
+    cuts = np.empty((x.size, len(breaks)))
+    for j, p in enumerate(breaks):
+        cuts[:, j] = p
+    # a cut y goes to the left half, x - y to the right one; every cut is
+    # clipped to [r, x/2], where a cut outside that range (and every step
+    # beyond it) lands on r or x/2 and leaves an empty panel
+    ends = np.empty((x.size, 2, k.size + cuts.shape[1]))
+    ends[:, :, : k.size] = np.ldexp(rc, k)[:, None]
+    ends[:, 0, k.size :] = cuts
+    ends[:, 1, k.size :] = xc - cuts
+    ends = np.minimum(np.maximum(ends, rc[:, None]), hc[:, None])
+    ends.sort()
+    lo, hi = ends[..., :-1], ends[..., 1:]
+    keep = hi > lo
+    owner, side, _ = keep.nonzero()
+    return owner, lo[keep], hi[keep], side == 1
 
 
-def _gauss_panels(integrand, x: float, lo, hi, right) -> tuple[np.ndarray, np.ndarray]:
-    """The 24-node value and |24-node - 16-node| on each panel, from one call
-    of the array integrand. A right panel's nodes are placed in x - y, which
-    the integrand receives as u: the double nearest a node y near x is up to
-    ulp(x)/2 away, a visible shift on a spike of width about r."""
+def _gauss_panels(dist: SummandDistribution, x: np.ndarray, lo, hi, right) -> tuple:
+    """The 24-node value and |24-node - 16-node| on each panel, panel i at
+    the point x[i], from one call of the family's array integrand. A right
+    panel's nodes are placed in x - y, which the integrand receives as u:
+    the double nearest a node y near x is up to ulp(x)/2 away, a visible
+    shift on a spike of width about r. Each panel's sums are formed from its
+    own row alone (a matrix product gives a row a last bit that depends on
+    the rows around it), so a panel's value is the same double in any batch."""
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
-    d = mid[:, None] + rad[:, None] * _GL_NODES
-    right = right[:, None]
-    vals = integrand(np.where(right, x - d, d), np.where(right, d, x - d))
-    i24 = rad * (vals[:, :24] @ _GL24[1])
-    i16 = rad * (vals[:, 24:] @ _GL16[1])
+    y = mid[:, None] + rad[:, None] * _GL_NODES
+    x = x[:, None]
+    u = x - y
+    # the rows of right panels hold their nodes in u
+    y[right], u[right] = u[right], y[right]
+    vals = dist.j_integrand(x)(y, u)
+    i24 = rad * (vals[:, :24] * _GL24[1]).sum(axis=1)
+    i16 = rad * (vals[:, 24:] * _GL16[1]).sum(axis=1)
     return i24, np.abs(i24 - i16)
 
 
-def J_kernel(dist: SummandDistribution, x: float, r: float) -> float:
+def J_kernel(dist: SummandDistribution, x, r):
     """Integral of tail(x-y)/tail(x) against the severity density over [r, x-r].
 
-    Empty for r >= x/2 (returns 0 at equality, rejects beyond). J is the
-    24-node Gauss-Legendre rule on panels that grow geometrically from both
-    ends (``_j_panels``); every panel whose 24- and 16-node rules differ by
-    more than ``_J_RTOL`` of |J| is halved, all in one pass per round. A panel
-    still failing after ``_J_HALVINGS`` rounds, and a NaN value, are reported
-    rather than silently returned.
+    Vectorized over ``x`` and ``r``; a float for scalar input. Empty for
+    r >= x/2 (0 at equality, rejected beyond). J is the 24-node
+    Gauss-Legendre rule on panels that grow geometrically from both ends
+    (``_j_panels``), the panels of every point evaluated by one call of the
+    family's integrand. Every panel whose 24- and 16-node rules differ by
+    more than ``_J_RTOL`` of its own point's |J| is halved, all in one pass
+    per round, and each round evaluates only the two halves of the failing
+    panels. A panel's sums are formed from its own nodes alone and a point's
+    J from its own panels, so J at a point is the same double in any batch.
+    A point still failing after ``_J_HALVINGS`` rounds, and a NaN value, are
+    reported rather than silently returned, naming the first failing point
+    in array order.
     """
-    if not (r > 0.0):
+    x, r = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(r, dtype=float))
+    if not np.all(r > 0.0):
         raise ValueError("r must be positive")
-    if r > x / 2.0:
+    if np.any(r > x / 2.0):
         raise ValueError("requires r <= x/2")
-    if r == x / 2.0:
-        return 0.0
+    J = np.zeros(x.shape)
+    live = np.flatnonzero(r != x / 2.0)
+    if live.size:
+        J.flat[live] = _j_quadrature(dist, x.ravel()[live], r.ravel()[live])
+    return J if J.ndim else float(J)
 
-    integrand = dist.j_integrand(x)
-    lo, hi, right = _j_panels(dist, x, r)
+
+def _j_quadrature(dist: SummandDistribution, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """J at the points (x, r) with 0 < r < x/2, as J_kernel describes it."""
+    owner, lo, hi, right = _j_panels(dist, x, r)
+    vals, errs = _gauss_panels(dist, x[owner], lo, hi, right)
     for halvings in range(_J_HALVINGS + 1):
-        vals, errs = _gauss_panels(integrand, x, lo, hi, right)
-        val = float(vals.sum())
-        bad = errs > _J_RTOL * abs(val)
+        # each point sums its panels in their order: the first ones, each
+        # failing one replaced by its lower half, then the upper halves in
+        # the order of the rounds that made them
+        J = np.bincount(owner, vals, x.size)
+        bad = errs > _J_RTOL * np.abs(J)[owner]
         if not bad.any():
-            # a NaN fails every comparison and reaches _clamp_at_zero
-            return float(_clamp_at_zero("J", val, x, r))
+            break
         if halvings == _J_HALVINGS:
+            i = int(owner[bad].min())
+            # a NaN before the first point that did not converge fails first
+            _clamp_at_zero("J", J[:i], x[:i], r[:i])
+            err = np.bincount(owner, errs, x.size)[i]
             raise RuntimeError(
-                f"J kernel quadrature did not converge at x={x:g}, r={r:g}: "
-                f"value {val:.6e}, error estimate {float(errs.sum()):.2e}"
+                f"J kernel quadrature did not converge at x={x[i]:g}, r={r[i]:g}: "
+                f"value {J[i]:.6e}, error estimate {err:.2e}"
             )
         # the failing panels become their lower halves, and their upper
-        # halves join at the end
-        mid = 0.5 * (lo + hi)
-        lo = np.concatenate((lo, mid[bad]))
-        hi = np.concatenate((np.where(bad, mid, hi), hi[bad]))
-        right = np.concatenate((right, right[bad]))
+        # halves join at the end: both evaluated in one call
+        mid = 0.5 * (lo + hi)[bad]
+        n = mid.size
+        at, side = np.tile(owner[bad], 2), np.tile(right[bad], 2)
+        v, e = _gauss_panels(dist, x[at], np.concatenate((lo[bad], mid)),
+                             np.concatenate((mid, hi[bad])), side)
+        upper_hi = hi[bad]
+        vals[bad], errs[bad], hi[bad] = v[:n], e[:n], mid
+        owner, right = np.concatenate((owner, at[n:])), np.concatenate((right, side[n:]))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((hi, upper_hi))
+        vals, errs = np.concatenate((vals, v[n:])), np.concatenate((errs, e[n:]))
+    # a NaN fails every comparison and reaches _clamp_at_zero
+    return _clamp_at_zero("J", J, x, r)
 
 
 @dataclass(frozen=True)

@@ -271,11 +271,12 @@ def bisect_min_b(lo, cap, below_one):
 
 
 def count_J_calls(monkeypatch):
+    """The x of every point J is evaluated at, over array calls."""
     calls = []
     real = bounder.J_kernel
 
     def counting(dist, x, r, *args, **kwargs):
-        calls.append(x)
+        calls.extend(np.ravel(x).tolist())
         return real(dist, x, r, *args, **kwargs)
 
     monkeypatch.setattr(bounder, "J_kernel", counting)
@@ -307,7 +308,7 @@ def test_min_b_counts_nan_as_not_below_one(monkeypatch):
     nan_below = [3000.0]
 
     def nan_J(dist, x, r, *args, **kwargs):
-        return math.nan if x < nan_below[0] else real(dist, x, r, *args, **kwargs)
+        return np.where(np.asarray(x) < nan_below[0], math.nan, real(dist, x, r, *args, **kwargs))
 
     monkeypatch.setattr(bounder, "J_kernel", nan_J)
     # every sweep from below 3000 starts on a NaN point
@@ -321,7 +322,7 @@ def test_nan_delta_supremum_names_its_grid_point(monkeypatch):
     real = bounder.J_kernel
 
     def nan_J(dist, x, r, *args, **kwargs):
-        return math.nan if x > 5e3 else real(dist, x, r, *args, **kwargs)
+        return np.where(np.asarray(x) > 5e3, math.nan, real(dist, x, r, *args, **kwargs))
 
     monkeypatch.setattr(bounder, "J_kernel", nan_J)
     grid = bounder._sup_grid(100.0, MINB_SWEEP["x_far"], MINB_SWEEP["grid_ratio"])
@@ -337,8 +338,9 @@ def test_min_b_kernel_errors_after_a_deciding_point_are_not_met(monkeypatch):
     real = bounder.J_kernel
 
     def failing(dist, x, r, *args, **kwargs):
-        if x > 1e5:
-            raise RuntimeError(f"J kernel quadrature did not converge at x={x:g}")
+        beyond = np.ravel(x)[np.ravel(x) > 1e5]
+        if beyond.size:
+            raise RuntimeError(f"J kernel quadrature did not converge at x={beyond[0]:g}")
         return real(dist, x, r, *args, **kwargs)
 
     monkeypatch.setattr(bounder, "J_kernel", failing)
@@ -347,6 +349,14 @@ def test_min_b_kernel_errors_after_a_deciding_point_are_not_met(monkeypatch):
     # a sweep that must reach x_far to decide still raises
     with pytest.raises(RuntimeError, match="did not converge"):
         search_min_b()
+    # a sweep keeps J at every point before the first failing one, which
+    # sits inside a chunk of points
+    sweep = bounder._kernel_sweep(PARETO, H_PARETO, 100.0, MINB_SWEEP["x_far"],
+                                  MINB_SWEEP["grid_ratio"])
+    grid = bounder._sup_grid(100.0, MINB_SWEEP["x_far"], MINB_SWEEP["grid_ratio"])
+    assert sweep.x.tolist() == grid[grid <= 1e5].tolist()
+    assert sweep.J.tolist() == real(PARETO, sweep.x, sweep.r).tolist()
+    assert str(sweep.error).endswith(f"did not converge at x={grid[grid > 1e5][0]:g}")
 
 
 class NanKBeyond(ParetoDist):
@@ -484,14 +494,7 @@ def test_tune_single_candidate_matches_build(scale, bstar):
 
 
 def test_tune_sweeps_kernels_once_per_scale(monkeypatch):
-    calls = []
-    real = bounder.J_kernel
-
-    def counting(dist, x, r, *args, **kwargs):
-        calls.append(x)
-        return real(dist, x, r, *args, **kwargs)
-
-    monkeypatch.setattr(bounder, "J_kernel", counting)
+    calls = count_J_calls(monkeypatch)
     res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14, 1e6],
                [None, 15.0, 21.3], engine="panjer", bandwidth=0.05,
                x_far=1e5, grid_ratio=1.2)
@@ -506,8 +509,9 @@ def test_tune_notes_when_kernel_sweep_raises(monkeypatch):
     real = bounder.J_kernel
 
     def failing(dist, x, r, *args, **kwargs):
-        if x > 1e3:
-            raise RuntimeError(f"J kernel quadrature did not converge at x={x:g}")
+        beyond = np.ravel(x)[np.ravel(x) > 1e3]
+        if beyond.size:
+            raise RuntimeError(f"J kernel quadrature did not converge at x={beyond[0]:g}")
         return real(dist, x, r, *args, **kwargs)
 
     monkeypatch.setattr(bounder, "J_kernel", failing)

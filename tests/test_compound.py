@@ -5,7 +5,7 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomtail import compound
@@ -112,6 +112,12 @@ def panjer_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(panjer_cases())
+# panjer_tail splits its loop where the history reaches the severity
+# lattice's length: a table past that length, and one short of it
+@example((LatticeDistribution(bandwidth=0.5, masses=np.array([0.1, 0.5, 0.4]),
+                              truncation_point=1.0, truncated_mass=0.0),
+          GeometricParams(0.3), 50.0))
+@example((discretize(ParetoDist(2.2), 0.25, 100.0), GeometricParams(0.6), 50.0))
 def test_panjer_is_the_oldest_first_recursion_bit_for_bit(case):
     lattice, params, xmax = case
     got = panjer_tail(lattice, params, xmax).tails

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from geomtail import kernels
 from geomtail.dist import ParetoDist, PowerMixtureDist, WeibullDist
 from geomtail.kernels import (
     CutoffFunction,
@@ -182,16 +183,24 @@ def test_J_against_midpoint_rule(rng):
 
 
 @st.composite
-def j_cases(draw):
-    """A severity, a power or log-power cutoff h, and x in [h's domain, 1e8]
-    where tail(h(x)), about the size of J, is a normal double."""
+def j_points(draw, size):
+    """A severity, a power or log-power cutoff h, and ``size`` points x in
+    [h's domain, 1e8], as fractions of that range on a log scale."""
     d = draw(severities())
     if draw(st.booleans()):
         h = CutoffFunction.power(draw(st.floats(0.2, 2.0)), draw(st.floats(0.1, 0.6)))
     else:
         h = CutoffFunction.logpower(draw(st.floats(0.1, 1.5)), draw(st.floats(1.0, 3.0)))
     x_min = max(1.01 * h.domain_start, 3.0)
-    x = x_min * (1e8 / x_min) ** draw(st.floats(0.0, 1.0))
+    fracs = draw(st.lists(st.floats(0.0, 1.0), min_size=size[0], max_size=size[1]))
+    return d, h, [x_min * (1e8 / x_min) ** f for f in fracs]
+
+
+@st.composite
+def j_cases(draw):
+    """A severity, a cutoff h and x in [h's domain, 1e8] where tail(h(x)),
+    about the size of J, is a normal double; (d, x, h(x))."""
+    d, h, (x,) = draw(j_points((1, 1)))
     r = float(h(x))
     assume(float(d.tail(r)) > 1e-250)
     return d, x, r
@@ -202,6 +211,71 @@ def j_cases(draw):
 def test_J_matches_mpmath(case):
     d, x, r = case
     assert math.isclose(J_kernel(d, x, r), mpmath_J(d, x, r), rel_tol=1e-12, abs_tol=0.0)
+
+
+def one_point_loop_J(dist, x, r):
+    """J by the one-point loop J_kernel once was: the panels from sets of
+    Python floats, every panel evaluated again in every round, and the
+    panel sums as matrix products."""
+    half = x / 2.0
+    steps, step = [], 2.0 * r
+    while step < half:
+        steps.append(step)
+        step *= 2.0
+    cuts = [p for p in dist.integrand_breakpoints(x) if r < p < x - r]
+    left = sorted({r, half, *steps, *(p for p in cuts if p <= half)})
+    right = sorted({r, half, *steps, *(x - p for p in cuts if p > half)})
+    lo, hi = np.array(left[:-1] + right[:-1]), np.array(left[1:] + right[1:])
+    side = (np.arange(lo.size) >= len(left) - 1)[:, None]
+    integrand = dist.j_integrand(x)
+    for _ in range(kernels._J_HALVINGS + 1):
+        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        d = mid[:, None] + rad[:, None] * kernels._GL_NODES
+        vals = integrand(np.where(side, x - d, d), np.where(side, d, x - d))
+        i24 = rad * (vals[:, :24] @ kernels._GL24[1])
+        i16 = rad * (vals[:, 24:] @ kernels._GL16[1])
+        bad = np.abs(i24 - i16) > kernels._J_RTOL * abs(i24.sum())
+        if not bad.any():
+            return float(i24.sum())
+        lo = np.concatenate((lo, mid[bad]))
+        hi = np.concatenate((np.where(bad, mid, hi), hi[bad]))
+        side = np.concatenate((side, side[bad]))
+    raise RuntimeError("did not converge")
+
+
+@st.composite
+def j_batches(draw):
+    """A severity and a batch of points (x, r = h(x)) of j_points: x
+    unsorted, some x repeated, and some rows at r = x/2."""
+    d, h, x = draw(j_points((1, 12)))
+    x += draw(st.lists(st.sampled_from(x), max_size=3))
+    x = np.array(draw(st.permutations(x)))
+    r = np.asarray(h(x), dtype=float)
+    half = np.array(draw(st.lists(st.booleans(), min_size=x.size, max_size=x.size)))
+    r = np.where(half, x / 2.0, r)
+    keep = np.asarray(d.tail(r), dtype=float) > 1e-250
+    assume(keep.any())
+    return d, x[keep], r[keep]
+
+
+@settings(max_examples=40, deadline=None)
+@given(j_batches())
+def test_J_over_a_batch_is_the_one_point_J_bit_for_bit(case):
+    d, x, r = case
+    got = J_kernel(d, x, r)
+    one = [J_kernel(d, xi, ri) for xi, ri in zip(x.tolist(), r.tolist())]
+    assert all(type(v) is float for v in one)
+    assert got.shape == x.shape and got.tobytes() == np.array(one).tobytes()
+    assert np.all(got[r == x / 2.0] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(j_cases())
+def test_J_is_the_one_point_loop_to_1e_14(case):
+    # row-by-row panel sums and per-point sums of the panels move J by a few
+    # ulps from the one-point loop's matrix products
+    d, x, r = case
+    assert math.isclose(J_kernel(d, x, r), one_point_loop_J(d, x, r), rel_tol=1e-14, abs_tol=0.0)
 
 
 @pytest.mark.parametrize("dist, h, x, want", [
@@ -220,26 +294,32 @@ def test_J_keeps_the_right_end_spike(dist, h, x, want):
 
 class NarrowBump(ParetoDist):
     """A J integrand with a Gaussian bump of width x/1000 inside one panel,
-    which the first panel rules do not resolve; it counts its calls."""
+    which the first panel rules do not resolve; it records the panels of
+    each call."""
 
-    calls = 0
+    rows: list = []
 
     def j_integrand(self, x):
         center, width = 0.37 * x, 1e-3 * x
 
         def integrand(y, u=None):
-            NarrowBump.calls += 1
+            NarrowBump.rows.append(len(y))
             return np.exp(-(((y - center) / width) ** 2))
 
         return integrand
 
 
 def test_J_halves_the_panels_whose_rules_disagree():
-    x = 1000.0
-    NarrowBump.calls = 0
-    got = J_kernel(NarrowBump(2.2), x, 10.0)
+    x, r = 1000.0, 10.0
+    NarrowBump.rows = []
+    got = J_kernel(NarrowBump(2.2), x, r)
     assert got == pytest.approx(1e-3 * x * math.sqrt(math.pi), rel=1e-12)
-    assert 1 < NarrowBump.calls <= 9  # one call per round, at most 8 halvings
+    first, *rounds = NarrowBump.rows
+    assert 1 <= len(rounds) <= 8  # one call per round, at most 8 halvings
+    # the first call takes every panel; a halving round only the two halves
+    # of each failing panel
+    assert first == kernels._j_panels(NarrowBump(2.2), np.array([x]), np.array([r]))[0].size
+    assert all(n % 2 == 0 and n < first for n in rounds)
 
 
 class UncutPareto(ParetoDist):
@@ -257,6 +337,30 @@ def test_J_reports_panels_that_do_not_settle():
     # with the breakpoint at y = 1 the same J converges
     d = ParetoDist(2.2)
     assert math.isclose(J_kernel(d, 100.0, 0.3), mpmath_J(d, 100.0, 0.3), rel_tol=1e-12)
+
+
+class NanAt70(UncutPareto):
+    """UncutPareto whose J integrand is NaN at x = 70."""
+
+    def j_integrand(self, x):
+        integrand = super().j_integrand(x)
+        return lambda y, u=None: np.where(x == 70.0, math.nan, integrand(y, u))
+
+
+def test_a_failing_J_batch_names_its_first_failing_point():
+    # without the breakpoint at y = 1, (100, 0.3) and (50, 0.35) never settle
+    d = NanAt70(2.2)
+    x, r = np.array([100.0, 100.0, 50.0]), np.array([10.0, 0.3, 0.35])
+    with pytest.raises(RuntimeError, match=r"did not converge at x=100, r=0\.3: "):
+        J_kernel(d, x, r)
+    with pytest.raises(RuntimeError, match=r"did not converge at x=50, r=0\.35: "):
+        J_kernel(d, x[::-1], r[::-1])
+    # a NaN point fails where it stands in the batch, before or after one
+    # that does not converge
+    with pytest.raises(ValueError, match=r"J kernel is NaN at x=70, r=10$"):
+        J_kernel(d, [100.0, 70.0, 100.0], [10.0, 10.0, 0.3])
+    with pytest.raises(RuntimeError, match=r"did not converge at x=100, r=0\.3: "):
+        J_kernel(d, [100.0, 100.0, 70.0], [10.0, 0.3, 10.0])
 
 
 def test_J_converges_to_tail_at_cutoff():
