@@ -71,26 +71,6 @@ class FTerms:
     f3: float
 
 
-def _kernel_grid(dist: SummandDistribution, h: CutoffFunction, xs: np.ndarray) -> tuple:
-    """(x, h(x), K, tail(h(x)), error) over the points xs: the part of the
-    contraction terms at x that depends neither on the test function nor on
-    J. The arrays stop at the first point where h(x) leaves (0, x/2] or K
-    raises, and ``error`` is that exception (None if no point failed)."""
-    rs = np.asarray(h(xs), dtype=float)
-    n = int(np.argmin(np.append((0.0 < rs) & (rs <= xs / 2.0), False)))
-    error = None if n == xs.size else ValueError(
-        f"cutoff h(x)={rs[n]:g} outside (0, x/2] at x={xs[n]:g}")
-    K = np.empty(0)
-    while n:
-        try:
-            K = K_kernel(dist, xs[:n], rs[:n])
-            break
-        except ValueError as exc:
-            # K names the first point where it fails: drop points until it passes
-            n, error = n - 1, exc
-    return xs[:n], rs[:n], K, np.asarray(dist.tail(rs[:n]), dtype=float), error
-
-
 def _g_values(g: TestFunction, x: np.ndarray, r: np.ndarray) -> tuple:
     """g(x), g(x - h(x)) and g(h(x)), the test-function values the
     contraction terms need; g must be positive at x."""
@@ -125,11 +105,10 @@ def f_terms(
     step, and f3 is the inhomogeneous remainder. All three divide by g(x).
     """
     x = float(x)
-    xs, rs, K, tail_r, error = _kernel_grid(dist, h, np.array([x]))
-    if error is not None:
-        raise error
-    J = J_kernel(dist, x, float(rs[0]))
-    f1, f2, f3 = _combine(params, *_g_values(g, xs, rs), K, J, tail_r)
+    sweep = _kernel_sweep(dist, h, np.array([x]))
+    if sweep.error is not None:
+        raise sweep.error
+    f1, f2, f3 = _terms(sweep, params, g)
     return FTerms(x, float(f1[0]), float(f2[0]), float(f3[0]))
 
 
@@ -332,10 +311,12 @@ def _sup_grid(from_x: float, x_far: float, grid_ratio: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _KernelSweep:
-    """The kernel values along the sweep grid up to x_far; they do not
-    depend on g, so one sweep serves every test function on the cutoff.
-    The arrays stop at the first point that raised; _sup_pair raises that
-    ``error`` once g is checked on the points before it, as f_terms would."""
+    """The kernel values at increasing points x up to x_far, the last point
+    asked for; they do not depend on g, so one sweep serves every test
+    function on the cutoff. The arrays stop at the first point where h(x)
+    leaves (0, x/2] or K or J raises, and ``error`` is that exception (None
+    if no point failed); _sup_pair raises it once g is checked on the points
+    before it, as f_terms would."""
 
     dist: SummandDistribution
     h: CutoffFunction
@@ -348,18 +329,18 @@ class _KernelSweep:
     error: Exception | None
 
 
-# sweep points per J call after the first: fewer leave more per-call cost,
-# more let the quadrature's temporaries (about 10 KB a point) leave the cache
+# sweep points per J call: fewer leave more per-call cost, more let the
+# quadrature's temporaries (about 10 KB a point) leave the cache
 _J_CHUNK = 8
 
 
 def _j_chunks(dist, xs: np.ndarray, rs: np.ndarray):
-    """J at the points (xs, rs) in order, as arrays: the first point alone,
-    where a failing min-b probe mostly decides, then _J_CHUNK at a time. A
-    chunk where J raises is redone one point at a time, so the values before
-    its first failing point come out before that point's error is raised."""
-    edges = [0, *range(1, xs.size, _J_CHUNK), xs.size]
-    for lo, hi in zip(edges, edges[1:]):
+    """J at the points (xs, rs) in order, as arrays of _J_CHUNK points (the
+    last one shorter); J at a point is the same double in any batch. A chunk
+    where J raises is redone one point at a time, so the values before its
+    first failing point come out before that point's error is raised."""
+    for lo in range(0, xs.size, _J_CHUNK):
+        hi = min(lo + _J_CHUNK, xs.size)
         try:
             yield J_kernel(dist, xs[lo:hi], rs[lo:hi])
         except (ValueError, RuntimeError):
@@ -367,26 +348,43 @@ def _j_chunks(dist, xs: np.ndarray, rs: np.ndarray):
                 yield J_kernel(dist, xs[i : i + 1], rs[i : i + 1])
 
 
-def _kernel_sweep(dist, h, from_x, x_far, grid_ratio) -> _KernelSweep:
-    if from_x < h.domain_start * (1.0 - 1e-12):
-        raise ValueError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
-    xs, rs, K, tail_r, error = _kernel_grid(dist, h, _sup_grid(from_x, x_far, grid_ratio))
+def _kernel_sweep(dist, h, xs: np.ndarray) -> _KernelSweep:
+    """The kernels at the increasing points xs: h, K and tail(h(x)) over all
+    of them at once, then J by _j_chunks. The one kernel path of the anchor
+    sweep, the min-b scan, f_terms and the CLI ``kernels`` command."""
+    rs = np.asarray(h(xs), dtype=float)
+    n = int(np.argmin(np.append((0.0 < rs) & (rs <= xs / 2.0), False)))
+    error = None if n == xs.size else ValueError(
+        f"cutoff h(x)={rs[n]:g} outside (0, x/2] at x={xs[n]:g}")
+    K = np.empty(0)
+    while n:
+        try:
+            K = K_kernel(dist, xs[:n], rs[:n])
+            break
+        except ValueError as exc:
+            # K names the first point where it fails: drop points until it passes
+            n, error = n - 1, exc
+    tail_r = np.asarray(dist.tail(rs[:n]), dtype=float)
     J = [np.empty(0)]
     try:
-        for values in _j_chunks(dist, xs, rs):
+        for values in _j_chunks(dist, xs[:n], rs[:n]):
             J.append(values)
     except (ValueError, RuntimeError) as exc:
         error = exc
     J = np.concatenate(J)
     n = J.size
-    return _KernelSweep(dist, h, x_far, xs[:n], rs[:n], K[:n], J, tail_r[:n], error)
+    return _KernelSweep(dist, h, float(xs[-1]), xs[:n], rs[:n], K[:n], J, tail_r[:n], error)
+
+
+def _terms(sweep: _KernelSweep, params, g) -> tuple:
+    """The contraction terms (f1, f2, f3) at the points of a sweep."""
+    return _combine(params, *_g_values(g, sweep.x, sweep.r), sweep.K, sweep.J, sweep.tail_r)
 
 
 def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
     """The f1+f2 supremum and the f3 supremum over [from_x, infinity)
     together, from one kernel sweep and the test function g."""
-    f1, f2, f3 = _combine(params, *_g_values(g, sweep.x, sweep.r), sweep.K, sweep.J,
-                          sweep.tail_r)
+    f1, f2, f3 = _terms(sweep, params, g)
     if sweep.error is not None:
         raise sweep.error
 
@@ -407,6 +405,13 @@ def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
     return d_res, p_res
 
 
+def _sups_from(dist, params, h, g, from_x, x_far, grid_ratio) -> tuple[SupResult, SupResult]:
+    """_sup_pair over the geometric grid from from_x to x_far."""
+    if from_x < h.domain_start * (1.0 - 1e-12):
+        raise ValueError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
+    return _sup_pair(_kernel_sweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)
+
+
 def delta_sup(
     dist: SummandDistribution,
     params: GeometricParams,
@@ -417,7 +422,7 @@ def delta_sup(
     grid_ratio: float = 1.02,
 ) -> SupResult:
     """Supremum of f1 + f2 over [from_x, infinity)."""
-    return _sup_pair(_kernel_sweep(dist, h, from_x, x_far, grid_ratio), params, g)[0]
+    return _sups_from(dist, params, h, g, from_x, x_far, grid_ratio)[0]
 
 
 def phi_sup(
@@ -431,7 +436,7 @@ def phi_sup(
 ) -> SupResult:
     """Supremum of the remainder term f3 over [from_x, infinity), clamped
     below at zero."""
-    return _sup_pair(_kernel_sweep(dist, h, from_x, x_far, grid_ratio), params, g)[1]
+    return _sups_from(dist, params, h, g, from_x, x_far, grid_ratio)[1]
 
 
 def c_interval(delta_table: DeltaTable, g: TestFunction, a: float, b: float) -> float:
@@ -647,48 +652,34 @@ def _build_delta_table(dist, params, B, table_lo, engine, bandwidth, truncation,
     return delta_from_tails(tails, dist, params), trunc
 
 
-def _search_min_b(dist, params, h, g, B, cap, x_far, grid_ratio) -> int | None:
-    """Smallest integer n <= cap with delta(n) < 1, by bisection.
+def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) -> int | None:
+    """Smallest integer n <= cap with delta(n) < 1, read off the anchor's
+    sweep, where the certify core found d_res >= 1.
 
-    The supremum over [n, infinity) is non-increasing in n, so the predicate
-    is monotone up to grid discretization. delta(n) < 1 is delta_sup's
-    answer: the far-tail envelope, which does not depend on n, is below one
-    if it is certified, and f1 + f2 is below one at every grid point from n.
-    Each sweep stops at the first point where it is not, so a kernel error
-    past that point is never met.
+    delta(n) samples f1 + f2 at n and at the grid points above n and is
+    closed by the far-tail envelope, which does not depend on n (at or above
+    one, no n qualifies). So with x_k the last grid point where f1 + f2 is
+    not below one (a NaN is not), min b is the first integer after x_k where
+    f1 + f2 < 1. The integers are swept in order, _J_CHUNK at a time, up to
+    the first below one; a kernel error at a later integer is never met.
+    The cost grows with the width of the deciding cell: 16 and 120 J points
+    for criteria 3 pure and 6 unscaled at grid ratio 1.2, where a bisection
+    over fresh sweeps took 492 and 603, but 328 and 520 at ratio 1.5.
     """
-    lo = max(int(math.floor(B)), int(math.ceil(h.domain_start + 1e-9)))
-    if cap <= lo:
+    if d_res.tail_certified and not (d_res.tail_bound < 1.0):
         return None
-    env = _tail_envelopes(dist, params, h, g, x_far)
-    if env.certified and not (env.f12 < 1.0):
-        return None
-
-    def below_one(n: int) -> bool:
-        xs, rs, K, tail_r, error = _kernel_grid(dist, h, _sup_grid(float(n), x_far, grid_ratio))
-        gx, g_xr, g_r = _g_values(g, xs, rs)
-        i = 0
-        for J in _j_chunks(dist, xs, rs):
-            at = slice(i, i + J.size)
-            f1, f2, _ = _combine(params, gx[at], g_xr[at], g_r[at], K[at], J, tail_r[at])
-            # a NaN is not below one, as delta_sup's np.argmax picks a NaN
-            if not np.all(f1 + f2 < 1.0):
-                return False
-            i += J.size
-        if error is not None:
-            raise error
-        return True
-
-    if not below_one(cap):
-        return None
-    hi = cap
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below_one(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    f1, f2, _ = _terms(sweep, params, g)
+    x_k = sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]
+    for lo in range(math.floor(x_k) + 1, cap + 1, _J_CHUNK):
+        scan = _kernel_sweep(sweep.dist, sweep.h,
+                             np.arange(lo, min(lo + _J_CHUNK, cap + 1), dtype=float))
+        f1, f2, _ = _terms(scan, params, g)
+        below = np.flatnonzero(f1 + f2 < 1.0)
+        if below.size:
+            return int(scan.x[below[0]])
+        if scan.error is not None:
+            raise scan.error
+    return None
 
 
 def _tail_coefficient(g: TestFunction, C: float) -> float | None:
@@ -737,8 +728,8 @@ def build_bound(
     Builds the exact relative-error table on [0, B] (or a Monte Carlo grid),
     optionally splices the test function at bstar, evaluates the contraction
     suprema from B, and assembles the certificate. Raises ProcedureFailed,
-    with the smallest workable horizon when one exists below min_b_cap, if
-    the contraction condition delta < 1 fails at B.
+    with the smallest workable integer anchor up to min_b_cap and below
+    x_far when one exists, if the contraction condition delta < 1 fails at B.
     """
     if B <= h.domain_start:
         raise ValueError(
@@ -754,11 +745,12 @@ def build_bound(
         raise ValueError("splicing requires a power test function for the tail piece")
     g_final = g if bstar is None else build_spliced_g(table, bstar, g)
 
-    sweep = _kernel_sweep(dist, h, B, x_far, grid_ratio)
+    sweep = _kernel_sweep(dist, h, _sup_grid(B, x_far, grid_ratio))
     d_res, p_res, chb, C = _certify(table, sweep, params, g_final, B)
     if C is None:
-        min_b = _search_min_b(dist, params, h, g_final, B, min_b_cap, x_far, grid_ratio)
-        raise ProcedureFailed(B, d_res.value, min_b, min_b_cap)
+        cap = min(min_b_cap, math.ceil(x_far) - 1)  # the search reads the sweep to x_far
+        raise ProcedureFailed(B, d_res.value, _search_min_b(sweep, params, g_final, d_res, cap),
+                              cap)
 
     caveats = []
     if not d_res.tail_certified:
@@ -863,7 +855,7 @@ def tune(
             for bst in b_list:
                 rows.append(TuneRow(s, bst, False, None, None, "horizon below cutoff domain"))
             continue
-        sweep = _kernel_sweep(dist, hs, B, x_far, grid_ratio)
+        sweep = _kernel_sweep(dist, hs, _sup_grid(B, x_far, grid_ratio))
         for bst in b_list:
             try:
                 g_final = g if bst is None else build_spliced_g(table, float(bst), g)

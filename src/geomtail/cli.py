@@ -24,7 +24,7 @@ import numpy as np
 from .bounder import (
     ProcedureFailed,
     _build_delta_table,
-    _kernel_grid,
+    _kernel_sweep,
     _tail_table,
     build_bound,
     build_spliced_g,
@@ -36,7 +36,6 @@ from .compound import delta_from_tails, mc_tail, panjer_tail  # noqa: F401
 from .config import ConfigError, RunConfig, build_dist, build_g, build_h, parse_kv
 from .dist import GeometricParams, ParetoDist, WeibullDist, discretize  # noqa: F401
 from .kernels import (
-    J_kernel,
     PowerTestFunction,
     pareto_J_envelope,
     pareto_K_envelope,
@@ -155,9 +154,9 @@ def cmd_kernels(cfg: RunConfig, args) -> str:
         # each row on its own: a failing h or kernel leaves a NaN row
         kv = jv = math.nan
         try:
-            _, r, K, _, error = _kernel_grid(dist, h, np.array([x]))
-            if error is None:
-                kv, jv = float(K[0]), J_kernel(dist, x, float(r[0]))
+            sweep = _kernel_sweep(dist, h, np.array([x]))
+            if sweep.error is None:
+                kv, jv = float(sweep.K[0]), float(sweep.J[0])
         except (ValueError, RuntimeError):
             pass
         ek = ej = math.nan

@@ -360,8 +360,16 @@ def validate_h(
     th = np.asarray(dist.tail(rc), dtype=float)
     kbad = np.flatnonzero(K_kernel(dist, xc, rc) > th + 1e-12)
     k_first = float(xc[kbad[0]]) if kbad.size else None
-    j_first = next((x for x, r, t in zip(xc.tolist(), rc.tolist(), th.tolist())
-                    if J_kernel(dist, x, r) > 2.0 * t + 1e-12), None)
+    from .bounder import _j_chunks  # bounder imports this module
+
+    # J in chunks up to the first violation: a J that raises after it is never met
+    j_first, i = None, 0
+    for J in _j_chunks(dist, xc, rc):
+        over = np.flatnonzero(J > 2.0 * th[i : i + J.size] + 1e-12)
+        if over.size:
+            j_first = float(xc[i + over[0]])
+            break
+        i += J.size
     conditions["J_small"] = ConditionResult(j_first is None, j_first, "J <= 2 * tail(h)")
     conditions["K_small"] = ConditionResult(k_first is None, k_first, "K <= tail(h)")
 

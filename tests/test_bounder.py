@@ -89,7 +89,7 @@ def test_f_terms_equals_sweep_at_grid_points():
     with g's values as arrays; f_terms is the one-point case, and at every
     grid point the two agree bit for bit."""
     spliced = bounder.build_spliced_g(pareto_delta_table(bw=0.05, xmax=100.0), 21.3, G_PARETO)
-    sweep = bounder._kernel_sweep(PARETO, H_PARETO, 100.0, 1e5, 1.3)
+    sweep = bounder._kernel_sweep(PARETO, H_PARETO, bounder._sup_grid(100.0, 1e5, 1.3))
     assert sweep.error is None and sweep.x.size > 20
     for g in (G_PARETO, spliced, KKernelTestFunction(PARETO, H_PARETO)):
         terms = [f_terms(PARETO, HALF, H_PARETO, g, x) for x in sweep.x.tolist()]
@@ -254,10 +254,15 @@ def test_contraction_failure_is_reported():
 # workable integer anchor is 1082
 MINB_ARGS = (PARETO, GeometricParams(0.2), H_PARETO, G_PARETO)
 MINB_SWEEP = dict(x_far=1e6, grid_ratio=1.5)
+# criterion 6 unscaled: delta(100) >= 1, and min b is 1658
+WEIBULL = WeibullDist(0.5)
+H_LOG = CutoffFunction.logpower(1.0, 2.0)
+C6_ARGS = (WEIBULL, HALF, H_LOG, KKernelTestFunction(WEIBULL, H_LOG))
 
 
 def bisect_min_b(lo, cap, below_one):
-    """The bisection of the min-b search, over any predicate."""
+    """A bisection for the smallest n in (lo, cap] with below_one(n), the
+    oracle of the min-b scan."""
     if not below_one(cap):
         return None
     hi = cap
@@ -283,24 +288,48 @@ def count_J_calls(monkeypatch):
     return calls
 
 
-def search_min_b(cap=10_000):
-    return bounder._search_min_b(*MINB_ARGS, 100.0, cap, MINB_SWEEP["x_far"],
-                                 MINB_SWEEP["grid_ratio"])
+def anchor_sweep(args=MINB_ARGS, x_far=MINB_SWEEP["x_far"], grid_ratio=MINB_SWEEP["grid_ratio"]):
+    """The kernel sweep from B = 100 and the delta supremum it gives."""
+    dist, params, h, g = args
+    sweep = bounder._kernel_sweep(dist, h, bounder._sup_grid(100.0, x_far, grid_ratio))
+    return sweep, bounder._sup_pair(sweep, params, g)[0]
 
 
-def test_min_b_is_the_bisection_over_delta_sup(monkeypatch):
-    with pytest.raises(ProcedureFailed) as exc:
-        build_bound(*MINB_ARGS, 100.0, engine="panjer", bandwidth=0.05, **MINB_SWEEP)
+def search_min_b(sweep, d_res, args=MINB_ARGS, cap=10_000):
+    dist, params, h, g = args
+    return bounder._search_min_b(sweep, params, g, d_res, cap)
+
+
+def test_min_b_is_the_bisection_over_delta_sup():
+    """The scan over the anchor's sweep names the anchor that a bisection
+    over the public delta_sup finds, and build_bound reports it."""
+    for args, expect in ((MINB_ARGS, 1082), (C6_ARGS, 1658)):
+        for grid_ratio in (1.2, 1.5):
+            sweep = dict(x_far=1e6, grid_ratio=grid_ratio)
+            with pytest.raises(ProcedureFailed) as exc:
+                build_bound(*args, 100.0, engine="panjer", bandwidth=0.05, **sweep)
+            assert exc.value.min_b == search_min_b(*anchor_sweep(args, **sweep), args) == expect
+            assert expect == bisect_min_b(
+                100, 10_000, lambda n: delta_sup(*args, float(n), **sweep).value < 1.0)
+
+
+@pytest.mark.parametrize("case, expect, most", [("c3", 1082, 16), ("c6", 1658, 120)])
+def test_min_b_scans_only_the_integers_after_the_last_point_at_one(monkeypatch, case, expect,
+                                                                    most):
+    """On the benchmark's sweeps (ratio 1.2 up to 1e8) the search evaluates
+    J only at the consecutive integers after the last grid point where
+    f1 + f2 is not below one, whole chunks of them up to min b."""
+    args = MINB_ARGS if case == "c3" else C6_ARGS
+    sweep, d_res = anchor_sweep(args, x_far=1e8, grid_ratio=1.2)
+    f1, f2, _ = bounder._terms(sweep, args[1], args[3])
+    x_k = sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]
     calls = count_J_calls(monkeypatch)
-    assert search_min_b() == exc.value.min_b == 1082
-    searched = len(calls)
-    calls.clear()
-    expect = bisect_min_b(
-        100, 10_000, lambda n: delta_sup(*MINB_ARGS, float(n), **MINB_SWEEP).value < 1.0)
-    assert exc.value.min_b == expect
-    # full sweeps for every bisection step cost 243 quadratures; sweeps that
-    # stop at their deciding point cost 140
-    assert searched < 0.6 * len(calls)
+    monkeypatch.setattr(bounder, "_tail_envelopes", None)  # the search needs no envelope
+    assert search_min_b(sweep, d_res, args) == expect
+    first = math.floor(x_k) + 1
+    assert calls == list(range(first, first + len(calls)))
+    assert not set(calls) & set(sweep.x.tolist())
+    assert expect in calls and len(calls) == 8 * math.ceil((expect - first + 1) / 8) <= most
 
 
 def test_min_b_counts_nan_as_not_below_one(monkeypatch):
@@ -311,11 +340,12 @@ def test_min_b_counts_nan_as_not_below_one(monkeypatch):
         return np.where(np.asarray(x) < nan_below[0], math.nan, real(dist, x, r, *args, **kwargs))
 
     monkeypatch.setattr(bounder, "J_kernel", nan_J)
-    # every sweep from below 3000 starts on a NaN point
-    assert search_min_b() == 3000
-    # NaN at the cap too: no anchor qualifies
+    # the last NaN grid point is the last below 3000, and so are the
+    # integers after it up to 3000
+    assert search_min_b(*anchor_sweep()) == 3000
+    # NaN everywhere, x_far too: no anchor qualifies
     nan_below[0] = math.inf
-    assert search_min_b() is None
+    assert search_min_b(*anchor_sweep()) is None
 
 
 def test_nan_delta_supremum_names_its_grid_point(monkeypatch):
@@ -335,42 +365,49 @@ def test_nan_delta_supremum_names_its_grid_point(monkeypatch):
 
 
 def test_min_b_kernel_errors_after_a_deciding_point_are_not_met(monkeypatch):
+    sweep, d_res = anchor_sweep()
     real = bounder.J_kernel
+    fails_from = [1083.0]
 
     def failing(dist, x, r, *args, **kwargs):
-        beyond = np.ravel(x)[np.ravel(x) > 1e5]
+        beyond = np.ravel(x)[np.ravel(x) >= fails_from[0]]
         if beyond.size:
             raise RuntimeError(f"J kernel quadrature did not converge at x={beyond[0]:g}")
         return real(dist, x, r, *args, **kwargs)
 
     monkeypatch.setattr(bounder, "J_kernel", failing)
-    # delta(500) >= 1 is decided at x = 500, long before the failing points
-    assert search_min_b(cap=500) is None
-    # a sweep that must reach x_far to decide still raises
-    with pytest.raises(RuntimeError, match="did not converge"):
-        search_min_b()
+    # 1082 is decided inside the chunk 1080..1087, before its failing points
+    assert search_min_b(sweep, d_res) == 1082
+    # a failure at the deciding integer or before it is raised
+    fails_from[0] = 1082.0
+    with pytest.raises(RuntimeError, match="did not converge at x=1082$"):
+        search_min_b(sweep, d_res)
     # a sweep keeps J at every point before the first failing one, which
     # sits inside a chunk of points
-    sweep = bounder._kernel_sweep(PARETO, H_PARETO, 100.0, MINB_SWEEP["x_far"],
-                                  MINB_SWEEP["grid_ratio"])
+    fails_from[0] = 1e5
+    sweep = bounder._kernel_sweep(PARETO, H_PARETO, bounder._sup_grid(100.0, **MINB_SWEEP))
     grid = bounder._sup_grid(100.0, MINB_SWEEP["x_far"], MINB_SWEEP["grid_ratio"])
-    assert sweep.x.tolist() == grid[grid <= 1e5].tolist()
+    assert sweep.x.tolist() == grid[grid < 1e5].tolist()
     assert sweep.J.tolist() == real(PARETO, sweep.x, sweep.r).tolist()
     assert str(sweep.error).endswith(f"did not converge at x={grid[grid > 1e5][0]:g}")
 
 
-class NanKBeyond(ParetoDist):
-    """Pareto whose K hook returns NaN beyond x = 1e5."""
+def breaks_between(kind, lo, hi):
+    """Criterion 3 pure with K NaN, or the cutoff jumping to h(x) = x, for
+    lo < x < hi; the failure that a sweep through there meets."""
 
-    def k_value(self, x, r):
-        return np.where(x > 1e5, math.nan, super().k_value(x, r))
+    class NanK(ParetoDist):
+        def k_value(self, x, r):
+            return np.where((x > lo) & (x < hi), math.nan, super().k_value(x, r))
 
+    class Jumps(CutoffFunction):
+        def __call__(self, x):
+            x = np.asarray(x)
+            return np.where((x > lo) & (x < hi), x, super().__call__(x))
 
-class CutoffBreaksBeyond(CutoffFunction):
-    """A power cutoff that jumps to h(x) = x beyond x = 1e5."""
-
-    def __call__(self, x):
-        return np.where(np.asarray(x) > 1e5, x, super().__call__(x))
+    if kind == "K":
+        return NanK(2.2), H_PARETO, "K kernel is NaN at x={x:g}, r="
+    return PARETO, Jumps("power", 1.0, 1.0 / 3.2), "cutoff h(x)={x:g} outside (0, x/2] at x={x:g}"
 
 
 @pytest.mark.parametrize("kind", ["K", "cutoff"])
@@ -378,32 +415,33 @@ def test_min_b_K_and_cutoff_errors_after_a_deciding_point_are_not_met(kind):
     """K and h are evaluated over a sweep's whole grid at once; a point
     where either fails cuts the sweep there, and its error is raised only
     by a reader that gets that far."""
+    params, g = MINB_ARGS[1], MINB_ARGS[3]
+    # the anchor grid has no point in (1000, 1100): only the scan meets them
+    for lo, found in ((1082.5, 1082), (1081.5, None)):
+        dist, h, message = breaks_between(kind, lo, 1100.0)
+        args = (dist, params, h, g)
+        if found is not None:
+            assert search_min_b(*anchor_sweep(args), args) == found
+        else:
+            with pytest.raises(ValueError, match=re.escape(message.format(x=1082))):
+                search_min_b(*anchor_sweep(args), args)
+    # the anchor sweep stops before the first failing grid point
     first = float(next(x for x in bounder._sup_grid(100.0, 1e6, 1.5) if x > 1e5))
-    if kind == "K":
-        dist, h = NanKBeyond(2.2), H_PARETO
-        failed, message = "K kernel is NaN", f"K kernel is NaN at x={first:g}, r="
-    else:
-        dist, h = PARETO, CutoffBreaksBeyond("power", 1.0, 1.0 / 3.2)
-        failed = "outside (0, x/2]"
-        message = f"cutoff h(x)={first:g} {failed} at x={first:g}"
-    args = (dist, GeometricParams(0.2), h, G_PARETO, 100.0)
-    # delta(500) >= 1 is decided at x = 500, long before the failing points
-    assert bounder._search_min_b(*args, 500, 1e6, 1.5) is None
-    # a sweep that must reach x_far to decide still raises
-    with pytest.raises(ValueError, match=re.escape(failed)):
-        bounder._search_min_b(*args, 10_000, 1e6, 1.5)
-    sweep = bounder._kernel_sweep(dist, h, 100.0, 1e6, 1.5)
-    assert sweep.x.size > 5 and sweep.x[-1] < 1e5 and str(sweep.error).startswith(message)
+    dist, h, message = breaks_between(kind, 1e5, math.inf)
+    sweep = bounder._kernel_sweep(dist, h, bounder._sup_grid(100.0, 1e6, 1.5))
+    assert sweep.x.size > 5 and sweep.x[-1] < 1e5
+    assert str(sweep.error).startswith(message.format(x=first))
     assert sweep.x.size == sweep.r.size == sweep.K.size == sweep.J.size == sweep.tail_r.size
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message.format(x=first))):
         bounder._sup_pair(sweep, HALF, G_PARETO)
 
 
 def test_min_b_skips_sweeps_when_the_envelope_reaches_one(monkeypatch):
+    sweep, d_res = anchor_sweep()
+    assert d_res.tail_certified and d_res.tail_bound < 1.0
     calls = count_J_calls(monkeypatch)
-    monkeypatch.setattr(bounder, "_tail_envelopes",
-                        lambda *args: bounder._TailEnvelopes(1.0, 0.0, True, ""))
-    assert search_min_b() is None
+    monkeypatch.setattr(bounder, "_tail_envelopes", None)  # the search needs no envelope
+    assert search_min_b(sweep, dataclasses.replace(d_res, tail_bound=1.0)) is None
     assert calls == []
 
 

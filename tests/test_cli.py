@@ -86,6 +86,19 @@ def test_contraction_failure_exits_2(tmp_path, capsys):
     assert "150" in err
 
 
+def test_min_b_search_stops_below_x_far(tmp_path, capsys):
+    # criterion 3 pure with the default min_b_cap of 10000 above x_far: the
+    # search reads the sweep up to x_far, so it is a contraction failure
+    text = BASE.replace("p = 0.5", "p = 0.2").replace("x_far = 1e6", "x_far = 5000")
+    assert main(["bound", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "(smallest integer b with delta(b) < 1 is 1082)\n")
+    # below min b, the failure names the last integer below x_far
+    text = text.replace("x_far = 5000", "x_far = 1000")
+    assert main(["bound", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.endswith("(no b <= 999 achieves delta(b) < 1)\n")
+
+
 def test_engine_error_exits_4(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE + "truncation = 30\n")
     assert main(["bound", "--config", cfg]) == 4
