@@ -141,67 +141,58 @@ class _TailEnvelopes:
     note: str
 
 
-def _nonincreasing(vals: np.ndarray) -> bool:
-    return bool(np.all(np.diff(vals) <= 1e-9 * np.maximum(np.abs(vals[:-1]), 1e-300)))
+def _uncertified(note: str) -> _TailEnvelopes:
+    return _TailEnvelopes(None, None, False, note)
 
 
-def _power_tail_envelopes(
-    dist: SummandDistribution,
-    params: GeometricParams,
-    h: CutoffFunction,
-    g: TestFunction,
-    x_far: float,
-) -> _TailEnvelopes:
-    """Closed-form bounds on f1+f2 and f3 over [x_far, infinity) for power
-    tails with a power cutoff and a power-decaying test function.
+def _at_x_far(envelope, dist, params, h, g, x_far: float) -> _TailEnvelopes:
+    """The envelope's two bounds at x_far alone, which are their maxima over
+    [x_far, infinity) once the family's conditions hold there; an envelope
+    that overflows at x_far bounds nothing."""
+    f12, f3 = envelope(dist, params, h, g, np.array([x_far]))
+    f12, f3 = float(f12[0]), float(f3[0])
+    if not (math.isfinite(f12) and math.isfinite(f3)):
+        return _uncertified("envelope terms not finite at x_far")
+    return _TailEnvelopes(f12, f3, True, "")
 
-    Each bound is a finite combination of decreasing power terms whose
-    decrease requires the test-function exponent to stay at or below
-    min(a_min * gamma, 1 - gamma); under that condition the maximum over a
-    probe grid starting at x_far dominates the whole tail.
+
+def _far_exponent(g: TestFunction) -> float | None:
+    """The e of a test function that is a multiple of x^(-e) far out."""
+    if isinstance(g, PowerTestFunction):
+        return g.exponent
+    if isinstance(g, SplicedTestFunction):
+        return g.tailg.exponent
+    return None
+
+
+def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on f1 + f2 and on f3 at each point of the array xs, for a power
+    tail sum c_i x^(-a_i), the cutoff h = s x^gamma and a test function that
+    is a multiple of x^(-e) at x, h(x) and x - h(x).
+
+    With u = h(x)/x, the bounds are
+
+        f1 <= q (1 - u)^(-(e + a_max))
+        f2 <= q u^(-e) J_env,  J_env = tail(h) + (2^a_max - 2) tail(x/2) + 2 I1
+        f3 <= (q (J_env - tail(h)) + (1 - p^2) K_env) / g(x)
+
+    with I1 = kappa_16 E[X; X > h] / x + (2^a_max - 1) tail(x/16) and
+    K_env = sum_i (c_i / c_min) x^(a_min - a_i) ((1 - u)^(-a_i) - 1), where
+    c_min goes with a_min.
     """
     terms = dist.tail_power_terms
-    if terms is None:
-        return _TailEnvelopes(None, None, False, "severity tail is not of power type")
-    if h.family != "power":
-        return _TailEnvelopes(None, None, False, "tail envelopes need a power cutoff")
-
-    if isinstance(g, PowerTestFunction):
-        e = g.exponent
-    elif isinstance(g, SplicedTestFunction):
-        e = g.tailg.exponent
-        hf = float(h(x_far))
-        if not (hf >= g.bstar and x_far - hf >= g.bstar):
-            return _TailEnvelopes(
-                None, None, False, "spliced test function not in its power regime at x_far"
-            )
-    else:
-        return _TailEnvelopes(None, None, False, "no tail envelope for this test function")
-
     a_min = min(a for _, a in terms)
     a_max = max(a for _, a in terms)
-    gamma = h.gamma
-    if e > min(a_min * gamma, 1.0 - gamma) + 1e-9:
-        return _TailEnvelopes(
-            None,
-            None,
-            False,
-            "test-function exponent exceeds min(a_min*gamma, 1-gamma); "
-            "envelope terms need not decrease",
-        )
-
+    e = _far_exponent(g)
     q = params.q
-    xs = np.geomspace(x_far, x_far * 1e12, 40)
     r = np.asarray(h(xs), dtype=float)
-    if np.any(r >= xs / 2.0):
-        return _TailEnvelopes(None, None, False, "cutoff reaches x/2 beyond x_far")
     u = r / xs
 
     # K(x, y) <= kappa_m * y / x for y <= x/m, by convexity of the pure
     # power kernel with the largest exponent
     m = 16.0
     kappa_m = m * math.expm1(-a_max * math.log1p(-1.0 / m))
-    mean_above = np.array([dist.tail_mean_above(ri) for ri in r])
+    mean_above = np.vectorize(dist.tail_mean_above, otypes=[float])(r)
     tail = dist.tail
     i1 = kappa_m * mean_above / xs + math.expm1(a_max * math.log(2.0)) * np.asarray(
         tail(xs / m), dtype=float
@@ -213,9 +204,7 @@ def _power_tail_envelopes(
 
     f1 = q * np.exp(-(e + a_max) * np.log1p(-u))
     f2 = q * np.exp(-e * np.log(u)) * j_env
-    # sharp per-term bound on K / tail(x): tail(x) >= c_min x^(-a_min), and
-    # each numerator term c x^(-a) ((1-u)^(-a) - 1) decreases after the
-    # division once e <= 1 - gamma
+    # sharp per-term bound on K / tail(x), as tail(x) >= c_min x^(-a_min)
     c_min = next(c for c, a in terms if a == a_min)
     k_bound = (
         sum(c * np.power(xs, a_min - a) * np.expm1(-a * np.log1p(-u)) for c, a in terms)
@@ -223,53 +212,80 @@ def _power_tail_envelopes(
     )
     gx = g.evaluate(xs)
     f3 = (q * j_excess + (1.0 - params.p**2) * k_bound) / gx
-
-    f12 = f1 + f2
-    if not (_nonincreasing(f12) and _nonincreasing(f3)):
-        return _TailEnvelopes(None, None, False, "envelope terms failed the decrease check")
-    return _TailEnvelopes(float(np.max(f12)), float(np.max(f3)), True, "")
+    return f1 + f2, f3
 
 
-def _weibull_tail_envelopes(
-    dist: WeibullDist,
+def _power_tail_envelopes(
+    dist: SummandDistribution,
     params: GeometricParams,
     h: CutoffFunction,
     g: TestFunction,
     x_far: float,
 ) -> _TailEnvelopes:
-    """Closed-form bounds on f1+f2 and f3 over [x_far, infinity) for the
-    Weibull tail with a log-power cutoff and the K-kernel test function.
+    """Bounds on f1 + f2 and on f3 over [x_far, infinity) for power tails with
+    a power cutoff and a power-decaying test function: _power_envelope at
+    x_far, its maximum there once these conditions hold at x_far:
 
-    The remainder term f3 stays bounded only when kappa * beta > 1, or
-    kappa * beta = 1 with scale >= 1; outside that region the supremum over
-    the whole half-line genuinely diverges and no envelope is reported.
+    1. a spliced g is in its power regime: h(x_far) and x_far - h(x_far) are
+       at least its splice point;
+    2. e <= min(a_min gamma, 1 - gamma), up to 1e-9 for the rounding of a
+       computed exponent;
+    3. h(x_far) < x_far/2;
+    4. h(x_far) >= 1 and x_far >= 16, so that tail(h), tail(x/2), tail(x/16)
+       and E[X; X > h] are sums of powers of their arguments.
+
+    u = h(x)/x = s x^(gamma - 1) decreases while h and x - h = x (1 - u)
+    increase, so 1, 3 and 4 then hold for every x >= x_far. With every
+    a_i > 1 and e < 1, each envelope is a sum of products of non-negative
+    factors, each non-increasing on [x_far, infinity):
+
+    - f1: (1 - u)^(-(e + a_max)), as u decreases;
+    - f2: u^(-e) times a term of J_env is a multiple of x to the power
+      e (1 - gamma) - a_i gamma (not positive by 2), e (1 - gamma) - a_i or
+      (1 - gamma)(e - 1) - a_i gamma;
+    - f3: x^e times a term of J_env - tail(h) is a multiple of x to the
+      power e - a_i or e - 1 - gamma (a_i - 1), both negative; x^e times a
+      K_env term is x^(a_min - a_i) x^(e + gamma - 1) s ((1 - u)^(-a_i) - 1)/u,
+      the first two factors non-increasing by 2 and the last the chord slope
+      of a convex function of u, so increasing in u.
     """
-    if h.family != "logpower":
-        return _TailEnvelopes(None, None, False, "Weibull envelopes need a log-power cutoff")
-    if not (isinstance(g, KKernelTestFunction) and g.dist == dist and g.h == h):
-        return _TailEnvelopes(
-            None, None, False, "Weibull envelopes need the matching K-kernel test function"
-        )
-    beta = dist.beta
-    kb = h.kappa * beta
-    if not (kb > 1.0 + 1e-9 or (abs(kb - 1.0) <= 1e-9 and h.scale >= 1.0 - 1e-12)):
-        return _TailEnvelopes(
-            None,
-            None,
-            False,
-            "remainder term does not vanish for kappa*beta < 1 "
-            "(or = 1 with scale < 1); the supremum diverges",
-        )
-
-    y0 = math.exp(h.kappa / (1.0 - beta))
+    if h.family != "power":
+        return _uncertified("tail envelopes need a power cutoff")
+    e = _far_exponent(g)
+    if e is None:
+        return _uncertified("no tail envelope for this test function")
     hf = float(h(x_far))
-    if not (x_far - 2.0 * hf >= y0 and hf >= max(y0, 2.0 * h.domain_start)):
-        return _TailEnvelopes(
-            None, None, False, "x_far too small for the Weibull envelope regime"
+    if isinstance(g, SplicedTestFunction) and not (hf >= g.bstar and x_far - hf >= g.bstar):
+        return _uncertified("spliced test function not in its power regime at x_far")
+    a_min = min(a for _, a in dist.tail_power_terms)
+    if e > min(a_min * h.gamma, 1.0 - h.gamma) + 1e-9:
+        return _uncertified(
+            "test-function exponent exceeds min(a_min*gamma, 1-gamma); "
+            "envelope terms need not decrease"
         )
+    if hf >= x_far / 2.0:
+        return _uncertified("cutoff reaches x/2 beyond x_far")
+    if not (hf >= 1.0 and x_far >= 16.0):
+        return _uncertified(
+            "cutoff below 1 or x_far below 16; envelope tails not in their power form"
+        )
+    return _at_x_far(_power_envelope, dist, params, h, g, x_far)
 
+
+def _weibull_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on f1 + f2 and on f3 at each point of the array xs, for the
+    Weibull tail exp(-x^beta), the cutoff h = s (log x)^kappa and the K-kernel
+    test function. With u = h(x)/x and K(x, h(x)) >= k_low = beta h x^(beta-1)
+    by concavity of x^beta,
+
+        f1 <= q (1 - 2u)^(beta-1) exp(beta h (x - 2h)^(beta-1)) (1 + K_env(x, h))
+        f2 <= q K_env(h, h(h)) J_env(x, h) / k_low
+        f3 <= q J_env(x, h) / k_low + 1 - p^2
+
+    where K_env and J_env are weibull_K_envelope and weibull_J_envelope.
+    """
+    beta = dist.beta
     q = params.q
-    xs = np.geomspace(x_far, x_far * 1e12, 40)
     r = np.asarray(h(xs), dtype=float)
     u = r / xs
     k_low = beta * r * np.power(xs, beta - 1.0)
@@ -283,11 +299,77 @@ def _weibull_tail_envelopes(
     f1 = q * np.power(1.0 - 2.0 * u, beta - 1.0) * np.exp(a2) * (1.0 + k_x)
     f2 = q * weibull_K_envelope(beta, r, h(r)) * j_env / k_low
     f3 = q * j_env / k_low + (1.0 - params.p**2)
+    return f1 + f2, f3
 
-    f12 = f1 + f2
-    if not (_nonincreasing(f12) and _nonincreasing(f3)):
-        return _TailEnvelopes(None, None, False, "envelope terms failed the decrease check")
-    return _TailEnvelopes(float(np.max(f12)), float(np.max(f3)), True, "")
+
+def _weibull_tail_envelopes(
+    dist: WeibullDist,
+    params: GeometricParams,
+    h: CutoffFunction,
+    g: TestFunction,
+    x_far: float,
+) -> _TailEnvelopes:
+    """Bounds on f1 + f2 and on f3 over [x_far, infinity) for the Weibull tail
+    with a log-power cutoff and the matching K-kernel test function:
+    _weibull_envelope at x_far, its maximum there once these conditions hold,
+    with y0 = exp(kappa / (1 - beta)) and L = log x_far:
+
+    1. kappa beta >= 1; at kappa beta = 1 (within 1e-9), s >= 1. Otherwise
+       the remainder term grows without bound and no envelope exists;
+    2. x_far - 2 h(x_far) >= y0 and h(x_far) >= max(y0, 2 x_h), where x_h is
+       the cutoff's domain start;
+    3. kappa beta s^beta L^(kappa beta - 1) >= 1 when kappa beta > 1.
+
+    h and x - h increase, so 2 and 3 then hold for every x >= x_far, and so
+    does
+
+    4. (2^(1-beta) - 1) beta x^beta >= 1 - beta,
+
+    which needs no check of its own: h^beta >= L/(kappa beta) by 1 and 3,
+    h < x/2 and L >= kappa/(1 - beta) by 2, so
+    x^beta > 2^beta h^beta >= 2^beta / (beta (1 - beta)), and
+    (2^(1-beta) - 1) beta x^beta > (2 - 2^beta)/(1 - beta) >= 1 - beta, as
+    2 - 2^beta - (1 - beta)^2 is concave and zero at beta = 0 and 1.
+
+    Each envelope is then a sum of products of non-negative factors, each
+    non-increasing on [x_far, infinity):
+
+    - (1 - 2u)^(beta-1), as u decreases from x = e^kappa on;
+    - beta h(y) (y - c h(y))^(beta-1) for c = 1, 2 and y = x or h(x) >= y0:
+      its log-derivative kappa/(y log y) - (1 - beta)(1 - c h')/(y - c h) is
+      at most (kappa/log y - (1 - beta))/y <= 0, as
+      (1 - c h')/(y - c h) >= 1/y once log y >= kappa. So are
+      1 + K_env(x, h), exp(A2) and K_env(h, h(h)), with h(h) < h/2 by 2;
+    - the head term of J_env / k_low,
+      exp((1 - beta)(L - s^beta L^(kappa beta))) / ((1 - beta) beta h) in
+      L = log x, whose exponent has L-derivative
+      (1 - beta)(1 - kappa beta s^beta L^(kappa beta - 1)) <= 0 by 1 and 3;
+    - its far term exp(-(2^(1-beta) - 1) x^beta) x^(1-beta) / (beta h), of
+      log-derivative at most ((1 - beta) - (2^(1-beta) - 1) beta x^beta)/x
+      <= 0 by 4.
+    """
+    if h.family != "logpower":
+        return _uncertified("Weibull envelopes need a log-power cutoff")
+    if not (isinstance(g, KKernelTestFunction) and g.dist == dist and g.h == h):
+        return _uncertified("Weibull envelopes need the matching K-kernel test function")
+    beta = dist.beta
+    kb = h.kappa * beta
+    if not (kb > 1.0 + 1e-9 or (abs(kb - 1.0) <= 1e-9 and h.scale >= 1.0 - 1e-12)):
+        return _uncertified(
+            "remainder term does not vanish for kappa*beta < 1 "
+            "(or = 1 with scale < 1); the supremum diverges"
+        )
+
+    y0 = math.exp(h.kappa / (1.0 - beta))
+    hf = float(h(x_far))
+    if not (x_far - 2.0 * hf >= y0 and hf >= max(y0, 2.0 * h.domain_start)):
+        return _uncertified("x_far too small for the Weibull envelope regime")
+    if abs(kb - 1.0) > 1e-9 and kb * h.scale**beta * math.log(x_far) ** (kb - 1.0) < 1.0:
+        return _uncertified(
+            "kappa*beta*scale^beta*(log x_far)^(kappa*beta-1) < 1; "
+            "the J envelope's head term still rises at x_far"
+        )
+    return _at_x_far(_weibull_envelope, dist, params, h, g, x_far)
 
 
 def _tail_envelopes(dist, params, h, g, x_far) -> _TailEnvelopes:

@@ -326,6 +326,20 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith("x,tail,stderr,engine")
 
 
+def test_package_imports_no_scipy():
+    # the library and its CLI run on numpy alone; only the tests and the
+    # benchmark use scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import geomtail, geomtail.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_benchmark_tracing_installs():
     # perfbench/tracing.py wraps package attributes by name; removing one
     # must fail here, not only in a traced benchmark run
