@@ -228,8 +228,8 @@ def _power_tail_envelopes(
 
     1. a spliced g is in its power regime: h(x_far) and x_far - h(x_far) are
        at least its splice point;
-    2. e <= min(a_min gamma, 1 - gamma), up to 1e-9 for the rounding of a
-       computed exponent;
+    2. e <= e_max = min(a_min gamma, 1 - gamma), up to 4 ulps of e_max for
+       the rounding of a computed exponent;
     3. h(x_far) < x_far/2;
     4. h(x_far) >= 1 and x_far >= 16, so that tail(h), tail(x/2), tail(x/16)
        and E[X; X > h] are sums of powers of their arguments.
@@ -248,6 +248,12 @@ def _power_tail_envelopes(
       K_env term is x^(a_min - a_i) x^(e + gamma - 1) s ((1 - u)^(-a_i) - 1)/u,
       the first two factors non-increasing by 2 and the last the chord slope
       of a convex function of u, so increasing in u.
+
+    An exponent e above e_max by d, at most 4.5 ulps of e_max < 1 with the
+    rounding of e_max itself and so below 2^-50, raises each of these powers
+    of x by at most d: on [x_far, infinity) the envelopes then grow by a
+    factor at most (x / x_far)^d < exp(2^-50 log(DBL_MAX)) < 1 + 1e-12 over
+    all doubles x.
     """
     if h.family != "power":
         return _uncertified("tail envelopes need a power cutoff")
@@ -258,7 +264,8 @@ def _power_tail_envelopes(
     if isinstance(g, SplicedTestFunction) and not (hf >= g.bstar and x_far - hf >= g.bstar):
         return _uncertified("spliced test function not in its power regime at x_far")
     a_min = min(a for _, a in dist.tail_power_terms)
-    if e > min(a_min * h.gamma, 1.0 - h.gamma) + 1e-9:
+    e_max = min(a_min * h.gamma, 1.0 - h.gamma)
+    if e > e_max + 4.0 * np.spacing(e_max):
         return _uncertified(
             "test-function exponent exceeds min(a_min*gamma, 1-gamma); "
             "envelope terms need not decrease"

@@ -9,6 +9,7 @@ relative error of the first-order approximation E(nu) * tail(x).
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -26,9 +27,13 @@ __all__ = [
 ]
 
 _MC_BLOCK = 1 << 16
-# most severity draws held at once: a block samples its sums in groups of
-# whole sums up to this many draws, and a longer sum takes a group of its own
-_MC_GROUP_DRAWS = 1 << 22
+# most severity draws a worker holds at once: a block samples its sums in
+# groups of whole sums up to this many draws, and a longer sum takes a group
+# of its own
+_MC_GROUP_DRAWS = 1 << 16
+# most threads mc_tail runs its blocks on; each holds its own buffers, so
+# this bounds memory as _MC_BLOCK and _MC_GROUP_DRAWS do
+_MC_MAX_WORKERS = 8
 # Python floats _kahan_cumsum holds at once, so its memory does not grow with
 # the lattice
 _KAHAN_CHUNK = 1 << 12
@@ -107,15 +112,26 @@ def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dyadic_uniforms(k: np.ndarray) -> np.ndarray:
-    """Map integers k in [0, 2^53) to uniforms (k + 1/2) 2^-53 in (0, 1).
+def _dyadic_uniforms(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with uniforms (k + 1/2) 2^-53 in (0, 1), for k the
+    generator's next 53-bit integers, and return it.
 
-    k + 1/2 needs 54 bits, so it rounds for k >= 2^52, and to 2^53 itself
-    for k = 2^53 - 1; moving that one value below 1 leaves every other
-    uniform as it was.
+    ``rng.random()`` is k 2^-53 with k = next_uint64 >> 11, the same k that
+    ``rng.integers(0, 2**53, dtype=np.uint64)`` returns: Lemire's method never
+    rejects for a range that divides 2^64. k + 1/2 needs 54 bits, so it
+    rounds for k >= 2^52, and to 2^53 itself for k = 2^53 - 1; moving that
+    one value below 1 leaves every other uniform as it was.
     """
-    u = (k + 0.5) * 0.5**53
-    return np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    rng.random(out=out)
+    out += 0.5**54
+    return np.minimum(out, np.nextafter(1.0, 0.0), out=out)
+
+
+def _mc_workers() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def panjer_tail(
@@ -185,6 +201,44 @@ def panjer_tail(
     )
 
 
+def _mc_block_counts(dist, lnq, n, seeds, blocks, xs) -> np.ndarray:
+    """For each x in the sorted array xs, the number of sums above x over the
+    given blocks. One set of buffers serves every block."""
+    counts = np.zeros(xs.size, dtype=np.int64)
+    u_count = np.empty(_MC_BLOCK)
+    ends_buf = np.empty(_MC_BLOCK, dtype=np.int64)
+    starts = np.zeros(_MC_BLOCK, dtype=np.int64)
+    sums = np.empty(_MC_BLOCK)
+    u_sev = np.empty(0)
+    for b in blocks:
+        m = min(_MC_BLOCK, n - b * _MC_BLOCK)
+        rng = np.random.Generator(np.random.PCG64(seeds[b]))
+        # counts nu = max(1, ceil(log u / log q)), and their running sum
+        nu = _dyadic_uniforms(rng, u_count[:m])
+        np.log(nu, out=nu)
+        nu /= lnq
+        ends = ends_buf[:m]
+        np.ceil(nu, out=ends, casting="unsafe")
+        np.maximum(ends, 1, out=ends)
+        np.cumsum(ends, out=ends)
+        # groups split only between sums, so the severity stream and every
+        # sum are those of one draw for the whole block, and counts add up
+        i = 0
+        while i < m:
+            base = int(ends[i - 1]) if i else 0
+            j = max(i + 1, int(np.searchsorted(ends, base + _MC_GROUP_DRAWS, side="right")))
+            draws = int(ends[j - 1]) - base
+            if u_sev.size < draws:
+                u_sev = np.empty(max(draws, _MC_GROUP_DRAWS))
+            sev = np.asarray(dist.sample(_dyadic_uniforms(rng, u_sev[:draws])), dtype=float)
+            np.subtract(ends[i : j - 1], base, out=starts[1 : j - i])
+            group = np.add.reduceat(sev, starts[: j - i], out=sums[: j - i])
+            group.sort()
+            counts += (j - i) - np.searchsorted(group, xs, side="right")
+            i = j
+    return counts
+
+
 def mc_tail(
     dist: SummandDistribution,
     params: GeometricParams,
@@ -194,13 +248,17 @@ def mc_tail(
 ) -> TailTable:
     """Monte Carlo estimate of P(S > x) on a grid, from n simulated sums.
 
-    Draws are organized in fixed-size blocks with independently seeded
-    streams, so results depend only on (seed, n) and merging block counts is
-    order-independent. Uniforms are taken as dyadic rationals strictly inside
-    (0, 1). Geometric counts use the inversion nu = ceil(log u / log q).
-    A block draws its severities in groups of whole sums, so at most 2^22
-    draws (or one longer sum) are held at once, whatever p is. The returned
-    table is in ascending grid order regardless of the order of ``xgrid``.
+    Draws are organized in blocks of 2^16 sums with independently seeded
+    streams. The blocks run on up to _MC_MAX_WORKERS = 8 threads, no more
+    than the CPUs the process may use; each thread counts exceedances over
+    its own blocks, and the integer counts add up exactly in any order. So
+    the table depends only on (seed, n), whatever the number of threads.
+    Uniforms are taken as dyadic rationals strictly inside (0, 1). Geometric
+    counts use the inversion nu = ceil(log u / log q). A block draws its
+    severities in groups of whole sums, so each thread holds at most 2^16
+    severity draws (or one longer sum) at once, whatever p is, next to its
+    buffers of 2^16 count uniforms, sum ends and sums. The returned table is
+    in ascending grid order regardless of the order of ``xgrid``.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -215,29 +273,21 @@ def mc_tail(
     lnq = math.log(params.q)
     nblocks = (n + _MC_BLOCK - 1) // _MC_BLOCK
     seeds = np.random.SeedSequence(seed).spawn(nblocks)
-    counts = np.zeros(xs_sorted.size, dtype=np.int64)
-    for b in range(nblocks):
-        m = min(_MC_BLOCK, n - b * _MC_BLOCK)
-        rng = np.random.Generator(np.random.PCG64(seeds[b]))
-        u_count = _dyadic_uniforms(rng.integers(0, 1 << 53, size=m, dtype=np.uint64))
-        nu = np.ceil(np.log(u_count) / lnq).astype(np.int64)
-        nu = np.maximum(nu, 1)
-        ends = np.cumsum(nu, out=nu)
-        # groups split only between sums, so the severity stream and every
-        # sum are those of one draw for the whole block, and counts add up
-        i = 0
-        while i < m:
-            base = int(ends[i - 1]) if i else 0
-            j = max(i + 1, int(np.searchsorted(ends, base + _MC_GROUP_DRAWS, side="right")))
-            u_sev = _dyadic_uniforms(
-                rng.integers(0, 1 << 53, size=int(ends[j - 1]) - base, dtype=np.uint64))
-            sev = np.asarray(dist.sample(u_sev), dtype=float)
-            starts = np.zeros(j - i, dtype=np.int64)
-            np.subtract(ends[i : j - 1], base, out=starts[1:])
-            sums = np.add.reduceat(sev, starts)
-            sums.sort()
-            counts += (j - i) - np.searchsorted(sums, xs_sorted, side="right")
-            i = j
+    workers = min(_mc_workers(), nblocks, _MC_MAX_WORKERS)
+
+    def count(w: int) -> np.ndarray:
+        blocks = range(w, nblocks, workers)
+        return _mc_block_counts(dist, lnq, n, seeds, blocks, xs_sorted)
+
+    if workers == 1:
+        counts = count(0)
+    else:
+        # imported here: the pool is the engine's alone, and import geomtail
+        # stays as cheap as it was
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = sum(pool.map(count, range(workers)))
 
     phat = counts / float(n)
     stderr = np.sqrt(phat * (1.0 - phat) / float(n))

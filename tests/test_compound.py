@@ -1,6 +1,7 @@
 """Compound-tail engines: Panjer recursion, Monte Carlo, brute force."""
 
 import math
+import threading
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -239,28 +240,65 @@ def test_mc_different_seeds_agree_statistically():
     assert abs(a.tails[0] - b.tails[0]) < 4.0 * joint
 
 
+def integer_dyadic_uniforms(k):
+    """The dyadic uniforms from 53-bit integers k: (k + 1/2) 2^-53, with the
+    top value moved below 1."""
+    u = (np.asarray(k, dtype=np.uint64) + 0.5) * 0.5**53
+    return np.minimum(u, np.nextafter(1.0, 0.0))
+
+
+class FixedDraws:
+    """Stands in for a generator whose next 53-bit integers are ``ks``."""
+
+    def __init__(self, ks):
+        self.ks = np.asarray(ks, dtype=np.uint64)
+
+    def random(self, out):
+        out[...] = self.ks * 0.5**53
+        return out
+
+
+EDGE_KS = [0, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+
+
 def test_dyadic_uniforms_stay_strictly_inside_the_unit_interval():
-    u = _dyadic_uniforms(np.array([0, 2**52 + 1, 2**53 - 1], dtype=np.uint64))
+    u = _dyadic_uniforms(FixedDraws(EDGE_KS), np.empty(len(EDGE_KS)))
     assert u[0] == 2.0**-54
     # above 2^52, k + 1/2 rounds to even, as it always did
-    assert u[1] == 0.5 + 2.0**-52
+    assert u[1] == 0.5
+    assert u[2] == 0.5 + 2.0**-52
+    assert u[3] == 1.0 - 2.0**-52
     # (2^53 - 1/2) 2^-53 rounds to 1.0, which every sampler rejects
-    assert u[2] == np.nextafter(1.0, 0.0)
+    assert u[4] == np.nextafter(1.0, 0.0)
+    assert np.array_equal(u, integer_dyadic_uniforms(EDGE_KS))
     ParetoDist(2.2).sample(u)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**40 + 3])
+def test_dyadic_uniforms_are_the_53_bit_integer_draws(seed):
+    ints = np.random.Generator(np.random.PCG64(seed))
+    floats = np.random.Generator(np.random.PCG64(seed))
+    expect = integer_dyadic_uniforms(ints.integers(0, 1 << 53, size=5_000, dtype=np.uint64))
+    got = _dyadic_uniforms(floats, np.empty(5_000))
+    assert np.array_equal(got, expect)
+    # both took one 64-bit draw per uniform, so the streams stay in step
+    assert ints.bit_generator.state == floats.bit_generator.state
+
+
 class RecordingPareto(SummandDistribution):
-    """Pareto severity that records the size of every sample call."""
+    """Pareto severity that records the size and thread of every sample call."""
 
     def __init__(self):
         self.inner = ParetoDist(2.2)
         self.calls = []
+        self.threads = set()
 
     def tail(self, x):
         return self.inner.tail(x)
 
     def sample(self, u):
         self.calls.append(np.size(u))
+        self.threads.add(threading.get_ident())
         return self.inner.sample(u)
 
 
@@ -268,6 +306,8 @@ class RecordingPareto(SummandDistribution):
 def test_mc_draws_severities_in_bounded_groups(monkeypatch, cap, n):
     params = GeometricParams(0.5)
     xgrid = [1.5, 3.0, 10.0, 40.0]
+    # a cap far above a block's draws: one sample call per block
+    monkeypatch.setattr(compound, "_MC_GROUP_DRAWS", 1 << 22)
     whole = RecordingPareto()
     expect = mc_tail(whole, params, n, seed=5, xgrid=xgrid)
     monkeypatch.setattr(compound, "_MC_GROUP_DRAWS", cap)
@@ -281,6 +321,93 @@ def test_mc_draws_severities_in_bounded_groups(monkeypatch, cap, n):
         assert len(grouped.calls) == n
     else:
         assert max(grouped.calls) <= cap
+
+
+def serial_mc_tail(dist, params, n, seed, xgrid):
+    """The engine as one loop: each block after the other, its severities
+    drawn at once as 53-bit integers, each sum compared with every x."""
+    xs = np.sort(np.asarray(xgrid, dtype=float))
+    block = compound._MC_BLOCK
+    lnq = math.log(params.q)
+    counts = np.zeros(xs.size, dtype=np.int64)
+    children = np.random.SeedSequence(seed).spawn((n + block - 1) // block)
+    for b, child in enumerate(children):
+        rng = np.random.Generator(np.random.PCG64(child))
+        u = integer_dyadic_uniforms(rng.integers(0, 1 << 53, size=min(block, n - b * block),
+                                                 dtype=np.uint64))
+        nu = np.maximum(np.ceil(np.log(u) / lnq).astype(np.int64), 1)
+        u_sev = integer_dyadic_uniforms(rng.integers(0, 1 << 53, size=int(nu.sum()),
+                                                     dtype=np.uint64))
+        starts = np.concatenate(([0], np.cumsum(nu)[:-1]))
+        sums = np.add.reduceat(dist.sample(u_sev), starts)
+        counts += np.count_nonzero(sums[:, None] > xs, axis=0)
+    phat = counts / float(n)
+    return phat, np.sqrt(phat * (1.0 - phat) / float(n))
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(1, 3 * compound._MC_BLOCK), seed=st.integers(0, 2**32),
+       p=st.floats(0.2, 0.95))
+@example(n=1, seed=3, p=0.5)
+@example(n=compound._MC_BLOCK, seed=4, p=0.3)
+@example(n=3 * compound._MC_BLOCK + 777, seed=5, p=0.7)
+def test_mc_tables_do_not_depend_on_the_thread_count(n, seed, p):
+    d = ParetoDist(2.2)
+    params = GeometricParams(p)
+    xgrid = [40.0, 1.5, 10.0, 3.0]
+    tails, stderrs = serial_mc_tail(d, params, n, seed, xgrid)
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compound, "_mc_workers", lambda: workers)
+            got = mc_tail(d, params, n, seed, xgrid)
+        assert np.array_equal(got.xs, np.sort(xgrid))
+        assert np.array_equal(got.tails, tails)
+        assert np.array_equal(got.stderrs, stderrs)
+
+
+@pytest.mark.parametrize("cores, n, bound", [
+    (1, 3 * (1 << 16), 1),  # no pool: the calling thread draws every block
+    (3, 1 << 16, 1),  # one block: no pool either
+    (3, 2 * (1 << 16), 2),  # at most one thread per block
+    (2, 5 * (1 << 16), 2),  # blocks 0, 2, 4 on one thread, 1 and 3 on another
+])
+def test_mc_threads_are_bounded_by_cores_and_blocks(monkeypatch, cores, n, bound):
+    monkeypatch.setattr(compound, "_mc_workers", lambda: cores)
+    d = RecordingPareto()
+    mc_tail(d, GeometricParams(0.9), n, seed=1, xgrid=[10.0])
+    assert_threads(d.threads, bound)
+
+
+def assert_threads(threads, bound):
+    """Sampling ran on the calling thread alone when the bound is 1, and
+    otherwise on at most ``bound`` pool threads."""
+    if bound == 1:
+        assert threads == {threading.get_ident()}
+    else:
+        assert 1 <= len(threads) <= bound and threading.get_ident() not in threads
+
+
+def test_mc_threads_follow_the_cpus_the_process_may_use():
+    d = RecordingPareto()
+    mc_tail(d, GeometricParams(0.9), 4 * (1 << 16), seed=1, xgrid=[10.0])
+    assert_threads(d.threads, min(compound._mc_workers(), 4, compound._MC_MAX_WORKERS))
+
+
+class FailingPareto(RecordingPareto):
+    error = ValueError("uniform inputs must lie strictly inside (0, 1)")
+
+    def sample(self, u):
+        super().sample(u)
+        raise self.error
+
+
+def test_mc_worker_errors_reach_the_caller(monkeypatch):
+    monkeypatch.setattr(compound, "_mc_workers", lambda: 2)
+    d = FailingPareto()
+    with pytest.raises(ValueError) as info:
+        mc_tail(d, GeometricParams(0.5), 2 * (1 << 16), seed=1, xgrid=[10.0])
+    assert info.value is FailingPareto.error
+    assert threading.get_ident() not in d.threads
 
 
 def test_mc_handles_unsorted_grid():

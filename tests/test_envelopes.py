@@ -166,6 +166,12 @@ FAILING = [
      "the J envelope's head term still rises at x_far"),
     (WeibullDist(0.6859), CutoffFunction.logpower(9.38644, 3.72575), None, 6.17e8,
      "envelope terms not finite at x_far"),
+    # 1e-10 relative above min(a_min*gamma, 1-gamma) = 1 - 0.2444, where the
+    # envelope rises with x beyond x_far
+    (ParetoDist(7.44), CutoffFunction.power(0.0574, 0.2444),
+     PowerTestFunction(1.0, (1.0 - 0.2444) * (1.0 + 1e-10)), 4.6e11,
+     "test-function exponent exceeds min(a_min*gamma, 1-gamma); "
+     "envelope terms need not decrease"),
 ]
 
 
@@ -177,3 +183,12 @@ def test_each_failing_condition_has_its_own_note(dist, h, g, x_far, note):
     env = bounder._tail_envelopes(dist, HALF, h, g, x_far)
     assert (env.f12, env.f3, env.certified, env.note) == (None, None, False, note)
 
+
+
+def test_power_exponent_may_exceed_its_bound_by_four_ulps_alone():
+    dist, h = ParetoDist(7.44), CutoffFunction.power(0.0574, 0.2444)
+    e_max = 1.0 - 0.2444
+    top = e_max + 4.0 * np.spacing(e_max)
+    for e, certified in ((top, True), (np.nextafter(top, 1.0), False)):
+        env = bounder._tail_envelopes(dist, HALF, h, PowerTestFunction(1.0, e), 4.6e11)
+        assert env.certified is certified, env.note
