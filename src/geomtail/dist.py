@@ -59,7 +59,8 @@ class SummandDistribution:
         """Map uniforms in the open interval (0, 1) to severity draws.
 
         Implemented as the quantile transform, so equal inputs give equal
-        outputs across engines and platforms.
+        outputs across engines and platforms. ``mc_tail`` calls it from
+        several threads at once, so it must not change shared state.
         """
         raise NotImplementedError
 

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -366,8 +367,8 @@ def test_mc_tables_do_not_depend_on_the_thread_count(n, seed, p):
 
 
 @pytest.mark.parametrize("cores, n, bound", [
-    (1, 3 * (1 << 16), 1),  # no pool: the calling thread draws every block
-    (3, 1 << 16, 1),  # one block: no pool either
+    (1, 3 * (1 << 16), 1),  # one CPU: one thread draws every block
+    (3, 1 << 16, 1),  # one block: one thread
     (3, 2 * (1 << 16), 2),  # at most one thread per block
     (2, 5 * (1 << 16), 2),  # blocks 0, 2, 4 on one thread, 1 and 3 on another
 ])
@@ -375,22 +376,13 @@ def test_mc_threads_are_bounded_by_cores_and_blocks(monkeypatch, cores, n, bound
     monkeypatch.setattr(compound, "_mc_workers", lambda: cores)
     d = RecordingPareto()
     mc_tail(d, GeometricParams(0.9), n, seed=1, xgrid=[10.0])
-    assert_threads(d.threads, bound)
-
-
-def assert_threads(threads, bound):
-    """Sampling ran on the calling thread alone when the bound is 1, and
-    otherwise on at most ``bound`` pool threads."""
-    if bound == 1:
-        assert threads == {threading.get_ident()}
-    else:
-        assert 1 <= len(threads) <= bound and threading.get_ident() not in threads
+    assert 1 <= len(d.threads) <= bound
 
 
 def test_mc_threads_follow_the_cpus_the_process_may_use():
     d = RecordingPareto()
     mc_tail(d, GeometricParams(0.9), 4 * (1 << 16), seed=1, xgrid=[10.0])
-    assert_threads(d.threads, min(compound._mc_workers(), 4, compound._MC_MAX_WORKERS))
+    assert 1 <= len(d.threads) <= min(compound._mc_workers(), 4, compound._MC_MAX_WORKERS)
 
 
 class FailingPareto(RecordingPareto):
@@ -408,6 +400,42 @@ def test_mc_worker_errors_reach_the_caller(monkeypatch):
         mc_tail(d, GeometricParams(0.5), 2 * (1 << 16), seed=1, xgrid=[10.0])
     assert info.value is FailingPareto.error
     assert threading.get_ident() not in d.threads
+
+
+class FirstCallFails(RecordingPareto):
+    """The first sample call raises; every other call waits until it has, and
+    a little longer, so the failing thread has set the engine's stop event."""
+
+    error = ValueError("first call")
+
+    def __init__(self):
+        super().__init__()
+        self.lock = threading.Lock()
+        self.raised = threading.Event()
+
+    def sample(self, u):
+        with self.lock:
+            first = not self.calls
+            super().sample(u)
+        if first:
+            self.raised.set()
+            raise self.error
+        self.raised.wait()
+        time.sleep(0.2)
+        return self.inner.sample(u)
+
+
+def test_mc_worker_error_stops_the_other_threads(monkeypatch):
+    monkeypatch.setattr(compound, "_mc_workers", lambda: 2)
+    # one sample call per block
+    monkeypatch.setattr(compound, "_MC_GROUP_DRAWS", 1 << 22)
+    d = FirstCallFails()
+    with pytest.raises(ValueError) as info:
+        mc_tail(d, GeometricParams(0.5), 8 * (1 << 16), seed=1, xgrid=[10.0])
+    assert info.value is FirstCallFails.error
+    # the other thread finishes the block it is in and starts none of its
+    # other three
+    assert len(d.calls) < 1 + 4
 
 
 def test_mc_handles_unsorted_grid():
