@@ -267,11 +267,13 @@ def mc_tail(
     severities in groups of whole sums, so each thread holds at most 2^16
     severity draws (or one longer sum) at once, whatever p is, next to its
     buffers of 2^16 count uniforms, sum ends, starts and sums, 2.5 MiB in
-    all, and what ``dist.sample`` allocates for one group. Memory grows with the
-    thread count: the traced peak of one call rises by about 4 MiB per
-    thread for a Pareto severity and 6 MiB for a power mixture, to about
-    31 and 43 MiB at 8 threads. The returned table is in ascending grid
-    order regardless of the order of ``xgrid``.
+    all, and what ``dist.sample`` allocates for one group: its output, and
+    for a power mixture the solver's temporaries for 2^13 draws. Memory
+    grows with the thread count: the tracemalloc peak of one call is 3.5,
+    7.0 and 27 MiB at 1, 2 and 8 threads for a Pareto severity (criterion
+    1, 5e6 sums), and 4.5, 9.0 and 34 MiB for criterion 5's power mixture
+    (5e5 sums). The returned table is in ascending grid order regardless of
+    the order of ``xgrid``.
     """
     if n < 1:
         raise ValueError("need at least one sample")

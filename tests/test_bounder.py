@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geomtail import bounder
 from geomtail.bounder import (
@@ -513,6 +515,28 @@ def test_verify_bound_matches_the_per_point_loop():
             assert rep.ok == (violations == ())
     assert verify_bound(cert, table).ok
     assert len(verify_bound(undersized, table).violations) > 100
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(1.8, 5.0), st.floats(0.2, 0.8), st.floats(0.2, 0.45), st.floats(0.5, 1.0),
+       st.integers(40, 120), st.sampled_from([0.05, 0.1]), st.sampled_from([0.01, 0.02, 0.025]))
+def test_verify_bound_passes_on_random_feasible_pareto_configurations(
+        alpha, p, gamma, e_frac, B, bw, check_bw):
+    # the exponent stays within the power envelopes' rule e <= min(alpha
+    # gamma, 1 - gamma); the check table is a Panjer run of its own, at a
+    # bandwidth the certificate did not use, on [B, 2B]
+    d, params = ParetoDist(alpha), GeometricParams(p)
+    g = PowerTestFunction(1.0, e_frac * min(alpha * gamma, 1.0 - gamma))
+    try:
+        cert = build_bound(d, params, CutoffFunction.power(1.0, gamma), g, float(B),
+                           engine="panjer", bandwidth=bw)
+    except ProcedureFailed:
+        assume(False)
+    table = delta_from_tails(panjer_tail(discretize(d, check_bw, 4.0 * B), params, 2.0 * B),
+                             d, params)
+    rep = verify_bound(cert, table)
+    assert rep.ok, (cert.report, rep.violations[:3])
+    assert rep.checked > 1000
 
 
 # ---------------------------------------------------------------- tuning

@@ -160,6 +160,62 @@ def bisection_sample(terms, u):
     return np.exp(0.5 * (lo + hi))
 
 
+def newton_walk_sample(d, u):
+    """The mixture sampler before its start table, kept as the oracle: for
+    each u, safeguarded Newton on log tail(e^t) = log(1 - u) from the lower
+    bound of t, finished by bisection when it has not settled after 12 steps,
+    then a walk of x = e^t one ulp at a time against ``d.tail`` to the
+    smallest double x >= 1 with tail(x) <= 1 - u."""
+    target = 1.0 - np.asarray(u, dtype=float).reshape(-1)
+
+    def log_tail(t):
+        f = np.zeros_like(t)
+        df = np.zeros_like(t)
+        for c, a in d.terms:
+            term = c * np.exp(-a * t)
+            f += term
+            df += a * term
+        return f, df
+
+    log_target = np.log(target)
+    lo = np.zeros_like(target)
+    for c, a in d.terms:
+        lo = np.maximum(lo, (math.log(c) - log_target) / a)
+    c_sum = math.fsum(c for c, _ in d.terms)
+    a_min = min(a for _, a in d.terms)
+    hi = np.maximum(lo, (math.log(c_sum) - log_target) / a_min)
+    t = lo.copy()
+    live = np.arange(t.size)
+    for _ in range(12):
+        t_old = t[live]
+        f, df = log_tail(t_old)
+        t_new = np.clip(t_old + f * (np.log(f) - log_target[live]) / df, lo[live], hi[live])
+        t[live] = t_new
+        live = live[np.abs(t_new - t_old) > 4.0 * np.spacing(np.maximum(t_old, 1.0))]
+    b_lo, b_hi = t[live], hi[live]
+    for _ in range(60):
+        mid = 0.5 * (b_lo + b_hi)
+        above = log_tail(mid)[0] > target[live]
+        b_lo = np.where(above, mid, b_lo)
+        b_hi = np.where(above, b_hi, mid)
+    t[live] = b_hi
+
+    s = np.exp(t)
+    high = d.tail(s) > target
+    live = np.flatnonzero(high)
+    while live.size:
+        s[live] = np.nextafter(s[live], np.inf)
+        live = live[d.tail(s[live]) > target[live]]
+    live = np.flatnonzero(~high & (s > 1.0))
+    while live.size:
+        prev = np.nextafter(s[live], 0.0)
+        down = d.tail(prev) <= target[live]
+        live = live[down]
+        s[live] = prev[down]
+        live = live[s[live] > 1.0]
+    return s
+
+
 def log_grid_ulps(x):
     """Spacing of the draws exp(t) for a double t near log x: the resolution
     of samplers that solve for t = log x, such as the bisection oracle and
@@ -218,15 +274,58 @@ def test_one_term_mixture_matches_pareto_sampler(alpha, u):
     assert np.all(np.abs(x - ref) <= 8.0 * np.spacing(ref) + 2.0 * log_grid_ulps(ref))
 
 
-@pytest.mark.parametrize("name, value", [("_NEWTON_STEPS", 0), ("_NEWTON_STEPS", 2),
-                                         ("_SAMPLE_CHUNK", 7)])
-def test_mixture_draws_do_not_depend_on_the_solver_path(monkeypatch, name, value):
-    # all-bisection, Newton cut short, and many small chunks give the same draws
-    d = PowerMixtureDist(((0.2, 1.2), (0.3, 2.5), (0.5, 6.0)))
-    u = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001), [2.0**-54, 1.0 - 2.0**-53]])
-    expect = d.sample(u)
+# uniforms at the ends of the double range: the smallest subnormal, one
+# whose 1 - u rounds to 1, and the largest double below 1
+EDGE_UNIFORMS = np.array([5e-324, 2.0**-54, 1.0 - 2.0**-53])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixtures(), UNIFORMS, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_mixture_sample_equals_the_newton_walk_oracle(d, u, base):
+    # plus a run of consecutive doubles, where a start a few ulps off shows
+    run = base + np.arange(-32, 32) * np.spacing(base)
+    u = np.concatenate([u, EDGE_UNIFORMS, run[(run > 0.0) & (run < 1.0)]])
+    assert d.sample(u).tobytes() == newton_walk_sample(d, u).tobytes()
+
+
+@pytest.mark.parametrize("table, name, value", [
+    # a start table built by bisection alone, or by Newton cut short
+    pytest.param(True, "_NEWTON_STEPS", 0, id="_NEWTON_STEPS-0"),
+    pytest.param(True, "_NEWTON_STEPS", 2, id="_NEWTON_STEPS-2"),
+    # many small chunks
+    pytest.param(True, "_SAMPLE_CHUNK", 7, id="_SAMPLE_CHUNK-7"),
+    # no table: every start from the bracketed solver, run to the end, by
+    # bisection alone, or by Newton cut short
+    pytest.param(False, "_NEWTON_STEPS", 12, id="no-table-_NEWTON_STEPS-12"),
+    pytest.param(False, "_NEWTON_STEPS", 0, id="no-table-_NEWTON_STEPS-0"),
+    pytest.param(False, "_NEWTON_STEPS", 2, id="no-table-_NEWTON_STEPS-2"),
+])
+def test_mixture_draws_do_not_depend_on_the_solver_path(monkeypatch, table, name, value):
+    terms = ((0.2, 1.2), (0.3, 2.5), (0.5, 6.0))
+    u = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001), EDGE_UNIFORMS])
+    expect = PowerMixtureDist(terms).sample(u)
+    if not table:
+        monkeypatch.setattr(PowerMixtureDist, "_log_start", PowerMixtureDist._log_quantile)
     monkeypatch.setattr(dist_module, name, value)
-    assert np.array_equal(d.sample(u), expect)
+    # a new instance builds its start table under the patch
+    assert np.array_equal(PowerMixtureDist(terms).sample(u), expect)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1.05, 10.0), st.floats(0.05, 0.95), UNIFORMS)
+def test_closed_form_samplers_are_their_formulas_bit_for_bit(alpha, beta, u):
+    cases = ((ParetoDist(alpha), lambda v: np.exp(-np.log1p(-v) / alpha)),
+             (WeibullDist(beta), lambda v: np.power(-np.log1p(-v), 1.0 / beta)))
+    # the drawn array, and a 2-d one of an MC group's size
+    arrays = (u, np.resize(u, (256, 256)))
+    for d, formula in cases:
+        for v in arrays:
+            kept = v.copy()
+            x = d.sample(v)
+            assert np.array_equal(v, kept)  # the caller's uniforms are not written
+            assert x.shape == v.shape and x.tobytes() == formula(v).tobytes()
+        y = d.sample(float(u[0]))
+        assert type(y) is float and y == formula(u[:1])[0]
 
 
 def test_sample_rejects_boundary_uniforms():
