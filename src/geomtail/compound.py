@@ -36,6 +36,13 @@ _MC_GROUP_DRAWS = 1 << 16
 # memory grows with the thread count, and this bounds it as _MC_BLOCK and
 # _MC_GROUP_DRAWS do (see mc_tail)
 _MC_MAX_WORKERS = 8
+# longest sum mc_tail's screen can pass over unsampled (see _mc_screen); it
+# sizes the one array of candidate lengths the screen weighs
+_MC_SCREEN_MAX_LEN = 1 << 12
+# mc_tail screens only when it expects the sums it must still sample to hold
+# at most this share of the draws; above it, finding and gathering them costs
+# the Pareto and Weibull samplers more than sampling every draw
+_MC_SCREEN_MAX_SHARE = 0.5
 # Python floats _kahan_cumsum holds at once, so its memory does not grow with
 # the lattice
 _KAHAN_CHUNK = 1 << 12
@@ -136,6 +143,47 @@ def _mc_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _mc_screen(dist, params, x0: float) -> tuple[int, float] | None:
+    """A length K and a uniform cutoff u_cap such that every sum of at most K
+    draws whose uniforms are all at most u_cap stays below x0, or None when
+    the sums left over would hold more than _MC_SCREEN_MAX_SHARE of the draws.
+
+    Every u <= u_cap samples to at most c = x0 / K * (1 - 1e-9): u_cap is
+    stepped down until 1 - u_cap >= tail(c) holds in floating point, so
+    1 - u >= tail(c), and ``dist.sample(u)`` is the smallest x with
+    tail(x) <= 1 - u, to a few ulps (see ``SummandDistribution.sample``). The
+    margin of 1e-9 covers those ulps and the rounding of a sum of K <= 2^12
+    such draws, so the sum stays below x0 and counts at no grid point.
+
+    K minimizes the expected share of draws in the other sums, those longer
+    than K or holding a uniform above u_cap. With r = 1 - tail(c), the kept
+    share is p^2 sum_{j <= K} j q^(j-1) r^j, a geometric sum in closed form,
+    weighed at once on one array for every K up to the longest sum a block
+    can draw, or _MC_SCREEN_MAX_LEN.
+    """
+    if not x0 > 0.0:
+        return None
+    p, q = params.p, params.q
+    # no uniform is below 2^-54, so no sum is longer than this
+    longest = math.ceil(54.0 * math.log(2.0) / -math.log(q))
+    k = np.arange(1.0, min(longest, _MC_SCREEN_MAX_LEN) + 1.0)
+    c = x0 / k * (1.0 - 1e-9)
+    tails = np.asarray(dist.tail(c), dtype=float)
+    r = 1.0 - tails
+    z = q * r
+    kept = p * p * r * (1.0 - (k + 1.0) * z**k + k * z ** (k + 1.0)) / (1.0 - z) ** 2
+    # argmax picks a NaN first, and a NaN share, which fails every
+    # comparison, screens nothing
+    best = int(np.argmax(kept))
+    if not 1.0 - kept[best] <= _MC_SCREEN_MAX_SHARE:
+        return None
+    tail_c = float(tails[best])
+    u_cap = 1.0 - tail_c
+    while 1.0 - u_cap < tail_c:
+        u_cap = float(np.nextafter(u_cap, 0.0))
+    return best + 1, u_cap
+
+
 def panjer_tail(
     lattice: LatticeDistribution,
     params: GeometricParams,
@@ -174,16 +222,18 @@ def panjer_tail(
     a = q / (1.0 - q * f0)
     fs = f[1:]
     m = fs.size
-    dot = np.dot
+    # the bound ndarray.dot is np.dot's cblas_ddot without its per-call
+    # array-function dispatch
+    dot = fs.dot
     # rev[n - j] = w[j], so cell k's history w[k-1], w[k-2], ... starts at
-    # rev[n - k + 1] and np.dot reads it in place
+    # rev[n - k + 1] and the dot product reads it in place
     rev = np.empty(n + 1)
     rev[n] = p / (1.0 - q * f0)
     # cells k <= m see their whole history, later ones the last m cells of it
     for k in range(1, min(m, n) + 1):
-        rev[n - k] = a * float(dot(fs[:k], rev[n - k + 1 :]))
+        rev[n - k] = a * float(fs[:k].dot(rev[n - k + 1 :]))
     for j in range(n - m - 1, -1, -1):
-        rev[j] = a * float(dot(fs, rev[j + 1 : j + 1 + m]))
+        rev[j] = a * float(dot(rev[j + 1 : j + 1 + m]))
     w = rev[::-1]
     if np.min(w) < -1e-12:
         raise RuntimeError("mass conservation violated: negative compound mass")
@@ -203,14 +253,18 @@ def panjer_tail(
     )
 
 
-def _mc_block_counts(dist, lnq, n, seeds, blocks, xs, stop) -> np.ndarray:
+def _mc_block_counts(dist, lnq, n, seeds, blocks, xs, screen, stop) -> np.ndarray:
     """For each x in the sorted array xs, the number of sums above x over the
     given blocks. One set of buffers serves every block. Once the event
-    ``stop`` is set, no further block starts and the counts are partial."""
+    ``stop`` is set, no further block starts and the counts are partial.
+
+    ``screen`` is None or the pair (K, u_cap) of ``_mc_screen``: a group then
+    samples and sums only its candidate sums, those longer than K or holding
+    a uniform above u_cap, gathered in order; the others stay below xs[0]."""
     counts = np.zeros(xs.size, dtype=np.int64)
     u_count = np.empty(_MC_BLOCK)
     ends_buf = np.empty(_MC_BLOCK, dtype=np.int64)
-    starts = np.zeros(_MC_BLOCK, dtype=np.int64)
+    starts = np.zeros(_MC_BLOCK + 1, dtype=np.int64)
     sums = np.empty(_MC_BLOCK)
     u_sev = np.empty(0)
     for b in blocks:
@@ -235,13 +289,47 @@ def _mc_block_counts(dist, lnq, n, seeds, blocks, xs, stop) -> np.ndarray:
             draws = int(ends[j - 1]) - base
             if u_sev.size < draws:
                 u_sev = np.empty(max(draws, _MC_GROUP_DRAWS))
-            sev = np.asarray(dist.sample(_dyadic_uniforms(rng, u_sev[:draws])), dtype=float)
-            np.subtract(ends[i : j - 1], base, out=starts[1 : j - i])
-            group = np.add.reduceat(sev, starts[: j - i], out=sums[: j - i])
-            group.sort()
-            counts += (j - i) - np.searchsorted(group, xs, side="right")
+            # every group draws all its uniforms, so the stream stays in step
+            u = _dyadic_uniforms(rng, u_sev[:draws])
+            g = j - i
+            np.subtract(ends[i : j - 1], base, out=starts[1:g])
+            if screen is not None:
+                u, g = _mc_candidates(u, nu[i:j], starts, screen)
+            if g:
+                sev = np.asarray(dist.sample(u), dtype=float)
+                group = np.add.reduceat(sev, starts[:g], out=sums[:g])
+                group.sort()
+                counts += g - np.searchsorted(group, xs, side="right")
             i = j
     return counts
+
+
+def _mc_candidates(u, nu, starts, screen):
+    """The uniforms of a group's candidate sums, in order, and how many sums
+    they make; ``starts`` then holds where each begins.
+
+    The group's sums start at starts[:g] in u, for g = nu.size, and nu holds
+    log u / log q, so a sum is longer than K where nu > K. When every sum is
+    a candidate, u and starts come back as they were.
+    """
+    length, u_cap = screen
+    g = nu.size
+    cand = nu > length
+    high = np.flatnonzero(u > u_cap)
+    cand[np.searchsorted(starts[:g], high, side="right") - 1] = True
+    picked = np.flatnonzero(cand)
+    kept = picked.size
+    if kept == g:
+        return u, g
+    shift = starts[picked]
+    starts[g] = u.size
+    lens = starts[picked + 1] - shift
+    np.cumsum(lens[:-1], out=starts[1:kept])
+    shift -= starts[:kept]
+    # the gathered run's draw d is u[d + shift] for the shift of its sum
+    at = np.repeat(shift, lens)
+    at += np.arange(at.size)
+    return u[at], kept
 
 
 def mc_tail(
@@ -267,13 +355,29 @@ def mc_tail(
     severities in groups of whole sums, so each thread holds at most 2^16
     severity draws (or one longer sum) at once, whatever p is, next to its
     buffers of 2^16 count uniforms, sum ends, starts and sums, 2.5 MiB in
-    all, and what ``dist.sample`` allocates for one group: its output, and
-    for a power mixture the solver's temporaries for 2^13 draws. Memory
-    grows with the thread count: the tracemalloc peak of one call is 3.5,
-    7.0 and 27 MiB at 1, 2 and 8 threads for a Pareto severity (criterion
-    1, 5e6 sums), and 4.5, 9.0 and 34 MiB for criterion 5's power mixture
-    (5e5 sums). The returned table is in ascending grid order regardless of
-    the order of ``xgrid``.
+    all, and what one group's candidate sums (below) allocate: their
+    gathered uniforms, the output of ``dist.sample``, and for a power
+    mixture the solver's temporaries for 2^13 draws. Memory grows with the
+    thread count: the tracemalloc peak of one call is 3.0, 6.0 and 23 MiB at
+    1, 2 and 8 threads for a Pareto severity (criterion 1, 5e6 sums), and
+    4.5, 9.0 and 31 MiB for criterion 5's power mixture (5e5 sums). The
+    returned table is in ascending grid order regardless of the order of
+    ``xgrid``.
+
+    Most sums lie far below the grid and count at no point of it, so only
+    the sums that can reach its lowest point x0 are sampled. Once per call,
+    ``_mc_screen`` picks a length K and a uniform cutoff u_cap such that
+    every u <= u_cap samples to at most x0 / K * (1 - 1e-9); a sum of at
+    most K draws with no uniform above u_cap then stays below x0. Each group
+    still draws all its uniforms, so the stream, every draw and the table
+    are those of sampling every sum; but ``dist.sample``, the sums and the
+    sort run only on the candidate sums, those longer than K or holding a
+    uniform above u_cap, gathered in order. On criterion 1 (x0 = 30, K = 13)
+    they are 11% of the sums and 27% of the draws. When the candidates are
+    expected to hold more than half of the draws there is no screen, and a
+    group whose sums are all candidates is sampled whole. The screen needs
+    ``dist.sample`` to be the quantile transform of ``dist.tail``, to a few
+    ulps (see ``SummandDistribution.sample``).
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -289,6 +393,7 @@ def mc_tail(
     nblocks = (n + _MC_BLOCK - 1) // _MC_BLOCK
     seeds = np.random.SeedSequence(seed).spawn(nblocks)
     workers = min(_mc_workers(), nblocks, _MC_MAX_WORKERS)
+    screen = _mc_screen(dist, params, float(xs_sorted[0]))
 
     # imported here: the pool is the engine's alone, and import geomtail
     # stays as cheap as it was
@@ -301,7 +406,7 @@ def mc_tail(
     def count(w: int) -> np.ndarray:
         blocks = range(w, nblocks, workers)
         try:
-            return _mc_block_counts(dist, lnq, n, seeds, blocks, xs_sorted, stop)
+            return _mc_block_counts(dist, lnq, n, seeds, blocks, xs_sorted, screen, stop)
         except BaseException:
             stop.set()
             raise

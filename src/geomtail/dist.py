@@ -62,6 +62,12 @@ class SummandDistribution:
         Implemented as the quantile transform, so equal inputs give equal
         outputs across engines and platforms. ``mc_tail`` calls it from
         several threads at once, so it must not change shared state.
+
+        ``mc_tail`` samples only the sums that can reach its grid, and for
+        that it needs sample(u) <= c whenever tail(c) <= 1 - u, up to a
+        relative 1e-10: the draw is the smallest x with tail(x) <= 1 - u, to
+        a few ulps. The power mixture meets it by definition; the Pareto and
+        Weibull closed forms meet it to a few ulps of their exact quantile.
         """
         raise NotImplementedError
 
@@ -103,6 +109,7 @@ _START_NODES = 4097
 _START_Y_MAX = 37.0
 
 
+import math
 def _check_uniforms(u: np.ndarray) -> None:
     # written so that a NaN, which fails every comparison, is rejected too
     if u.size and not (np.min(u) > 0.0 and np.max(u) < 1.0):
@@ -254,11 +261,15 @@ class PowerMixtureDist(SummandDistribution):
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
-        xs = np.maximum(x, 1.0)
+        # the sum of c * xs^-a from zero, term by term, formed in place
+        xs = np.maximum(x, 1.0, out=np.empty_like(x))
         t = np.zeros_like(xs)
+        term = np.empty_like(xs)
         for c, a in self.terms:
-            t += c * np.power(xs, -a)
-        t = np.where(x <= 1.0, 1.0, t)
+            np.power(xs, -a, out=term)
+            term *= c
+            t += term
+        np.copyto(t, 1.0, where=x <= 1.0)
         return t if t.ndim else float(t)
 
     def density(self, x):
@@ -450,7 +461,9 @@ class LatticeDistribution:
             raise ValueError("negative lattice mass")
         m = np.maximum(m, 0.0)
         object.__setattr__(self, "masses", m)
-        total = math.fsum(m) + self.truncated_mass
+        # a memoryview yields Python floats, one at a time: the same exactly
+        # rounded sum as over numpy scalars, at a third of the cost
+        total = math.fsum(memoryview(m)) + self.truncated_mass
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"lattice masses plus truncated mass total {total}, expected 1")
 
@@ -501,7 +514,7 @@ def discretize(
         masses = t[:-1] - t[1:]
 
     masses = np.maximum(masses, 0.0)
-    truncated = max(0.0, 1.0 - math.fsum(masses))
+    truncated = max(0.0, 1.0 - math.fsum(memoryview(masses)))
     return LatticeDistribution(
         bandwidth=bandwidth,
         masses=masses,

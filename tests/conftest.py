@@ -1,9 +1,17 @@
 """Shared fixtures and helper distributions for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from geomtail.dist import LatticeDistribution, SummandDistribution
+
+# HYPOTHESIS_PROFILE=ci prints the reproduction blob of a failing property
+# and drops the deadline, which a slow shared runner would trip
+settings.register_profile("ci", print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 class PointMass(SummandDistribution):

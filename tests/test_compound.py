@@ -24,6 +24,7 @@ from geomtail.dist import (
     GeometricParams,
     LatticeDistribution,
     ParetoDist,
+    PowerMixtureDist,
     SummandDistribution,
     WeibullDist,
     discretize,
@@ -306,22 +307,32 @@ class RecordingPareto(SummandDistribution):
 @pytest.mark.parametrize("cap, n", [(64, 70_000), (1, 3_000)])
 def test_mc_draws_severities_in_bounded_groups(monkeypatch, cap, n):
     params = GeometricParams(0.5)
-    xgrid = [1.5, 3.0, 10.0, 40.0]
-    # a cap far above a block's draws: one sample call per block
-    monkeypatch.setattr(compound, "_MC_GROUP_DRAWS", 1 << 22)
-    whole = RecordingPareto()
-    expect = mc_tail(whole, params, n, seed=5, xgrid=xgrid)
-    monkeypatch.setattr(compound, "_MC_GROUP_DRAWS", cap)
-    grouped = RecordingPareto()
-    got = mc_tail(grouped, params, n, seed=5, xgrid=xgrid)
-    assert np.array_equal(got.tails, expect.tails)
-    assert sum(grouped.calls) == sum(whole.calls)
-    assert len(whole.calls) == (n + compound._MC_BLOCK - 1) // compound._MC_BLOCK
-    if cap == 1:
-        # every sum is longer than the cap and takes a group of its own
-        assert len(grouped.calls) == n
-    else:
-        assert max(grouped.calls) <= cap
+    # a grid below the support screens nothing: every draw is sampled
+    every = RecordingPareto()
+    mc_tail(every, params, n, seed=5, xgrid=[0.5])
+    # at 1.5 the sums that could be passed over hold too few of the draws
+    for screened, xgrid in ((False, [1.5, 3.0, 10.0, 40.0]), (True, [10.0, 40.0])):
+        assert (compound._mc_screen(ParetoDist(2.2), params, xgrid[0]) is not None) == screened
+        # a cap far above a block's draws: one sample call per block
+        monkeypatch.setattr(compound, "_MC_GROUP_DRAWS", 1 << 22)
+        whole = RecordingPareto()
+        expect = mc_tail(whole, params, n, seed=5, xgrid=xgrid)
+        monkeypatch.setattr(compound, "_MC_GROUP_DRAWS", cap)
+        grouped = RecordingPareto()
+        got = mc_tail(grouped, params, n, seed=5, xgrid=xgrid)
+        assert np.array_equal(got.tails, expect.tails)
+        # the screen picks the same sums whatever the groups, and samples
+        # fewer draws than there are
+        assert sum(grouped.calls) == sum(whole.calls)
+        assert (sum(whole.calls) < sum(every.calls)) == screened
+        assert len(whole.calls) == (n + compound._MC_BLOCK - 1) // compound._MC_BLOCK
+        if cap == 1:
+            # every sum is longer than the cap and takes a group of its own;
+            # the screen samples none of the sums it passes over
+            assert len(grouped.calls) <= n
+            assert (len(grouped.calls) < n) == screened
+        else:
+            assert max(grouped.calls) <= cap
 
 
 def serial_mc_tail(dist, params, n, seed, xgrid):
@@ -364,6 +375,64 @@ def test_mc_tables_do_not_depend_on_the_thread_count(n, seed, p):
         assert np.array_equal(got.xs, np.sort(xgrid))
         assert np.array_equal(got.tails, tails)
         assert np.array_equal(got.stderrs, stderrs)
+
+
+MIXTURE = PowerMixtureDist(((0.5, 1.5), (0.3, 2.5), (0.2, 4.0)))
+SEVERITIES = [ParetoDist(2.2), ParetoDist(5.0), WeibullDist(0.5), WeibullDist(0.3), MIXTURE]
+
+
+@st.composite
+def screen_cases(draw):
+    """A severity, a count and a lowest grid point x0, from below the support
+    to where tail(x0) is 1e-14."""
+    d = draw(st.sampled_from(SEVERITIES))
+    params = GeometricParams(draw(st.floats(0.1, 0.95)))
+    if draw(st.booleans()):
+        x0 = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+    else:
+        # x0 = the severity's quantile at tail 10^-level
+        x0 = float(d.sample(1.0 - 10.0 ** -draw(st.floats(0.01, 14.0))))
+    return d, params, x0
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=screen_cases(), n=st.integers(1, 2 * compound._MC_BLOCK + 99),
+       seed=st.integers(0, 2**32))
+@example(case=(ParetoDist(5.0), GeometricParams(0.2), 30.0), n=70_000, seed=123)
+@example(case=(MIXTURE, GeometricParams(0.5), 80.0), n=70_000, seed=1)
+@example(case=(WeibullDist(0.5), GeometricParams(0.3), 0.5), n=20_000, seed=9)
+@example(case=(ParetoDist(2.2), GeometricParams(0.7), 1e6), n=5_000, seed=2)
+def test_screened_mc_is_the_serial_engine_bit_for_bit(case, n, seed):
+    d, params, x0 = case
+    xgrid = [x0 * 3.0 + 1.0, x0, x0 * 1.5 + 0.1]
+    tails, stderrs = serial_mc_tail(d, params, n, seed, xgrid)
+    got = mc_tail(d, params, n, seed, xgrid)
+    assert np.array_equal(got.tails, tails)
+    assert np.array_equal(got.stderrs, stderrs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=screen_cases(), fracs=hnp.arrays(float, 64, elements=st.floats(0.0, 1.0)))
+@example(case=(ParetoDist(5.0), GeometricParams(0.2), 30.0), fracs=np.linspace(0.0, 1.0, 64))
+def test_screened_uniforms_sample_below_the_cut(case, fracs):
+    d, params, x0 = case
+    screen = compound._mc_screen(d, params, x0)
+    if screen is None:
+        return
+    length, u_cap = screen
+    c = x0 / length * (1.0 - 1e-9)
+    assert 1.0 <= length <= compound._MC_SCREEN_MAX_LEN
+    assert 0.0 < u_cap < 1.0
+    assert 1.0 - u_cap >= d.tail(c)
+    # u_cap, the run of doubles below it, uniforms spread over (0, u_cap]
+    # and the smallest dyadic uniform
+    run = u_cap - np.arange(64) * np.spacing(u_cap)
+    u = np.concatenate([run, u_cap * fracs, [2.0**-54]])
+    u = u[u > 0.0]
+    draws = d.sample(u)
+    assert np.max(draws) <= c
+    # K of the largest, summed as reduceat sums them, stay below x0
+    assert np.add.reduceat(np.full(length, np.max(draws)), [0])[0] < x0
 
 
 @pytest.mark.parametrize("cores, n, bound", [

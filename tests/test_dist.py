@@ -237,6 +237,20 @@ UNIFORMS = hnp.arrays(float, st.integers(1, 40),
 
 
 @settings(max_examples=150, deadline=None)
+@given(mixtures(), hnp.arrays(float, st.integers(0, 40), elements=st.floats(width=64)),
+       st.floats(-10.0, 1e12))
+def test_mixture_tail_is_the_term_sum_bit_for_bit(d, x, scalar):
+    # tail forms the sum in place; these are the array expressions it replaces
+    xs = np.maximum(x, 1.0)
+    t = np.zeros_like(xs)
+    for c, a in d.terms:
+        t += c * np.power(xs, -a)
+    assert d.tail(x).tobytes() == np.where(x <= 1.0, 1.0, t).tobytes()
+    assert type(d.tail(scalar)) is float
+    assert d.tail(scalar) == d.tail(np.array([scalar]))[0]
+
+
+@settings(max_examples=150, deadline=None)
 @given(mixtures(), UNIFORMS)
 def test_mixture_sample_is_the_quantile_of_tail(d, u):
     x = d.sample(u)
@@ -430,6 +444,8 @@ def test_discretize_mass_conservation():
     lat = discretize(d, 0.5, 2000.0)
     total = math.fsum(lat.masses) + lat.truncated_mass
     assert abs(total - 1.0) < 1e-12
+    # the exactly rounded sum over numpy scalars, one at a time
+    assert lat.truncated_mass == max(0.0, 1.0 - math.fsum(list(lat.masses)))
     # rounded mode cuts at the half-cell edge beyond the truncation point
     assert lat.truncated_mass == pytest.approx(float(d.tail(2000.25)), rel=1e-12)
 
