@@ -592,7 +592,6 @@ class BoundCertificate:
     g: TestFunction
     engine: str
     bandwidth: float | None
-    truncation: float | None
     mc_samples: int | None
     seed: int | None
     B: float
@@ -615,6 +614,11 @@ class BoundCertificate:
         return self.B
 
     valid_from = b
+
+    @property
+    def truncation(self) -> float | None:
+        """The end of the Panjer severity lattice, None for Monte Carlo."""
+        return None if self.bandwidth is None else _lattice_end(self.B, self.bandwidth)
 
     @property
     def kappa_splice(self) -> float | None:
@@ -699,46 +703,51 @@ class BoundCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _tail_table(dist, params, xmax, engine, bandwidth, truncation, mc_samples, seed, xs=None,
-                mode="rounded") -> tuple[TailTable, float | None]:
-    """Compound tails P(S > x) at the points xs up to xmax, and the lattice
-    truncation (None for Monte Carlo). Panjer with xs None gives the tails at
-    every lattice point up to xmax; Monte Carlo needs xs.
+# points of a Monte Carlo error table, geometric over [h(B), B]
+_MC_GRID_POINTS = 512
 
-    The one place that sizes, truncates and reads the Panjer lattice: the
-    truncation (default 2 * xmax) is rounded up to whole cells, so the lattice
-    reaches it, and S is lattice-valued and non-negative, so P(S > x) is its
-    value at the last lattice point at or below x, and 1 for x < 0.
+
+def _lattice_end(xmax: float, bandwidth: float) -> float:
+    """Where the Panjer severity lattice for tails up to xmax ends: 2 * xmax,
+    rounded up to whole cells. Panjer reads only the cells up to xmax, so
+    every lattice that reaches xmax gives the same tails bit for bit."""
+    return math.ceil(2.0 * xmax / bandwidth - 1e-9) * bandwidth
+
+
+def _tail_table(dist, params, xmax, engine, bandwidth, mc_samples, seed, xs=None,
+                mode="rounded") -> TailTable:
+    """Compound tails P(S > x) at the points xs up to xmax. Panjer with xs
+    None gives the tails at every lattice point up to xmax; Monte Carlo
+    needs xs.
+
+    The one place that sizes and reads the Panjer lattice: S is lattice-valued
+    and non-negative, so P(S > x) is its value at the last lattice point at or
+    below x, and 1 for x < 0.
     """
     if engine == "panjer":
         if bandwidth is None:
             raise ValueError("the recursion engine requires a bandwidth")
-        trunc = 2.0 * xmax if truncation is None else truncation
-        trunc = math.ceil(trunc / bandwidth - 1e-9) * bandwidth
-        lattice = discretize(dist, bandwidth, trunc, mode=mode)
+        lattice = discretize(dist, bandwidth, _lattice_end(xmax, bandwidth), mode=mode)
         table = panjer_tail(lattice, params, xmax)
         if xs is not None:
             idx = np.floor(xs / bandwidth + 1e-9).astype(int)
             tails = np.where(idx < 0, 1.0, table.tails[np.clip(idx, 0, len(table) - 1)])
             table = TailTable(xs=xs, tails=tails, stderrs=np.zeros(xs.size), engine="panjer")
-        return table, trunc
+        return table
     if engine == "mc":
         if mc_samples is None or seed is None:
             raise ValueError("the Monte Carlo engine requires mc_samples and a seed")
-        return mc_tail(dist, params, mc_samples, seed, xs), None
+        return mc_tail(dist, params, mc_samples, seed, xs)
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def _build_delta_table(dist, params, B, table_lo, engine, bandwidth, truncation, mc_samples,
-                       seed, mc_grid_points,
-                       mode="rounded") -> tuple[DeltaTable, float | None]:
-    """The exact-error table up to B and the lattice truncation; Monte Carlo
-    estimates it at mc_grid_points geometric points of [table_lo, B]."""
-    xs = np.geomspace(0.999 * table_lo, B, mc_grid_points) if engine == "mc" else None
-    tails, trunc = _tail_table(
-        dist, params, B, engine, bandwidth, truncation, mc_samples, seed, xs, mode
-    )
-    return delta_from_tails(tails, dist, params), trunc
+def _build_delta_table(dist, params, B, table_lo, engine, bandwidth, mc_samples, seed,
+                       mode="rounded", points=_MC_GRID_POINTS) -> DeltaTable:
+    """The exact-error table up to B; Monte Carlo estimates it at ``points``
+    geometric points of [table_lo, B]."""
+    xs = np.geomspace(0.999 * table_lo, B, points) if engine == "mc" else None
+    tails = _tail_table(dist, params, B, engine, bandwidth, mc_samples, seed, xs, mode)
+    return delta_from_tails(tails, dist, params)
 
 
 def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) -> int | None:
@@ -752,8 +761,8 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     f1 + f2 < 1. The integers are swept in order, _J_CHUNK at a time, up to
     the first below one; a kernel error at a later integer is never met.
     The cost grows with the width of the deciding cell: 16 and 120 J points
-    for criteria 3 pure and 6 unscaled at grid ratio 1.2, where a bisection
-    over fresh sweeps took 492 and 603, but 328 and 520 at ratio 1.5.
+    for criteria 3 pure and 6 unscaled at grid ratio 1.2, 328 and 520 at
+    ratio 1.5.
     """
     if d_res.tail_certified and not (d_res.tail_bound < 1.0):
         return None
@@ -802,7 +811,6 @@ def build_bound(
     B: float,
     engine: str = "panjer",
     bandwidth: float | None = None,
-    truncation: float | None = None,
     mc_samples: int | None = None,
     seed: int | None = None,
     bstar: float | None = None,
@@ -810,7 +818,6 @@ def build_bound(
     x_far: float = 1e8,
     grid_ratio: float = 1.02,
     min_b_cap: int = 10_000,
-    mc_grid_points: int = 512,
 ) -> BoundCertificate:
     """Run the full bound construction at horizon B.
 
@@ -825,10 +832,7 @@ def build_bound(
             f"B={B:g} must exceed the cutoff domain start {h.domain_start:g}"
         )
     hB = float(h(B))
-    table, trunc = _build_delta_table(
-        dist, params, B, hB, engine, bandwidth, truncation, mc_samples, seed,
-        mc_grid_points, mode,
-    )
+    table = _build_delta_table(dist, params, B, hB, engine, bandwidth, mc_samples, seed, mode)
 
     if bstar is not None and not isinstance(g, PowerTestFunction):
         raise ValueError("splicing requires a power test function for the tail piece")
@@ -858,7 +862,6 @@ def build_bound(
         g=g_final,
         engine=engine,
         bandwidth=bandwidth if engine == "panjer" else None,
-        truncation=trunc,
         mc_samples=mc_samples if engine == "mc" else None,
         seed=seed if engine == "mc" else None,
         B=float(B),
@@ -906,13 +909,11 @@ def tune(
     bstar_grid,
     engine: str = "panjer",
     bandwidth: float | None = None,
-    truncation: float | None = None,
     mc_samples: int | None = None,
     seed: int | None = None,
     mode: str = "rounded",
     x_far: float = 1e8,
     grid_ratio: float = 1.02,
-    mc_grid_points: int = 512,
 ) -> TuneResult:
     """Sweep cutoff scales and splice points, minimizing the bound's tail
     coefficient C * kappa (spliced) or C * coef (pure power).
@@ -933,10 +934,8 @@ def tune(
     if not usable:
         raise ValueError("no candidate scale admits the horizon B")
     table_lo = min(float(hs(B)) for hs in usable)
-    table, _ = _build_delta_table(
-        dist, params, B, table_lo, engine, bandwidth, truncation, mc_samples, seed,
-        mc_grid_points, mode,
-    )
+    table = _build_delta_table(dist, params, B, table_lo, engine, bandwidth, mc_samples, seed,
+                               mode)
 
     rows: list[TuneRow] = []
     for s, hs in zip(s_list, scales):

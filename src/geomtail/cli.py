@@ -105,8 +105,7 @@ def _configured(cfg: RunConfig, *keys: str) -> dict:
 
 
 # run controls that build_bound and tune share
-_RUN_KEYS = ("bandwidth", "truncation", "mc_samples", "seed", "mode", "x_far", "grid_ratio",
-             "mc_grid_points")
+_RUN_KEYS = ("bandwidth", "mc_samples", "seed", "mode", "x_far", "grid_ratio")
 
 
 def _tail_table_on_grid(cfg: RunConfig):
@@ -114,10 +113,9 @@ def _tail_table_on_grid(cfg: RunConfig):
     dist = build_dist(cfg)
     params = GeometricParams(p=cfg.require("p"))
     xs = _grid_from_config(cfg)
-    table, _ = _tail_table(
+    table = _tail_table(
         dist, params, float(np.max(xs)), cfg.require_engine_inputs(), cfg.get("bandwidth"),
-        cfg.get("truncation"), cfg.get("mc_samples"), cfg.get("seed"), xs,
-        **_configured(cfg, "mode"),
+        cfg.get("mc_samples"), cfg.get("seed"), xs, **_configured(cfg, "mode"),
     )
     return table, dist, params
 
@@ -238,13 +236,13 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
 
     xmax = cfg.get("plot.xmax", B)
     npts = cfg.get("plot.points", 200)
-    # the library's default lattice: every lattice that reaches xmax gives the
-    # same tails up to xmax, whatever truncation the certificate records. The
-    # certificate does not record the discretization mode; the run config does
-    table, _ = _build_delta_table(
+    if npts < 1:
+        raise ConfigError(f"plot.points must be at least 1, got {npts}")
+    # the certificate does not record the discretization mode; the run config does
+    table = _build_delta_table(
         dist, params, max(xmax, B), float(h(B)), cert_cfg.require_engine_inputs(),
-        cert_cfg.get("bandwidth"), None, cert_cfg.get("mc_samples"), cert_cfg.get("seed"),
-        max(npts, 256), **_configured(cfg, "mode"),
+        cert_cfg.get("bandwidth"), cert_cfg.get("mc_samples"), cert_cfg.get("seed"),
+        points=max(npts, 256), **_configured(cfg, "mode"),
     )
     if bstar is not None:
         g_final = build_spliced_g(table, bstar, g)

@@ -195,7 +195,7 @@ def panjer_tail(
     on the count shifted to start at zero; dividing the shifted tail by q maps
     it back to the count on {1, 2, ...}. The coefficients are exact whenever
     the severity lattice carries no truncated mass, or extends to at least
-    xmax; requiring 2 * xmax leaves headroom and is the default upstream.
+    xmax; bounder ends every lattice at 2 * xmax, rounded up to whole cells.
 
     The recursion makes one dot product per lattice cell, over all earlier
     cells (or the whole severity lattice, if shorter), so its cost is

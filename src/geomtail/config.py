@@ -49,12 +49,12 @@ _STR_KEYS = {
     "mode": ("rounded", "lower", "upper"),
 }
 _FLOAT_KEYS = (
-    "alpha", "beta", "p", "bandwidth", "truncation", "B",
+    "alpha", "beta", "p", "bandwidth", "B",
     "h.gamma", "h.kappa", "h.scale",
     "g.coef", "g.exponent", "g.bstar",
     "x_far", "grid_ratio", "plot.xmax",
 )
-_INT_KEYS = ("mc_samples", "seed", "min_b_cap", "plot.points", "mc_grid_points")
+_INT_KEYS = ("mc_samples", "seed", "min_b_cap", "plot.points")
 _FLOAT_LIST_KEYS = ("xgrid", "tune.s")
 
 

@@ -109,7 +109,6 @@ _START_NODES = 4097
 _START_Y_MAX = 37.0
 
 
-import math
 def _check_uniforms(u: np.ndarray) -> None:
     # written so that a NaN, which fails every comparison, is rejected too
     if u.size and not (np.min(u) > 0.0 and np.max(u) < 1.0):

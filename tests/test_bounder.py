@@ -470,7 +470,7 @@ def test_verify_bound_flags_undersized_constant():
     table = pareto_delta_table(bw=0.05, xmax=60.0)
     tiny = BoundCertificate(
         params=HALF, dist=PARETO, h=H_PARETO, g=G_PARETO,
-        engine="panjer", bandwidth=0.05, truncation=None, mc_samples=None,
+        engine="panjer", bandwidth=0.05, mc_samples=None,
         seed=None, B=20.0, delta_b=0.5, phi=1e-6, c_hb_b=0.0,
         C=2e-6, delta_tail_certified=True, phi_tail_certified=True, caveats=())
     rep = verify_bound(tiny, table)

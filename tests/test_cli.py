@@ -71,6 +71,15 @@ def test_unknown_key_exits_3(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["truncation = 300", "mc_grid_points = 512"])
+def test_derived_sizes_are_not_configuration_keys(tmp_path, capsys, line):
+    # the lattice end and the Monte Carlo grid size are worked out, not set
+    cfg = write_cfg(tmp_path, BASE + line + "\n")
+    assert main(["bound", "--config", cfg]) == 3
+    key = line.split(" ")[0]
+    assert capsys.readouterr().err == f"configuration error: unknown configuration key {key!r}\n"
+
+
 def test_missing_required_key_exits_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE.replace("p = 0.5\n", ""))
     assert main(["bound", "--config", cfg]) == 3
@@ -100,9 +109,12 @@ def test_min_b_search_stops_below_x_far(tmp_path, capsys):
 
 
 def test_engine_error_exits_4(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE + "truncation = 30\n")
-    assert main(["bound", "--config", cfg]) == 4
-    assert "engine error:" in capsys.readouterr().err
+    # Weibull(0.5)'s tail underflows to zero well before 1e7
+    cfg = write_cfg(tmp_path, "family = weibull\nbeta = 0.5\np = 0.5\nengine = mc\n"
+                    "mc_samples = 1000\nseed = 1\nxgrid = 10, 1e7\n")
+    assert main(["delta", "--config", cfg]) == 4
+    assert capsys.readouterr().err == (
+        "engine error: severity tail vanishes on the grid; relative error undefined\n")
 
 
 @pytest.mark.parametrize("command", ["tail", "delta"])
@@ -170,17 +182,16 @@ def test_delta_command_output(tmp_path):
 
 
 def test_truncation_rounds_up_to_whole_cells(tmp_path):
-    """A truncation that is not a whole number of cells is rounded up to the
-    next cell, by the library and the CLI alike, so the lattice reaches B."""
+    """The lattice ends at 2 B rounded up to the next whole cell, and the
+    library and the CLI read P(S > x) off it alike."""
     dist, params = ParetoDist(2.2), GeometricParams(0.5)
     cert = build_bound(dist, params, CutoffFunction.power(1, 1 / 3.2),
-                       PowerTestFunction(1, 0.6875), 100.0, bandwidth=0.3, truncation=100.0)
-    assert cert.truncation == pytest.approx(334 * 0.3)
-    table, _ = _build_delta_table(dist, params, 100.0, 4.0, "panjer", 0.3, 100.0,
-                                  None, None, 512, "rounded")
+                       PowerTestFunction(1, 0.6875), 100.0, bandwidth=0.3)
+    assert cert.truncation == pytest.approx(667 * 0.3)
+    table = _build_delta_table(dist, params, 100.0, 4.0, "panjer", 0.3, None, None)
     assert table.xs[-1] == pytest.approx(99.9)
     cfg = write_cfg(tmp_path, BASE.replace("bandwidth = 0.05", "bandwidth = 0.3")
-                    + "truncation = 100\nxgrid = 100\n")
+                    + "xgrid = 100\n")
     out = tmp_path / "delta.csv"
     assert main(["delta", "--config", cfg, "--out", str(out)]) == 0
     x, delta, _ = (float(v) for v in out.read_text().splitlines()[1].split(","))
@@ -293,24 +304,15 @@ def test_plot_data_rebuilds_with_the_configured_mode(tmp_path):
     assert header == f"# spliced test function rebuilt, kappa = {kappa:.12g}"
 
 
-def test_plot_data_ignores_the_certificate_truncation(tmp_path):
-    # plot-data rebuilds its table on the library's default lattice: the
-    # tails up to plot.xmax are the same on every lattice that reaches it
-    spliced = (BASE.replace("h.scale = 1.0", "h.scale = 1.14")
-               .replace("g.variant = power", "g.variant = spliced") + "g.bstar = 21.3\n")
-    texts = {100: set(), 300: set()}
-    for trunc in (None, 150, 500, 1000):
-        text = spliced if trunc is None else spliced + f"truncation = {trunc}\n"
-        cert_path = tmp_path / f"cert_{trunc}.txt"
-        assert main(["bound", "--config", write_cfg(tmp_path, text),
-                     "--out", str(cert_path)]) == 0
-        for xmax in texts:
-            cfg = write_cfg(tmp_path, text + f"plot.xmax = {xmax}\n", name="plot.cfg")
-            out = tmp_path / "plot.csv"
-            assert main(["plot-data", "--config", cfg, "--certificate", str(cert_path),
-                         "--out", str(out)]) == 0
-            texts[xmax].add(out.read_text())
-    assert all(len(found) == 1 for found in texts.values())
+@pytest.mark.parametrize("points", [0, -1])
+def test_plot_data_rejects_fewer_than_one_point(tmp_path, capsys, points):
+    cfg = write_cfg(tmp_path, BASE)
+    cert_path = tmp_path / "cert.txt"
+    assert main(["bound", "--config", cfg, "--out", str(cert_path)]) == 0
+    plot_cfg = write_cfg(tmp_path, BASE + f"plot.points = {points}\n", name="plot.cfg")
+    assert main(["plot-data", "--config", plot_cfg, "--certificate", str(cert_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"configuration error: plot.points must be at least 1, got {points}\n")
 
 
 # ---------------------------------------------------------------- packaging

@@ -197,6 +197,22 @@ def test_panjer_needs_enough_truncation():
         panjer_tail(lat, GeometricParams(0.5), 100.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([ParetoDist(2.2), WeibullDist(0.5),
+                          PowerMixtureDist(((0.6, 1.8), (0.4, 3.0)))]),
+       mode=st.sampled_from(["rounded", "lower", "upper"]),
+       bw=st.sampled_from([0.02, 0.25, 0.5, 1.0]),
+       xmax=st.floats(0.5, 50.0), p=st.floats(0.05, 0.95))
+def test_panjer_tails_do_not_depend_on_where_the_lattice_ends(d, mode, bw, xmax, p):
+    # the recursion reads only the cells up to xmax, so any lattice that
+    # reaches xmax gives the same tails, bit for bit
+    end = math.ceil(xmax / bw) * bw
+    params = GeometricParams(p)
+    tails = [panjer_tail(discretize(d, bw, k * end, mode), params, xmax).tails.tobytes()
+             for k in (1, 2, 4)]
+    assert tails[0] == tails[1] == tails[2]
+
+
 def test_almost_degenerate_count_reduces_to_severity():
     # p close to 1: S is one summand with high probability
     d = ParetoDist(5.0)
