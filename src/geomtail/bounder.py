@@ -156,19 +156,10 @@ def _at_x_far(envelope, dist, params, h, g, x_far: float) -> _TailEnvelopes:
     return _TailEnvelopes(f12, f3, True, "")
 
 
-def _far_exponent(g: TestFunction) -> float | None:
-    """The e of a test function that is a multiple of x^(-e) far out."""
-    if isinstance(g, PowerTestFunction):
-        return g.exponent
-    if isinstance(g, SplicedTestFunction):
-        return g.tailg.exponent
-    return None
-
-
 def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds on f1 + f2 and on f3 at each point of the array xs, for a power
-    tail sum c_i x^(-a_i), the cutoff h = s x^gamma and a test function that
-    is a multiple of x^(-e) at x, h(x) and x - h(x).
+    tail sum c_i x^(-a_i), the cutoff h = s x^gamma and a test function whose
+    declared power tail x^(-e) covers x, h(x) and x - h(x).
 
     With u = h(x)/x, the bounds are
 
@@ -183,7 +174,7 @@ def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.
     terms = dist.tail_power_terms
     a_min = min(a for _, a in terms)
     a_max = max(a for _, a in terms)
-    e = _far_exponent(g)
+    e = g.power_tail[2]
     q = params.q
     r = np.asarray(h(xs), dtype=float)
     u = r / xs
@@ -226,8 +217,8 @@ def _power_tail_envelopes(
     a power cutoff and a power-decaying test function: _power_envelope at
     x_far, its maximum there once these conditions hold at x_far:
 
-    1. a spliced g is in its power regime: h(x_far) and x_far - h(x_far) are
-       at least its splice point;
+    1. g is in its power regime: its declared power tail starts at or below
+       both h(x_far) and x_far - h(x_far);
     2. e <= e_max = min(a_min gamma, 1 - gamma), up to 4 ulps of e_max for
        the rounding of a computed exponent;
     3. h(x_far) < x_far/2;
@@ -257,12 +248,12 @@ def _power_tail_envelopes(
     """
     if h.family != "power":
         return _uncertified("tail envelopes need a power cutoff")
-    e = _far_exponent(g)
-    if e is None:
+    if g.power_tail is None:
         return _uncertified("no tail envelope for this test function")
+    start, _, e = g.power_tail
     hf = float(h(x_far))
-    if isinstance(g, SplicedTestFunction) and not (hf >= g.bstar and x_far - hf >= g.bstar):
-        return _uncertified("spliced test function not in its power regime at x_far")
+    if not (hf >= start and x_far - hf >= start):
+        return _uncertified("test function not in its power regime at x_far")
     a_min = min(a for _, a in dist.tail_power_terms)
     e_max = min(a_min * h.gamma, 1.0 - h.gamma)
     if e > e_max + 4.0 * np.spacing(e_max):
@@ -627,18 +618,20 @@ class BoundCertificate:
 
     @property
     def tail_coefficient(self) -> float | None:
-        """The M of Delta(x) <= M * x^-e for a power or spliced g, else None."""
-        return _tail_coefficient(self.g, self.C)
+        """The M of Delta(x) <= M * x^-e when g declares a power tail, else None."""
+        return None if self.g.power_tail is None else self.C * self.g.power_tail[1]
 
     @property
     def report(self) -> str:
         """The certified statement as one human-readable line."""
         g, coef = self.g, self.tail_coefficient
-        if coef is None:
+        if coef is not None:
+            start, _, e = g.power_tail
+            return f"Delta(x) <= {coef:.6g} * x^-{e:.6g} for x > {max(self.B, start):g}"
+        if isinstance(g, KKernelTestFunction):
             return (f"Delta(x) <= {self.C:.6g} * K(x,h(x)) for x >= {self.B:g}, "
                     f"h(x) = {g.h.describe()}")
-        e = g.tailg.exponent if isinstance(g, SplicedTestFunction) else g.exponent
-        return f"Delta(x) <= {coef:.6g} * x^-{e:.6g} for x > {self.B:g}"
+        return f"Delta(x) <= {self.C:.6g} * g(x) for x >= {self.B:g}, g(x) = {g.describe()}"
 
     def to_text(self) -> str:
         lines = ["# bound certificate"]
@@ -684,7 +677,7 @@ class BoundCertificate:
             put("g.variant", "power")
             put("g.coef", g.coef)
             put("g.exponent", g.exponent)
-        else:
+        elif isinstance(g, KKernelTestFunction):
             put("g.variant", "kkernel")
         put("B", self.B)
         put("b", self.b)
@@ -722,11 +715,13 @@ def _tail_table(dist, params, xmax, engine, bandwidth, mc_samples, seed, xs=None
 
     The one place that sizes and reads the Panjer lattice: S is lattice-valued
     and non-negative, so P(S > x) is its value at the last lattice point at or
-    below x, and 1 for x < 0.
+    below x, and 1 for x < 0. The lattice reaches at least one cell, so points
+    all at or below 0 read it as well.
     """
     if engine == "panjer":
         if bandwidth is None:
             raise ValueError("the recursion engine requires a bandwidth")
+        xmax = max(xmax, bandwidth)
         lattice = discretize(dist, bandwidth, _lattice_end(xmax, bandwidth), mode=mode)
         table = panjer_tail(lattice, params, xmax)
         if xs is not None:
@@ -777,15 +772,6 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
             return int(scan.x[below[0]])
         if scan.error is not None:
             raise scan.error
-    return None
-
-
-def _tail_coefficient(g: TestFunction, C: float) -> float | None:
-    """C times the coefficient of the power tail of g; None for the K kernel."""
-    if isinstance(g, SplicedTestFunction):
-        return C * g.tail_coef
-    if isinstance(g, PowerTestFunction):
-        return C * g.coef
     return None
 
 
@@ -948,7 +934,7 @@ def tune(
             try:
                 g_final = g if bst is None else build_spliced_g(table, float(bst), g)
                 d_res, _, _, C = _certify(table, sweep, params, g_final, B)
-                coef = None if C is None else _tail_coefficient(g_final, C)
+                coef = None if C is None else C * g_final.power_tail[1]
                 note = "" if C is not None else f"delta = {d_res.value:.4g} >= 1"
             except (ValueError, RuntimeError) as exc:
                 C = coef = None

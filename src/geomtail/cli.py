@@ -234,13 +234,16 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
     valid_from = float(cert_kv["valid_from"])
     B = cert_cfg.require("B")
 
+    lo = float(h(B))
     xmax = cfg.get("plot.xmax", B)
+    if not (xmax > lo):
+        raise ConfigError(f"plot.xmax must exceed h(B) = {lo:.6g}, got {xmax:g}")
     npts = cfg.get("plot.points", 200)
     if npts < 1:
         raise ConfigError(f"plot.points must be at least 1, got {npts}")
     # the certificate does not record the discretization mode; the run config does
     table = _build_delta_table(
-        dist, params, max(xmax, B), float(h(B)), cert_cfg.require_engine_inputs(),
+        dist, params, max(xmax, B), lo, cert_cfg.require_engine_inputs(),
         cert_cfg.get("bandwidth"), cert_cfg.get("mc_samples"), cert_cfg.get("seed"),
         points=max(npts, 256), **_configured(cfg, "mode"),
     )
@@ -257,7 +260,6 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
         g_final = g
         header = f"# test function: {g_final.describe()}"
 
-    lo = float(h(B))
     sel = (table.xs >= lo) & (table.xs <= xmax) & (table.xs > 0)
     xs = table.xs[sel]
     dv = table.delta[sel]

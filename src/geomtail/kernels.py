@@ -422,7 +422,14 @@ def weibull_J_envelope(beta: float, x, r):
 class TestFunction:
     """Base class for the shape g(x) the error bound is expressed against. A
     test function defines ``evaluate(xs)``, g over an array as one numpy
-    expression; calling it gives g at one point."""
+    expression, and ``describe()``; calling it gives g at one point.
+
+    ``power_tail`` is the triple (start, coef, exponent) when
+    g(x) = coef * x^(-exponent) for every x >= start, else None. The power
+    envelopes of the far tail and the certificate's tail coefficient read it.
+    """
+
+    power_tail: tuple[float, float, float] | None = None
 
     def __call__(self, x: float) -> float:
         return float(self.evaluate(x))
@@ -446,6 +453,10 @@ class PowerTestFunction(TestFunction):
             raise ValueError("coef must be positive")
         if not (self.exponent > 0.0):
             raise ValueError("exponent must be positive")
+
+    @property
+    def power_tail(self) -> tuple[float, float, float]:
+        return (0.0, self.coef, self.exponent)
 
     def evaluate(self, xs):
         return self.coef * np.power(np.asarray(xs, dtype=float), -self.exponent)
@@ -520,14 +531,13 @@ class SplicedTestFunction(TestFunction):
                         self.envelope(xs))
 
     @property
-    def tail_coef(self) -> float:
-        """Coefficient of x^-exponent on the tail piece."""
-        return self.kappa_splice * self.tailg.coef
+    def power_tail(self) -> tuple[float, float, float]:
+        return (self.bstar, self.kappa_splice * self.tailg.coef, self.tailg.exponent)
 
     def describe(self) -> str:
         return (
             f"running max of the error table on [{self.envelope.grid[0]:g}, {self.bstar:g}], "
-            f"then {self.tail_coef:g} * x^-{self.tailg.exponent:g}"
+            f"then {self.power_tail[1]:g} * x^-{self.tailg.exponent:g}"
         )
 
 

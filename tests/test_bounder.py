@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomtail import bounder
+from geomtail import bounder, kernels
 from geomtail.bounder import (
     BoundCertificate,
     ProcedureFailed,
@@ -22,8 +22,9 @@ from geomtail.bounder import (
     tune,
     verify_bound,
 )
+from geomtail.cli import _CERT_CONFIG_KEYS
 from geomtail.compound import DeltaTable, delta_from_tails, panjer_tail
-from geomtail.config import parse_kv
+from geomtail.config import RunConfig, build_dist, build_g, build_h, parse_kv
 from geomtail.dist import GeometricParams, ParetoDist, WeibullDist, discretize
 from geomtail.kernels import (
     CutoffFunction,
@@ -237,6 +238,69 @@ def test_spliced_certificate_structure():
     # interval constant over [h(B), B] is exactly 1
     assert cert.c_hb_b == 1.0
     assert cert.tail_coefficient == pytest.approx(cert.C * cert.kappa_splice, rel=1e-12)
+
+
+class TwoPower(kernels.TestFunction):
+    """A test function from outside the package: 2 x^-0.6875 through the
+    documented extension point alone."""
+
+    def evaluate(self, xs):
+        return 2.0 * np.asarray(xs, dtype=float) ** -0.6875
+
+    def describe(self):
+        return "2 * x^-0.6875"
+
+
+class DeclaredTwoPower(TwoPower):
+    power_tail = (0.0, 2.0, 0.6875)
+
+
+def test_declared_power_tail_certifies_like_the_power_test_function():
+    args = dict(engine="panjer", bandwidth=0.05)
+    ref = build_bound(PARETO, HALF, H_PARETO, PowerTestFunction(2.0, 0.6875), 100.0, **args)
+    cert = build_bound(PARETO, HALF, H_PARETO, DeclaredTwoPower(), 100.0, **args)
+    fields = ("C", "delta_b", "phi", "c_hb_b", "delta_tail_certified", "phi_tail_certified",
+              "tail_coefficient", "report")
+    assert ref.delta_tail_certified and ref.phi_tail_certified
+    assert [getattr(cert, f) for f in fields] == [getattr(ref, f) for f in fields]
+    # the text names no g.* keys for a test function it cannot rebuild
+    assert not [k for k in parse_kv(cert.to_text()) if k.startswith("g.")]
+
+    bare = build_bound(PARETO, HALF, H_PARETO, TwoPower(), 100.0, **args)
+    assert bare.C == cert.C
+    assert not (bare.delta_tail_certified or bare.phi_tail_certified)
+    assert bare.tail_coefficient is None
+    assert "no tail envelope for this test function" in bare.caveats[0]
+    assert bare.report == f"Delta(x) <= {bare.C:.6g} * g(x) for x >= 100, g(x) = 2 * x^-0.6875"
+    assert parse_kv(bare.to_text())["report"] == bare.report
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(36, 100), st.integers(6, 16), st.integers(14, 28), st.integers(10, 30),
+       st.integers(1, 16), st.integers(40, 120), st.sampled_from([0.05, 0.1]),
+       st.one_of(st.none(), st.integers(10, 40)))
+def test_certificate_text_rebuilds_the_certificate(a20, p20, g64, s20, c4, B, bw, bstar):
+    """Every input drawn prints exactly at 12 significant digits, so the
+    certificate's config keys rebuild the same certificate, byte for byte,
+    at the default sweep controls."""
+    alpha, p, gamma, scale, coef = a20 / 20, p20 / 20, g64 / 64, s20 / 20, c4 / 4
+    e = math.floor(64 * min(alpha * gamma, 1.0 - gamma)) / 64
+    assume(e > 0.0)
+    try:
+        cert = build_bound(ParetoDist(alpha), GeometricParams(p),
+                           CutoffFunction.power(scale, gamma), PowerTestFunction(coef, e),
+                           float(B), engine="panjer", bandwidth=bw, bstar=bstar)
+    except ProcedureFailed:
+        assume(False)
+    text = cert.to_text()
+    cfg = RunConfig.from_text("\n".join(
+        f"{k} = {v}" for k, v in parse_kv(text).items() if k in _CERT_CONFIG_KEYS))
+    dist, h = build_dist(cfg), build_h(cfg)
+    g, g_bstar = build_g(cfg, dist, h)
+    rebuilt = build_bound(dist, GeometricParams(cfg.require("p")), h, g, cfg.require("B"),
+                          engine=cfg.require("engine"), bandwidth=cfg.require("bandwidth"),
+                          bstar=g_bstar)
+    assert rebuilt.to_text() == text
 
 
 def test_contraction_failure_is_reported():

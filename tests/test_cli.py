@@ -171,6 +171,27 @@ def test_tail_command_below_the_lattice(tmp_path):
         assert out.read_text().splitlines()[1].split(",")[:2] == ["-1", "1"]
 
 
+@pytest.mark.parametrize("xgrid", ["-2, -1", "-1, 0"])
+@pytest.mark.parametrize("command", ["tail", "delta"])
+def test_tables_at_or_below_zero_agree_across_engines(tmp_path, command, xgrid):
+    # P(S > x) = 1 for x <= 0 here (S >= 1): Panjer needs a lattice of at
+    # least one cell to say so, as Monte Carlo does
+    mc = BASE.replace("engine = panjer", "engine = mc") + "mc_samples = 1000\nseed = 1\n"
+    outs = []
+    for text in (BASE, mc):
+        cfg = write_cfg(tmp_path, text + f"xgrid = {xgrid}\n")
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    xs = xgrid.split(", ")
+    if command == "tail":
+        assert outs[0].splitlines()[1:] == [f"{x},1,0,panjer" for x in xs]
+        assert outs[1] == outs[0].replace("panjer", "mc")
+    else:
+        assert outs[0].splitlines()[1:] == [f"{x},-0.5,0" for x in xs]
+        assert outs[1] == outs[0]
+
+
 def test_delta_command_output(tmp_path):
     cfg = write_cfg(tmp_path, BASE + "xgrid = 10, 30\n")
     out = tmp_path / "delta.csv"
@@ -313,6 +334,18 @@ def test_plot_data_rejects_fewer_than_one_point(tmp_path, capsys, points):
     assert main(["plot-data", "--config", plot_cfg, "--certificate", str(cert_path)]) == 3
     assert capsys.readouterr().err == (
         f"configuration error: plot.points must be at least 1, got {points}\n")
+
+
+@pytest.mark.parametrize("xmax", ["-5", "3"])
+def test_plot_data_rejects_xmax_at_or_below_the_cutoff(tmp_path, capsys, xmax):
+    # the curves start at h(B) = 100^0.3125, so nothing lies below plot.xmax
+    cfg = write_cfg(tmp_path, BASE)
+    cert_path = tmp_path / "cert.txt"
+    assert main(["bound", "--config", cfg, "--out", str(cert_path)]) == 0
+    plot_cfg = write_cfg(tmp_path, BASE + f"plot.xmax = {xmax}\n", name="plot.cfg")
+    assert main(["plot-data", "--config", plot_cfg, "--certificate", str(cert_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"configuration error: plot.xmax must exceed h(B) = 4.21697, got {xmax}\n")
 
 
 # ---------------------------------------------------------------- packaging

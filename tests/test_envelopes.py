@@ -141,7 +141,7 @@ FAILING = [
     (PARETO22, H32, KKernelTestFunction(dist=PARETO22, h=H32), 1e6,
      "no tail envelope for this test function"),
     (PARETO22, H32, _spliced(100.0), 1e6,
-     "spliced test function not in its power regime at x_far"),
+     "test function not in its power regime at x_far"),
     (PARETO22, H32, PowerTestFunction(1.0, 0.69), 1e6,
      "test-function exponent exceeds min(a_min*gamma, 1-gamma); "
      "envelope terms need not decrease"),

@@ -622,7 +622,7 @@ def test_spliced_constant_table_kappa():
     g = build_spliced_g(table, 10.0, tailg)
     # running max of a constant table is the constant itself
     assert g.kappa_splice == pytest.approx(0.7 * 10.0 ** 0.5, rel=1e-12)
-    assert g.tail_coef == pytest.approx(0.7 * 10.0 ** 0.5, rel=1e-12)
+    assert g.power_tail[1] == pytest.approx(0.7 * 10.0 ** 0.5, rel=1e-12)
 
 
 def test_spliced_rejections():
