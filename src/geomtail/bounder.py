@@ -595,7 +595,7 @@ class BoundCertificate:
     caveats: tuple[str, ...]
 
     def __post_init__(self):
-        expected = max(self.phi / (1.0 - self.delta_b), self.phi + self.delta_b * self.c_hb_b)
+        expected = bound_constant(self.delta_b, self.phi, self.c_hb_b)
         if abs(self.C - expected) > 1e-12 * max(1.0, abs(expected)):
             raise ValueError("certificate constant does not match its components")
 

@@ -33,8 +33,17 @@ from .bounder import (
 # the CLI reaches the engines through bounder; mc_tail, panjer_tail and discretize
 # stay importable here because perfbench/tracing.py wraps them on this module too
 from .compound import delta_from_tails, mc_tail, panjer_tail  # noqa: F401
-from .config import ConfigError, RunConfig, build_dist, build_g, build_h, parse_kv
-from .dist import GeometricParams, ParetoDist, WeibullDist, discretize  # noqa: F401
+from .config import (
+    CONFIG_KEYS,
+    ConfigError,
+    RunConfig,
+    build_dist,
+    build_g,
+    build_h,
+    build_params,
+    parse_kv,
+)
+from .dist import ParetoDist, WeibullDist, discretize  # noqa: F401
 from .kernels import (
     PowerTestFunction,
     pareto_J_envelope,
@@ -111,7 +120,7 @@ _RUN_KEYS = ("bandwidth", "mc_samples", "seed", "mode", "x_far", "grid_ratio")
 def _tail_table_on_grid(cfg: RunConfig):
     """P(S > x) on the config's xgrid, with the severity and count used."""
     dist = build_dist(cfg)
-    params = GeometricParams(p=cfg.require("p"))
+    params = build_params(cfg)
     xs = _grid_from_config(cfg)
     table = _tail_table(
         dist, params, float(np.max(xs)), cfg.require_engine_inputs(), cfg.get("bandwidth"),
@@ -174,7 +183,7 @@ def cmd_kernels(cfg: RunConfig, args) -> str:
 
 def cmd_bound(cfg: RunConfig, args) -> str:
     dist = build_dist(cfg)
-    params = GeometricParams(p=cfg.require("p"))
+    params = build_params(cfg)
     h = build_h(cfg)
     g, bstar = build_g(cfg, dist, h)
     engine = cfg.require_engine_inputs()
@@ -185,7 +194,7 @@ def cmd_bound(cfg: RunConfig, args) -> str:
 
 def cmd_tune(cfg: RunConfig, args) -> str:
     dist = build_dist(cfg)
-    params = GeometricParams(p=cfg.require("p"))
+    params = build_params(cfg)
     h = build_h(cfg)
     g, _ = build_g(cfg, dist, h)
     if not isinstance(g, PowerTestFunction):
@@ -213,21 +222,15 @@ def cmd_tune(cfg: RunConfig, args) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CERT_CONFIG_KEYS = (
-    "family", "alpha", "beta", "terms", "p", "engine", "bandwidth", "mc_samples", "seed", "B",
-    "h.family", "h.scale", "h.gamma", "h.kappa",
-    "g.variant", "g.coef", "g.exponent", "g.bstar",
-)
-
-
 def cmd_plot_data(cfg: RunConfig, args) -> str:
     with open(args.certificate, "r", encoding="utf-8") as fh:
         cert_kv = parse_kv(fh.read())
+    # the certificate echoes its configuration keys among its results
     cert_cfg = RunConfig.from_text(
-        "\n".join(f"{k} = {v}" for k, v in cert_kv.items() if k in _CERT_CONFIG_KEYS)
+        "\n".join(f"{k} = {v}" for k, v in cert_kv.items() if k in CONFIG_KEYS)
     )
     dist = build_dist(cert_cfg)
-    params = GeometricParams(p=cert_cfg.require("p"))
+    params = build_params(cert_cfg)
     h = build_h(cert_cfg)
     g, bstar = build_g(cert_cfg, dist, h)
     C = float(cert_kv["C"])
@@ -260,7 +263,11 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
         g_final = g
         header = f"# test function: {g_final.describe()}"
 
-    sel = (table.xs >= lo) & (table.xs <= xmax) & (table.xs > 0)
+    from_lo = (table.xs >= lo) & (table.xs > 0)
+    sel = from_lo & (table.xs <= xmax)
+    if not sel.any():
+        raise ConfigError(f"plot.xmax must reach {table.xs[from_lo][0]:.6g}, the first table "
+                          f"point above h(B) = {lo:.6g}, got {xmax:g}")
     xs = table.xs[sel]
     dv = table.delta[sel]
     if xs.size > npts:

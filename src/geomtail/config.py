@@ -11,10 +11,13 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .dist import ParetoDist, PowerMixtureDist, SummandDistribution, WeibullDist
+from .dist import GeometricParams, ParetoDist, PowerMixtureDist, SummandDistribution, WeibullDist
 from .kernels import CutoffFunction, KKernelTestFunction, PowerTestFunction, TestFunction
 
-__all__ = ["ConfigError", "RunConfig", "parse_kv", "build_dist", "build_h", "build_g"]
+__all__ = [
+    "ConfigError", "RunConfig", "CONFIG_KEYS", "parse_kv",
+    "build_dist", "build_params", "build_h", "build_g",
+]
 
 
 class ConfigError(ValueError):
@@ -56,6 +59,10 @@ _FLOAT_KEYS = (
 )
 _INT_KEYS = ("mc_samples", "seed", "min_b_cap", "plot.points")
 _FLOAT_LIST_KEYS = ("xgrid", "tune.s")
+# every key a configuration may set
+CONFIG_KEYS = frozenset(
+    (*_STR_KEYS, *_FLOAT_KEYS, *_INT_KEYS, *_FLOAT_LIST_KEYS, "terms", "tune.bstar")
+)
 
 
 def _parse_float(key: str, val: str) -> float:
@@ -141,6 +148,10 @@ class RunConfig:
     def require_engine_inputs(self) -> str:
         engine = self.get("engine", "panjer")
         self._require_set(*(("bandwidth",) if engine == "panjer" else ("mc_samples", "seed")))
+        if engine == "panjer" and not (self.values["bandwidth"] > 0.0):
+            raise ConfigError(f"bandwidth must be positive, got {self.values['bandwidth']:g}")
+        if engine == "mc" and self.values["mc_samples"] < 1:
+            raise ConfigError(f"mc_samples must be at least 1, got {self.values['mc_samples']}")
         return engine
 
 
@@ -164,6 +175,11 @@ def build_dist(cfg: RunConfig) -> SummandDistribution:
         if family == "weibull":
             return WeibullDist(beta=cfg.require("beta"))
         return PowerMixtureDist(terms=cfg.require("terms"))
+
+
+def build_params(cfg: RunConfig) -> GeometricParams:
+    with _config_errors():
+        return GeometricParams(p=cfg.require("p"))
 
 
 def build_h(cfg: RunConfig) -> CutoffFunction:

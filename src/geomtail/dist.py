@@ -93,10 +93,6 @@ class SummandDistribution:
         return math.fsum(c * a / (a - 1.0) * rr ** (1.0 - a) for c, a in self.tail_power_terms)
 
 
-# Newton steps the power-mixture solver takes before it falls back to
-# bisection; random mixtures of up to 4 terms with exponents in [1.05, 10]
-# need at most 6
-_NEWTON_STEPS = 12
 # uniforms a power mixture inverts at a time: on criterion 5's Monte Carlo
 # table on two threads, 2^13 ran faster than 2^12 or 2^14, and took a tenth
 # of the minor page faults of 2^14, whose temporaries (twice a chunk in the
@@ -233,13 +229,13 @@ class PowerMixtureDist(SummandDistribution):
 
     ``sample`` maps u to the smallest double x >= 1 with tail(x) <= 1 - u.
     It reads a start t = log x off a table of t against y = -log(1 - u),
-    built once per distribution on first use, takes one Newton step on the
-    log of the tail, and keeps x = exp(t) when one ``tail`` call on x and the
-    double below it confirms it. On criterion 5's mixture about 63% of draws
-    are confirmed; the rest start a few ulps off and step one ulp at a time
-    against ``tail`` to it. A draw is thus the same double whatever the
-    start: the table, the solver that builds it and the chunking change how
-    fast a draw is found, never the draw.
+    built once per distribution on first use by bisection, takes one Newton
+    step on the log of the tail, and keeps x = exp(t) when one ``tail`` call
+    on x and the double below it confirms it. On criterion 5's mixture about
+    63% of draws are confirmed; the rest start a few ulps off and step one ulp
+    at a time against ``tail`` to it. A draw is thus the same double whatever
+    the start: the table and the chunking change how fast a draw is found,
+    never the draw.
     """
 
     terms: tuple[tuple[float, float], ...]
@@ -341,8 +337,9 @@ class PowerMixtureDist(SummandDistribution):
     @cached_property
     def _start_table(self):
         """t = log x and dt/dy at the nodes y of [0, _START_Y_MAX], where the
-        tail at x is exp(-y), solved by ``_log_quantile``. Built on first use,
-        64 KiB; threads that race to build it build the same table."""
+        tail at x is exp(-y), solved by bisection in ``_log_quantile``. Built
+        on first use, 64 KiB; threads that race to build it build the same
+        table."""
         t = self._log_quantile(np.exp(-np.linspace(0.0, _START_Y_MAX, _START_NODES)))
         f, df = self._log_tail(t)
         return t, f / df
@@ -352,8 +349,7 @@ class PowerMixtureDist(SummandDistribution):
 
         The cubic Hermite interpolant of ``_start_table`` at y = -log(target)
         is within about 1e-10 of the root; one Newton step on the log of the
-        tail, as in ``_log_quantile``, squares that error, and the result is
-        clamped into the bracket.
+        tail squares that error, and the result is clamped into the bracket.
         """
         nodes, slopes = self._start_table
         log_target = np.log(target)
@@ -371,35 +367,19 @@ class PowerMixtureDist(SummandDistribution):
         return np.clip(t, lo, hi, out=t)
 
     def _log_quantile(self, target):
-        """Solve sum_i c_i exp(-a_i t) = target for t >= 0, to a few ulps.
-
-        Newton runs on the log of both sides: the log of the tail is convex
-        and decreasing in t (and linear for one term), so Newton started from
-        the lower bound of ``_bracket`` rises to the root without
-        overshooting. Steps are still clamped into the bracket, and an
-        element still moving after ``_NEWTON_STEPS`` finishes by bisection.
-        """
-        log_target = np.log(target)
-        lo, hi = self._bracket(log_target)
-        t = lo.copy()
-        live = np.arange(t.size)
-        for _ in range(_NEWTON_STEPS):
-            if not live.size:
-                return t
-            t_old = t[live]
-            f, df = self._log_tail(t_old)
-            step = f * (np.log(f) - log_target[live]) / df
-            t_new = np.clip(t_old + step, lo[live], hi[live])
-            t[live] = t_new
-            live = live[np.abs(t_new - t_old) > 4.0 * np.spacing(np.maximum(t_old, 1.0))]
-        lo, hi, target = t[live], hi[live], target[live]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            above = self._log_tail(mid)[0] > target
+        """Solve sum_i c_i exp(-a_i t) = target for t >= 0 by bisection on
+        ``_bracket`` to the last bit: of the two adjacent doubles around the
+        root, the one whose tail is at most target. Each step halves the count
+        of doubles between the bounds, not their gap, so it ends within 63
+        steps even at a root of 0, where halving the gap takes about 1,000."""
+        # the int64 view of a double t >= 0 counts the doubles below t
+        lo, hi = (b.view(np.int64) for b in self._bracket(np.log(target)))
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            above = self._log_tail(mid.view(np.float64))[0] > target
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
-        t[live] = hi
-        return t
+        return hi.view(np.float64)
 
     def k_value(self, x, r):
         # term by term, c x^-a ((1 - r/x)^-a - 1) does not cancel as

@@ -22,9 +22,8 @@ from geomtail.bounder import (
     tune,
     verify_bound,
 )
-from geomtail.cli import _CERT_CONFIG_KEYS
 from geomtail.compound import DeltaTable, delta_from_tails, panjer_tail
-from geomtail.config import RunConfig, build_dist, build_g, build_h, parse_kv
+from geomtail.config import CONFIG_KEYS, RunConfig, build_dist, build_g, build_h, parse_kv
 from geomtail.dist import GeometricParams, ParetoDist, WeibullDist, discretize
 from geomtail.kernels import (
     CutoffFunction,
@@ -294,7 +293,7 @@ def test_certificate_text_rebuilds_the_certificate(a20, p20, g64, s20, c4, B, bw
         assume(False)
     text = cert.to_text()
     cfg = RunConfig.from_text("\n".join(
-        f"{k} = {v}" for k, v in parse_kv(text).items() if k in _CERT_CONFIG_KEYS))
+        f"{k} = {v}" for k, v in parse_kv(text).items() if k in CONFIG_KEYS))
     dist, h = build_dist(cfg), build_h(cfg)
     g, g_bstar = build_g(cfg, dist, h)
     rebuilt = build_bound(dist, GeometricParams(cfg.require("p")), h, g, cfg.require("B"),

@@ -86,6 +86,19 @@ def test_missing_required_key_exits_3(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param("p = 0.5", "p = 1.5", "p must lie in (0, 1)", id="p = 1.5"),
+    pytest.param("bandwidth = 0.05", "bandwidth = -1", "bandwidth must be positive, got -1",
+                 id="bandwidth = -1"),
+    pytest.param("engine = panjer", "engine = mc\nmc_samples = 0\nseed = 1",
+                 "mc_samples must be at least 1, got 0", id="mc_samples = 0"),
+])
+def test_out_of_range_value_exits_3(tmp_path, capsys, old, new, message):
+    cfg = write_cfg(tmp_path, BASE.replace(old, new))
+    assert main(["bound", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_contraction_failure_exits_2(tmp_path, capsys):
     text = BASE.replace("p = 0.5", "p = 0.2") + "min_b_cap = 150\n"
     cfg = write_cfg(tmp_path, text)
@@ -346,6 +359,18 @@ def test_plot_data_rejects_xmax_at_or_below_the_cutoff(tmp_path, capsys, xmax):
     assert main(["plot-data", "--config", plot_cfg, "--certificate", str(cert_path)]) == 3
     assert capsys.readouterr().err == (
         f"configuration error: plot.xmax must exceed h(B) = 4.21697, got {xmax}\n")
+
+
+def test_plot_data_rejects_xmax_below_the_first_table_point(tmp_path, capsys):
+    # h(B) = 4.217 lies between the table points 4.20 and 4.25
+    cfg = write_cfg(tmp_path, BASE)
+    cert_path = tmp_path / "cert.txt"
+    assert main(["bound", "--config", cfg, "--out", str(cert_path)]) == 0
+    plot_cfg = write_cfg(tmp_path, BASE + "plot.xmax = 4.24\n", name="plot.cfg")
+    assert main(["plot-data", "--config", plot_cfg, "--certificate", str(cert_path)]) == 3
+    assert capsys.readouterr().err == (
+        "configuration error: plot.xmax must reach 4.25, the first table point above "
+        "h(B) = 4.21697, got 4.24\n")
 
 
 # ---------------------------------------------------------------- packaging

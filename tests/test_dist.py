@@ -302,27 +302,35 @@ def test_mixture_sample_equals_the_newton_walk_oracle(d, u, base):
     assert d.sample(u).tobytes() == newton_walk_sample(d, u).tobytes()
 
 
-@pytest.mark.parametrize("table, name, value", [
-    # a start table built by bisection alone, or by Newton cut short
-    pytest.param(True, "_NEWTON_STEPS", 0, id="_NEWTON_STEPS-0"),
-    pytest.param(True, "_NEWTON_STEPS", 2, id="_NEWTON_STEPS-2"),
+@pytest.mark.parametrize("table, chunk", [
+    # the start table, built by bisection
+    pytest.param(True, dist_module._SAMPLE_CHUNK, id="bisection-table"),
     # many small chunks
-    pytest.param(True, "_SAMPLE_CHUNK", 7, id="_SAMPLE_CHUNK-7"),
-    # no table: every start from the bracketed solver, run to the end, by
-    # bisection alone, or by Newton cut short
-    pytest.param(False, "_NEWTON_STEPS", 12, id="no-table-_NEWTON_STEPS-12"),
-    pytest.param(False, "_NEWTON_STEPS", 0, id="no-table-_NEWTON_STEPS-0"),
-    pytest.param(False, "_NEWTON_STEPS", 2, id="no-table-_NEWTON_STEPS-2"),
+    pytest.param(True, 7, id="_SAMPLE_CHUNK-7"),
+    # no table: every start from the bisection itself
+    pytest.param(False, dist_module._SAMPLE_CHUNK, id="no-table"),
 ])
-def test_mixture_draws_do_not_depend_on_the_solver_path(monkeypatch, table, name, value):
+def test_mixture_draws_do_not_depend_on_the_solver_path(monkeypatch, table, chunk):
     terms = ((0.2, 1.2), (0.3, 2.5), (0.5, 6.0))
     u = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 2001), EDGE_UNIFORMS])
-    expect = PowerMixtureDist(terms).sample(u)
+    d = PowerMixtureDist(terms)
     if not table:
         monkeypatch.setattr(PowerMixtureDist, "_log_start", PowerMixtureDist._log_quantile)
-    monkeypatch.setattr(dist_module, name, value)
-    # a new instance builds its start table under the patch
-    assert np.array_equal(PowerMixtureDist(terms).sample(u), expect)
+    monkeypatch.setattr(dist_module, "_SAMPLE_CHUNK", chunk)
+    assert d.sample(u).tobytes() == newton_walk_sample(d, u).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixtures())
+def test_start_table_is_bisected_to_the_last_bit(d):
+    t, _ = d._start_table
+    target = np.exp(-np.linspace(0.0, dist_module._START_Y_MAX, dist_module._START_NODES))
+    lo, hi = d._bracket(np.log(target))
+    prev = np.nextafter(t, 0.0)
+    # inside the bracket, at most target, and the double below is above it
+    assert np.all((lo <= t) & (t <= hi))
+    assert np.all((t == hi) | (d._log_tail(t)[0] <= target))
+    assert np.all((prev <= lo) | (d._log_tail(prev)[0] > target))
 
 
 @settings(max_examples=100, deadline=None)
