@@ -187,7 +187,7 @@ def cmd_bound(cfg: RunConfig, args) -> str:
     h = build_h(cfg)
     g, bstar = build_g(cfg, dist, h)
     engine = cfg.require_engine_inputs()
-    cert = build_bound(dist, params, h, g, B=cfg.require("B"), engine=engine, bstar=bstar,
+    cert = build_bound(dist, params, h, g, B=cfg.require_horizon(h), engine=engine, bstar=bstar,
                        **_configured(cfg, *_RUN_KEYS, "min_b_cap"))
     return cert.to_text()
 

@@ -43,6 +43,11 @@ _MC_SCREEN_MAX_LEN = 1 << 12
 # at most this share of the draws; above it, finding and gathering them costs
 # the Pareto and Weibull samplers more than sampling every draw
 _MC_SCREEN_MAX_SHARE = 0.5
+# cells per block of panjer_tail's recursion; its block matrix is this square
+_PANJER_BLOCK = 64
+# most terms of one dot product in panjer_tail's history product: OpenBLAS
+# splits a longer ddot across its threads, which changes how it rounds
+_PANJER_HISTORY_CHUNK = 10_000
 # Python floats _kahan_cumsum holds at once, so its memory does not grow with
 # the lattice
 _KAHAN_CHUNK = 1 << 12
@@ -149,14 +154,15 @@ def _mc_screen(dist, params, x0: float) -> tuple[int, float] | None:
     the sums left over would hold more than _MC_SCREEN_MAX_SHARE of the draws.
 
     Every u <= u_cap samples to at most c = x0 / K * (1 - 1e-9): u_cap is
-    stepped down until 1 - u_cap >= tail(c) holds in floating point, so
-    1 - u >= tail(c), and ``dist.sample(u)`` is the smallest x with
-    tail(x) <= 1 - u, to a few ulps (see ``SummandDistribution.sample``). The
-    margin of 1e-9 covers those ulps and the rounding of a sum of K <= 2^12
-    such draws, so the sum stays below x0 and counts at no grid point.
+    stepped down until 1 - u_cap >= tail(c') holds in floating point, for
+    the cut c' = c * (1 - 1e-10), so 1 - u >= tail(c'), and
+    ``dist.sample(u)`` is the smallest x with tail(x) <= 1 - u, to a relative
+    1e-10 (see ``SummandDistribution.sample``), so at most c. The margin of
+    1e-9 covers the rounding of a sum of K <= 2^12 such draws, so the sum
+    stays below x0 and counts at no grid point.
 
     K minimizes the expected share of draws in the other sums, those longer
-    than K or holding a uniform above u_cap. With r = 1 - tail(c), the kept
+    than K or holding a uniform above u_cap. With r = 1 - tail(c'), the kept
     share is p^2 sum_{j <= K} j q^(j-1) r^j, a geometric sum in closed form,
     weighed at once on one array for every K up to the longest sum a block
     can draw, or _MC_SCREEN_MAX_LEN.
@@ -167,8 +173,8 @@ def _mc_screen(dist, params, x0: float) -> tuple[int, float] | None:
     # no uniform is below 2^-54, so no sum is longer than this
     longest = math.ceil(54.0 * math.log(2.0) / -math.log(q))
     k = np.arange(1.0, min(longest, _MC_SCREEN_MAX_LEN) + 1.0)
-    c = x0 / k * (1.0 - 1e-9)
-    tails = np.asarray(dist.tail(c), dtype=float)
+    cut = x0 / k * (1.0 - 1e-9) * (1.0 - 1e-10)
+    tails = np.asarray(dist.tail(cut), dtype=float)
     r = 1.0 - tails
     z = q * r
     kept = p * p * r * (1.0 - (k + 1.0) * z**k + k * z ** (k + 1.0)) / (1.0 - z) ** 2
@@ -197,13 +203,28 @@ def panjer_tail(
     the severity lattice carries no truncated mass, or extends to at least
     xmax; bounder ends every lattice at 2 * xmax, rounded up to whole cells.
 
-    The recursion makes one dot product per lattice cell, over all earlier
-    cells (or the whole severity lattice, if shorter), so its cost is
-    quadratic in xmax / bandwidth. The compound masses are kept newest
-    first, so each cell's history is a contiguous slice that no cell copies.
-    The loop is split where the history reaches the severity lattice's
-    length: the cells before it dot a prefix of the severity masses, and
-    every later cell dots all of them, with no per-cell length to work out.
+    The compound masses w_k = a * sum_{i=1..k} f_i w_(k-i), a = q / (1 - q f_0),
+    are found in blocks of _PANJER_BLOCK = L = 64 cells. Within the block of
+    cells s .. s + L - 1 they solve (I - a T) w = r: T is the strictly lower
+    Toeplitz matrix of f_1 .. f_(L-1), and r, the history product, is what
+    the cells before s contribute, a * sum_{j<s} f_(s+t-j) w_j for the t-th
+    cell, one ``np.correlate`` over the history in place. So w = M r, with
+    M = (I - a T)^-1 = sum_k (a T)^k the lower Toeplitz matrix whose first
+    column is the recursion itself run for L cells from 1; it is the same
+    matrix for every block. Every term of the history product, of M and of
+    M r is non-negative, so nothing cancels. A severity lattice shorter than
+    the table is read as zeros past its end, and the masses past xmax are
+    never read, so any lattice that reaches xmax gives the same tails.
+
+    The cost is still quadratic in xmax / bandwidth, but the Python work is
+    per block, not per cell: one history product and one L x L product. The
+    dot products of the history product read at most _PANJER_HISTORY_CHUNK
+    = 10,000 terms each, and a longer history is added up in pieces of that
+    length from the oldest, in a fixed order. OpenBLAS (0.3.31, x86_64)
+    splits a dot product of more than 10,000 terms across its threads, which
+    rounds it differently; so the tails are the same bytes whatever the BLAS
+    thread count. Tables of at most 10,001 cells read their history in one
+    piece.
     """
     p, q = params.p, params.q
     bw = lattice.bandwidth
@@ -220,26 +241,35 @@ def panjer_tail(
         raise ValueError("q * P(X=0) >= 1; recursion denominator vanishes")
 
     a = q / (1.0 - q * f0)
-    fs = f[1:]
-    m = fs.size
-    # the bound ndarray.dot is np.dot's cblas_ddot without its per-call
-    # array-function dispatch
-    dot = fs.dot
-    # rev[n - j] = w[j], so cell k's history w[k-1], w[k-2], ... starts at
-    # rev[n - k + 1] and the dot product reads it in place
+    size = _PANJER_BLOCK
+    # fs[i - 1] = f_i for i <= n, zero past the lattice or up to one block
+    fs = f[1 : n + 1]
+    if fs.size < max(n, size):
+        fs = np.concatenate([fs, np.zeros(max(n, size) - fs.size)])
+    # M[i, j] = c[i - j] below the diagonal, for c the recursion from c[0] = 1
+    c = np.empty(size)
+    c[0] = 1.0
+    for k in range(1, size):
+        c[k] = a * float(fs[:k].dot(c[k - 1 :: -1]))
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    block_inverse = np.where(lag >= 0, c[np.maximum(lag, 0)], 0.0)
+
+    # rev[n - j] = w_j: kept newest first, each history is a slice that
+    # np.correlate reads in place
     rev = np.empty(n + 1)
     rev[n] = p / (1.0 - q * f0)
-    # cells k <= m see their whole history, later ones the last m cells of it
-    for k in range(1, min(m, n) + 1):
-        rev[n - k] = a * float(fs[:k].dot(rev[n - k + 1 :]))
-    for j in range(n - m - 1, -1, -1):
-        rev[j] = a * float(dot(rev[j + 1 : j + 1 + m]))
-    w = rev[::-1]
-    if np.min(w) < -1e-12:
-        raise RuntimeError("mass conservation violated: negative compound mass")
-    w = np.maximum(w, 0.0)
+    for s in range(1, n + 1, size):
+        e = min(s + size, n + 1)
+        # the history w_(j1-1) .. w_j0 reaches cell s + t through
+        # f_(s+t-j) = fs[s - j1 + t + (j1 - 1 - j)]
+        r = np.zeros(e - s)
+        for j0 in range(0, s, _PANJER_HISTORY_CHUNK):
+            j1 = min(j0 + _PANJER_HISTORY_CHUNK, s)
+            r += np.correlate(fs[s - j1 : e - 1 - j0], rev[n - j1 + 1 : n - j0 + 1], "valid")
+        r *= a
+        rev[n - e + 1 : n - s + 1] = block_inverse[: e - s, : e - s].dot(r)[::-1]
 
-    cdf = _kahan_cumsum(w)
+    cdf = _kahan_cumsum(rev[::-1])
     if cdf[-1] > 1.0 + 1e-9:
         raise RuntimeError("mass conservation violated: compound cdf exceeds 1")
     # the shifted compound W satisfies P(S > x) = P(W > x) / q for x >= 0

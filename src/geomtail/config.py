@@ -146,13 +146,32 @@ class RunConfig:
             raise ConfigError(f"missing required configuration keys: {', '.join(missing)}")
 
     def require_engine_inputs(self) -> str:
+        """The engine, once its inputs and the sweep controls that are set
+        lie in range."""
         engine = self.get("engine", "panjer")
         self._require_set(*(("bandwidth",) if engine == "panjer" else ("mc_samples", "seed")))
         if engine == "panjer" and not (self.values["bandwidth"] > 0.0):
             raise ConfigError(f"bandwidth must be positive, got {self.values['bandwidth']:g}")
         if engine == "mc" and self.values["mc_samples"] < 1:
             raise ConfigError(f"mc_samples must be at least 1, got {self.values['mc_samples']}")
+        if engine == "mc" and self.values["seed"] < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.values['seed']}")
+        x_far = self.get("x_far")
+        if x_far is not None and not (x_far > 0.0):
+            raise ConfigError(f"x_far must be positive, got {x_far:g}")
+        if x_far is not None and "B" in self.values and not (x_far > self.values["B"]):
+            raise ConfigError(f"x_far must exceed B = {self.values['B']:g}, got {x_far:g}")
+        if "grid_ratio" in self.values and not (self.values["grid_ratio"] > 1.0):
+            raise ConfigError(f"grid_ratio must exceed 1, got {self.values['grid_ratio']:g}")
         return engine
+
+    def require_horizon(self, h: CutoffFunction) -> float:
+        """B, once it lies past the start of the cutoff's domain."""
+        B = self.require("B")
+        if not (B > h.domain_start):
+            raise ConfigError(f"B must exceed the cutoff domain start {h.domain_start:g}, "
+                              f"got {B:g}")
+        return B
 
 
 @contextmanager

@@ -311,6 +311,13 @@ class PowerMixtureDist(SummandDistribution):
             live = live[self.tail(np.nextafter(s[live], 0.0)) <= target[live]]
         return s
 
+    def _log_tail_value(self, t):
+        """The tail at x = exp(t): ``_log_tail``'s first sum, term for term."""
+        f = np.zeros_like(t)
+        for c, a in self.terms:
+            f += c * np.exp(-a * t)
+        return f
+
     def _log_tail(self, t):
         """The tail at x = exp(t) and minus its derivative in t."""
         f = np.zeros_like(t)
@@ -376,7 +383,7 @@ class PowerMixtureDist(SummandDistribution):
         lo, hi = (b.view(np.int64) for b in self._bracket(np.log(target)))
         while np.any(hi - lo > 1):
             mid = lo + (hi - lo) // 2
-            above = self._log_tail(mid.view(np.float64))[0] > target
+            above = self._log_tail_value(mid.view(np.float64)) > target
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
         return hi.view(np.float64)

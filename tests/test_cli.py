@@ -92,6 +92,15 @@ def test_missing_required_key_exits_3(tmp_path, capsys):
                  id="bandwidth = -1"),
     pytest.param("engine = panjer", "engine = mc\nmc_samples = 0\nseed = 1",
                  "mc_samples must be at least 1, got 0", id="mc_samples = 0"),
+    pytest.param("engine = panjer", "engine = mc\nmc_samples = 100\nseed = -1",
+                 "seed must be non-negative, got -1", id="seed = -1"),
+    pytest.param("x_far = 1e6", "x_far = 0", "x_far must be positive, got 0", id="x_far = 0"),
+    pytest.param("x_far = 1e6", "x_far = 100", "x_far must exceed B = 100, got 100",
+                 id="x_far = 100"),
+    pytest.param("x_far = 1e6", "x_far = 1e6\ngrid_ratio = 1", "grid_ratio must exceed 1, got 1",
+                 id="grid_ratio = 1"),
+    pytest.param("B = 100", "B = -1", "B must exceed the cutoff domain start 2.7407, got -1",
+                 id="B = -1"),
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, old, new, message):
     cfg = write_cfg(tmp_path, BASE.replace(old, new))

@@ -1,8 +1,12 @@
 """Compound-tail engines: Panjer recursion, Monte Carlo, brute force."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -96,7 +100,9 @@ def panjer_tails_oldest_first(lattice, params, xmax):
 def panjer_cases(draw):
     """A lattice, p and xmax: either a compact support of 1-60 atoms with no
     truncated mass, run past its end (so the history is cut at the support
-    length), or a discretized Pareto or Weibull truncated at 2 * xmax."""
+    length), or a discretized Pareto or Weibull truncated at 2 * xmax. The
+    tables run from 1 to 400 cells: shorter than one block of the recursion,
+    whole blocks, and a part block at the end."""
     p = draw(st.floats(0.05, 0.95))
     bw = draw(st.sampled_from([0.02, 0.25, 0.5, 1.0]))
     cells = draw(st.integers(1, 400))
@@ -113,28 +119,72 @@ def panjer_cases(draw):
     return lattice, GeometricParams(p), cells * bw
 
 
+THREE_ATOMS = LatticeDistribution(bandwidth=0.5, masses=np.array([0.1, 0.5, 0.4]),
+                                  truncation_point=1.0, truncated_mass=0.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(panjer_cases())
-# panjer_tail splits its loop where the history reaches the severity
-# lattice's length: a table past that length, and one short of it
-@example((LatticeDistribution(bandwidth=0.5, masses=np.array([0.1, 0.5, 0.4]),
-                              truncation_point=1.0, truncated_mass=0.0),
-          GeometricParams(0.3), 50.0))
+# panjer_tail recurses in blocks of 64 cells: a table shorter than one block,
+# one of whole blocks, and part blocks at the end, on a support shorter than
+# a block and on a severity lattice that reaches the end of the table
+@example((THREE_ATOMS, GeometricParams(0.3), 50.0))
+@example((THREE_ATOMS, GeometricParams(0.3), 5.0))
+@example((THREE_ATOMS, GeometricParams(0.7), 64.0))
 @example((discretize(ParetoDist(2.2), 0.25, 100.0), GeometricParams(0.6), 50.0))
-def test_panjer_is_the_oldest_first_recursion_bit_for_bit(case):
+@example((discretize(WeibullDist(0.5), 0.25, 64.0), GeometricParams(0.4), 32.0))
+def test_panjer_matches_the_oldest_first_recursion(case):
+    # the blocked recursion adds the same non-negative terms in another order;
+    # the tails of the shifted count, q * P(S > x) = 1 - cdf, agree to a few
+    # ulps of 1, and dividing by q scales that up
     lattice, params, xmax = case
     got = panjer_tail(lattice, params, xmax).tails
-    assert got.tobytes() == panjer_tails_oldest_first(lattice, params, xmax).tobytes()
+    want = panjer_tails_oldest_first(lattice, params, xmax)
+    assert got.shape == want.shape
+    assert params.q * np.max(np.abs(got - want)) <= 1e-15
 
 
-def test_panjer_is_the_oldest_first_recursion_on_a_12501_cell_weibull():
-    # the criterion-6 table of the benchmark: Weibull(0.5), p = 0.5, bandwidth
-    # 0.008, 12,501 cells, dots of up to 12,500 terms
-    lattice = discretize(WeibullDist(0.5), 0.008, 200.0)
-    params = GeometricParams(0.5)
-    got = panjer_tail(lattice, params, 100.0).tails
-    assert got.size == 12_501
-    assert got.tobytes() == panjer_tails_oldest_first(lattice, params, 100.0).tobytes()
+@pytest.mark.parametrize("d, p, bw, xmax, cells", [
+    (ParetoDist(2.2), 0.5, 0.02, 100.0, 5_001),
+    (ParetoDist(5.0), 0.5, 0.008, 50.0, 6_251),
+    (WeibullDist(0.5), 0.5, 0.008, 100.0, 12_501),
+    (ParetoDist(2.2), 0.2, 0.005, 100.0, 20_001),
+    (WeibullDist(0.5), 0.5, 0.002, 100.0, 50_001),
+], ids=["pareto2.2-5001", "pareto5-6251", "weibull-12501", "pareto2.2-20001",
+        "weibull-50001"])
+def test_panjer_matches_the_oldest_first_recursion_on_acceptance_lattices(
+        d, p, bw, xmax, cells):
+    # the benchmark's lattices of criteria 2, 4 and 6, and the acceptance
+    # lattices of criteria 3 and 6; from 12,501 cells on, the longest
+    # histories are read in pieces of compound._PANJER_HISTORY_CHUNK terms
+    lattice = discretize(d, bw, 2.0 * xmax)
+    params = GeometricParams(p)
+    got = panjer_tail(lattice, params, xmax).tails
+    assert got.size == cells
+    want = panjer_tails_oldest_first(lattice, params, xmax)
+    assert params.q * np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_panjer_tails_do_not_depend_on_the_blas_thread_count():
+    # criterion 6's acceptance lattice: histories of up to 50,000 terms, which
+    # OpenBLAS would split across its threads in one dot product
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from geomtail.compound import panjer_tail\n"
+        "from geomtail.dist import GeometricParams, WeibullDist, discretize\n"
+        "lattice = discretize(WeibullDist(0.5), 0.002, 200.0)\n"
+        "tails = panjer_tail(lattice, GeometricParams(0.5), 100.0).tails\n"
+        "sys.stdout.buffer.write(tails.tobytes())\n"
+    )
+    out = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr.decode()
+        out.append(proc.stdout)
+    assert len(out[0]) == 8 * 50_001
+    assert out[0] == out[1]
 
 
 def test_brute_force_single_term():
@@ -430,6 +480,8 @@ def test_screened_mc_is_the_serial_engine_bit_for_bit(case, n, seed):
 @settings(max_examples=60, deadline=None)
 @given(case=screen_cases(), fracs=hnp.arrays(float, 64, elements=st.floats(0.0, 1.0)))
 @example(case=(ParetoDist(5.0), GeometricParams(0.2), 30.0), fracs=np.linspace(0.0, 1.0, 64))
+# a Weibull draw at u_cap one ulp above c, when u_cap was cut at c itself
+@example(case=(WeibullDist(0.5), GeometricParams(0.75), 5.301898110478399), fracs=np.zeros(64))
 def test_screened_uniforms_sample_below_the_cut(case, fracs):
     d, params, x0 = case
     screen = compound._mc_screen(d, params, x0)

@@ -5,7 +5,7 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomtail import dist as dist_module
@@ -331,6 +331,33 @@ def test_start_table_is_bisected_to_the_last_bit(d):
     assert np.all((lo <= t) & (t <= hi))
     assert np.all((t == hi) | (d._log_tail(t)[0] <= target))
     assert np.all((prev <= lo) | (d._log_tail(prev)[0] > target))
+
+
+def full_sum_bisection(d, target):
+    """The start table's bisection on the tail from ``_log_tail``, which also
+    sums the derivative terms it does not read."""
+    lo, hi = (b.view(np.int64) for b in d._bracket(np.log(target)))
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        above = d._log_tail(mid.view(np.float64))[0] > target
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return hi.view(np.float64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixtures())
+@example(PowerMixtureDist(((1.0 / 3.0, 2.0), (2.0 / 3.0, 3.0))))
+@example(PowerMixtureDist(((0.2, 1.2), (0.3, 2.5), (0.5, 6.0))))
+def test_start_table_is_the_full_sum_bisection_bit_for_bit(d):
+    # the bisection sums only the tail, in the same term order, so every node
+    # of the table, and with it every draw, is what the full sum gives
+    target = np.exp(-np.linspace(0.0, dist_module._START_Y_MAX, dist_module._START_NODES))
+    t, slopes = d._start_table
+    want = full_sum_bisection(d, target)
+    f, df = d._log_tail(want)
+    assert t.tobytes() == want.tobytes()
+    assert slopes.tobytes() == (f / df).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
