@@ -22,11 +22,13 @@ import numpy as np
 
 from .compound import DeltaTable, TailTable, delta_from_tails, mc_tail, panjer_tail
 from .dist import (
+    ConfigError,
     GeometricParams,
     ParetoDist,
     PowerMixtureDist,
     SummandDistribution,
     WeibullDist,
+    _check_bandwidth,
     discretize,
 )
 from .kernels import (
@@ -379,10 +381,16 @@ def _tail_envelopes(dist, params, h, g, x_far) -> _TailEnvelopes:
 
 
 def _sup_grid(from_x: float, x_far: float, grid_ratio: float) -> np.ndarray:
-    if not (from_x > 0.0 and x_far > from_x):
-        raise ValueError("need 0 < from_x < x_far")
+    """The geometric sweep grid from from_x > 0 (B, or delta_sup's from_x)
+    to x_far."""
+    if not (x_far > 0.0):
+        raise ConfigError(f"x_far must be positive, got {x_far:g}")
+    if not (x_far > from_x):
+        raise ConfigError(f"x_far must exceed B = {from_x:g}, got {x_far:g}")
+    if not math.isfinite(x_far):
+        raise ConfigError(f"x_far must be finite, got {x_far:g}")
     if not (grid_ratio > 1.0):
-        raise ValueError("grid_ratio must exceed 1")
+        raise ConfigError(f"grid_ratio must exceed 1, got {grid_ratio:g}")
     n = int(math.ceil(math.log(x_far / from_x) / math.log(grid_ratio)))
     grid = from_x * grid_ratio ** np.arange(n + 1)
     grid = grid[grid < x_far * (1.0 - 1e-12)]
@@ -487,8 +495,8 @@ def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
 
 def _sups_from(dist, params, h, g, from_x, x_far, grid_ratio) -> tuple[SupResult, SupResult]:
     """_sup_pair over the geometric grid from from_x to x_far."""
-    if from_x < h.domain_start * (1.0 - 1e-12):
-        raise ValueError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
+    if not (from_x >= h.domain_start * (1.0 - 1e-12)):
+        raise ConfigError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
     return _sup_pair(_kernel_sweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)
 
 
@@ -698,6 +706,8 @@ class BoundCertificate:
 
 # points of a Monte Carlo error table, geometric over [h(B), B]
 _MC_GRID_POINTS = 512
+# the min-b search of a failed construction tries no integer anchor above this
+_MIN_B_CAP = 10_000
 
 
 def _lattice_end(xmax: float, bandwidth: float) -> float:
@@ -721,6 +731,7 @@ def _tail_table(dist, params, xmax, engine, bandwidth, mc_samples, seed, xs=None
     if engine == "panjer":
         if bandwidth is None:
             raise ValueError("the recursion engine requires a bandwidth")
+        _check_bandwidth(bandwidth)  # before it sizes the lattice
         xmax = max(xmax, bandwidth)
         lattice = discretize(dist, bandwidth, _lattice_end(xmax, bandwidth), mode=mode)
         table = panjer_tail(lattice, params, xmax)
@@ -803,20 +814,19 @@ def build_bound(
     mode: str = "rounded",
     x_far: float = 1e8,
     grid_ratio: float = 1.02,
-    min_b_cap: int = 10_000,
 ) -> BoundCertificate:
     """Run the full bound construction at horizon B.
 
     Builds the exact relative-error table on [0, B] (or a Monte Carlo grid),
     optionally splices the test function at bstar, evaluates the contraction
     suprema from B, and assembles the certificate. Raises ProcedureFailed,
-    with the smallest workable integer anchor up to min_b_cap and below
+    with the smallest workable integer anchor up to _MIN_B_CAP and below
     x_far when one exists, if the contraction condition delta < 1 fails at B.
     """
-    if B <= h.domain_start:
-        raise ValueError(
-            f"B={B:g} must exceed the cutoff domain start {h.domain_start:g}"
-        )
+    if not (B > h.domain_start):
+        raise ConfigError(f"B must exceed the cutoff domain start {h.domain_start:g}, got {B:g}")
+    # the sweep grid checks x_far and grid_ratio before any table is built
+    grid = _sup_grid(B, x_far, grid_ratio)
     hB = float(h(B))
     table = _build_delta_table(dist, params, B, hB, engine, bandwidth, mc_samples, seed, mode)
 
@@ -824,10 +834,10 @@ def build_bound(
         raise ValueError("splicing requires a power test function for the tail piece")
     g_final = g if bstar is None else build_spliced_g(table, bstar, g)
 
-    sweep = _kernel_sweep(dist, h, _sup_grid(B, x_far, grid_ratio))
+    sweep = _kernel_sweep(dist, h, grid)
     d_res, p_res, chb, C = _certify(table, sweep, params, g_final, B)
     if C is None:
-        cap = min(min_b_cap, math.ceil(x_far) - 1)  # the search reads the sweep to x_far
+        cap = min(_MIN_B_CAP, math.ceil(x_far) - 1)  # the search reads the sweep to x_far
         raise ProcedureFailed(B, d_res.value, _search_min_b(sweep, params, g_final, d_res, cap),
                               cap)
 
@@ -909,7 +919,7 @@ def tune(
     point, with the pure (unspliced) candidate ordered last.
     """
     if not isinstance(g, PowerTestFunction):
-        raise ValueError("tuning compares power-tail coefficients; g must be a power shape")
+        raise ConfigError("tuning compares power-tail coefficients; g must be a power shape")
     s_list = [float(s) for s in s_grid]
     b_list = list(bstar_grid)
     if not s_list or not b_list:
@@ -918,7 +928,8 @@ def tune(
     scales = [h.with_scale(s) for s in s_list]
     usable = [hs for hs in scales if B > hs.domain_start]
     if not usable:
-        raise ValueError("no candidate scale admits the horizon B")
+        raise ConfigError(f"no candidate scale admits the horizon B = {B:g}")
+    grid = _sup_grid(B, x_far, grid_ratio)
     table_lo = min(float(hs(B)) for hs in usable)
     table = _build_delta_table(dist, params, B, table_lo, engine, bandwidth, mc_samples, seed,
                                mode)
@@ -929,7 +940,7 @@ def tune(
             for bst in b_list:
                 rows.append(TuneRow(s, bst, False, None, None, "horizon below cutoff domain"))
             continue
-        sweep = _kernel_sweep(dist, hs, _sup_grid(B, x_far, grid_ratio))
+        sweep = _kernel_sweep(dist, hs, grid)
         for bst in b_list:
             try:
                 g_final = g if bst is None else build_spliced_g(table, float(bst), g)

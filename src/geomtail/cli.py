@@ -45,7 +45,6 @@ from .config import (
 )
 from .dist import ParetoDist, WeibullDist, discretize  # noqa: F401
 from .kernels import (
-    PowerTestFunction,
     pareto_J_envelope,
     pareto_K_envelope,
     weibull_J_envelope,
@@ -187,8 +186,8 @@ def cmd_bound(cfg: RunConfig, args) -> str:
     h = build_h(cfg)
     g, bstar = build_g(cfg, dist, h)
     engine = cfg.require_engine_inputs()
-    cert = build_bound(dist, params, h, g, B=cfg.require_horizon(h), engine=engine, bstar=bstar,
-                       **_configured(cfg, *_RUN_KEYS, "min_b_cap"))
+    cert = build_bound(dist, params, h, g, B=cfg.require("B"), engine=engine, bstar=bstar,
+                       **_configured(cfg, *_RUN_KEYS))
     return cert.to_text()
 
 
@@ -197,8 +196,6 @@ def cmd_tune(cfg: RunConfig, args) -> str:
     params = build_params(cfg)
     h = build_h(cfg)
     g, _ = build_g(cfg, dist, h)
-    if not isinstance(g, PowerTestFunction):
-        raise ConfigError("tuning requires g.variant = power (the tail shape to compare)")
     engine = cfg.require_engine_inputs()
     result = tune(dist, params, h, g, B=cfg.require("B"), s_grid=cfg.require("tune.s"),
                   bstar_grid=cfg.require("tune.bstar"), engine=engine,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import GeometricParams, LatticeDistribution, SummandDistribution
+from .dist import ConfigError, GeometricParams, LatticeDistribution, SummandDistribution
 
 __all__ = [
     "TailTable",
@@ -410,7 +410,9 @@ def mc_tail(
     ulps (see ``SummandDistribution.sample``).
     """
     if n < 1:
-        raise ValueError("need at least one sample")
+        raise ConfigError(f"mc_samples must be at least 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     xs = np.asarray(xgrid, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xgrid must be a non-empty 1-d array")

@@ -8,20 +8,22 @@ loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .dist import GeometricParams, ParetoDist, PowerMixtureDist, SummandDistribution, WeibullDist
+from .dist import (
+    ConfigError,
+    GeometricParams,
+    ParetoDist,
+    PowerMixtureDist,
+    SummandDistribution,
+    WeibullDist,
+)
 from .kernels import CutoffFunction, KKernelTestFunction, PowerTestFunction, TestFunction
 
 __all__ = [
     "ConfigError", "RunConfig", "CONFIG_KEYS", "parse_kv",
     "build_dist", "build_params", "build_h", "build_g",
 ]
-
-
-class ConfigError(ValueError):
-    """Malformed or incomplete run configuration."""
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -57,7 +59,7 @@ _FLOAT_KEYS = (
     "g.coef", "g.exponent", "g.bstar",
     "x_far", "grid_ratio", "plot.xmax",
 )
-_INT_KEYS = ("mc_samples", "seed", "min_b_cap", "plot.points")
+_INT_KEYS = ("mc_samples", "seed", "plot.points")
 _FLOAT_LIST_KEYS = ("xgrid", "tune.s")
 # every key a configuration may set
 CONFIG_KEYS = frozenset(
@@ -146,68 +148,32 @@ class RunConfig:
             raise ConfigError(f"missing required configuration keys: {', '.join(missing)}")
 
     def require_engine_inputs(self) -> str:
-        """The engine, once its inputs and the sweep controls that are set
-        lie in range."""
+        """The engine, once the inputs it requires are set. Their ranges are
+        checked where the library uses them."""
         engine = self.get("engine", "panjer")
         self._require_set(*(("bandwidth",) if engine == "panjer" else ("mc_samples", "seed")))
-        if engine == "panjer" and not (self.values["bandwidth"] > 0.0):
-            raise ConfigError(f"bandwidth must be positive, got {self.values['bandwidth']:g}")
-        if engine == "mc" and self.values["mc_samples"] < 1:
-            raise ConfigError(f"mc_samples must be at least 1, got {self.values['mc_samples']}")
-        if engine == "mc" and self.values["seed"] < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.values['seed']}")
-        x_far = self.get("x_far")
-        if x_far is not None and not (x_far > 0.0):
-            raise ConfigError(f"x_far must be positive, got {x_far:g}")
-        if x_far is not None and "B" in self.values and not (x_far > self.values["B"]):
-            raise ConfigError(f"x_far must exceed B = {self.values['B']:g}, got {x_far:g}")
-        if "grid_ratio" in self.values and not (self.values["grid_ratio"] > 1.0):
-            raise ConfigError(f"grid_ratio must exceed 1, got {self.values['grid_ratio']:g}")
         return engine
-
-    def require_horizon(self, h: CutoffFunction) -> float:
-        """B, once it lies past the start of the cutoff's domain."""
-        B = self.require("B")
-        if not (B > h.domain_start):
-            raise ConfigError(f"B must exceed the cutoff domain start {h.domain_start:g}, "
-                              f"got {B:g}")
-        return B
-
-
-@contextmanager
-def _config_errors():
-    """Report a ValueError raised while building from the config as a
-    ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_dist(cfg: RunConfig) -> SummandDistribution:
     family = cfg.require("family")
-    with _config_errors():
-        if family == "pareto":
-            return ParetoDist(alpha=cfg.require("alpha"))
-        if family == "weibull":
-            return WeibullDist(beta=cfg.require("beta"))
-        return PowerMixtureDist(terms=cfg.require("terms"))
+    if family == "pareto":
+        return ParetoDist(alpha=cfg.require("alpha"))
+    if family == "weibull":
+        return WeibullDist(beta=cfg.require("beta"))
+    return PowerMixtureDist(terms=cfg.require("terms"))
 
 
 def build_params(cfg: RunConfig) -> GeometricParams:
-    with _config_errors():
-        return GeometricParams(p=cfg.require("p"))
+    return GeometricParams(p=cfg.require("p"))
 
 
 def build_h(cfg: RunConfig) -> CutoffFunction:
     family = cfg.require("h.family")
     scale = cfg.require("h.scale")
-    with _config_errors():
-        if family == "power":
-            return CutoffFunction.power(scale, cfg.require("h.gamma"))
-        return CutoffFunction.logpower(scale, cfg.require("h.kappa"))
+    if family == "power":
+        return CutoffFunction.power(scale, cfg.require("h.gamma"))
+    return CutoffFunction.logpower(scale, cfg.require("h.kappa"))
 
 
 def build_g(
@@ -221,10 +187,9 @@ def build_g(
     exists; here it contributes its power tail piece and bstar.
     """
     variant = cfg.require("g.variant")
-    with _config_errors():
-        if variant == "kkernel":
-            return KKernelTestFunction(dist=dist, h=h), None
-        g = PowerTestFunction(coef=cfg.get("g.coef", 1.0), exponent=cfg.require("g.exponent"))
+    if variant == "kkernel":
+        return KKernelTestFunction(dist=dist, h=h), None
+    g = PowerTestFunction(coef=cfg.get("g.coef", 1.0), exponent=cfg.require("g.exponent"))
     if variant == "spliced":
         return g, cfg.require("g.bstar")
     return g, None

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "SummandDistribution",
     "ParetoDist",
     "WeibullDist",
@@ -25,6 +26,20 @@ __all__ = [
     "discretize",
     "build_overshoot_upper",
 ]
+
+
+class ConfigError(ValueError):
+    """An input out of range, or a malformed or incomplete run configuration.
+
+    Each check on a value the caller supplies (the severity, p, the cutoff,
+    the test function, the anchor B and the run controls) raises it where the
+    value is first used; the CLI reports it with exit code 3.
+    """
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    if not (bandwidth > 0.0):
+        raise ConfigError(f"bandwidth must be positive, got {bandwidth:g}")
 
 
 class SummandDistribution:
@@ -119,7 +134,7 @@ class ParetoDist(SummandDistribution):
 
     def __post_init__(self):
         if not (self.alpha > 1.0):
-            raise ValueError("alpha must exceed 1 (finite mean required)")
+            raise ConfigError("alpha must exceed 1 (finite mean required)")
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
@@ -173,7 +188,7 @@ class WeibullDist(SummandDistribution):
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1) for a subexponential tail")
+            raise ConfigError("beta must lie in (0, 1) for a subexponential tail")
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
@@ -244,15 +259,15 @@ class PowerMixtureDist(SummandDistribution):
         terms = tuple((float(c), float(a)) for c, a in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
-            raise ValueError("mixture needs at least one term")
+            raise ConfigError("mixture needs at least one term")
         csum = math.fsum(c for c, _ in terms)
         if abs(csum - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights sum to {csum}, expected 1")
+            raise ConfigError(f"mixture weights sum to {csum}, expected 1")
         for c, a in terms:
             if c <= 0.0:
-                raise ValueError("mixture weights must be positive")
+                raise ConfigError("mixture weights must be positive")
             if a <= 1.0:
-                raise ValueError("mixture exponents must exceed 1")
+                raise ConfigError("mixture exponents must exceed 1")
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
@@ -417,7 +432,7 @@ class GeometricParams:
 
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
-            raise ValueError("p must lie in (0, 1)")
+            raise ConfigError("p must lie in (0, 1)")
 
     @property
     def q(self) -> float:
@@ -438,8 +453,7 @@ class LatticeDistribution:
     truncated_mass: float
 
     def __post_init__(self):
-        if not (self.bandwidth > 0.0):
-            raise ValueError("bandwidth must be positive")
+        _check_bandwidth(self.bandwidth)
         m = np.asarray(self.masses, dtype=float)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a non-empty 1-d array")
@@ -475,8 +489,7 @@ def discretize(
     ``lower`` keeps atoms sitting exactly on the lattice at their own index,
     which is why it queries P(X >= x) rather than P(X > x).
     """
-    if not (bandwidth > 0.0):
-        raise ValueError("bandwidth must be positive")
+    _check_bandwidth(bandwidth)
     if not (truncation > 0.0):
         raise ValueError("truncation must be positive")
     ratio = truncation / bandwidth

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import SummandDistribution
+from .dist import ConfigError, SummandDistribution
 
 __all__ = [
     "CutoffFunction",
@@ -63,22 +63,20 @@ class CutoffFunction:
         return CutoffFunction(family="logpower", scale=scale, kappa=kappa)
 
     def __post_init__(self):
+        if self.family not in ("power", "logpower"):
+            raise ConfigError(f"unknown cutoff family {self.family!r}")
+        if not (self.scale > 0.0):
+            raise ConfigError(f"scale must be positive, got {self.scale:g}")
         if self.family == "power":
-            if not (self.scale > 0.0):
-                raise ValueError("scale must be positive")
             if not (0.0 < self.gamma < 1.0):
-                raise ValueError("power cutoff needs gamma in (0, 1)")
+                raise ConfigError("power cutoff needs gamma in (0, 1)")
             # solve s x^gamma = x/2
             start = (2.0 * self.scale) ** (1.0 / (1.0 - self.gamma))
             object.__setattr__(self, "domain_start", start)
-        elif self.family == "logpower":
-            if not (self.scale > 0.0):
-                raise ValueError("scale must be positive")
-            if not (self.kappa > 0.0):
-                raise ValueError("log-power cutoff needs kappa > 0")
-            object.__setattr__(self, "domain_start", self._logpower_start())
         else:
-            raise ValueError(f"unknown cutoff family {self.family!r}")
+            if not (self.kappa > 0.0):
+                raise ConfigError("log-power cutoff needs kappa > 0")
+            object.__setattr__(self, "domain_start", self._logpower_start())
 
     def _logpower_start(self) -> float:
         # concavity of s (log x)^kappa holds from x = e^(kappa - 1); beyond
@@ -91,7 +89,7 @@ class CutoffFunction:
             return max(concave_from, 1.0 + 1e-9)
         i = below[-1]
         if i + 1 >= grid.size:
-            raise ValueError("cutoff exceeds x/2 beyond the probed range")
+            raise ConfigError("cutoff exceeds x/2 beyond the probed range")
         lo, hi = grid[i], grid[i + 1]
         for _ in range(100):
             mid = math.sqrt(lo * hi)
@@ -450,9 +448,9 @@ class PowerTestFunction(TestFunction):
 
     def __post_init__(self):
         if not (self.coef > 0.0):
-            raise ValueError("coef must be positive")
+            raise ConfigError("coef must be positive")
         if not (self.exponent > 0.0):
-            raise ValueError("exponent must be positive")
+            raise ConfigError("exponent must be positive")
 
     @property
     def power_tail(self) -> tuple[float, float, float]:
@@ -551,7 +549,7 @@ def build_spliced_g(delta_table, bstar: float, tailg: PowerTestFunction) -> Spli
     xs = np.asarray(delta_table.xs, dtype=float)
     dv = np.asarray(delta_table.delta, dtype=float)
     if not (xs[0] <= bstar <= xs[-1]):
-        raise ValueError(
+        raise ConfigError(
             f"bstar={bstar:g} outside the table range [{xs[0]:g}, {xs[-1]:g}]"
         )
     sel = xs <= bstar
@@ -561,7 +559,7 @@ def build_spliced_g(delta_table, bstar: float, tailg: PowerTestFunction) -> Spli
         sub_x = np.append(sub_x, bstar)
         sub_v = np.append(sub_v, np.interp(bstar, xs, dv))
     if sub_x.size < 2:
-        raise ValueError("table too coarse to build an envelope up to bstar")
+        raise ConfigError("table too coarse to build an envelope up to bstar")
     env = MonotoneEnvelope.from_table(sub_x, sub_v)
     anchor = float(env.values[-1])
     if anchor <= 0.0:

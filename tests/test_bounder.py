@@ -305,7 +305,7 @@ def test_certificate_text_rebuilds_the_certificate(a20, p20, g64, s20, c4, B, bw
 def test_contraction_failure_is_reported():
     with pytest.raises(ProcedureFailed) as exc:
         build_bound(PARETO, GeometricParams(0.2), H_PARETO, G_PARETO, 100.0,
-                    engine="panjer", bandwidth=0.05, x_far=1e6, min_b_cap=150)
+                    engine="panjer", bandwidth=0.05, x_far=151)
     err = exc.value
     assert err.from_b == 100.0
     assert err.delta_value >= 1.0

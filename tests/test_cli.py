@@ -9,13 +9,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomtail import bounder
-from geomtail.bounder import _build_delta_table, build_bound
+import geomtail
+from geomtail import bounder, config
+from geomtail.bounder import _build_delta_table, build_bound, tune
 from geomtail.cli import main
-from geomtail.compound import panjer_tail
+from geomtail.compound import DeltaTable, mc_tail, panjer_tail
 from geomtail.config import parse_kv
-from geomtail.dist import GeometricParams, ParetoDist, discretize
-from geomtail.kernels import CutoffFunction, PowerTestFunction
+from geomtail.dist import (
+    ConfigError,
+    GeometricParams,
+    LatticeDistribution,
+    ParetoDist,
+    PowerMixtureDist,
+    WeibullDist,
+    discretize,
+)
+from geomtail.kernels import (
+    CutoffFunction,
+    KKernelTestFunction,
+    PowerTestFunction,
+    build_spliced_g,
+)
 
 BASE = """\
 family = pareto
@@ -71,9 +85,10 @@ def test_unknown_key_exits_3(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["truncation = 300", "mc_grid_points = 512"])
+@pytest.mark.parametrize("line", ["truncation = 300", "mc_grid_points = 512", "min_b_cap = 150"])
 def test_derived_sizes_are_not_configuration_keys(tmp_path, capsys, line):
-    # the lattice end and the Monte Carlo grid size are worked out, not set
+    # the lattice end, the Monte Carlo grid size and the min-b search cap are
+    # worked out or fixed, not set
     cfg = write_cfg(tmp_path, BASE + line + "\n")
     assert main(["bound", "--config", cfg]) == 3
     key = line.split(" ")[0]
@@ -86,30 +101,51 @@ def test_missing_required_key_exits_3(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new, message", [
-    pytest.param("p = 0.5", "p = 1.5", "p must lie in (0, 1)", id="p = 1.5"),
+TUNE = "\ntune.s = 1.0, 1.5\ntune.bstar = none"
+
+
+# each range is checked once, where the library uses the value, and a value
+# out of range raises ConfigError there
+@pytest.mark.parametrize("old, new, message, command", [
+    pytest.param("p = 0.5", "p = 1.5", "p must lie in (0, 1)", "bound", id="p = 1.5"),
     pytest.param("bandwidth = 0.05", "bandwidth = -1", "bandwidth must be positive, got -1",
-                 id="bandwidth = -1"),
+                 "bound", id="bandwidth = -1"),
     pytest.param("engine = panjer", "engine = mc\nmc_samples = 0\nseed = 1",
-                 "mc_samples must be at least 1, got 0", id="mc_samples = 0"),
+                 "mc_samples must be at least 1, got 0", "bound", id="mc_samples = 0"),
     pytest.param("engine = panjer", "engine = mc\nmc_samples = 100\nseed = -1",
-                 "seed must be non-negative, got -1", id="seed = -1"),
-    pytest.param("x_far = 1e6", "x_far = 0", "x_far must be positive, got 0", id="x_far = 0"),
-    pytest.param("x_far = 1e6", "x_far = 100", "x_far must exceed B = 100, got 100",
+                 "seed must be non-negative, got -1", "bound", id="seed = -1"),
+    pytest.param("x_far = 1e6", "x_far = 0", "x_far must be positive, got 0", "bound",
+                 id="x_far = 0"),
+    pytest.param("x_far = 1e6", "x_far = 100", "x_far must exceed B = 100, got 100", "bound",
                  id="x_far = 100"),
     pytest.param("x_far = 1e6", "x_far = 1e6\ngrid_ratio = 1", "grid_ratio must exceed 1, got 1",
-                 id="grid_ratio = 1"),
+                 "bound", id="grid_ratio = 1"),
     pytest.param("B = 100", "B = -1", "B must exceed the cutoff domain start 2.7407, got -1",
-                 id="B = -1"),
+                 "bound", id="B = -1"),
+    pytest.param("x_far = 1e6", "x_far = inf", "x_far must be finite, got inf", "bound",
+                 id="x_far = inf"),
+    pytest.param("x_far = 1e6", "x_far = 100" + TUNE, "x_far must exceed B = 100, got 100",
+                 "tune", id="tune, x_far = 100"),
+    pytest.param("B = 100", "B = 100\ntune.s = -1\ntune.bstar = none",
+                 "scale must be positive, got -1", "tune", id="tune.s = -1"),
+    pytest.param("B = 100", "B = 2" + TUNE, "no candidate scale admits the horizon B = 2",
+                 "tune", id="tune, B = 2"),
+    pytest.param("g.variant = power", "g.variant = kkernel" + TUNE,
+                 "tuning compares power-tail coefficients; g must be a power shape", "tune",
+                 id="tune, g.variant = kkernel"),
+    pytest.param("g.variant = power", "g.variant = spliced\ng.bstar = 500",
+                 "bstar=500 outside the table range [0, 100]", "bound", id="g.bstar = 500"),
+    pytest.param("g.variant = power", "g.variant = spliced\ng.bstar = -3",
+                 "bstar=-3 outside the table range [0, 100]", "bound", id="g.bstar = -3"),
 ])
-def test_out_of_range_value_exits_3(tmp_path, capsys, old, new, message):
+def test_out_of_range_value_exits_3(tmp_path, capsys, old, new, message, command):
     cfg = write_cfg(tmp_path, BASE.replace(old, new))
-    assert main(["bound", "--config", cfg]) == 3
+    assert main([command, "--config", cfg]) == 3
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_contraction_failure_exits_2(tmp_path, capsys):
-    text = BASE.replace("p = 0.5", "p = 0.2") + "min_b_cap = 150\n"
+    text = BASE.replace("p = 0.5", "p = 0.2").replace("x_far = 1e6", "x_far = 151")
     cfg = write_cfg(tmp_path, text)
     assert main(["bound", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -139,19 +175,110 @@ def test_engine_error_exits_4(tmp_path, capsys):
         "engine error: severity tail vanishes on the grid; relative error undefined\n")
 
 
+H = CutoffFunction.power(1.0, 0.3125)
+TABLE = DeltaTable(np.array([1.0, 2.0, 4.0]), np.array([0.3, 0.2, 0.1]), np.zeros(3),
+                   "panjer")
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ParetoDist(1.0),
+                 "alpha must exceed 1 (finite mean required)", id="alpha"),
+    pytest.param(lambda: WeibullDist(1.0),
+                 "beta must lie in (0, 1) for a subexponential tail", id="beta"),
+    pytest.param(lambda: PowerMixtureDist(()),
+                 "mixture needs at least one term", id="terms empty"),
+    pytest.param(lambda: PowerMixtureDist(((0.5, 2.0),)),
+                 "mixture weights sum to 0.5, expected 1", id="terms weights"),
+    pytest.param(lambda: PowerMixtureDist(((1.5, 2.0), (-0.5, 3.0))),
+                 "mixture weights must be positive", id="terms weight"),
+    pytest.param(lambda: PowerMixtureDist(((1.0, 1.0),)),
+                 "mixture exponents must exceed 1", id="terms exponent"),
+    pytest.param(lambda: GeometricParams(0.0),
+                 "p must lie in (0, 1)", id="p"),
+    pytest.param(lambda: discretize(ParetoDist(2.2), 0.0, 10.0),
+                 "bandwidth must be positive, got 0", id="bandwidth"),
+    pytest.param(lambda: LatticeDistribution(-1.0, np.ones(1), 0.0, 0.0),
+                 "bandwidth must be positive, got -1", id="lattice bandwidth"),
+    pytest.param(lambda: CutoffFunction("cubic", 1.0),
+                 "unknown cutoff family 'cubic'", id="h.family"),
+    pytest.param(lambda: CutoffFunction.power(-1.0, 0.5),
+                 "scale must be positive, got -1", id="h.scale"),
+    pytest.param(lambda: CutoffFunction.power(1.0, 1.0),
+                 "power cutoff needs gamma in (0, 1)", id="h.gamma"),
+    pytest.param(lambda: CutoffFunction.logpower(1.0, 0.0),
+                 "log-power cutoff needs kappa > 0", id="h.kappa"),
+    pytest.param(lambda: CutoffFunction.logpower(1e12, 1.0),
+                 "cutoff exceeds x/2 beyond the probed range", id="h probed range"),
+    pytest.param(lambda: PowerTestFunction(0.0, 1.0),
+                 "coef must be positive", id="g.coef"),
+    pytest.param(lambda: PowerTestFunction(1.0, 0.0),
+                 "exponent must be positive", id="g.exponent"),
+    pytest.param(lambda: build_spliced_g(TABLE, 500.0, PowerTestFunction(1.0, 0.5)),
+                 "bstar=500 outside the table range [1, 4]", id="g.bstar"),
+    pytest.param(lambda: build_spliced_g(TABLE, 1.0, PowerTestFunction(1.0, 0.5)),
+                 "table too coarse to build an envelope up to bstar", id="g.bstar at start"),
+    pytest.param(lambda: mc_tail(ParetoDist(2.2), GeometricParams(0.5), 0, 1, [5.0]),
+                 "mc_samples must be at least 1, got 0", id="mc_samples"),
+    pytest.param(lambda: mc_tail(ParetoDist(2.2), GeometricParams(0.5), 10, -1, [5.0]),
+                 "seed must be non-negative, got -1", id="seed"),
+    pytest.param(lambda: bounder._sup_grid(100.0, 0.0, 1.02),
+                 "x_far must be positive, got 0", id="x_far"),
+    pytest.param(lambda: bounder._sup_grid(100.0, 100.0, 1.02),
+                 "x_far must exceed B = 100, got 100", id="x_far at B"),
+    pytest.param(lambda: bounder._sup_grid(100.0, math.inf, 1.02),
+                 "x_far must be finite, got inf", id="x_far infinite"),
+    pytest.param(lambda: bounder._sup_grid(100.0, 1e6, 1.0),
+                 "grid_ratio must exceed 1, got 1", id="grid_ratio"),
+    pytest.param(lambda: bounder.delta_sup(ParetoDist(2.2), GeometricParams(0.5), H,
+                                           PowerTestFunction(1.0, 0.5), 1.0),
+                 "from_x=1 below the cutoff domain start 2.7407", id="from_x"),
+    pytest.param(lambda: build_bound(ParetoDist(2.2), GeometricParams(0.5), H,
+                                     PowerTestFunction(1.0, 0.5), 2.0, bandwidth=0.05),
+                 "B must exceed the cutoff domain start 2.7407, got 2", id="B"),
+    pytest.param(lambda: tune(ParetoDist(2.2), GeometricParams(0.5), H,
+                              KKernelTestFunction(ParetoDist(2.2), H), 100.0, [1.0], [None],
+                              bandwidth=0.05),
+                 "tuning compares power-tail coefficients; g must be a power shape", id="tune g"),
+    pytest.param(lambda: tune(ParetoDist(2.2), GeometricParams(0.5), H,
+                              PowerTestFunction(1.0, 0.5), 2.0, [1.0, 1.5], [None],
+                              bandwidth=0.05),
+                 "no candidate scale admits the horizon B = 2", id="tune B"),
+])
+def test_library_range_checks_raise_config_error(build, message):
+    # the CLI's exit code 3 is this exception; library callers may still
+    # catch it as the ValueError it is
+    assert ConfigError is config.ConfigError is geomtail.ConfigError
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value) == message
+
+
+def refuse(dist, bandwidth, truncation, mode="rounded"):
+    """discretize as it fails for a lattice too large to allocate."""
+    cells = round(truncation / bandwidth) + 1
+    raise MemoryError(f"Unable to allocate {cells * 8 / 2**30:.1f} GiB for an array")
+
+
 @pytest.mark.parametrize("command", ["tail", "delta"])
 def test_unallocatable_lattice_exits_4(tmp_path, capsys, monkeypatch, command):
     # an xgrid up to 1e8 at bandwidth 0.05 sizes a lattice of 4e9 cells; numpy
     # raises MemoryError for it, stood in for here so nothing large is allocated
-    def refuse(dist, bandwidth, truncation, mode="rounded"):
-        cells = round(truncation / bandwidth) + 1
-        raise MemoryError(f"Unable to allocate {cells * 8 / 2**30:.1f} GiB for an array")
-
     monkeypatch.setattr(bounder, "discretize", refuse)
     cfg = write_cfg(tmp_path, BASE + "xgrid = 10, 1e8\n")
     assert main([command, "--config", cfg]) == 4
     err = capsys.readouterr().err
     assert err == "engine error: Unable to allocate 29.8 GiB for an array\n"
+
+
+@pytest.mark.parametrize("command", ["bound", "tune"])
+def test_sweep_controls_fail_before_the_table(tmp_path, capsys, monkeypatch, command):
+    # the sweep grid, which checks x_far and grid_ratio, is built before the
+    # error table: no lattice is discretized for a run that cannot sweep
+    monkeypatch.setattr(bounder, "discretize", refuse)
+    cfg = write_cfg(tmp_path, BASE.replace("x_far = 1e6", "x_far = 100") + TUNE)
+    assert main([command, "--config", cfg]) == 3
+    assert capsys.readouterr().err == "configuration error: x_far must exceed B = 100, got 100\n"
 
 
 def test_no_command_exits_3(capsys):

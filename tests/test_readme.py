@@ -5,6 +5,7 @@ import io
 import re
 from pathlib import Path
 
+from geomtail import cli, config
 from geomtail.cli import main
 from geomtail.config import parse_kv
 
@@ -43,3 +44,21 @@ def test_readme_quick_start_prints_its_certificate_excerpt(tmp_path):
             assert f"{float(cert[key]):.{places}g}" == digits, key
         else:
             assert cert[key] == value, key
+
+
+def test_readme_configuration_keys_are_the_config_keys():
+    # every name in backticks in the "Configuration keys" section (the key of
+    # a `key = value` span) is a key, a value a key takes, a command or one
+    # of the other words below; so the section names every key and no
+    # stale one
+    text = README.read_text(encoding="utf-8")
+    (section,) = re.findall(r"^## Configuration keys\n(.*?)^## ", text, re.M | re.S)
+    named = set()
+    for span in re.findall(r"`([^`]+)`", section):
+        name = span.split(" = ", 1)[0]
+        if re.fullmatch(r"[A-Za-z_][\w.]*", name):
+            named.add(name)
+    values = {v for choices in config._STR_KEYS.values() for v in choices} | {"none"}
+    other = {"K", "OPENBLAS_NUM_THREADS", "bstar", "np.correlate", "truncation", "u_cap",
+             "x", "x0", "xmax"}
+    assert named - values - other - set(cli._COMMANDS) == config.CONFIG_KEYS
