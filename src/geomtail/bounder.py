@@ -49,7 +49,6 @@ __all__ = [
     "f_terms",
     "SupResult",
     "delta_sup",
-    "phi_sup",
     "c_interval",
     "bound_constant",
     "ProcedureFailed",
@@ -493,13 +492,6 @@ def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
     return d_res, p_res
 
 
-def _sups_from(dist, params, h, g, from_x, x_far, grid_ratio) -> tuple[SupResult, SupResult]:
-    """_sup_pair over the geometric grid from from_x to x_far."""
-    if not (from_x >= h.domain_start * (1.0 - 1e-12)):
-        raise ConfigError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
-    return _sup_pair(_kernel_sweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)
-
-
 def delta_sup(
     dist: SummandDistribution,
     params: GeometricParams,
@@ -509,22 +501,12 @@ def delta_sup(
     x_far: float = 1e8,
     grid_ratio: float = 1.02,
 ) -> SupResult:
-    """Supremum of f1 + f2 over [from_x, infinity)."""
-    return _sups_from(dist, params, h, g, from_x, x_far, grid_ratio)[0]
-
-
-def phi_sup(
-    dist: SummandDistribution,
-    params: GeometricParams,
-    h: CutoffFunction,
-    g: TestFunction,
-    from_x: float,
-    x_far: float = 1e8,
-    grid_ratio: float = 1.02,
-) -> SupResult:
-    """Supremum of the remainder term f3 over [from_x, infinity), clamped
-    below at zero."""
-    return _sups_from(dist, params, h, g, from_x, x_far, grid_ratio)[1]
+    """Supremum of f1 + f2 over [from_x, infinity): the maximum over the
+    geometric grid from from_x to x_far (samples, not a bound between them),
+    raised to the far-tail envelope beyond x_far when one is certified."""
+    if not (from_x >= h.domain_start * (1.0 - 1e-12)):
+        raise ConfigError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
+    return _sup_pair(_kernel_sweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)[0]
 
 
 def c_interval(delta_table: DeltaTable, g: TestFunction, a: float, b: float) -> float:
@@ -935,6 +917,7 @@ def tune(
                                mode)
 
     rows: list[TuneRow] = []
+    errors: list[Exception] = []
     for s, hs in zip(s_list, scales):
         if B <= hs.domain_start:
             for bst in b_list:
@@ -950,12 +933,15 @@ def tune(
             except (ValueError, RuntimeError) as exc:
                 C = coef = None
                 note = str(exc)
+                errors.append(exc)
             rows.append(TuneRow(s, bst, C is not None, C, coef, note))
 
     feasible = [r for r in rows if r.feasible]
     if not feasible:
         notes = "; ".join(sorted({r.note for r in rows if r.note}))
-        raise ValueError(f"no feasible tuning candidate: {notes}")
+        # candidates refused only for out-of-range inputs: the inputs are at fault
+        config = errors and all(isinstance(exc, ConfigError) for exc in errors)
+        raise (ConfigError if config else ValueError)(f"no feasible tuning candidate: {notes}")
     best = min(
         feasible,
         key=lambda r: (r.coefficient, r.scale, math.inf if r.bstar is None else r.bstar),

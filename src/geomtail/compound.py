@@ -1,9 +1,8 @@
 """Tail engines for the geometric compound sum S = X_1 + ... + X_nu.
 
-Three engines share one output shape: an exact recursion on a lattice
-(Panjer), a seeded Monte Carlo estimator, and a brute-force convolution used
-as an oracle in tests. A helper converts tail tables into tables of the
-relative error of the first-order approximation E(nu) * tail(x).
+Two engines share one output shape: an exact recursion on a lattice (Panjer)
+and a seeded Monte Carlo estimator. A helper converts tail tables into tables
+of the relative error of the first-order approximation E(nu) * tail(x).
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +21,6 @@ __all__ = [
     "DeltaTable",
     "panjer_tail",
     "mc_tail",
-    "brute_force_tail",
     "delta_from_tails",
 ]
 
@@ -453,48 +450,6 @@ def mc_tail(
     phat = counts / float(n)
     stderr = np.sqrt(phat * (1.0 - phat) / float(n))
     return TailTable(xs=xs_sorted, tails=phat, stderrs=stderr, engine="mc")
-
-
-def brute_force_tail(
-    lattice: LatticeDistribution,
-    params: GeometricParams,
-    term_cap: int,
-) -> TailTable:
-    """Oracle engine: sum p q^(k-1) P(X_1+...+X_k > x) over k up to term_cap,
-    with each convolution power computed directly.
-
-    The neglected count mass q^term_cap bounds the truncation error and is
-    reported as the per-point stderr; a warning is raised when it exceeds
-    1e-12. Quadratic in the lattice size, intended for small test lattices.
-    """
-    if term_cap < 1:
-        raise ValueError("term_cap must be at least 1")
-    p, q = params.p, params.q
-    f = lattice.masses
-    nn = f.size
-    acc = np.zeros(nn)
-    fk = f.copy()
-    weight = p
-    for k in range(1, term_cap + 1):
-        if k > 1:
-            fk = np.convolve(fk, f)[:nn]
-            weight *= q
-        tail_k = 1.0 - np.cumsum(fk)
-        acc += weight * np.maximum(tail_k, 0.0)
-    residual = q**term_cap
-    if residual > 1e-12:
-        warnings.warn(
-            f"brute force truncated the count at {term_cap}; residual mass {residual:.3e}",
-            stacklevel=2,
-        )
-    xs = np.arange(nn, dtype=float) * lattice.bandwidth
-    tails = np.minimum(1.0, np.maximum(0.0, acc))
-    return TailTable(
-        xs=xs,
-        tails=tails,
-        stderrs=np.full(nn, residual),
-        engine="brute",
-    )
 
 
 def delta_from_tails(

@@ -40,6 +40,8 @@ class ConfigError(ValueError):
 def _check_bandwidth(bandwidth: float) -> None:
     if not (bandwidth > 0.0):
         raise ConfigError(f"bandwidth must be positive, got {bandwidth:g}")
+    if not math.isfinite(bandwidth):
+        raise ConfigError(f"bandwidth must be finite, got {bandwidth:g}")
 
 
 class SummandDistribution:
@@ -135,6 +137,8 @@ class ParetoDist(SummandDistribution):
     def __post_init__(self):
         if not (self.alpha > 1.0):
             raise ConfigError("alpha must exceed 1 (finite mean required)")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha:g}")
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)

@@ -24,8 +24,6 @@ __all__ = [
     "CutoffFunction",
     "K_kernel",
     "J_kernel",
-    "validate_h",
-    "HValidationReport",
     "pareto_K_envelope",
     "pareto_J_envelope",
     "weibull_K_envelope",
@@ -296,84 +294,6 @@ def _j_quadrature(dist: SummandDistribution, x: np.ndarray, r: np.ndarray) -> np
     return _clamp_at_zero("J", J, x, r)
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    passed: bool
-    first_violation_x: float | None = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class HValidationReport:
-    """Outcome of checking a cutoff function on a grid.
-
-    The geometric conditions (increasing, concave, below x/2) are intrinsic
-    to h. The kernel conditions tie h to a severity distribution and fail for
-    legitimately usable cutoffs whose K kernel does not vanish, so they are
-    reported separately rather than folded into a single verdict.
-    """
-
-    grid: np.ndarray
-    conditions: dict
-
-    @property
-    def geometric_ok(self) -> bool:
-        return all(self.conditions[k].passed for k in ("increasing", "concave", "half"))
-
-    @property
-    def kernel_ok(self) -> bool:
-        return all(self.conditions[k].passed for k in ("J_small", "K_small"))
-
-
-def validate_h(
-    dist: SummandDistribution,
-    h: CutoffFunction,
-    grid,
-) -> HValidationReport:
-    """Check cutoff conditions on a grid: monotone, concave, h <= x/2, and the
-    kernel smallness conditions J(x, h(x)) <= 2 * tail(h(x)) and
-    K(x, h(x)) <= tail(h(x))."""
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1 or xs.size < 3 or np.any(np.diff(xs) <= 0.0):
-        raise ValueError("grid must be increasing with at least 3 points")
-    hv = np.asarray(h(xs), dtype=float)
-
-    conditions: dict[str, ConditionResult] = {}
-
-    dif = np.diff(hv)
-    bad = np.nonzero(dif < -1e-12 * np.maximum(1.0, np.abs(hv[:-1])))[0]
-    conditions["increasing"] = ConditionResult(bad.size == 0, xs[bad[0] + 1] if bad.size else None)
-
-    # concavity via chord slopes, valid on arbitrary grids
-    slopes = dif / np.diff(xs)
-    sbad = np.nonzero(np.diff(slopes) > 1e-9 * np.maximum(np.abs(slopes[:-1]), 1e-30))[0]
-    conditions["concave"] = ConditionResult(sbad.size == 0, xs[sbad[0] + 2] if sbad.size else None)
-
-    hbad = np.nonzero(hv > xs / 2.0 + 1e-12 * xs)[0]
-    conditions["half"] = ConditionResult(hbad.size == 0, xs[hbad[0]] if hbad.size else None)
-
-    # the kernel conditions where h(x) is a usable cut, (0, x/2)
-    cut = (hv > 0.0) & (hv < xs / 2.0)
-    xc, rc = xs[cut], hv[cut]
-    th = np.asarray(dist.tail(rc), dtype=float)
-    kbad = np.flatnonzero(K_kernel(dist, xc, rc) > th + 1e-12)
-    k_first = float(xc[kbad[0]]) if kbad.size else None
-    from .bounder import _j_chunks  # bounder imports this module
-
-    # J in chunks up to the first violation: a J that raises after it is never met
-    j_first, i = None, 0
-    for J in _j_chunks(dist, xc, rc):
-        over = np.flatnonzero(J > 2.0 * th[i : i + J.size] + 1e-12)
-        if over.size:
-            j_first = float(xc[i + over[0]])
-            break
-        i += J.size
-    conditions["J_small"] = ConditionResult(j_first is None, j_first, "J <= 2 * tail(h)")
-    conditions["K_small"] = ConditionResult(k_first is None, k_first, "K <= tail(h)")
-
-    return HValidationReport(grid=xs, conditions=conditions)
-
-
 def pareto_K_envelope(alpha: float, x: float, h: float) -> float:
     """Closed-form dominator of K(x, h) for the unit-threshold Pareto:
     alpha * h * x^alpha / (x - h)^(alpha + 1), valid for h < x/2."""
@@ -447,10 +367,11 @@ class PowerTestFunction(TestFunction):
     exponent: float = 1.0
 
     def __post_init__(self):
-        if not (self.coef > 0.0):
-            raise ConfigError("coef must be positive")
-        if not (self.exponent > 0.0):
-            raise ConfigError("exponent must be positive")
+        for name, value in (("coef", self.coef), ("exponent", self.exponent)):
+            if not (value > 0.0):
+                raise ConfigError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value:g}")
 
     @property
     def power_tail(self) -> tuple[float, float, float]:

@@ -18,7 +18,6 @@ from geomtail.bounder import (
     c_interval,
     delta_sup,
     f_terms,
-    phi_sup,
     tune,
     verify_bound,
 )
@@ -144,9 +143,10 @@ def test_sup_certifies_beyond_grid():
     assert res.tail_bound is not None
     assert res.value >= res.grid_max
     assert 100.0 <= res.grid_argmax <= 1e6
-    phi = phi_sup(PARETO, HALF, H_PARETO, G_PARETO, 100.0, x_far=1e6)
-    assert phi.tail_certified
-    assert float(phi) >= 0.0
+    cert = build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0,
+                       engine="panjer", bandwidth=0.05, x_far=1e6)
+    assert cert.phi_tail_certified
+    assert cert.phi >= 0.0
 
 
 def test_sup_uncertified_for_small_log_cutoff():
@@ -644,6 +644,8 @@ def test_tune_notes_when_kernel_sweep_raises(monkeypatch):
         tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0], [None, 21.3, 150.0],
              engine="panjer", bandwidth=0.05, x_far=1e4, grid_ratio=1.5)
     assert "bstar=150 outside the table range" in str(exc.value)
+    # a kernel failure among the rows keeps it an engine error, not a ConfigError
+    assert type(exc.value) is ValueError
     first = bounder._sup_grid(100.0, 1e4, 1.5)
     x_fail = float(first[first > 1e3][0])
     assert f"did not converge at x={x_fail:g}" in str(exc.value)

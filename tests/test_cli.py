@@ -110,6 +110,14 @@ TUNE = "\ntune.s = 1.0, 1.5\ntune.bstar = none"
     pytest.param("p = 0.5", "p = 1.5", "p must lie in (0, 1)", "bound", id="p = 1.5"),
     pytest.param("bandwidth = 0.05", "bandwidth = -1", "bandwidth must be positive, got -1",
                  "bound", id="bandwidth = -1"),
+    pytest.param("bandwidth = 0.05", "bandwidth = inf", "bandwidth must be finite, got inf",
+                 "bound", id="bandwidth = inf"),
+    pytest.param("alpha = 2.2", "alpha = inf", "alpha must be finite, got inf", "bound",
+                 id="alpha = inf"),
+    pytest.param("g.exponent = 0.6875", "g.exponent = inf", "exponent must be finite, got inf",
+                 "bound", id="g.exponent = inf"),
+    pytest.param("g.coef = 1.0", "g.coef = inf", "coef must be finite, got inf", "bound",
+                 id="g.coef = inf"),
     pytest.param("engine = panjer", "engine = mc\nmc_samples = 0\nseed = 1",
                  "mc_samples must be at least 1, got 0", "bound", id="mc_samples = 0"),
     pytest.param("engine = panjer", "engine = mc\nmc_samples = 100\nseed = -1",
@@ -137,6 +145,9 @@ TUNE = "\ntune.s = 1.0, 1.5\ntune.bstar = none"
                  "bstar=500 outside the table range [0, 100]", "bound", id="g.bstar = 500"),
     pytest.param("g.variant = power", "g.variant = spliced\ng.bstar = -3",
                  "bstar=-3 outside the table range [0, 100]", "bound", id="g.bstar = -3"),
+    pytest.param("B = 100", "B = 100\ntune.s = 1.0\ntune.bstar = 500",
+                 "no feasible tuning candidate: bstar=500 outside the table range [0, 100]",
+                 "tune", id="tune.bstar = 500"),
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, old, new, message, command):
     cfg = write_cfg(tmp_path, BASE.replace(old, new))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomtail import bounder, kernels
+from geomtail import kernels
 from geomtail.dist import ParetoDist, PowerMixtureDist, WeibullDist
 from geomtail.kernels import (
     CutoffFunction,
@@ -21,7 +21,6 @@ from geomtail.kernels import (
     optimal_pareto_g,
     pareto_J_envelope,
     pareto_K_envelope,
-    validate_h,
     weibull_J_envelope,
     weibull_K_envelope,
 )
@@ -467,65 +466,6 @@ def test_logpower_cutoff_domain_start():
 def test_cutoff_with_scale():
     h = CutoffFunction.power(1.0, 0.5).with_scale(2.0)
     assert float(h(np.array([9.0]))[0]) == pytest.approx(6.0)
-
-
-def test_validate_h_geometric_pass():
-    d = ParetoDist(2.2)
-    h = CutoffFunction.power(1.0, 1.0 / 3.2)
-    grid = np.geomspace(h.domain_start * 1.01, 1e4, 40)
-    rep = validate_h(d, h, grid)
-    assert rep.geometric_ok
-    assert rep.conditions["increasing"].passed
-    assert rep.conditions["concave"].passed
-    assert rep.conditions["half"].passed
-
-
-def test_validate_h_half_violation():
-    d = ParetoDist(2.2)
-    h = CutoffFunction.power(0.6, 0.99)
-    rep = validate_h(d, h, np.geomspace(10.0, 1000.0, 30))
-    assert not rep.geometric_ok
-    assert not rep.conditions["half"].passed
-    assert rep.conditions["half"].first_violation_x == pytest.approx(10.0)
-
-
-def test_validate_h_kernel_violation():
-    # steep cutoff for a Weibull severity: K(x, h(x)) blows up
-    d = WeibullDist(0.5)
-    h = CutoffFunction.power(1.0, 0.9)
-    grid = np.geomspace(1100.0, 5000.0, 12)
-    rep = validate_h(d, h, grid)
-    assert rep.geometric_ok
-    assert not rep.kernel_ok
-    assert not rep.conditions["K_small"].passed
-
-
-def test_validate_h_J_violation_is_the_pointwise_one(monkeypatch):
-    """J is evaluated in the sweep's chunks of 8, and the first violation of
-    J <= 2 tail(h) is the one a point-by-point loop finds; a J that raises
-    after it, in its chunk or later, is never met."""
-    d = WeibullDist(0.3)
-    h = CutoffFunction.logpower(0.3, 3.0)
-    grid = np.geomspace(20.0, 1e6, 40)
-    first = next(x for x, r in zip(grid.tolist(), h(grid).tolist())
-                 if 0.0 < r < x / 2.0 and J_kernel(d, x, r) > 2.0 * d.tail(r) + 1e-12)
-    assert grid[8] < first < grid[-1]  # inside the second chunk
-    report = validate_h(d, h, grid).conditions["J_small"]
-    assert not report.passed and report.first_violation_x == first
-
-    real = bounder.J_kernel
-    fails_from = [np.nextafter(first, math.inf)]
-
-    def failing(dist, x, r):
-        if np.any(np.ravel(x) >= fails_from[0]):
-            raise RuntimeError("J kernel quadrature did not converge")
-        return real(dist, x, r)
-
-    monkeypatch.setattr(bounder, "J_kernel", failing)
-    assert validate_h(d, h, grid).conditions["J_small"] == report
-    fails_from[0] = first
-    with pytest.raises(RuntimeError, match="did not converge"):
-        validate_h(d, h, grid)
 
 
 # ---------------------------------------------------------------- test functions

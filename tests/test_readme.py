@@ -5,6 +5,7 @@ import io
 import re
 from pathlib import Path
 
+import geomtail
 from geomtail import cli, config
 from geomtail.cli import main
 from geomtail.config import parse_kv
@@ -62,3 +63,13 @@ def test_readme_configuration_keys_are_the_config_keys():
     other = {"K", "OPENBLAS_NUM_THREADS", "bstar", "np.correlate", "truncation", "u_cap",
              "x", "x0", "xmax"}
     assert named - values - other - set(cli._COMMANDS) == config.CONFIG_KEYS
+
+
+def test_readme_lower_level_pieces_are_exported():
+    # every name in backticks in the "Lower-level pieces" sentence is in the
+    # package's __all__, so a deleted name cannot linger there
+    text = README.read_text(encoding="utf-8")
+    (sentence,) = re.findall(r"Lower-level pieces are exported too:(.*?)\.\s", text, re.S)
+    named = re.findall(r"`([^`]+)`", sentence)
+    assert "delta_sup" in named
+    assert set(named) <= set(geomtail.__all__)
