@@ -15,12 +15,13 @@ carries an explicit grid-only caveat.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compound import DeltaTable, TailTable, delta_from_tails, mc_tail, panjer_tail
+from .compound import DeltaTable, TailTable, _check_mc, delta_from_tails, mc_tail, panjer_tail
 from .dist import (
     ConfigError,
     GeometricParams,
@@ -29,6 +30,7 @@ from .dist import (
     SummandDistribution,
     WeibullDist,
     _check_bandwidth,
+    _check_mode,
     discretize,
 )
 from .kernels import (
@@ -699,6 +701,22 @@ def _lattice_end(xmax: float, bandwidth: float) -> float:
     return math.ceil(2.0 * xmax / bandwidth - 1e-9) * bandwidth
 
 
+def _check_engine(engine, bandwidth, mc_samples, seed, mode) -> None:
+    """The engine's input checks, in the table build's order; build_bound and
+    tune run them before the sweep, so they fail ahead of the contraction."""
+    if engine == "panjer":
+        if bandwidth is None:
+            raise ValueError("the recursion engine requires a bandwidth")
+        _check_bandwidth(bandwidth)  # before it sizes the lattice
+        _check_mode(mode)
+    elif engine == "mc":
+        if mc_samples is None or seed is None:
+            raise ValueError("the Monte Carlo engine requires mc_samples and a seed")
+        _check_mc(mc_samples, seed)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+
+
 def _tail_table(dist, params, xmax, engine, bandwidth, mc_samples, seed, xs=None,
                 mode="rounded") -> TailTable:
     """Compound tails P(S > x) at the points xs up to xmax. Panjer with xs
@@ -710,23 +728,17 @@ def _tail_table(dist, params, xmax, engine, bandwidth, mc_samples, seed, xs=None
     below x, and 1 for x < 0. The lattice reaches at least one cell, so points
     all at or below 0 read it as well.
     """
-    if engine == "panjer":
-        if bandwidth is None:
-            raise ValueError("the recursion engine requires a bandwidth")
-        _check_bandwidth(bandwidth)  # before it sizes the lattice
-        xmax = max(xmax, bandwidth)
-        lattice = discretize(dist, bandwidth, _lattice_end(xmax, bandwidth), mode=mode)
-        table = panjer_tail(lattice, params, xmax)
-        if xs is not None:
-            idx = np.floor(xs / bandwidth + 1e-9).astype(int)
-            tails = np.where(idx < 0, 1.0, table.tails[np.clip(idx, 0, len(table) - 1)])
-            table = TailTable(xs=xs, tails=tails, stderrs=np.zeros(xs.size), engine="panjer")
-        return table
+    _check_engine(engine, bandwidth, mc_samples, seed, mode)
     if engine == "mc":
-        if mc_samples is None or seed is None:
-            raise ValueError("the Monte Carlo engine requires mc_samples and a seed")
         return mc_tail(dist, params, mc_samples, seed, xs)
-    raise ValueError(f"unknown engine {engine!r}")
+    xmax = max(xmax, bandwidth)
+    lattice = discretize(dist, bandwidth, _lattice_end(xmax, bandwidth), mode=mode)
+    table = panjer_tail(lattice, params, xmax)
+    if xs is not None:
+        idx = np.floor(xs / bandwidth + 1e-9).astype(int)
+        tails = np.where(idx < 0, 1.0, table.tails[np.clip(idx, 0, len(table) - 1)])
+        table = TailTable(xs=xs, tails=tails, stderrs=np.zeros(xs.size), engine="panjer")
+    return table
 
 
 def _build_delta_table(dist, params, B, table_lo, engine, bandwidth, mc_samples, seed,
@@ -768,18 +780,25 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     return None
 
 
-def _certify(table: DeltaTable, sweep: _KernelSweep, params, g, B):
+def _certify(table, sweep: _KernelSweep, params, g, B):
     """The certify core of build_bound and tune: the delta and phi suprema
-    from B, the interval constant over [h(B), B] and the constant C, the
-    last two None when delta >= 1. A NaN delta, which the min-b search also
-    counts as not below one, raises."""
+    from B, then, only when delta < 1, the interval constant over [h(B), B]
+    from ``table()``, the error table's builder, and the constant C (both
+    None when delta >= 1, which builds no table). A NaN delta, which the
+    min-b search also counts as not below one, raises."""
     d_res, p_res = _sup_pair(sweep, params, g)
     if not (d_res.value < 1.0):
         if math.isnan(d_res.value):
             raise ValueError(f"delta supremum is NaN: f1 + f2 is NaN at x={d_res.grid_argmax:g}")
         return d_res, p_res, None, None
-    chb = c_interval(table, g, float(sweep.h(B)), B)
+    chb = c_interval(table(), g, float(sweep.h(B)), B)
     return d_res, p_res, chb, bound_constant(d_res.value, p_res.value, chb)
+
+
+def _failure(sweep: _KernelSweep, params, g, d_res: SupResult, B, x_far) -> ProcedureFailed:
+    """ProcedureFailed at B, naming the smallest workable integer anchor."""
+    cap = min(_MIN_B_CAP, math.ceil(x_far) - 1)  # the search reads the sweep to x_far
+    return ProcedureFailed(B, d_res.value, _search_min_b(sweep, params, g, d_res, cap), cap)
 
 
 def build_bound(
@@ -799,29 +818,29 @@ def build_bound(
 ) -> BoundCertificate:
     """Run the full bound construction at horizon B.
 
-    Builds the exact relative-error table on [0, B] (or a Monte Carlo grid),
-    optionally splices the test function at bstar, evaluates the contraction
-    suprema from B, and assembles the certificate. Raises ProcedureFailed,
+    Evaluates the contraction suprema from B, then builds the exact
+    relative-error table on [0, B] (or a Monte Carlo grid; first, for a
+    splice at bstar) and assembles the certificate. Raises ProcedureFailed,
     with the smallest workable integer anchor up to _MIN_B_CAP and below
-    x_far when one exists, if the contraction condition delta < 1 fails at B.
+    x_far when one exists, if delta < 1 fails at B; unspliced, that failure
+    builds no table: no Panjer recursion, no Monte Carlo sums.
     """
     if not (B > h.domain_start):
         raise ConfigError(f"B must exceed the cutoff domain start {h.domain_start:g}, got {B:g}")
     # the sweep grid checks x_far and grid_ratio before any table is built
     grid = _sup_grid(B, x_far, grid_ratio)
-    hB = float(h(B))
-    table = _build_delta_table(dist, params, B, hB, engine, bandwidth, mc_samples, seed, mode)
+    _check_engine(engine, bandwidth, mc_samples, seed, mode)
+    table = functools.cache(lambda: _build_delta_table(dist, params, B, float(h(B)), engine,
+                                                       bandwidth, mc_samples, seed, mode))
 
     if bstar is not None and not isinstance(g, PowerTestFunction):
         raise ValueError("splicing requires a power test function for the tail piece")
-    g_final = g if bstar is None else build_spliced_g(table, bstar, g)
+    g_final = g if bstar is None else build_spliced_g(table(), bstar, g)
 
     sweep = _kernel_sweep(dist, h, grid)
     d_res, p_res, chb, C = _certify(table, sweep, params, g_final, B)
     if C is None:
-        cap = min(_MIN_B_CAP, math.ceil(x_far) - 1)  # the search reads the sweep to x_far
-        raise ProcedureFailed(B, d_res.value, _search_min_b(sweep, params, g_final, d_res, cap),
-                              cap)
+        raise _failure(sweep, params, g_final, d_res, B, x_far)
 
     caveats = []
     if not d_res.tail_certified:
@@ -897,8 +916,12 @@ def tune(
     coefficient C * kappa (spliced) or C * coef (pure power).
 
     The exact-error table does not depend on the cutoff or the splice, so it
-    is computed once. Ties prefer the smaller scale, then the smaller splice
-    point, with the pure (unspliced) candidate ordered last.
+    is built once, at the first spliced or feasible candidate; an engine error
+    ends the tune. Ties prefer the smaller scale, then the smaller splice
+    point, with the pure (unspliced) candidate ordered last. When every usable
+    candidate fails the contraction alone, tune raises build_bound's
+    ProcedureFailed for the smallest delta (first row on ties), and unspliced
+    candidates alone build no table.
     """
     if not isinstance(g, PowerTestFunction):
         raise ConfigError("tuning compares power-tail coefficients; g must be a power shape")
@@ -912,12 +935,14 @@ def tune(
     if not usable:
         raise ConfigError(f"no candidate scale admits the horizon B = {B:g}")
     grid = _sup_grid(B, x_far, grid_ratio)
+    _check_engine(engine, bandwidth, mc_samples, seed, mode)
     table_lo = min(float(hs(B)) for hs in usable)
-    table = _build_delta_table(dist, params, B, table_lo, engine, bandwidth, mc_samples, seed,
-                               mode)
+    table = functools.cache(lambda: _build_delta_table(dist, params, B, table_lo, engine,
+                                                       bandwidth, mc_samples, seed, mode))
 
     rows: list[TuneRow] = []
     errors: list[Exception] = []
+    refused: list[tuple] = []  # (sweep, g, d_res) of each candidate with delta >= 1
     for s, hs in zip(s_list, scales):
         if B <= hs.domain_start:
             for bst in b_list:
@@ -926,17 +951,24 @@ def tune(
         sweep = _kernel_sweep(dist, hs, grid)
         for bst in b_list:
             try:
-                g_final = g if bst is None else build_spliced_g(table, float(bst), g)
+                g_final = g if bst is None else build_spliced_g(table(), float(bst), g)
                 d_res, _, _, C = _certify(table, sweep, params, g_final, B)
                 coef = None if C is None else C * g_final.power_tail[1]
                 note = "" if C is not None else f"delta = {d_res.value:.4g} >= 1"
+                if C is None:
+                    refused.append((sweep, g_final, d_res))
             except (ValueError, RuntimeError) as exc:
+                if table.cache_info().misses > table.cache_info().currsize:
+                    raise  # the table build raised (a miss, nothing cached): the engine failed
                 C = coef = None
                 note = str(exc)
                 errors.append(exc)
             rows.append(TuneRow(s, bst, C is not None, C, coef, note))
 
     feasible = [r for r in rows if r.feasible]
+    if not feasible and not errors:  # min picks the first row on ties
+        sweep, g_final, d_res = min(refused, key=lambda c: c[2].value)
+        raise _failure(sweep, params, g_final, d_res, B, x_far)
     if not feasible:
         notes = "; ".join(sorted({r.note for r in rows if r.note}))
         # candidates refused only for out-of-range inputs: the inputs are at fault

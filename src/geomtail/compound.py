@@ -359,6 +359,13 @@ def _mc_candidates(u, nu, starts, screen):
     return u[at], kept
 
 
+def _check_mc(n: int, seed: int) -> None:
+    if n < 1:
+        raise ConfigError(f"mc_samples must be at least 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 def mc_tail(
     dist: SummandDistribution,
     params: GeometricParams,
@@ -406,10 +413,7 @@ def mc_tail(
     ``dist.sample`` to be the quantile transform of ``dist.tail``, to a few
     ulps (see ``SummandDistribution.sample``).
     """
-    if n < 1:
-        raise ConfigError(f"mc_samples must be at least 1, got {n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    _check_mc(n, seed)
     xs = np.asarray(xgrid, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xgrid must be a non-empty 1-d array")

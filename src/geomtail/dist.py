@@ -476,6 +476,11 @@ class LatticeDistribution:
         return np.arange(self.masses.size) * self.bandwidth
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("rounded", "lower", "upper"):
+        raise ValueError(f"unknown discretization mode {mode!r}")
+
+
 def discretize(
     dist: SummandDistribution,
     bandwidth: float,
@@ -500,8 +505,7 @@ def discretize(
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, n):
         raise ValueError("truncation must be a positive integer multiple of bandwidth")
-    if mode not in ("rounded", "lower", "upper"):
-        raise ValueError(f"unknown discretization mode {mode!r}")
+    _check_mode(mode)
 
     j = np.arange(n + 1, dtype=float)
     if mode == "rounded":

@@ -23,7 +23,7 @@ from geomtail.bounder import (
 )
 from geomtail.compound import DeltaTable, delta_from_tails, panjer_tail
 from geomtail.config import CONFIG_KEYS, RunConfig, build_dist, build_g, build_h, parse_kv
-from geomtail.dist import GeometricParams, ParetoDist, WeibullDist, discretize
+from geomtail.dist import ConfigError, GeometricParams, ParetoDist, WeibullDist, discretize
 from geomtail.kernels import (
     CutoffFunction,
     KKernelTestFunction,
@@ -376,6 +376,103 @@ def test_min_b_is_the_bisection_over_delta_sup():
             assert exc.value.min_b == search_min_b(*anchor_sweep(args, **sweep), args) == expect
             assert expect == bisect_min_b(
                 100, 10_000, lambda n: delta_sup(*args, float(n), **sweep).value < 1.0)
+
+
+# ---------------------------------------------------------------- lazy error table
+
+ENGINES = [pytest.param(dict(engine="panjer", bandwidth=0.05), id="panjer"),
+           pytest.param(dict(engine="mc", mc_samples=5_000_000, seed=1), id="mc")]
+COARSE = dict(x_far=1e6, grid_ratio=1.2)
+
+
+def record_engine(monkeypatch, events, fail=None):
+    """Log "table" at each call of a tail engine and "sweep" at each K call;
+    with ``fail``, an engine call raises it instead."""
+    for name in ("discretize", "panjer_tail", "mc_tail"):
+        real = getattr(bounder, name)
+
+        def engine(*args, _real=real, _name=name, **kwargs):
+            if fail is not None:
+                raise fail
+            if _name != "discretize":
+                events.append("table")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bounder, name, engine)
+    real_K = bounder.K_kernel
+
+    def K(*args, **kwargs):
+        events.append("sweep")
+        return real_K(*args, **kwargs)
+
+    monkeypatch.setattr(bounder, "K_kernel", K)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("args, min_b", [pytest.param(MINB_ARGS, 1082, id="c3 pure"),
+                                         pytest.param(C6_ARGS, 1658, id="c6 unscaled")])
+def test_failed_contraction_calls_no_tail_engine(monkeypatch, engine, args, min_b):
+    # AssertionError is no engine error: neither build_bound nor tune would catch it
+    record_engine(monkeypatch, [], fail=AssertionError("a tail engine was called"))
+    with pytest.raises(ProcedureFailed) as exc:
+        build_bound(*args, 100.0, **engine, **COARSE)
+    assert exc.value.min_b == min_b
+    if isinstance(args[3], PowerTestFunction):
+        with pytest.raises(ProcedureFailed) as tuned:
+            tune(*args, 100.0, [1.0], [None], **engine, **COARSE)
+        assert str(tuned.value) == str(exc.value)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_feasible_build_calls_the_engine_once_after_the_sweep(monkeypatch, engine):
+    engine = dict(engine, mc_samples=20_000) if engine["engine"] == "mc" else engine
+    events = []
+    record_engine(monkeypatch, events)
+    build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, **engine, **COARSE)
+    assert events.count("table") == 1
+    assert events.index("sweep") < events.index("table")
+    # a splice needs the table for its test function: it comes before the sweep
+    events.clear()
+    build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, bstar=21.3, **engine, **COARSE)
+    assert events.count("table") == 1
+    assert events[0] == "table" and "sweep" in events
+    # a tune builds it once for all its candidates
+    events.clear()
+    res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14], [None, 21.3],
+               **engine, **COARSE)
+    assert all(row.feasible for row in res.rows)
+    assert events.count("table") == 1
+
+
+def test_tune_ends_at_an_engine_error(monkeypatch):
+    # the engine fails for every candidate alike, so it is no candidate's
+    # note: tune raises its error at the first candidate that builds the table
+    events = []
+    record_engine(monkeypatch, events, fail=RuntimeError("mass conservation violated"))
+    with pytest.raises(RuntimeError, match="^mass conservation violated$"):
+        tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14], [None, 21.3],
+             bandwidth=0.05, **COARSE)
+    assert events == ["sweep"]
+
+
+@pytest.mark.parametrize("controls, error, message", [
+    (dict(engine="panjer"), ValueError, "the recursion engine requires a bandwidth"),
+    (dict(bandwidth=-1.0), ConfigError, "bandwidth must be positive, got -1"),
+    (dict(bandwidth=0.05, mode="bogus"), ValueError, "unknown discretization mode 'bogus'"),
+    (dict(engine="mc", mc_samples=100), ValueError,
+     "the Monte Carlo engine requires mc_samples and a seed"),
+    (dict(engine="mc", mc_samples=0, seed=1), ConfigError, "mc_samples must be at least 1, got 0"),
+    (dict(engine="mc", mc_samples=100, seed=-1), ConfigError, "seed must be non-negative, got -1"),
+    (dict(engine="fft", bandwidth=0.05), ValueError, "unknown engine 'fft'"),
+])
+def test_engine_inputs_are_checked_before_a_failed_contraction(controls, error, message):
+    # criterion 3 pure fails its contraction, which needs no table; the
+    # checks of the table's inputs still come first
+    for run in (lambda: build_bound(*MINB_ARGS, 100.0, **controls, **COARSE),
+                lambda: tune(*MINB_ARGS, 100.0, [1.0], [None], **controls, **COARSE)):
+        with pytest.raises(error) as exc:
+            run()
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 @pytest.mark.parametrize("case, expect, most", [("c3", 1082, 16), ("c6", 1658, 120)])

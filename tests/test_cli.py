@@ -164,6 +164,47 @@ def test_contraction_failure_exits_2(tmp_path, capsys):
     assert "150" in err
 
 
+# criterion 3 pure: delta(100) = 1.25689 >= 1
+INFEASIBLE = BASE.replace("p = 0.5", "p = 0.2")
+
+
+# a failed contraction builds no error table, but the engine's inputs are still
+# checked first: each error exits as it did when the table came first, not 2
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param("bandwidth = 0.05", "bandwidth = -1", "bandwidth must be positive, got -1",
+                 id="bandwidth = -1"),
+    pytest.param("engine = panjer", "engine = mc\nmc_samples = 0\nseed = 1",
+                 "mc_samples must be at least 1, got 0", id="mc_samples = 0"),
+    pytest.param("engine = panjer", "engine = mc\nmc_samples = 100\nseed = -1",
+                 "seed must be non-negative, got -1", id="seed = -1"),
+    pytest.param("bandwidth = 0.05\n", "", "missing required configuration keys: bandwidth",
+                 id="no bandwidth"),
+    pytest.param("engine = panjer", "engine = panjer\nmode = bogus",
+                 "mode: expected one of ('rounded', 'lower', 'upper'), got 'bogus'",
+                 id="mode = bogus"),
+])
+@pytest.mark.parametrize("command", ["bound", "tune"])
+def test_input_errors_come_before_a_failed_contraction(tmp_path, capsys, old, new, message,
+                                                       command):
+    assert main([command, "--config", write_cfg(tmp_path, INFEASIBLE + TUNE)]) == 2
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, INFEASIBLE.replace(old, new) + TUNE)
+    assert main([command, "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_tune_with_every_candidate_infeasible_fails_as_bound(tmp_path, capsys, monkeypatch):
+    # the 1.5 scale has the smaller delta (1.087 against 1.257 at scale 1):
+    # tune exits with the line bound prints for it, and builds no table
+    monkeypatch.setattr(bounder, "discretize", refuse)
+    assert main(["tune", "--config", write_cfg(tmp_path, INFEASIBLE + TUNE)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bound construction failed: delta(100) = 1.08706 >= 1;")
+    text = INFEASIBLE.replace("h.scale = 1.0", "h.scale = 1.5")
+    assert main(["bound", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_min_b_search_stops_below_x_far(tmp_path, capsys):
     # criterion 3 pure with the default min_b_cap of 10000 above x_far: the
     # search reads the sweep up to x_far, so it is a contraction failure
