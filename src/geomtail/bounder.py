@@ -76,13 +76,16 @@ class FTerms:
 
 def _g_values(g: TestFunction, x: np.ndarray, r: np.ndarray) -> tuple:
     """g(x), g(x - h(x)) and g(h(x)), the test-function values the
-    contraction terms need; g must be positive at x."""
-    gx = g.evaluate(x)
+    contraction terms need."""
+    return g.evaluate(x), g.evaluate(x - r), g.evaluate(r)
+
+
+def _check_g(x: np.ndarray, gx: np.ndarray) -> None:
+    """g must be positive at the points x, where it is gx."""
     bad = np.flatnonzero(~(gx > 0.0))
     if bad.size:
         i = bad[0]
         raise ValueError(f"test function must be positive; g({x[i]:g})={gx[i]:g}")
-    return gx, g.evaluate(x - r), g.evaluate(r)
 
 
 def _combine(params: GeometricParams, gx, g_xr, g_r, K, J, tail_r) -> tuple:
@@ -138,25 +141,40 @@ class SupResult:
 
 @dataclass(frozen=True)
 class _TailEnvelopes:
+    """Envelope bounds on f1 + f2 and f3 over [x, infinity) at x = x_far
+    (``f12``, ``f3``) and at each increasing point x asked for, up to x_far
+    (``f12s``, ``f3s``; NaN where the family's conditions fail). ``note``
+    names the first condition failing at x_far, where nothing is certified."""
+
     f12: float | None
     f3: float | None
     certified: bool
     note: str
+    f12s: np.ndarray | None = None
+    f3s: np.ndarray | None = None
 
 
 def _uncertified(note: str) -> _TailEnvelopes:
     return _TailEnvelopes(None, None, False, note)
 
 
-def _at_x_far(envelope, dist, params, h, g, x_far: float) -> _TailEnvelopes:
-    """The envelope's two bounds at x_far alone, which are their maxima over
-    [x_far, infinity) once the family's conditions hold there; an envelope
-    that overflows at x_far bounds nothing."""
-    f12, f3 = envelope(dist, params, h, g, np.array([x_far]))
-    f12, f3 = float(f12[0]), float(f3[0])
+def _where_conditions_hold(envelope, dist, params, h, g, xs, conditions) -> _TailEnvelopes:
+    """The envelope's bounds at the points of xs where all conditions hold,
+    each a (holds, note) pair with holds a boolean or a boolean array over xs
+    that, once true, stays true for larger x; certified when they all hold at
+    x_far = xs[-1]. An envelope that overflows at x_far bounds nothing."""
+    holds = np.ones(xs.size, dtype=bool)
+    for ok, note in conditions:
+        ok = np.broadcast_to(ok, xs.shape)
+        if not ok[-1]:
+            return _uncertified(note)
+        holds &= ok
+    f12s, f3s = np.full(xs.size, np.nan), np.full(xs.size, np.nan)
+    f12s[holds], f3s[holds] = envelope(dist, params, h, g, xs[holds])
+    f12, f3 = float(f12s[-1]), float(f3s[-1])
     if not (math.isfinite(f12) and math.isfinite(f3)):
         return _uncertified("envelope terms not finite at x_far")
-    return _TailEnvelopes(f12, f3, True, "")
+    return _TailEnvelopes(f12, f3, True, "", f12s, f3s)
 
 
 def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,11 +232,12 @@ def _power_tail_envelopes(
     params: GeometricParams,
     h: CutoffFunction,
     g: TestFunction,
-    x_far: float,
+    xs: np.ndarray,
 ) -> _TailEnvelopes:
-    """Bounds on f1 + f2 and on f3 over [x_far, infinity) for power tails with
-    a power cutoff and a power-decaying test function: _power_envelope at
-    x_far, its maximum there once these conditions hold at x_far:
+    """Bounds on f1 + f2 and on f3 over [x, infinity) at the points x of xs,
+    for power tails with a power cutoff and a power-decaying test function:
+    _power_envelope at x, its maximum over [x, infinity) once these
+    conditions hold at x, here written for x = x_far:
 
     1. g is in its power regime: its declared power tail starts at or below
        both h(x_far) and x_far - h(x_far);
@@ -254,23 +273,18 @@ def _power_tail_envelopes(
     if g.power_tail is None:
         return _uncertified("no tail envelope for this test function")
     start, _, e = g.power_tail
-    hf = float(h(x_far))
-    if not (hf >= start and x_far - hf >= start):
-        return _uncertified("test function not in its power regime at x_far")
+    r = np.asarray(h(xs), dtype=float)
     a_min = min(a for _, a in dist.tail_power_terms)
     e_max = min(a_min * h.gamma, 1.0 - h.gamma)
-    if e > e_max + 4.0 * np.spacing(e_max):
-        return _uncertified(
-            "test-function exponent exceeds min(a_min*gamma, 1-gamma); "
-            "envelope terms need not decrease"
-        )
-    if hf >= x_far / 2.0:
-        return _uncertified("cutoff reaches x/2 beyond x_far")
-    if not (hf >= 1.0 and x_far >= 16.0):
-        return _uncertified(
-            "cutoff below 1 or x_far below 16; envelope tails not in their power form"
-        )
-    return _at_x_far(_power_envelope, dist, params, h, g, x_far)
+    return _where_conditions_hold(_power_envelope, dist, params, h, g, xs, (
+        ((r >= start) & (xs - r >= start), "test function not in its power regime at x_far"),
+        (not e > e_max + 4.0 * np.spacing(e_max),
+         "test-function exponent exceeds min(a_min*gamma, 1-gamma); "
+         "envelope terms need not decrease"),
+        (r < xs / 2.0, "cutoff reaches x/2 beyond x_far"),
+        ((r >= 1.0) & (xs >= 16.0),
+         "cutoff below 1 or x_far below 16; envelope tails not in their power form"),
+    ))
 
 
 def _weibull_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,12 +322,13 @@ def _weibull_tail_envelopes(
     params: GeometricParams,
     h: CutoffFunction,
     g: TestFunction,
-    x_far: float,
+    xs: np.ndarray,
 ) -> _TailEnvelopes:
-    """Bounds on f1 + f2 and on f3 over [x_far, infinity) for the Weibull tail
-    with a log-power cutoff and the matching K-kernel test function:
-    _weibull_envelope at x_far, its maximum there once these conditions hold,
-    with y0 = exp(kappa / (1 - beta)) and L = log x_far:
+    """Bounds on f1 + f2 and on f3 over [x, infinity) at the points x of xs,
+    for the Weibull tail with a log-power cutoff and the matching K-kernel
+    test function: _weibull_envelope at x, its maximum over [x, infinity)
+    once these conditions hold at x, here written for x = x_far, with
+    y0 = exp(kappa / (1 - beta)) and L = log x_far:
 
     1. kappa beta >= 1; at kappa beta = 1 (within 1e-9), s >= 1. Otherwise
        the remainder term grows without bound and no envelope exists;
@@ -362,22 +377,26 @@ def _weibull_tail_envelopes(
         )
 
     y0 = math.exp(h.kappa / (1.0 - beta))
-    hf = float(h(x_far))
-    if not (x_far - 2.0 * hf >= y0 and hf >= max(y0, 2.0 * h.domain_start)):
-        return _uncertified("x_far too small for the Weibull envelope regime")
-    if abs(kb - 1.0) > 1e-9 and kb * h.scale**beta * math.log(x_far) ** (kb - 1.0) < 1.0:
-        return _uncertified(
-            "kappa*beta*scale^beta*(log x_far)^(kappa*beta-1) < 1; "
-            "the J envelope's head term still rises at x_far"
-        )
-    return _at_x_far(_weibull_envelope, dist, params, h, g, x_far)
+    r = np.asarray(h(xs), dtype=float)
+    head = abs(kb - 1.0) <= 1e-9 or kb * h.scale**beta * np.log(xs) ** (kb - 1.0) >= 1.0
+    return _where_conditions_hold(_weibull_envelope, dist, params, h, g, xs, (
+        ((xs - 2.0 * r >= y0) & (r >= max(y0, 2.0 * h.domain_start)),
+         "x_far too small for the Weibull envelope regime"),
+        (head, "kappa*beta*scale^beta*(log x_far)^(kappa*beta-1) < 1; "
+               "the J envelope's head term still rises at x_far"),
+    ))
 
 
-def _tail_envelopes(dist, params, h, g, x_far) -> _TailEnvelopes:
-    if isinstance(dist, WeibullDist):
-        return _weibull_tail_envelopes(dist, params, h, g, x_far)
-    if dist.tail_power_terms is not None:
-        return _power_tail_envelopes(dist, params, h, g, x_far)
+def _tail_envelopes(dist, params, h, g, xs) -> _TailEnvelopes:
+    """The family's envelope bounds at the increasing points xs (or the one
+    point x_far), which end at x_far; see _TailEnvelopes."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    # an overflow inside the envelope is a non-finite bound, and bounds nothing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(dist, WeibullDist):
+            return _weibull_tail_envelopes(dist, params, h, g, xs)
+        if dist.tail_power_terms is not None:
+            return _power_tail_envelopes(dist, params, h, g, xs)
     return _TailEnvelopes(None, None, False, "no closed-form tail envelope for this severity")
 
 
@@ -398,29 +417,63 @@ def _sup_grid(from_x: float, x_far: float, grid_ratio: float) -> np.ndarray:
     return np.append(grid, x_far)
 
 
-@dataclass(frozen=True)
 class _KernelSweep:
-    """The kernel values at increasing points x up to x_far, the last point
-    asked for; they do not depend on g, so one sweep serves every test
-    function on the cutoff. The arrays stop at the first point where h(x)
-    leaves (0, x/2] or K or J raises, and ``error`` is that exception (None
-    if no point failed); _sup_pair raises it once g is checked on the points
-    before it, as f_terms would."""
+    """The kernel values at the increasing points ``grid`` up to x_far, the
+    last one; they do not depend on g, so one sweep serves every test
+    function on the cutoff.
 
-    dist: SummandDistribution
-    h: CutoffFunction
-    x_far: float
-    x: np.ndarray
-    r: np.ndarray
-    K: np.ndarray
-    J: np.ndarray
-    tail_r: np.ndarray
-    error: Exception | None
+    h, K and tail(h(x)) are computed over the whole grid at once; J, by
+    ``evaluate``, in _J_CHUNK chunks only as far as a reader asks, and kept
+    (``J``), so no point's J is computed twice. ``x``, ``r``, ``K`` and
+    ``tail_r`` stop at the first point where h(x) leaves (0, x/2] or K
+    raises, or, once met, J raises. ``error`` is that point's exception
+    (None if none), final once J is evaluated at every point; _sup_pair
+    raises it once g is checked on the points before it, as f_terms would,
+    unless it stopped before it."""
+
+    def __init__(self, dist: SummandDistribution, h: CutoffFunction, grid: np.ndarray):
+        self.dist, self.h, self.grid, self.x_far = dist, h, grid, float(grid[-1])
+        rs = np.asarray(h(grid), dtype=float)
+        n = int(np.argmin(np.append((0.0 < rs) & (rs <= grid / 2.0), False)))
+        self.error = None if n == grid.size else ValueError(
+            f"cutoff h(x)={rs[n]:g} outside (0, x/2] at x={grid[n]:g}")
+        K = np.empty(0)
+        while n:
+            try:
+                K = K_kernel(dist, grid[:n], rs[:n])
+                break
+            except ValueError as exc:
+                # K names the first point where it fails: drop points until it passes
+                n, self.error = n - 1, exc
+        self.x, self.r, self.K = grid[:n], rs[:n], K[:n]
+        self.tail_r = np.asarray(dist.tail(rs[:n]), dtype=float)
+        self.J = np.empty(0)
+        self._chunks = _j_chunks(dist, self.x, self.r)
+
+    def evaluate(self, n: int | None = None) -> int:
+        """Compute J in whole chunks up to point n (every point if None), or
+        up to its first failing point; the number of points up to n with J."""
+        n = self.x.size if n is None else min(n, self.x.size)
+        parts = [self.J]
+        done = self.J.size
+        try:
+            while done < n:
+                parts.append(next(self._chunks))
+                done += parts[-1].size
+        except (ValueError, RuntimeError) as exc:
+            self.error = exc
+            self.x, self.r, self.K, self.tail_r = (
+                a[:done] for a in (self.x, self.r, self.K, self.tail_r))
+        self.J = np.concatenate(parts)
+        return min(n, done)
 
 
 # sweep points per J call: fewer leave more per-call cost, more let the
 # quadrature's temporaries (about 10 KB a point) leave the cache
 _J_CHUNK = 8
+# the stop tests' relative margin, far above J's quadrature tolerance of
+# 1e-10: the terms computed beyond the stop stay below the maxima before it
+_STOP_MARGIN = 1e-6
 
 
 def _j_chunks(dist, xs: np.ndarray, rs: np.ndarray):
@@ -438,56 +491,75 @@ def _j_chunks(dist, xs: np.ndarray, rs: np.ndarray):
 
 
 def _kernel_sweep(dist, h, xs: np.ndarray) -> _KernelSweep:
-    """The kernels at the increasing points xs: h, K and tail(h(x)) over all
-    of them at once, then J by _j_chunks. The one kernel path of the anchor
-    sweep, the min-b scan, f_terms and the CLI ``kernels`` command."""
-    rs = np.asarray(h(xs), dtype=float)
-    n = int(np.argmin(np.append((0.0 < rs) & (rs <= xs / 2.0), False)))
-    error = None if n == xs.size else ValueError(
-        f"cutoff h(x)={rs[n]:g} outside (0, x/2] at x={xs[n]:g}")
-    K = np.empty(0)
-    while n:
-        try:
-            K = K_kernel(dist, xs[:n], rs[:n])
-            break
-        except ValueError as exc:
-            # K names the first point where it fails: drop points until it passes
-            n, error = n - 1, exc
-    tail_r = np.asarray(dist.tail(rs[:n]), dtype=float)
-    J = [np.empty(0)]
-    try:
-        for values in _j_chunks(dist, xs[:n], rs[:n]):
-            J.append(values)
-    except (ValueError, RuntimeError) as exc:
-        error = exc
-    J = np.concatenate(J)
-    n = J.size
-    return _KernelSweep(dist, h, float(xs[-1]), xs[:n], rs[:n], K[:n], J, tail_r[:n], error)
+    """The kernel sweep of the increasing points xs with J at every point,
+    for f_terms, the min-b scan and the CLI ``kernels`` command."""
+    sweep = _KernelSweep(dist, h, xs)
+    sweep.evaluate()
+    return sweep
 
 
 def _terms(sweep: _KernelSweep, params, g) -> tuple:
-    """The contraction terms (f1, f2, f3) at the points of a sweep."""
-    return _combine(params, *_g_values(g, sweep.x, sweep.r), sweep.K, sweep.J, sweep.tail_r)
+    """The contraction terms (f1, f2, f3) at the points of a sweep that have J."""
+    n = sweep.J.size
+    gx, g_xr, g_r = _g_values(g, sweep.x[:n], sweep.r[:n])
+    _check_g(sweep.x[:n], gx)
+    return _combine(params, gx, g_xr, g_r, sweep.K[:n], sweep.J, sweep.tail_r[:n])
+
+
+def _below(a: float, b: float) -> bool:
+    """a < b by the relative margin _STOP_MARGIN of b, of either sign;
+    false when either is NaN."""
+    return a < b - _STOP_MARGIN * abs(b)
 
 
 def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
     """The f1+f2 supremum and the f3 supremum over [from_x, infinity)
-    together, from one kernel sweep and the test function g."""
-    f1, f2, f3 = _terms(sweep, params, g)
-    if sweep.error is not None:
-        raise sweep.error
+    together, from one kernel sweep and the test function g.
 
-    env = _tail_envelopes(sweep.dist, params, sweep.h, g, sweep.x_far)
+    J is pulled _J_CHUNK points at a time, and the sweep stops after the
+    first chunk whose last point x_i has envelope bounds below the running
+    maxima, f1 + f2's also below one, by the margin _STOP_MARGIN. They bound
+    the terms on [x_i, infinity), so the grid maxima are those of the whole
+    grid, and f1 + f2 is below one past the prefix the min-b search reads. A
+    NaN maximum never stops. The envelope is evaluated at the chunks' last
+    points and at x_far, where it closes the grid maxima. A kernel failure or
+    a non-positive g beyond the stop is never met; one before it is raised."""
+    n = sweep.x.size
+    env = _tail_envelopes(sweep.dist, params, sweep.h, g,
+                          np.append(sweep.grid[_J_CHUNK - 1 : -1 : _J_CHUNK], sweep.x_far))
     note = "" if env.certified else (
         f"grid maximum only; tail beyond {sweep.x_far:g} not certified: {env.note}"
     )
+
+    gvals = _g_values(g, sweep.x, sweep.r)
+    f12, f3 = [], []
+    top12 = top3 = -math.inf
+    lo = 0
+    # past a failing J point, got stays there: the loop runs out and raises
+    for hi in [*range(_J_CHUNK, n, _J_CHUNK), n] if env.certified else [n]:
+        got = sweep.evaluate(hi)
+        _check_g(sweep.x[lo:got], gvals[0][lo:got])
+        f1, f2, f3c = _combine(params, *(v[lo:got] for v in (*gvals, sweep.K, sweep.J,
+                                                              sweep.tail_r)))
+        f12.append(f1 + f2)
+        f3.append(f3c)
+        lo = got
+        if got == hi < n:
+            top12, top3 = np.maximum(top12, f12[-1].max()), np.maximum(top3, f3c.max())
+            e12, e3 = env.f12s[hi // _J_CHUNK - 1], env.f3s[hi // _J_CHUNK - 1]
+            if _below(e12, top12) and _below(e12, 1.0) and _below(e3, top3):
+                break
+    else:
+        if sweep.error is not None:
+            raise sweep.error
+    f12, f3 = np.concatenate(f12), np.concatenate(f3)
 
     def sup(vals: np.ndarray, bound: float | None) -> SupResult:
         i = int(np.argmax(vals))
         value = max(float(vals[i]), bound) if env.certified else float(vals[i])
         return SupResult(value, float(vals[i]), float(sweep.x[i]), bound, env.certified, note)
 
-    d_res, p_res = sup(f1 + f2, env.f12), sup(f3, env.f3)
+    d_res, p_res = sup(f12, env.f12), sup(f3, env.f3)
     if p_res.value < 0.0:
         p_note = (note + "; " if note else "") + "negative remainder supremum clamped to 0"
         p_res = replace(p_res, value=0.0, note=p_note)
@@ -505,10 +577,12 @@ def delta_sup(
 ) -> SupResult:
     """Supremum of f1 + f2 over [from_x, infinity): the maximum over the
     geometric grid from from_x to x_far (samples, not a bound between them),
-    raised to the far-tail envelope beyond x_far when one is certified."""
+    raised to the far-tail envelope beyond x_far when one is certified. The
+    grid is sampled up to the point where the envelope takes over, below the
+    maximum so far; the maximum is the one over the whole grid."""
     if not (from_x >= h.domain_start * (1.0 - 1e-12)):
         raise ConfigError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
-    return _sup_pair(_kernel_sweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)[0]
+    return _sup_pair(_KernelSweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)[0]
 
 
 def c_interval(delta_table: DeltaTable, g: TestFunction, a: float, b: float) -> float:
@@ -758,7 +832,9 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     closed by the far-tail envelope, which does not depend on n (at or above
     one, no n qualifies). So with x_k the last grid point where f1 + f2 is
     not below one (a NaN is not), min b is the first integer after x_k where
-    f1 + f2 < 1. The integers are swept in order, _J_CHUNK at a time, up to
+    f1 + f2 < 1. x_k is read off the points where the sweep has J: a sweep
+    that _sup_pair stopped early holds it, as the stop needs f1 + f2 below
+    one beyond. The integers are swept in order, _J_CHUNK at a time, up to
     the first below one; a kernel error at a later integer is never met.
     The cost grows with the width of the deciding cell: 16 and 120 J points
     for criteria 3 pure and 6 unscaled at grid ratio 1.2, 328 and 520 at
@@ -837,7 +913,7 @@ def build_bound(
         raise ValueError("splicing requires a power test function for the tail piece")
     g_final = g if bstar is None else build_spliced_g(table(), bstar, g)
 
-    sweep = _kernel_sweep(dist, h, grid)
+    sweep = _KernelSweep(dist, h, grid)
     d_res, p_res, chb, C = _certify(table, sweep, params, g_final, B)
     if C is None:
         raise _failure(sweep, params, g_final, d_res, B, x_far)
@@ -948,7 +1024,7 @@ def tune(
             for bst in b_list:
                 rows.append(TuneRow(s, bst, False, None, None, "horizon below cutoff domain"))
             continue
-        sweep = _kernel_sweep(dist, hs, grid)
+        sweep = _KernelSweep(dist, hs, grid)
         for bst in b_list:
             try:
                 g_final = g if bst is None else build_spliced_g(table(), float(bst), g)

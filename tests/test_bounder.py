@@ -23,11 +23,20 @@ from geomtail.bounder import (
 )
 from geomtail.compound import DeltaTable, delta_from_tails, panjer_tail
 from geomtail.config import CONFIG_KEYS, RunConfig, build_dist, build_g, build_h, parse_kv
-from geomtail.dist import ConfigError, GeometricParams, ParetoDist, WeibullDist, discretize
+from geomtail.dist import (
+    ConfigError,
+    GeometricParams,
+    ParetoDist,
+    PowerMixtureDist,
+    WeibullDist,
+    discretize,
+)
 from geomtail.kernels import (
     CutoffFunction,
     KKernelTestFunction,
+    MonotoneEnvelope,
     PowerTestFunction,
+    SplicedTestFunction,
 )
 
 PARETO = ParetoDist(2.2)
@@ -159,6 +168,135 @@ def test_sup_uncertified_for_small_log_cutoff():
     assert not res.tail_certified
     assert res.note != ""
     assert res.value == res.grid_max
+
+
+# ---------------------------------------------------------------- the stopped sweep
+
+def full_sup_pair(sweep, params, g):
+    """_sup_pair over every point of a sweep with J everywhere: the grid
+    maxima closed by the envelope at x_far alone, the reference for the
+    sweep that stops where the envelope takes over."""
+    f1, f2, f3 = bounder._terms(sweep, params, g)
+    env = bounder._tail_envelopes(sweep.dist, params, sweep.h, g, sweep.x_far)
+    note = "" if env.certified else (
+        f"grid maximum only; tail beyond {sweep.x_far:g} not certified: {env.note}")
+    results = []
+    for vals, bound in ((f1 + f2, env.f12), (f3, env.f3)):
+        i = int(np.argmax(vals))
+        value = max(float(vals[i]), bound) if env.certified else float(vals[i])
+        results.append(bounder.SupResult(value, float(vals[i]), float(sweep.x[i]), bound,
+                                         env.certified, note))
+    if results[1].value < 0.0:
+        results[1] = dataclasses.replace(results[1], value=0.0, note=(
+            note + "; " if note else "") + "negative remainder supremum clamped to 0")
+    return tuple(results)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A Pareto or a two-term power mixture, p, a power cutoff, a pure or
+    spliced power g within the envelope's exponent rule, and a grid."""
+    exponents = draw(st.lists(st.floats(1.5, 6.0), min_size=1, max_size=2))
+    if len(exponents) == 1:
+        dist = ParetoDist(exponents[0])
+    else:
+        w = draw(st.floats(0.1, 0.9))
+        dist = PowerMixtureDist(((w, exponents[0]), (1.0 - w, exponents[1])))
+    params = GeometricParams(draw(st.floats(0.05, 0.95)))
+    gamma = draw(st.floats(0.1, 0.6))
+    h = CutoffFunction.power(draw(st.floats(0.5, 2.5)), gamma)
+    # above the rule (1.2) no envelope is certified and the sweep reads every point
+    e = min(min(exponents) * gamma, 1.0 - gamma) * draw(st.sampled_from([1.0, 0.9, 0.5, 1.2]))
+    g = PowerTestFunction(1.0, e)
+    B = h.domain_start * draw(st.floats(1.05, 40.0))
+    if draw(st.booleans()):
+        bstar = B * draw(st.floats(0.2, 5.0))
+        env = MonotoneEnvelope(np.array([bstar / 2.0, bstar]), np.array([1.0, 0.5]))
+        g = SplicedTestFunction(bstar=bstar, envelope=env, kappa_splice=0.5 / g(bstar), tailg=g)
+    grid = bounder._sup_grid(B, draw(st.sampled_from([1e5, 1e8])),
+                             draw(st.sampled_from([1.02, 1.2, 1.5])))
+    return dist, params, h, g, grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases())
+def test_stopped_sweep_is_the_full_sweep_bit_for_bit(case):
+    dist, params, h, g, grid = case
+    full = bounder._kernel_sweep(dist, h, grid)
+    try:
+        want = full_sup_pair(full, params, g)
+    except ValueError:
+        assume(False)  # a kernel failure, which a stopped sweep may not meet
+    assume(full.error is None)
+    sweep = bounder._KernelSweep(dist, h, grid)
+    got = bounder._sup_pair(sweep, params, g)
+    assert got == want
+    assert sweep.J.tolist() == full.J[:sweep.J.size].tolist()
+    if got[0].value >= 1.0:
+        assert (bounder._search_min_b(sweep, params, g, got[0], 2000)
+                == bounder._search_min_b(full, params, g, want[0], 2000))
+
+
+def test_stop_margin_is_relative_to_the_maximum_of_either_sign():
+    below = bounder._below
+    assert below(1.0 - 2e-6, 1.0) and not below(1.0 - 5e-7, 1.0)
+    assert below(-1.0 - 2e-6, -1.0) and not below(-1.0 - 5e-7, -1.0)
+    assert not below(-0.5, -1.0)
+    assert not (below(math.nan, 1.0) or below(0.0, math.nan))
+
+
+def test_sweep_does_not_stop_while_the_envelope_reaches_one(monkeypatch):
+    """Criterion 3 pure has f1 + f2 >= 1 at B, so the min-b search reads
+    the last grid point at one: an envelope at one never stops its sweep."""
+    dist, params, h, g = MINB_ARGS
+    grid = bounder._sup_grid(100.0, 1e8, 1.2)
+    sweep = bounder._KernelSweep(dist, h, grid)
+    d_res = bounder._sup_pair(sweep, params, g)[0]
+    assert 0 < sweep.J.size < grid.size
+    assert search_min_b(sweep, d_res) == 1082
+    real = bounder._tail_envelopes
+
+    def at_one(*args):
+        env = real(*args)
+        return dataclasses.replace(env, f12s=np.maximum(env.f12s, 1.0))
+
+    monkeypatch.setattr(bounder, "_tail_envelopes", at_one)
+    sweep = bounder._KernelSweep(dist, h, grid)
+    assert bounder._sup_pair(sweep, params, g)[0] == d_res
+    assert sweep.J.size == grid.size
+    assert search_min_b(sweep, d_res) == 1082
+
+
+def test_criterion_2_sweep_stops_where_the_envelope_takes_over(monkeypatch):
+    # at the default grid ratio 1.02 the grid from 100 to 1e8 has 699 points
+    assert bounder._sup_grid(100.0, 1e8, 1.02).size == 699
+    calls = count_J_calls(monkeypatch)
+    cert = build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, engine="panjer", bandwidth=0.05)
+    assert cert.delta_tail_certified and cert.phi_tail_certified
+    assert len(calls) < 150
+
+
+def test_J_failures_beyond_the_stop_are_not_met(monkeypatch):
+    """Criterion 2 pure at grid ratio 1.2 stops after 16 points, near
+    x = 1541: a J failure beyond that leaves the certificate as it is, and a
+    failure before it is raised."""
+    build = dict(engine="panjer", bandwidth=0.05, grid_ratio=1.2)
+    unfailed = build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, **build).to_text()
+    real = bounder.J_kernel
+    fails_from = [2e3]
+
+    def failing(dist, x, r, *args, **kwargs):
+        beyond = np.ravel(x)[np.ravel(x) >= fails_from[0]]
+        if beyond.size:
+            raise RuntimeError(f"J kernel quadrature did not converge at x={beyond[0]:g}")
+        return real(dist, x, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounder, "J_kernel", failing)
+    assert build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, **build).to_text() == unfailed
+    fails_from[0] = 1e3
+    grid = bounder._sup_grid(100.0, 1e8, 1.2)
+    with pytest.raises(RuntimeError, match=f"did not converge at x={grid[grid >= 1e3][0]:g}$"):
+        build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, **build)
 
 
 # ---------------------------------------------------------------- interval constant
@@ -513,12 +651,15 @@ def test_min_b_counts_nan_as_not_below_one(monkeypatch):
 def test_nan_delta_supremum_names_its_grid_point(monkeypatch):
     real = bounder.J_kernel
 
+    # NaN from the fourth grid point on, inside the first J chunk: no sweep
+    # stops before it
     def nan_J(dist, x, r, *args, **kwargs):
-        return np.where(np.asarray(x) > 5e3, math.nan, real(dist, x, r, *args, **kwargs))
+        return np.where(np.asarray(x) > 300.0, math.nan, real(dist, x, r, *args, **kwargs))
 
     monkeypatch.setattr(bounder, "J_kernel", nan_J)
     grid = bounder._sup_grid(100.0, MINB_SWEEP["x_far"], MINB_SWEEP["grid_ratio"])
-    first_nan = float(grid[grid > 5e3][0])
+    first_nan = float(grid[grid > 300.0][0])
+    assert np.flatnonzero(grid == first_nan)[0] < bounder._J_CHUNK
     # criterion 2 pure: delta(100) < 1 but for the NaN, which must not pass
     # as a delta below one
     with pytest.raises(ValueError, match=f"NaN at x={first_nan:g}$"):
@@ -594,8 +735,9 @@ def test_min_b_K_and_cutoff_errors_after_a_deciding_point_are_not_met(kind):
     assert sweep.x.size > 5 and sweep.x[-1] < 1e5
     assert str(sweep.error).startswith(message.format(x=first))
     assert sweep.x.size == sweep.r.size == sweep.K.size == sweep.J.size == sweep.tail_r.size
+    # a supremum with no envelope to stop at reads every point and meets it
     with pytest.raises(ValueError, match=re.escape(message.format(x=first))):
-        bounder._sup_pair(sweep, HALF, G_PARETO)
+        bounder._sup_pair(sweep, HALF, KKernelTestFunction(PARETO, H_PARETO))
 
 
 def test_min_b_skips_sweeps_when_the_envelope_reaches_one(monkeypatch):
@@ -716,13 +858,30 @@ def test_tune_single_candidate_matches_build(scale, bstar):
 
 
 def test_tune_sweeps_kernels_once_per_scale(monkeypatch):
-    calls = count_J_calls(monkeypatch)
+    """The candidates of one scale share its sweep, which computes J at a
+    point once, however far each candidate reads it."""
+    calls, sweeps = [], []
+    real_J, real_sweep = bounder.J_kernel, bounder._KernelSweep
+
+    def counting(dist, x, r, *args, **kwargs):
+        calls.extend(zip(np.ravel(x).tolist(), np.ravel(r).tolist()))
+        return real_J(dist, x, r, *args, **kwargs)
+
+    def recording(*args):
+        sweeps.append(real_sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(bounder, "J_kernel", counting)
+    monkeypatch.setattr(bounder, "_KernelSweep", recording)
     res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14, 1e6],
                [None, 15.0, 21.3], engine="panjer", bandwidth=0.05,
                x_far=1e5, grid_ratio=1.2)
     assert sum(r.feasible for r in res.rows) == 6  # the 1e6 scale is unusable
-    points = len(bounder._sup_grid(100.0, 1e5, 1.2))
-    assert len(calls) == 2 * points
+    assert len(sweeps) == 2
+    # (x, h(x)) differs between the scales, so a repeated pair is a point
+    # evaluated twice on one scale
+    assert len(set(calls)) == len(calls) == sum(sweep.J.size for sweep in sweeps)
+    assert all(0 < sweep.J.size < sweep.grid.size for sweep in sweeps)
 
 
 def test_tune_notes_when_kernel_sweep_raises(monkeypatch):
@@ -745,6 +904,8 @@ def test_tune_notes_when_kernel_sweep_raises(monkeypatch):
     assert type(exc.value) is ValueError
     first = bounder._sup_grid(100.0, 1e4, 1.5)
     x_fail = float(first[first > 1e3][0])
+    # inside the first J chunk, so before any row's sweep can stop
+    assert np.flatnonzero(first == x_fail)[0] < bounder._J_CHUNK
     assert f"did not converge at x={x_fail:g}" in str(exc.value)
     with pytest.raises(RuntimeError, match="did not converge"):
         build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, engine="panjer",
