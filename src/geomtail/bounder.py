@@ -88,11 +88,17 @@ def _check_g(x: np.ndarray, gx: np.ndarray) -> None:
         raise ValueError(f"test function must be positive; g({x[i]:g})={gx[i]:g}")
 
 
+def _f1(params: GeometricParams, gx, g_xr, K, tail_r):
+    """The contraction term f1, the one that needs no J, from g at x and
+    x - h(x) and the kernel values at x."""
+    return params.q * g_xr * (K + 1.0) * (1.0 - tail_r) / gx
+
+
 def _combine(params: GeometricParams, gx, g_xr, g_r, K, J, tail_r) -> tuple:
     """The contraction terms (f1, f2, f3) from the values of g at x, x - h(x)
     and h(x) and the kernel values at x, as arrays or numpy scalars."""
     q = params.q
-    f1 = q * g_xr * (K + 1.0) * (1.0 - tail_r) / gx
+    f1 = _f1(params, gx, g_xr, K, tail_r)
     f2 = q * g_r * J / gx
     f3 = (q * J + (1.0 - params.p**2) * K - q * (K + 1.0) * tail_r) / gx
     return f1, f2, f3
@@ -492,7 +498,7 @@ def _j_chunks(dist, xs: np.ndarray, rs: np.ndarray):
 
 def _kernel_sweep(dist, h, xs: np.ndarray) -> _KernelSweep:
     """The kernel sweep of the increasing points xs with J at every point,
-    for f_terms, the min-b scan and the CLI ``kernels`` command."""
+    for f_terms and the CLI ``kernels`` command."""
     sweep = _KernelSweep(dist, h, xs)
     sweep.evaluate()
     return sweep
@@ -766,6 +772,9 @@ class BoundCertificate:
 _MC_GRID_POINTS = 512
 # the min-b search of a failed construction tries no integer anchor above this
 _MIN_B_CAP = 10_000
+# integers per span of the min-b search: h, K and g over a span of them cost
+# about what one J chunk does, so a span reaching past min b wastes little
+_MIN_B_SPAN = 1024
 
 
 def _lattice_end(xmax: float, bandwidth: float) -> float:
@@ -834,25 +843,42 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     not below one (a NaN is not), min b is the first integer after x_k where
     f1 + f2 < 1. x_k is read off the points where the sweep has J: a sweep
     that _sup_pair stopped early holds it, as the stop needs f1 + f2 below
-    one beyond. The integers are swept in order, _J_CHUNK at a time, up to
-    the first below one; a kernel error at a later integer is never met.
-    The cost grows with the width of the deciding cell: 16 and 120 J points
-    for criteria 3 pure and 6 unscaled at grid ratio 1.2, 328 and 520 at
-    ratio 1.5.
+    one beyond.
+
+    The integers after x_k are taken _MIN_B_SPAN at a time: h, K, tail(h)
+    and g over the span at once give f1, and J is computed, _J_CHUNK points
+    at a time in increasing order, only at the integers where f1 < 1. With
+    q > 0, J >= 0, g(x) > 0 and g(h(x)) >= 0, as every test function here
+    has, f2 >= 0, so fl(f1 + f2) is not below one at the other integers
+    either, and min b is the same integer as with J at every integer. g is
+    checked up to the deciding integer: a non-positive g, a cutoff outside
+    (0, x/2] or a K or J failure at a later integer is never met, nor is a
+    J failure where f1 >= 1 (an exception that g itself raises is met
+    anywhere in the span). At grid ratios 1.2 and 1.5 criterion 3 pure
+    needs 16 and 328 J points, as f1 is near 0.81 at every integer, and
+    criterion 6 unscaled 24 at both, as f1 is below one only from 1637 on.
     """
     if d_res.tail_certified and not (d_res.tail_bound < 1.0):
         return None
     f1, f2, _ = _terms(sweep, params, g)
     x_k = sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]
-    for lo in range(math.floor(x_k) + 1, cap + 1, _J_CHUNK):
-        scan = _kernel_sweep(sweep.dist, sweep.h,
-                             np.arange(lo, min(lo + _J_CHUNK, cap + 1), dtype=float))
-        f1, f2, _ = _terms(scan, params, g)
-        below = np.flatnonzero(f1 + f2 < 1.0)
-        if below.size:
-            return int(scan.x[below[0]])
-        if scan.error is not None:
-            raise scan.error
+    for lo in range(math.floor(x_k) + 1, cap + 1, _MIN_B_SPAN):
+        span = _KernelSweep(sweep.dist, sweep.h,
+                            np.arange(lo, min(lo + _MIN_B_SPAN, cap + 1), dtype=float))
+        gx, g_xr, g_r = _g_values(g, span.x, span.r)
+        n = int(np.argmin(np.append(gx > 0.0, False)))  # the first non-positive g
+        at = np.flatnonzero(_f1(params, gx[:n], g_xr[:n], span.K[:n], span.tail_r[:n]) < 1.0)
+        done = 0
+        for J in _j_chunks(span.dist, span.x[at], span.r[at]):
+            i = at[done : done + J.size]
+            done += J.size
+            f1, f2, _ = _combine(params, gx[i], g_xr[i], g_r[i], span.K[i], J, span.tail_r[i])
+            below = np.flatnonzero(f1 + f2 < 1.0)
+            if below.size:
+                return int(span.x[i[below[0]]])
+        _check_g(span.x, gx)
+        if span.error is not None:
+            raise span.error
     return None
 
 

@@ -478,13 +478,15 @@ def bisect_min_b(lo, cap, below_one):
     return hi
 
 
-def count_J_calls(monkeypatch):
-    """The x of every point J is evaluated at, over array calls."""
+def count_J_calls(monkeypatch, per_call=False):
+    """The x of every point J is evaluated at, over array calls; with
+    per_call, one list of them per call."""
     calls = []
     real = bounder.J_kernel
 
     def counting(dist, x, r, *args, **kwargs):
-        calls.extend(np.ravel(x).tolist())
+        xs = np.ravel(x).tolist()
+        calls.append(xs) if per_call else calls.extend(xs)
         return real(dist, x, r, *args, **kwargs)
 
     monkeypatch.setattr(bounder, "J_kernel", counting)
@@ -613,23 +615,94 @@ def test_engine_inputs_are_checked_before_a_failed_contraction(controls, error, 
         assert type(exc.value) is error and str(exc.value) == message
 
 
-@pytest.mark.parametrize("case, expect, most", [("c3", 1082, 16), ("c6", 1658, 120)])
-def test_min_b_scans_only_the_integers_after_the_last_point_at_one(monkeypatch, case, expect,
-                                                                    most):
-    """On the benchmark's sweeps (ratio 1.2 up to 1e8) the search evaluates
-    J only at the consecutive integers after the last grid point where
-    f1 + f2 is not below one, whole chunks of them up to min b."""
-    args = MINB_ARGS if case == "c3" else C6_ARGS
-    sweep, d_res = anchor_sweep(args, x_far=1e8, grid_ratio=1.2)
+@pytest.mark.parametrize("args, grid_ratio, expect, most", [
+    pytest.param(MINB_ARGS, 1.2, 1082, 16, id="c3-1082-16"),
+    pytest.param(C6_ARGS, 1.2, 1658, 24, id="c6-1658-24"),
+    pytest.param(C6_ARGS, 1.5, 1658, 24, id="c6-ratio1.5-1658-24"),
+])
+def test_min_b_scans_only_the_integers_after_the_last_point_at_one(monkeypatch, args, grid_ratio,
+                                                                    expect, most):
+    """On sweeps up to 1e8, the search evaluates J only at those integers
+    after the last grid point at one where f1 alone is below one: in
+    increasing order, in whole chunks, up to the chunk that holds min b. f1
+    is near 0.81 at every integer for criterion 3 pure, and below one only
+    from 1637 on for criterion 6 unscaled."""
+    sweep, d_res = anchor_sweep(args, x_far=1e8, grid_ratio=grid_ratio)
     f1, f2, _ = bounder._terms(sweep, args[1], args[3])
     x_k = sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]
-    calls = count_J_calls(monkeypatch)
+    chunk = bounder._J_CHUNK
+    # f1 from the public f_terms, one integer at a time
+    wanted = [n for n in range(math.floor(x_k) + 1, expect + 8 * chunk)
+              if f_terms(*args, float(n)).f1 < 1.0]
+    wanted = wanted[: chunk * (wanted.index(expect) // chunk + 1)]
+    calls = count_J_calls(monkeypatch, per_call=True)
     monkeypatch.setattr(bounder, "_tail_envelopes", None)  # the search needs no envelope
     assert search_min_b(sweep, d_res, args) == expect
-    first = math.floor(x_k) + 1
-    assert calls == list(range(first, first + len(calls)))
-    assert not set(calls) & set(sweep.x.tolist())
-    assert expect in calls and len(calls) == 8 * math.ceil((expect - first + 1) / 8) <= most
+    assert [len(call) for call in calls] == [chunk] * len(calls)
+    assert sum(calls, []) == wanted and len(wanted) <= most
+    assert not set(wanted) & set(sweep.x.tolist())
+
+
+def scan_every_integer(sweep, params, g, d_res, cap):
+    """The min-b search with J at every integer after the last grid point at
+    one, in order, _J_CHUNK integers at a time: the reference for the search
+    that computes J only where f1 < 1."""
+    if d_res.tail_certified and not (d_res.tail_bound < 1.0):
+        return None
+    f1, f2, _ = bounder._terms(sweep, params, g)
+    x_k = sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]
+    for lo in range(math.floor(x_k) + 1, cap + 1, bounder._J_CHUNK):
+        scan = bounder._kernel_sweep(sweep.dist, sweep.h,
+                                     np.arange(lo, min(lo + bounder._J_CHUNK, cap + 1), dtype=float))
+        f1, f2, _ = bounder._terms(scan, params, g)
+        below = np.flatnonzero(f1 + f2 < 1.0)
+        if below.size:
+            return int(scan.x[below[0]])
+        if scan.error is not None:
+            raise scan.error
+    return None
+
+
+@st.composite
+def failing_contractions(draw):
+    """A Pareto or a two-term power mixture with a power cutoff and a power
+    g, or a Weibull with a log-power cutoff and its K-kernel g; p, a grid
+    from B to 1e6 and a cap, small ones too, so that some searches find no
+    anchor."""
+    if draw(st.booleans()):
+        exponents = draw(st.lists(st.floats(1.5, 4.0), min_size=1, max_size=2))
+        if len(exponents) == 1:
+            dist = ParetoDist(exponents[0])
+        else:
+            w = draw(st.floats(0.1, 0.9))
+            dist = PowerMixtureDist(((w, exponents[0]), (1.0 - w, exponents[1])))
+        gamma = draw(st.floats(0.2, 0.5))
+        h = CutoffFunction.power(draw(st.floats(0.5, 2.0)), gamma)
+        e = min(min(exponents) * gamma, 1.0 - gamma) * draw(st.sampled_from([1.0, 0.5]))
+        g = PowerTestFunction(1.0, e)
+        params = GeometricParams(draw(st.floats(0.1, 0.6)))
+    else:
+        dist = WeibullDist(draw(st.floats(0.4, 0.6)))
+        h = CutoffFunction.logpower(draw(st.floats(0.8, 1.5)), draw(st.floats(1.8, 2.5)))
+        g = KKernelTestFunction(dist, h)
+        params = GeometricParams(draw(st.floats(0.3, 0.6)))
+    B = max(100.0, 1.05 * h.domain_start)
+    grid = bounder._sup_grid(B, 1e6, draw(st.sampled_from([1.02, 1.2, 1.5])))
+    return dist, params, h, g, grid, draw(st.integers(150, 4000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(failing_contractions())
+def test_min_b_is_the_scan_of_every_integer(case):
+    dist, params, h, g, grid, cap = case
+    sweep = bounder._KernelSweep(dist, h, grid)
+    try:
+        d_res = bounder._sup_pair(sweep, params, g)[0]
+        assume(d_res.value >= 1.0)
+        want = scan_every_integer(sweep, params, g, d_res, cap)
+    except (ValueError, RuntimeError):
+        assume(False)  # a kernel failure, which the search need not meet
+    assert bounder._search_min_b(sweep, params, g, d_res, cap) == want
 
 
 def test_min_b_counts_nan_as_not_below_one(monkeypatch):
@@ -696,8 +769,10 @@ def test_min_b_kernel_errors_after_a_deciding_point_are_not_met(monkeypatch):
 
 
 def breaks_between(kind, lo, hi):
-    """Criterion 3 pure with K NaN, or the cutoff jumping to h(x) = x, for
-    lo < x < hi; the failure that a sweep through there meets."""
+    """Criterion 3 pure with K NaN, the cutoff jumping to h(x) = x, or g
+    zero, for lo < x < hi: its (dist, h, g) and the failure that a sweep or
+    a supremum through there meets. The zero g has no power tail, so no
+    envelope stops a supremum before it."""
 
     class NanK(ParetoDist):
         def k_value(self, x, r):
@@ -708,20 +783,29 @@ def breaks_between(kind, lo, hi):
             x = np.asarray(x)
             return np.where((x > lo) & (x < hi), x, super().__call__(x))
 
+    class Vanishes(kernels.TestFunction):
+        def evaluate(self, xs):
+            xs = np.asarray(xs, dtype=float)
+            return np.where((xs > lo) & (xs < hi), 0.0, G_PARETO.evaluate(xs))
+
     if kind == "K":
-        return NanK(2.2), H_PARETO, "K kernel is NaN at x={x:g}, r="
-    return PARETO, Jumps("power", 1.0, 1.0 / 3.2), "cutoff h(x)={x:g} outside (0, x/2] at x={x:g}"
+        return NanK(2.2), H_PARETO, G_PARETO, "K kernel is NaN at x={x:g}, r="
+    if kind == "g":
+        return PARETO, H_PARETO, Vanishes(), "test function must be positive; g({x:g})=0"
+    return (PARETO, Jumps("power", 1.0, 1.0 / 3.2), G_PARETO,
+            "cutoff h(x)={x:g} outside (0, x/2] at x={x:g}")
 
 
-@pytest.mark.parametrize("kind", ["K", "cutoff"])
+@pytest.mark.parametrize("kind", ["K", "cutoff", "g"])
 def test_min_b_K_and_cutoff_errors_after_a_deciding_point_are_not_met(kind):
-    """K and h are evaluated over a sweep's whole grid at once; a point
-    where either fails cuts the sweep there, and its error is raised only
-    by a reader that gets that far."""
-    params, g = MINB_ARGS[1], MINB_ARGS[3]
-    # the anchor grid has no point in (1000, 1100): only the scan meets them
+    """K, h and g are evaluated over a span of integers at once, and K and h
+    over a sweep's whole grid; a point where one fails cuts the span or the
+    sweep there, and its error is raised only by a reader that gets that
+    far. The search checks g up to the deciding integer."""
+    params = MINB_ARGS[1]
+    # the anchor grid has no point in (1000, 1100): only the search meets them
     for lo, found in ((1082.5, 1082), (1081.5, None)):
-        dist, h, message = breaks_between(kind, lo, 1100.0)
+        dist, h, g, message = breaks_between(kind, lo, 1100.0)
         args = (dist, params, h, g)
         if found is not None:
             assert search_min_b(*anchor_sweep(args), args) == found
@@ -730,14 +814,47 @@ def test_min_b_K_and_cutoff_errors_after_a_deciding_point_are_not_met(kind):
                 search_min_b(*anchor_sweep(args), args)
     # the anchor sweep stops before the first failing grid point
     first = float(next(x for x in bounder._sup_grid(100.0, 1e6, 1.5) if x > 1e5))
-    dist, h, message = breaks_between(kind, 1e5, math.inf)
+    dist, h, g, message = breaks_between(kind, 1e5, math.inf)
     sweep = bounder._kernel_sweep(dist, h, bounder._sup_grid(100.0, 1e6, 1.5))
-    assert sweep.x.size > 5 and sweep.x[-1] < 1e5
-    assert str(sweep.error).startswith(message.format(x=first))
-    assert sweep.x.size == sweep.r.size == sweep.K.size == sweep.J.size == sweep.tail_r.size
+    if kind == "g":
+        assert sweep.error is None  # the kernels do not depend on g
+    else:
+        assert sweep.x.size > 5 and sweep.x[-1] < 1e5
+        assert str(sweep.error).startswith(message.format(x=first))
+        assert sweep.x.size == sweep.r.size == sweep.K.size == sweep.J.size == sweep.tail_r.size
+        g = KKernelTestFunction(PARETO, H_PARETO)
     # a supremum with no envelope to stop at reads every point and meets it
     with pytest.raises(ValueError, match=re.escape(message.format(x=first))):
-        bounder._sup_pair(sweep, HALF, KKernelTestFunction(PARETO, H_PARETO))
+        bounder._sup_pair(sweep, HALF, g)
+
+
+@pytest.mark.parametrize("error", [RuntimeError("J kernel quadrature did not converge at x={x:g}"),
+                                   ValueError("J kernel is NaN at x={x:g}")],
+                         ids=["no convergence", "NaN"])
+def test_min_b_J_failures_where_f1_reaches_one_are_not_met(monkeypatch, error):
+    """Criterion 6 unscaled at grid ratio 1.2: after the last grid point at
+    one, f1 alone is at or above one at the integers 1541 to 1636, so the
+    search computes no J there, and a J failure there is not met. One at an
+    integer where f1 < 1, before min b, is raised."""
+    sweep, d_res = anchor_sweep(C6_ARGS, grid_ratio=1.2)
+    f1, f2, _ = bounder._terms(sweep, C6_ARGS[1], C6_ARGS[3])
+    assert math.floor(sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]) == 1540
+    f1 = [f_terms(*C6_ARGS, float(n)).f1 for n in range(1541, 1638)]
+    assert min(f1[:-1]) >= 1.0 > f1[-1]
+    real = bounder.J_kernel
+    fails = set(range(1541, 1637))  # integers only: the anchor grid has none
+
+    def failing(dist, x, r, *args, **kwargs):
+        hit = [v for v in np.ravel(x).tolist() if v in fails]
+        if hit:
+            raise type(error)(str(error).format(x=hit[0]))
+        return real(dist, x, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounder, "J_kernel", failing)
+    assert search_min_b(sweep, d_res, C6_ARGS) == 1658
+    fails = {1640}
+    with pytest.raises(type(error), match=re.escape(str(error).format(x=1640)) + "$"):
+        search_min_b(sweep, d_res, C6_ARGS)
 
 
 def test_min_b_skips_sweeps_when_the_envelope_reaches_one(monkeypatch):
