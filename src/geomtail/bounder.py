@@ -800,6 +800,16 @@ def _check_engine(engine, bandwidth, mc_samples, seed, mode) -> None:
         raise ValueError(f"unknown engine {engine!r}")
 
 
+def _check_anchor(dist, B, engine, bandwidth) -> None:
+    """build_bound's and tune's checks of the severity and the lattice at the
+    anchor B, before the sweep: the kernels and the error table divide by
+    the severity tail, and the error table needs lattice cells below B."""
+    if not dist.tail(B) > 0.0:
+        raise ConfigError(f"severity tail vanishes at B = {B:g}: {dist!r}")
+    if engine == "panjer" and not bandwidth < B:
+        raise ConfigError(f"bandwidth must be below B = {B:g}, got {bandwidth:g}")
+
+
 def _tail_table(dist, params, xmax, engine, bandwidth, mc_samples, seed, xs=None,
                 mode="rounded") -> TailTable:
     """Compound tails P(S > x) at the points xs up to xmax. Panjer with xs
@@ -932,6 +942,7 @@ def build_bound(
     # the sweep grid checks x_far and grid_ratio before any table is built
     grid = _sup_grid(B, x_far, grid_ratio)
     _check_engine(engine, bandwidth, mc_samples, seed, mode)
+    _check_anchor(dist, B, engine, bandwidth)
     table = functools.cache(lambda: _build_delta_table(dist, params, B, float(h(B)), engine,
                                                        bandwidth, mc_samples, seed, mode))
 
@@ -1038,6 +1049,7 @@ def tune(
         raise ConfigError(f"no candidate scale admits the horizon B = {B:g}")
     grid = _sup_grid(B, x_far, grid_ratio)
     _check_engine(engine, bandwidth, mc_samples, seed, mode)
+    _check_anchor(dist, B, engine, bandwidth)
     table_lo = min(float(hs(B)) for hs in usable)
     table = functools.cache(lambda: _build_delta_table(dist, params, B, table_lo, engine,
                                                        bandwidth, mc_samples, seed, mode))

@@ -36,10 +36,6 @@ _MC_MAX_WORKERS = 8
 # longest sum mc_tail's screen can pass over unsampled (see _mc_screen); it
 # sizes the one array of candidate lengths the screen weighs
 _MC_SCREEN_MAX_LEN = 1 << 12
-# mc_tail screens only when it expects the sums it must still sample to hold
-# at most this share of the draws; above it, finding and gathering them costs
-# the Pareto and Weibull samplers more than sampling every draw
-_MC_SCREEN_MAX_SHARE = 0.5
 # cells per block of panjer_tail's recursion; its block matrix is this square
 _PANJER_BLOCK = 64
 # most terms of one dot product in panjer_tail's history product: OpenBLAS
@@ -131,11 +127,15 @@ def _dyadic_uniforms(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     ``rng.integers(0, 2**53, dtype=np.uint64)`` returns: Lemire's method never
     rejects for a range that divides 2^64. k + 1/2 needs 54 bits, so it
     rounds for k >= 2^52, and to 2^53 itself for k = 2^53 - 1; moving that
-    one value below 1 leaves every other uniform as it was.
+    one value below 1 leaves every other uniform as it was. Only an array
+    that holds it is clamped.
     """
     rng.random(out=out)
     out += 0.5**54
-    return np.minimum(out, np.nextafter(1.0, 0.0), out=out)
+    # one maximum is a few times cheaper than a clamp of every uniform
+    if out.size and out.max() >= 1.0:
+        np.minimum(out, np.nextafter(1.0, 0.0), out=out)
+    return out
 
 
 def _mc_workers() -> int:
@@ -148,7 +148,10 @@ def _mc_workers() -> int:
 def _mc_screen(dist, params, x0: float) -> tuple[int, float] | None:
     """A length K and a uniform cutoff u_cap such that every sum of at most K
     draws whose uniforms are all at most u_cap stays below x0, or None when
-    the sums left over would hold more than _MC_SCREEN_MAX_SHARE of the draws.
+    the sums left over would hold more than ``dist.mc_screen_max_share`` of
+    the draws: the share above which finding and gathering them costs more
+    than sampling every draw, which each family declares (one half for a
+    closed-form quantile, three quarters for a power mixture's solver).
 
     Every u <= u_cap samples to at most c = x0 / K * (1 - 1e-9): u_cap is
     stepped down until 1 - u_cap >= tail(c') holds in floating point, for
@@ -178,7 +181,7 @@ def _mc_screen(dist, params, x0: float) -> tuple[int, float] | None:
     # argmax picks a NaN first, and a NaN share, which fails every
     # comparison, screens nothing
     best = int(np.argmax(kept))
-    if not 1.0 - kept[best] <= _MC_SCREEN_MAX_SHARE:
+    if not 1.0 - kept[best] <= dist.mc_screen_max_share:
         return None
     tail_c = float(tails[best])
     u_cap = 1.0 - tail_c
@@ -394,7 +397,7 @@ def mc_tail(
     mixture the solver's temporaries for 2^13 draws. Memory grows with the
     thread count: the tracemalloc peak of one call is 3.0, 6.0 and 23 MiB at
     1, 2 and 8 threads for a Pareto severity (criterion 1, 5e6 sums), and
-    4.5, 9.0 and 31 MiB for criterion 5's power mixture (5e5 sums). The
+    4.4, 8.8 and 32 MiB for criterion 5's power mixture (5e5 sums). The
     returned table is in ascending grid order regardless of the order of
     ``xgrid``.
 
@@ -407,9 +410,11 @@ def mc_tail(
     are those of sampling every sum; but ``dist.sample``, the sums and the
     sort run only on the candidate sums, those longer than K or holding a
     uniform above u_cap, gathered in order. On criterion 1 (x0 = 30, K = 13)
-    they are 11% of the sums and 27% of the draws. When the candidates are
-    expected to hold more than half of the draws there is no screen, and a
-    group whose sums are all candidates is sampled whole. The screen needs
+    they are 11% of the sums and 27% of the draws; on criterion 5 (x0 =
+    4.30, K = 2) 60% of the draws. When the candidates are expected to hold
+    more than the severity's ``mc_screen_max_share`` of the draws (see
+    ``_mc_screen``) there is no screen, and a group whose sums are all
+    candidates is sampled whole. The screen needs
     ``dist.sample`` to be the quantile transform of ``dist.tail``, to a few
     ulps (see ``SummandDistribution.sample``).
     """

@@ -193,6 +193,27 @@ def test_input_errors_come_before_a_failed_contraction(tmp_path, capsys, old, ne
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
+# finite but huge: a severity tail that underflows at B overflowed the far-tail
+# envelope, and a lattice cell wider than B left the error table no cell in it
+@pytest.mark.parametrize("old, new, key, message", [
+    pytest.param("alpha = 2.2", "alpha = 1e300", "alpha",
+                 "severity tail vanishes at B = 100: ParetoDist(alpha=1e+300)",
+                 id="alpha = 1e300"),
+    pytest.param("bandwidth = 0.05", "bandwidth = 1e300", "bandwidth",
+                 "bandwidth must be below B = 100, got 1e+300", id="bandwidth = 1e300"),
+])
+@pytest.mark.parametrize("command", ["bound", "tune"])
+def test_huge_finite_inputs_exit_3_naming_the_key(tmp_path, capsys, monkeypatch, old, new,
+                                                  key, message, command):
+    # checked before the sweep and the table: no lattice is discretized
+    monkeypatch.setattr(bounder, "discretize", refuse)
+    cfg = write_cfg(tmp_path, BASE.replace(old, new) + TUNE)
+    assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
+    assert key in err and "Traceback" not in err
+
+
 def test_tune_with_every_candidate_infeasible_fails_as_bound(tmp_path, capsys, monkeypatch):
     # the 1.5 scale has the smaller delta (1.087 against 1.257 at scale 1):
     # tune exits with the line bound prints for it, and builds no table

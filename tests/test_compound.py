@@ -425,6 +425,25 @@ def test_dyadic_uniforms_stay_strictly_inside_the_unit_interval():
     ParetoDist(2.2).sample(u)
 
 
+TOP = 2**53 - 1  # the one k whose uniform rounds to 1.0
+
+
+@pytest.mark.parametrize("ks", [
+    pytest.param([TOP, 5, 2**52, 2**53 - 2], id="first"),
+    pytest.param([5, 2**52, TOP, 2**53 - 2, 7], id="middle"),
+    pytest.param([5, 2**52, 2**53 - 2, TOP], id="last"),
+    pytest.param([0, 5, 2**52, 2**52 + 1, 2**53 - 2], id="absent"),
+    pytest.param([], id="empty"),
+])
+def test_dyadic_uniforms_clamp_only_the_top_value(ks):
+    u = _dyadic_uniforms(FixedDraws(ks), np.empty(len(ks)))
+    assert np.array_equal(u, integer_dyadic_uniforms(np.array(ks, dtype=np.uint64)))
+    # every other value is the drawn k 2^-53 plus 2^-54, as it was
+    other = np.array([k != TOP for k in ks], dtype=bool)
+    assert np.array_equal(u[other], np.array(ks, dtype=np.uint64)[other] * 0.5**53 + 0.5**54)
+    assert np.all(u[~other] == np.nextafter(1.0, 0.0))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**40 + 3])
 def test_dyadic_uniforms_are_the_53_bit_integer_draws(seed):
     ints = np.random.Generator(np.random.PCG64(seed))
@@ -549,6 +568,8 @@ def screen_cases(draw):
        seed=st.integers(0, 2**32))
 @example(case=(ParetoDist(5.0), GeometricParams(0.2), 30.0), n=70_000, seed=123)
 @example(case=(MIXTURE, GeometricParams(0.5), 80.0), n=70_000, seed=1)
+# criterion 5's grid: screened for a power mixture only
+@example(case=(MIXTURE, GeometricParams(0.5), 0.999 * 80 ** (1 / 3)), n=70_000, seed=20250817)
 @example(case=(WeibullDist(0.5), GeometricParams(0.3), 0.5), n=20_000, seed=9)
 @example(case=(ParetoDist(2.2), GeometricParams(0.7), 1e6), n=5_000, seed=2)
 def test_screened_mc_is_the_serial_engine_bit_for_bit(case, n, seed):
@@ -558,6 +579,27 @@ def test_screened_mc_is_the_serial_engine_bit_for_bit(case, n, seed):
     got = mc_tail(d, params, n, seed, xgrid)
     assert np.array_equal(got.tails, tails)
     assert np.array_equal(got.stderrs, stderrs)
+
+
+class HalfShareMixture(PowerMixtureDist):
+    """A power mixture held to the closed forms' screen threshold."""
+
+    mc_screen_max_share = 0.5
+
+
+def test_each_family_sets_its_screen_threshold():
+    params = GeometricParams(0.5)
+    # criterion 5's mixture and grid: K = 2, candidates hold 60% of the draws
+    c5 = PowerMixtureDist(((1.0 / 3.0, 2.0), (2.0 / 3.0, 3.0)))
+    x0 = 0.999 * 80 ** (1 / 3)
+    assert compound._mc_screen(c5, params, x0)[0] == 2
+    assert compound._mc_screen(MIXTURE, params, x0) is not None
+    # the same shares above one half screen nothing at the closed forms' threshold
+    assert compound._mc_screen(HalfShareMixture(c5.terms), params, x0) is None
+    assert compound._mc_screen(HalfShareMixture(MIXTURE.terms), params, x0) is None
+    # Pareto and Weibull keep one half: candidate shares 0.85 and 0.64
+    assert compound._mc_screen(ParetoDist(2.2), params, 1.5) is None
+    assert compound._mc_screen(WeibullDist(0.5), params, x0) is None
 
 
 @settings(max_examples=60, deadline=None)
