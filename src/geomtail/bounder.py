@@ -183,6 +183,15 @@ def _where_conditions_hold(envelope, dist, params, h, g, xs, conditions) -> _Tai
     return _TailEnvelopes(f12, f3, True, "", f12s, f3s)
 
 
+def _inf_on_overflow(fn, *args) -> float:
+    """fn(*args), or inf where it overflows: an envelope built on it is then
+    not finite, and certifies nothing (_where_conditions_hold)."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
 def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds on f1 + f2 and on f3 at each point of the array xs, for a power
     tail sum c_i x^(-a_i), the cutoff h = s x^gamma and a test function whose
@@ -209,15 +218,16 @@ def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.
     # K(x, y) <= kappa_m * y / x for y <= x/m, by convexity of the pure
     # power kernel with the largest exponent
     m = 16.0
-    kappa_m = m * math.expm1(-a_max * math.log1p(-1.0 / m))
+    kappa_m = m * _inf_on_overflow(math.expm1, -a_max * math.log1p(-1.0 / m))
+    # 2^a_max - 1 and 2^a_max
+    pow2_m1 = _inf_on_overflow(math.expm1, a_max * math.log(2.0))
+    pow2 = _inf_on_overflow(pow, 2.0, a_max)
     mean_above = np.vectorize(dist.tail_mean_above, otypes=[float])(r)
     tail = dist.tail
-    i1 = kappa_m * mean_above / xs + math.expm1(a_max * math.log(2.0)) * np.asarray(
-        tail(xs / m), dtype=float
-    )
+    i1 = kappa_m * mean_above / xs + pow2_m1 * np.asarray(tail(xs / m), dtype=float)
     # from the symmetric splitting of the J integral:
     # J <= tail(r) + (2^a_max - 2) tail(x/2) + 2 I1
-    j_excess = (2.0**a_max - 2.0) * np.asarray(tail(xs / 2.0), dtype=float) + 2.0 * i1
+    j_excess = (pow2 - 2.0) * np.asarray(tail(xs / 2.0), dtype=float) + 2.0 * i1
     j_env = np.asarray(tail(r), dtype=float) + j_excess
 
     f1 = q * np.exp(-(e + a_max) * np.log1p(-u))

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomtail import compound
+from geomtail.bounder import build_bound
 from geomtail.compound import (
     TailTable,
     _dyadic_uniforms,
@@ -33,6 +34,7 @@ from geomtail.dist import (
     WeibullDist,
     discretize,
 )
+from geomtail.kernels import CutoffFunction, PowerTestFunction
 from conftest import random_lattice
 
 
@@ -341,7 +343,7 @@ def test_panjer_tails_do_not_depend_on_where_the_lattice_ends(d, mode, bw, xmax,
     # reaches xmax gives the same tails, bit for bit
     end = math.ceil(xmax / bw) * bw
     params = GeometricParams(p)
-    tails = [panjer_tail(discretize(d, bw, k * end, mode), params, xmax).tails.tobytes()
+    tails = [fresh_panjer_tail(discretize(d, bw, k * end, mode), params, xmax).tails.tobytes()
              for k in (1, 2, 4)]
     assert tails[0] == tails[1] == tails[2]
 
@@ -355,6 +357,169 @@ def test_almost_degenerate_count_reduces_to_severity():
     dd = delta_from_tails(tt, d, params)
     sel = dd.xs >= 10.0
     assert np.max(np.abs(dd.delta[sel])) < 0.02
+
+
+# ---------------------------------------------------------------- kept table
+
+def fresh_panjer_tail(lattice, params, xmax):
+    """panjer_tail with no table kept, as the first call of a process."""
+    compound._panjer_last = None
+    return panjer_tail(lattice, params, xmax)
+
+
+def same_table(a: TailTable, b: TailTable) -> bool:
+    return (a.engine == b.engine and a.xs.tobytes() == b.xs.tobytes()
+            and a.tails.tobytes() == b.tails.tobytes()
+            and a.stderrs.tobytes() == b.stderrs.tobytes())
+
+
+@pytest.fixture
+def recursions(monkeypatch):
+    """The cell counts of the recursions panjer_tail runs, in order."""
+    counts = []
+    real = compound._panjer_tails
+
+    def counted(f, p, q, n):
+        counts.append(n)
+        return real(f, p, q, n)
+
+    monkeypatch.setattr(compound, "_panjer_tails", counted)
+    return counts
+
+
+def test_kept_table_is_the_same_bytes_and_read_only(recursions):
+    lattice, params = discretize(ParetoDist(2.2), 0.05, 200.0), GeometricParams(0.5)
+    first = fresh_panjer_tail(lattice, params, 100.0)
+    # a longer lattice with the same masses up to xmax, and an xmax in the
+    # same cell: the recursion would read the same inputs
+    longer = discretize(ParetoDist(2.2), 0.05, 400.0)
+    again = [panjer_tail(lattice, params, 100.0),
+             panjer_tail(longer, params, 100.0),
+             panjer_tail(lattice, GeometricParams(0.5), 100.04)]
+    assert recursions == [2000]
+    for table in again:
+        assert same_table(table, first)
+        assert table.xs is not first.xs and table.xs.flags.writeable
+        assert not table.tails.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.tails[0] = 0.5
+    assert not first.tails.flags.writeable
+
+
+def _masses_with_one_bit_moved(lattice):
+    masses = lattice.masses.copy()
+    masses[7] = np.nextafter(masses[7], 1.0)
+    return LatticeDistribution(bandwidth=lattice.bandwidth, masses=masses,
+                               truncation_point=lattice.truncation_point,
+                               truncated_mass=lattice.truncated_mass)
+
+
+@pytest.mark.parametrize("change", ["p", "xmax", "one mass", "masses in place"])
+def test_kept_table_misses_on_any_input_the_recursion_reads(recursions, change):
+    lattice = discretize(ParetoDist(2.2), 0.05, 200.0)
+    params, xmax = GeometricParams(0.5), 100.0
+    fresh_panjer_tail(lattice, params, xmax)
+    if change == "p":
+        params = GeometricParams(float(np.nextafter(0.5, 1.0)))
+    elif change == "xmax":
+        xmax = 100.05
+    elif change == "one mass":
+        lattice = _masses_with_one_bit_moved(lattice)
+    else:
+        lattice.masses[7] = np.nextafter(lattice.masses[7], 1.0)
+    got = panjer_tail(lattice, params, xmax)
+    assert len(recursions) == 2
+    assert same_table(got, fresh_panjer_tail(lattice, params, xmax))
+
+
+def _lattice(masses, truncated_mass=0.0):
+    return LatticeDistribution(bandwidth=1.0, masses=np.array(masses),
+                               truncation_point=len(masses) - 1.0,
+                               truncated_mass=truncated_mass)
+
+
+@pytest.mark.parametrize("lattice, error, message, recursed", [
+    (_lattice([0.0, 0.5, 0.3], 0.2), ValueError, "truncated at 2", 1),
+    (_lattice([2.5, 0.0], -1.5), ValueError, "denominator vanishes", 1),
+    (_lattice([0.0, 1.5], -0.5), RuntimeError, "mass conservation", 4),
+], ids=["truncated", "q f0 >= 1", "mass conservation"])
+def test_a_failed_call_keeps_nothing(recursions, lattice, error, message, recursed):
+    # the input checks fail before the kept table is read, and leave it kept;
+    # a failed recursion has dropped it
+    good, params = _lattice([0.0, 0.5, 0.5]), GeometricParams(0.5)
+    want = fresh_panjer_tail(good, params, 5.0)
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            panjer_tail(lattice, params, 5.0)
+        kept = compound._panjer_last
+        assert kept is None or kept[3].tobytes() == good.masses.tobytes()
+    assert same_table(panjer_tail(good, params, 5.0), want)
+    assert len(recursions) == recursed
+
+
+def test_criterion_2_certificates_do_not_depend_on_the_kept_table(recursions):
+    # pure, scaled and spliced read one lattice and p: the scaled and spliced
+    # certificates reuse the pure one's table
+    def certify(scale, bstar):
+        return build_bound(ParetoDist(2.2), GeometricParams(0.5),
+                           CutoffFunction.power(scale, 1.0 / 3.2), PowerTestFunction(1.0, 0.6875),
+                           100.0, engine="panjer", bandwidth=0.02, bstar=bstar,
+                           grid_ratio=1.2).to_text()
+
+    compound._panjer_last = None
+    configs = [(1.0, None), (1.7, None), (1.14, 21.3)]
+    warm = [certify(*config) for config in configs]
+    assert len(recursions) == 1
+    cold = []
+    for config in configs:
+        compound._panjer_last = None
+        cold.append(certify(*config))
+    assert len(recursions) == 4
+    assert warm == cold
+
+
+def test_threads_on_different_lattices_get_their_own_tables():
+    # more threads than cores, switching every microsecond, each on its own
+    # lattice or p: a table handed to the wrong key would show in its bytes
+    cases = [(discretize(ParetoDist(2.2), 0.1, 200.0), GeometricParams(0.5), 100.0),
+             (discretize(ParetoDist(2.2), 0.1, 200.0), GeometricParams(0.3), 100.0),
+             (discretize(WeibullDist(0.5), 0.1, 160.0), GeometricParams(0.5), 80.0),
+             (discretize(ParetoDist(5.0), 0.1, 120.0), GeometricParams(0.7), 60.0)]
+    want = [fresh_panjer_tail(*case).tails.tobytes() for case in cases]
+    got = [[] for _ in cases]
+    start = threading.Barrier(len(cases))
+
+    def run(i):
+        start.wait()
+        for _ in range(20):
+            got[i].append(panjer_tail(*cases[i]).tails.tobytes())
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 20 for w in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       calls=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.2, 0.5, 0.8]),
+                                st.integers(1, 4)), min_size=1, max_size=12))
+def test_interleaved_calls_are_the_calls_with_nothing_kept(seed, calls):
+    rng = np.random.default_rng(seed)
+    lattices = [random_lattice(rng) for _ in range(3)]
+    for i, p, k in calls + calls[::-1]:
+        lattice = lattices[i]
+        params, xmax = GeometricParams(p), k * lattice.truncation_point
+        got = panjer_tail(lattice, params, xmax)
+        assert same_table(got, fresh_panjer_tail(lattice, params, xmax))
 
 
 # ---------------------------------------------------------------- Monte Carlo

@@ -192,3 +192,13 @@ def test_power_exponent_may_exceed_its_bound_by_four_ulps_alone():
     for e, certified in ((top, True), (np.nextafter(top, 1.0), False)):
         env = bounder._tail_envelopes(dist, HALF, h, PowerTestFunction(1.0, e), 4.6e11)
         assert env.certified is certified, env.note
+
+
+@pytest.mark.parametrize("alpha", [2000.0, 1e300], ids=["2^alpha", "kappa_16"])
+def test_an_envelope_that_overflows_certifies_nothing(alpha):
+    # 2^a_max overflows a double from a_max = 1024 on, and kappa_16 from about
+    # 1.1e4; either makes the envelope not finite at x_far, not an error
+    h, g = CutoffFunction.power(0.1, 0.3125), PowerTestFunction(1.0, 0.6875)
+    env = bounder._tail_envelopes(ParetoDist(alpha), HALF, h, g, 1e6)
+    assert (env.f12, env.f3, env.certified, env.note) == (
+        None, None, False, "envelope terms not finite at x_far")
