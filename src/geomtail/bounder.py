@@ -627,9 +627,10 @@ def bound_constant(delta_b: float, phi: float, c_hb_b: float) -> float:
     """The certified constant max(phi / (1 - delta), phi + delta * C[h(b), b])."""
     if not (0.0 < delta_b < 1.0):
         raise ValueError(f"delta must lie in (0, 1); got {delta_b:g}")
-    if phi < 0.0:
+    # written so that a NaN, which fails every comparison, is rejected too
+    if not (phi >= 0.0):
         raise ValueError("phi must be non-negative")
-    if c_hb_b < 0.0:
+    if not (c_hb_b >= 0.0):
         raise ValueError("interval constant must be non-negative")
     return max(phi / (1.0 - delta_b), phi + delta_b * c_hb_b)
 
@@ -788,26 +789,26 @@ _MIN_B_SPAN = 1024
 
 
 def _lattice_end(xmax: float, bandwidth: float) -> float:
-    """Where the Panjer severity lattice for tails up to xmax ends: 2 * xmax,
-    rounded up to whole cells. Panjer reads only the cells up to xmax, so
-    every lattice that reaches xmax gives the same tails bit for bit."""
+    """Where the severity lattice for tails up to xmax ends: 2 * xmax,
+    rounded up to whole cells."""
     return math.ceil(2.0 * xmax / bandwidth - 1e-9) * bandwidth
 
 
 def _check_engine(engine, bandwidth, mc_samples, seed, mode) -> None:
-    """The engine's input checks, in the table build's order; build_bound and
-    tune run them before the sweep, so they fail ahead of the contraction."""
+    """The one rule for which inputs each engine needs, and their checks in
+    the table build's order; build_bound and tune run them before the sweep,
+    so they fail ahead of the contraction."""
+    needs = {"panjer": {"bandwidth": bandwidth}, "mc": {"mc_samples": mc_samples, "seed": seed}}
+    if engine not in needs:
+        raise ValueError(f"unknown engine {engine!r}")
+    missing = [key for key, value in needs[engine].items() if value is None]
+    if missing:
+        raise ConfigError(f"missing required configuration keys: {', '.join(missing)}")
     if engine == "panjer":
-        if bandwidth is None:
-            raise ValueError("the recursion engine requires a bandwidth")
         _check_bandwidth(bandwidth)  # before it sizes the lattice
         _check_mode(mode)
-    elif engine == "mc":
-        if mc_samples is None or seed is None:
-            raise ValueError("the Monte Carlo engine requires mc_samples and a seed")
-        _check_mc(mc_samples, seed)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        _check_mc(mc_samples, seed)
 
 
 def _check_anchor(dist, B, engine, bandwidth) -> None:
@@ -820,23 +821,54 @@ def _check_anchor(dist, B, engine, bandwidth) -> None:
         raise ConfigError(f"bandwidth must be below B = {B:g}, got {bandwidth:g}")
 
 
-def _tail_table(dist, params, xmax, engine, bandwidth, mc_samples, seed, xs=None,
-                mode="rounded") -> TailTable:
+# _tail_table's last Panjer table and its key, (p, bandwidth, n, f_0 .. f_n,
+# table), or None: the one table the package keeps (see _tail_table)
+_panjer_last: tuple[float, float, int, np.ndarray, TailTable] | None = None
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float arrays hold the same doubles, bit for bit."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=None,
+                seed=None, xs=None, mode="rounded") -> TailTable:
     """Compound tails P(S > x) at the points xs up to xmax. Panjer with xs
     None gives the tails at every lattice point up to xmax; Monte Carlo
     needs xs.
 
-    The one place that sizes and reads the Panjer lattice: S is lattice-valued
-    and non-negative, so P(S > x) is its value at the last lattice point at or
-    below x, and 1 for x < 0. The lattice reaches at least one cell, so points
-    all at or below 0 read it as well.
+    The one path to the engines: it checks their inputs (_check_engine),
+    sizes the Panjer lattice (_lattice_end) and keeps the last Panjer table,
+    keyed on all that panjer_tail reads: p, the bandwidth, the cell count
+    n = floor(xmax / bandwidth) and the masses f_0 .. f_n, compared bit for
+    bit. A call with the same key reuses the table without a recursion, so
+    certificates that differ only in their cutoff, test function or splice
+    run one recursion between them. The entry is dropped before a recursion
+    and replaced, whole, only once panjer_tail has returned: a failed call
+    keeps nothing, and threads read a consistent entry. The kept table's
+    arrays are read-only.
+
+    S is lattice-valued and non-negative, so P(S > x) is its value at the
+    last lattice point at or below x, and 1 for x < 0. The lattice reaches
+    at least one cell, so points all at or below 0 read it as well.
     """
+    global _panjer_last
     _check_engine(engine, bandwidth, mc_samples, seed, mode)
     if engine == "mc":
         return mc_tail(dist, params, mc_samples, seed, xs)
     xmax = max(xmax, bandwidth)
     lattice = discretize(dist, bandwidth, _lattice_end(xmax, bandwidth), mode=mode)
-    table = panjer_tail(lattice, params, xmax)
+    n = math.floor(xmax / bandwidth + 1e-9)
+    f = lattice.masses[: n + 1]
+    last = _panjer_last
+    if last is not None and last[:3] == (params.p, bandwidth, n) and _same_bits(last[3], f):
+        table = last[4]
+    else:
+        _panjer_last = None
+        table = panjer_tail(lattice, params, xmax)
+        for values in (table.xs, table.tails, table.stderrs):
+            values.flags.writeable = False
+        _panjer_last = (params.p, bandwidth, n, f.copy(), table)
     if xs is not None:
         idx = np.floor(xs / bandwidth + 1e-9).astype(int)
         tails = np.where(idx < 0, 1.0, table.tails[np.clip(idx, 0, len(table) - 1)])
@@ -844,8 +876,9 @@ def _tail_table(dist, params, xmax, engine, bandwidth, mc_samples, seed, xs=None
     return table
 
 
-def _build_delta_table(dist, params, B, table_lo, engine, bandwidth, mc_samples, seed,
-                       mode="rounded", points=_MC_GRID_POINTS) -> DeltaTable:
+def _build_delta_table(dist, params, B, table_lo, engine="panjer", bandwidth=None,
+                       mc_samples=None, seed=None, mode="rounded",
+                       points=_MC_GRID_POINTS) -> DeltaTable:
     """The exact-error table up to B; Monte Carlo estimates it at ``points``
     geometric points of [table_lo, B]."""
     xs = np.geomspace(0.999 * table_lo, B, points) if engine == "mc" else None

@@ -112,8 +112,11 @@ def _configured(cfg: RunConfig, *keys: str) -> dict:
     return {k: cfg.values[k] for k in keys if k in cfg.values}
 
 
+# the engine and its inputs, which the library checks (bounder._check_engine);
+# the discretization mode always comes from the run config
+_ENGINE_KEYS = ("engine", "bandwidth", "mc_samples", "seed")
 # run controls that build_bound and tune share
-_RUN_KEYS = ("bandwidth", "mc_samples", "seed", "mode", "x_far", "grid_ratio")
+_RUN_KEYS = (*_ENGINE_KEYS, "mode", "x_far", "grid_ratio")
 
 
 def _tail_table_on_grid(cfg: RunConfig):
@@ -121,10 +124,8 @@ def _tail_table_on_grid(cfg: RunConfig):
     dist = build_dist(cfg)
     params = build_params(cfg)
     xs = _grid_from_config(cfg)
-    table = _tail_table(
-        dist, params, float(np.max(xs)), cfg.require_engine_inputs(), cfg.get("bandwidth"),
-        cfg.get("mc_samples"), cfg.get("seed"), xs, **_configured(cfg, "mode"),
-    )
+    table = _tail_table(dist, params, float(np.max(xs)), xs=xs,
+                        **_configured(cfg, *_ENGINE_KEYS, "mode"))
     return table, dist, params
 
 
@@ -185,8 +186,7 @@ def cmd_bound(cfg: RunConfig, args) -> str:
     params = build_params(cfg)
     h = build_h(cfg)
     g, bstar = build_g(cfg, dist, h)
-    engine = cfg.require_engine_inputs()
-    cert = build_bound(dist, params, h, g, B=cfg.require("B"), engine=engine, bstar=bstar,
+    cert = build_bound(dist, params, h, g, B=cfg.require("B"), bstar=bstar,
                        **_configured(cfg, *_RUN_KEYS))
     return cert.to_text()
 
@@ -196,10 +196,8 @@ def cmd_tune(cfg: RunConfig, args) -> str:
     params = build_params(cfg)
     h = build_h(cfg)
     g, _ = build_g(cfg, dist, h)
-    engine = cfg.require_engine_inputs()
     result = tune(dist, params, h, g, B=cfg.require("B"), s_grid=cfg.require("tune.s"),
-                  bstar_grid=cfg.require("tune.bstar"), engine=engine,
-                  **_configured(cfg, *_RUN_KEYS))
+                  bstar_grid=cfg.require("tune.bstar"), **_configured(cfg, *_RUN_KEYS))
     lines = [
         f"# best scale = {result.scale:.12g}",
         f"# best bstar = {'none' if result.bstar is None else f'{result.bstar:.12g}'}",
@@ -242,11 +240,8 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
     if npts < 1:
         raise ConfigError(f"plot.points must be at least 1, got {npts}")
     # the certificate does not record the discretization mode; the run config does
-    table = _build_delta_table(
-        dist, params, max(xmax, B), lo, cert_cfg.require_engine_inputs(),
-        cert_cfg.get("bandwidth"), cert_cfg.get("mc_samples"), cert_cfg.get("seed"),
-        points=max(npts, 256), **_configured(cfg, "mode"),
-    )
+    table = _build_delta_table(dist, params, max(xmax, B), lo, points=max(npts, 256),
+                               **_configured(cert_cfg, *_ENGINE_KEYS), **_configured(cfg, "mode"))
     if bstar is not None:
         g_final = build_spliced_g(table, bstar, g)
         stored = cert_kv.get("kappa_splice")

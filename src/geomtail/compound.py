@@ -44,9 +44,6 @@ _PANJER_HISTORY_CHUNK = 10_000
 # Python floats _kahan_cumsum holds at once, so its memory does not grow with
 # the lattice
 _KAHAN_CHUNK = 1 << 12
-# panjer_tail's last table, (p, q, n, f_0 .. f_n, read-only tails), or None;
-# the only table the module keeps (see panjer_tail)
-_panjer_last: tuple[float, float, int, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -204,56 +201,7 @@ def panjer_tail(
     on the count shifted to start at zero; dividing the shifted tail by q maps
     it back to the count on {1, 2, ...}. The coefficients are exact whenever
     the severity lattice carries no truncated mass, or extends to at least
-    xmax; bounder ends every lattice at 2 * xmax, rounded up to whole cells.
-
-    The last table computed is kept, keyed on everything the recursion reads:
-    p, q, the cell count n = floor(xmax / bw) and the masses f_0 .. f_n,
-    compared bit for bit. A call with the same key returns the kept tails
-    without recursing, so certificates that differ only in their cutoff, test
-    function or splice run one recursion between them. The tails are
-    read-only, hit or miss. A miss drops the kept table before it recurses
-    and keeps its own only once it has passed every check, so a failed call
-    leaves nothing kept. Each entry is replaced whole, so threads sharing the
-    module read a consistent one. The recursion is _panjer_tails.
-    """
-    global _panjer_last
-    p, q = params.p, params.q
-    bw = lattice.bandwidth
-    if xmax <= 0.0:
-        raise ValueError("xmax must be positive")
-    if lattice.truncated_mass > 0.0 and lattice.truncation_point < xmax - 1e-9 * xmax:
-        raise ValueError(
-            f"severity lattice truncated at {lattice.truncation_point:g} < xmax {xmax:g}"
-        )
-    n = int(math.floor(xmax / bw + 1e-9))
-    f = lattice.masses[: n + 1]
-    if q * float(f[0]) >= 1.0:
-        raise ValueError("q * P(X=0) >= 1; recursion denominator vanishes")
-
-    last = _panjer_last
-    if last is not None and last[:3] == (p, q, n) and _same_bits(last[3], f):
-        tails = last[4]
-    else:
-        _panjer_last = None
-        tails = _panjer_tails(f, p, q, n)
-        tails.flags.writeable = False
-        _panjer_last = (p, q, n, f.copy(), tails)
-    return TailTable(
-        xs=np.arange(n + 1, dtype=float) * bw,
-        tails=tails,
-        stderrs=np.zeros(n + 1),
-        engine="panjer",
-    )
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float arrays hold the same doubles, bit for bit."""
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def _panjer_tails(f: np.ndarray, p: float, q: float, n: int) -> np.ndarray:
-    """P(S > j * bw) for j = 0 .. n from the severity masses f = f_0 .. f_n
-    (fewer read as zeros past the end), with q f_0 < 1.
+    xmax. Each call runs the recursion; nothing is kept between calls.
 
     The compound masses w_k = a * sum_{i=1..k} f_i w_(k-i), a = q / (1 - q f_0),
     are found in blocks of _PANJER_BLOCK = L = 64 cells. Within the block of
@@ -278,7 +226,20 @@ def _panjer_tails(f: np.ndarray, p: float, q: float, n: int) -> np.ndarray:
     thread count. Tables of at most 10,001 cells read their history in one
     piece.
     """
+    p, q = params.p, params.q
+    bw = lattice.bandwidth
+    if xmax <= 0.0:
+        raise ValueError("xmax must be positive")
+    if lattice.truncated_mass > 0.0 and lattice.truncation_point < xmax - 1e-9 * xmax:
+        raise ValueError(
+            f"severity lattice truncated at {lattice.truncation_point:g} < xmax {xmax:g}"
+        )
+    n = int(math.floor(xmax / bw + 1e-9))
+    f = lattice.masses
     f0 = float(f[0])
+    if q * f0 >= 1.0:
+        raise ValueError("q * P(X=0) >= 1; recursion denominator vanishes")
+
     a = q / (1.0 - q * f0)
     size = _PANJER_BLOCK
     # fs[i - 1] = f_i for i <= n, zero past the lattice or up to one block
@@ -312,7 +273,14 @@ def _panjer_tails(f: np.ndarray, p: float, q: float, n: int) -> np.ndarray:
     if cdf[-1] > 1.0 + 1e-9:
         raise RuntimeError("mass conservation violated: compound cdf exceeds 1")
     # the shifted compound W satisfies P(S > x) = P(W > x) / q for x >= 0
-    return np.minimum(1.0, np.maximum(0.0, (1.0 - cdf) / q))
+    tails = np.minimum(1.0, np.maximum(0.0, (1.0 - cdf) / q))
+    xs = np.arange(n + 1, dtype=float) * bw
+    return TailTable(
+        xs=xs,
+        tails=tails,
+        stderrs=np.zeros(n + 1),
+        engine="panjer",
+    )
 
 
 def _mc_block_counts(dist, lnq, n, seeds, blocks, xs, screen, stop) -> np.ndarray:

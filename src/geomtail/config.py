@@ -139,20 +139,9 @@ class RunConfig:
         return self.values.get(key, default)
 
     def require(self, key: str):
-        self._require_set(key)
+        if key not in self.values:
+            raise ConfigError(f"missing required configuration keys: {key}")
         return self.values[key]
-
-    def _require_set(self, *keys: str) -> None:
-        missing = [k for k in keys if k not in self.values]
-        if missing:
-            raise ConfigError(f"missing required configuration keys: {', '.join(missing)}")
-
-    def require_engine_inputs(self) -> str:
-        """The engine, once the inputs it requires are set. Their ranges are
-        checked where the library uses them."""
-        engine = self.get("engine", "panjer")
-        self._require_set(*(("bandwidth",) if engine == "panjer" else ("mc_samples", "seed")))
-        return engine
 
 
 def build_dist(cfg: RunConfig) -> SummandDistribution:

@@ -168,9 +168,12 @@ class ParetoDist(SummandDistribution):
         return s if s.ndim else float(s)
 
     def k_value(self, x, r):
-        # exact on the power region; below the threshold the tail plateaus at 1
-        return np.where(x - r <= 1.0, np.power(x, self.alpha) - 1.0,
-                        np.expm1(-self.alpha * np.log1p(-r / x)))
+        # exact on the power region; below the threshold the tail plateaus at
+        # 1. Each branch is evaluated only at its own points: at the other's,
+        # a large alpha overflows
+        low = x - r <= 1.0
+        return np.where(low, np.power(np.where(low, x, 1.0), self.alpha) - 1.0,
+                        np.expm1(-self.alpha * np.log1p(-np.where(low, 0.0, r / x))))
 
     def j_integrand(self, x):
         alpha = self.alpha
@@ -484,8 +487,13 @@ class LatticeDistribution:
         m = np.asarray(self.masses, dtype=float)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a non-empty 1-d array")
+        if not np.isfinite(m).all():
+            raise ValueError("lattice masses must be finite")
         if np.min(m) < -1e-12:
             raise ValueError("negative lattice mass")
+        if not (0.0 <= self.truncated_mass < math.inf):
+            raise ValueError(
+                f"truncated mass must be finite and non-negative, got {self.truncated_mass:g}")
         m = np.maximum(m, 0.0)
         object.__setattr__(self, "masses", m)
         # a memoryview yields Python floats, one at a time: the same exactly

@@ -1,12 +1,14 @@
 """Shared fixtures and helper distributions for the test suite."""
 
+import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from geomtail.dist import LatticeDistribution, SummandDistribution
+from geomtail.dist import LatticeDistribution, ParetoDist, SummandDistribution
 
 # HYPOTHESIS_PROFILE=ci prints the reproduction blob of a failing property
 # and drops the deadline, which a slow shared runner would trip
@@ -27,6 +29,19 @@ class PointMass(SummandDistribution):
     def tail_ge(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x <= self.atom, 1.0, 0.0)
+
+
+@dataclass(frozen=True)
+class HoledPareto(ParetoDist):
+    """Pareto whose tail is NaN on the open interval ``hole``."""
+
+    hole: tuple = (50.0, 50.1)
+
+    def tail(self, x):
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.hole
+        t = np.where((lo < x) & (x < hi), math.nan, super().tail(x))
+        return t if t.ndim else float(t)
 
 
 def random_lattice(rng, max_atoms=25):

@@ -38,6 +38,7 @@ from geomtail.kernels import (
     PowerTestFunction,
     SplicedTestFunction,
 )
+from conftest import HoledPareto
 
 PARETO = ParetoDist(2.2)
 HALF = GeometricParams(0.5)
@@ -135,6 +136,30 @@ def test_bound_constant_rejections():
         bound_constant(0.5, -0.2, 1.0)
     with pytest.raises(ValueError):
         bound_constant(0.5, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("delta_b, phi, c_hb_b", [(math.nan, 1.0, 1.0), (0.5, math.nan, 1.0),
+                                                  (0.5, 1.0, math.nan)])
+def test_bound_constant_rejects_nan(delta_b, phi, c_hb_b):
+    # max(x, nan) is x: a NaN component would otherwise drop out of C
+    with pytest.raises(ValueError):
+        bound_constant(delta_b, phi, c_hb_b)
+
+
+@pytest.mark.parametrize("hole, engine, message", [
+    pytest.param((50.0, 50.1), dict(engine="panjer", bandwidth=0.02),
+                 "lattice masses must be finite", id="panjer"),
+    pytest.param((49.9, 50.0), dict(engine="mc", mc_samples=20_000, seed=7),
+                 "interval constant must be non-negative", id="mc"),
+])
+def test_a_nan_error_table_certifies_nothing(hole, engine, message):
+    # criterion 2 pure with the hole inside its error table [h(100), 100]:
+    # on the lattice, the NaN masses fail its constructor; in the Monte Carlo
+    # table, delta and so the interval constant are NaN at the point 49.95,
+    # which the constant refuses. C once dropped it, as max(x, nan) is x
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_bound(HoledPareto(2.2, hole), HALF, H_PARETO, G_PARETO, 100.0, grid_ratio=1.2,
+                    **engine)
 
 
 # ---------------------------------------------------------------- suprema
@@ -568,20 +593,37 @@ def test_feasible_build_calls_the_engine_once_after_the_sweep(monkeypatch, engin
     engine = dict(engine, mc_samples=20_000) if engine["engine"] == "mc" else engine
     events = []
     record_engine(monkeypatch, events)
+    # each build starts with no Panjer table kept, so each one recurses
+    monkeypatch.setattr(bounder, "_panjer_last", None)
     build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, **engine, **COARSE)
     assert events.count("table") == 1
     assert events.index("sweep") < events.index("table")
     # a splice needs the table for its test function: it comes before the sweep
     events.clear()
+    bounder._panjer_last = None
     build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, bstar=21.3, **engine, **COARSE)
     assert events.count("table") == 1
     assert events[0] == "table" and "sweep" in events
     # a tune builds it once for all its candidates
     events.clear()
+    bounder._panjer_last = None
     res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14], [None, 21.3],
                **engine, **COARSE)
     assert all(row.feasible for row in res.rows)
     assert events.count("table") == 1
+
+
+@pytest.mark.parametrize("engine, inputs, missing", [
+    ("panjer", {}, "bandwidth"),
+    ("mc", {}, "mc_samples, seed"),
+    ("mc", {"seed": 1}, "mc_samples"),
+    ("mc", {"mc_samples": 100}, "seed"),
+])
+def test_check_engine_names_exactly_the_missing_keys(engine, inputs, missing):
+    controls = {"bandwidth": None, "mc_samples": None, "seed": None, **inputs}
+    with pytest.raises(ConfigError) as exc:
+        bounder._check_engine(engine, mode="rounded", **controls)
+    assert str(exc.value) == f"missing required configuration keys: {missing}"
 
 
 def test_tune_ends_at_an_engine_error(monkeypatch):
@@ -596,11 +638,10 @@ def test_tune_ends_at_an_engine_error(monkeypatch):
 
 
 @pytest.mark.parametrize("controls, error, message", [
-    (dict(engine="panjer"), ValueError, "the recursion engine requires a bandwidth"),
+    (dict(engine="panjer"), ConfigError, "missing required configuration keys: bandwidth"),
     (dict(bandwidth=-1.0), ConfigError, "bandwidth must be positive, got -1"),
     (dict(bandwidth=0.05, mode="bogus"), ValueError, "unknown discretization mode 'bogus'"),
-    (dict(engine="mc", mc_samples=100), ValueError,
-     "the Monte Carlo engine requires mc_samples and a seed"),
+    (dict(engine="mc", mc_samples=100), ConfigError, "missing required configuration keys: seed"),
     (dict(engine="mc", mc_samples=0, seed=1), ConfigError, "mc_samples must be at least 1, got 0"),
     (dict(engine="mc", mc_samples=100, seed=-1), ConfigError, "seed must be non-negative, got -1"),
     (dict(engine="fft", bandwidth=0.05), ValueError, "unknown engine 'fft'"),

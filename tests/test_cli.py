@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import geomtail
-from geomtail import bounder, config
+from geomtail import bounder, cli, config
 from geomtail.bounder import _build_delta_table, build_bound, tune
 from geomtail.cli import main
 from geomtail.compound import DeltaTable, mc_tail, panjer_tail
@@ -30,6 +30,7 @@ from geomtail.kernels import (
     PowerTestFunction,
     build_spliced_g,
 )
+from conftest import HoledPareto
 
 BASE = """\
 family = pareto
@@ -246,6 +247,27 @@ def test_engine_error_exits_4(tmp_path, capsys):
     assert main(["delta", "--config", cfg]) == 4
     assert capsys.readouterr().err == (
         "engine error: severity tail vanishes on the grid; relative error undefined\n")
+
+
+def test_steep_pareto_tail_warns_nothing_before_it_exits_4(tmp_path, capsys):
+    # alpha = 150 at B = 100: K evaluates each of its two branches only at
+    # its own points, so no numpy overflow warning (an error under pytest)
+    # escapes before J's quadrature fails on the steep integrand
+    cfg = write_cfg(tmp_path, BASE.replace("alpha = 2.2", "alpha = 150"))
+    assert main(["bound", "--config", cfg]) == 4
+    assert capsys.readouterr().err.startswith(
+        "engine error: J kernel quadrature did not converge at x=131.948, r=4.5986: ")
+
+
+def test_nan_error_table_exits_4(tmp_path, capsys, monkeypatch):
+    # criterion 2 pure on a severity whose tail is NaN on (50, 50.1), inside
+    # the error table: the lattice refuses its NaN masses, where a
+    # certificate with c_hb_b = nan once printed
+    monkeypatch.setattr(cli, "build_dist", lambda cfg: HoledPareto(cfg.require("alpha")))
+    cfg = write_cfg(tmp_path, BASE.replace("bandwidth = 0.05", "bandwidth = 0.02")
+                    + "grid_ratio = 1.2\n")
+    assert main(["bound", "--config", cfg]) == 4
+    assert capsys.readouterr().err == "engine error: lattice masses must be finite\n"
 
 
 H = CutoffFunction.power(1.0, 0.3125)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geomtail import compound
+from geomtail import bounder, compound
 from geomtail.bounder import build_bound
 from geomtail.compound import (
     TailTable,
@@ -343,7 +343,7 @@ def test_panjer_tails_do_not_depend_on_where_the_lattice_ends(d, mode, bw, xmax,
     # reaches xmax gives the same tails, bit for bit
     end = math.ceil(xmax / bw) * bw
     params = GeometricParams(p)
-    tails = [fresh_panjer_tail(discretize(d, bw, k * end, mode), params, xmax).tails.tobytes()
+    tails = [panjer_tail(discretize(d, bw, k * end, mode), params, xmax).tails.tobytes()
              for k in (1, 2, 4)]
     assert tails[0] == tails[1] == tails[2]
 
@@ -361,10 +361,29 @@ def test_almost_degenerate_count_reduces_to_severity():
 
 # ---------------------------------------------------------------- kept table
 
-def fresh_panjer_tail(lattice, params, xmax):
-    """panjer_tail with no table kept, as the first call of a process."""
-    compound._panjer_last = None
-    return panjer_tail(lattice, params, xmax)
+def test_panjer_tail_recurses_on_every_call_with_writable_tails(monkeypatch):
+    # panjer_tail keeps nothing: each call runs the recursion, which ends in
+    # one compensated sum of the compound masses, and returns its own arrays
+    sums = []
+    real = compound._kahan_cumsum
+    monkeypatch.setattr(compound, "_kahan_cumsum", lambda v: sums.append(v.size) or real(v))
+    lattice, params = discretize(ParetoDist(2.2), 0.05, 200.0), GeometricParams(0.5)
+    first, second = [panjer_tail(lattice, params, 100.0) for _ in range(2)]
+    assert sums == [2001, 2001]
+    assert same_table(first, second)
+    for a, b in ((first.xs, second.xs), (first.tails, second.tails)):
+        assert a.flags.writeable and b.flags.writeable and not np.shares_memory(a, b)
+
+
+def fresh_tail_table(*args, **kwargs):
+    """bounder._tail_table with no table kept, as the first call of a process."""
+    bounder._panjer_last = None
+    return bounder._tail_table(*args, **kwargs)
+
+
+def serve(patch, lattice):
+    """Make bounder's discretize return ``lattice``, whatever it is asked for."""
+    patch.setattr(bounder, "discretize", lambda *args, **kwargs: lattice)
 
 
 def same_table(a: TailTable, b: TailTable) -> bool:
@@ -375,35 +394,38 @@ def same_table(a: TailTable, b: TailTable) -> bool:
 
 @pytest.fixture
 def recursions(monkeypatch):
-    """The cell counts of the recursions panjer_tail runs, in order."""
-    counts = []
-    real = compound._panjer_tails
+    """The xmax of each panjer_tail call _tail_table makes, in order."""
+    calls = []
+    real = bounder.panjer_tail
 
-    def counted(f, p, q, n):
-        counts.append(n)
-        return real(f, p, q, n)
+    def counted(lattice, params, xmax):
+        calls.append(xmax)
+        return real(lattice, params, xmax)
 
-    monkeypatch.setattr(compound, "_panjer_tails", counted)
-    return counts
+    monkeypatch.setattr(bounder, "panjer_tail", counted)
+    return calls
 
 
 def test_kept_table_is_the_same_bytes_and_read_only(recursions):
-    lattice, params = discretize(ParetoDist(2.2), 0.05, 200.0), GeometricParams(0.5)
-    first = fresh_panjer_tail(lattice, params, 100.0)
-    # a longer lattice with the same masses up to xmax, and an xmax in the
-    # same cell: the recursion would read the same inputs
-    longer = discretize(ParetoDist(2.2), 0.05, 400.0)
-    again = [panjer_tail(lattice, params, 100.0),
-             panjer_tail(longer, params, 100.0),
-             panjer_tail(lattice, GeometricParams(0.5), 100.04)]
-    assert recursions == [2000]
-    for table in again:
+    dist, params = ParetoDist(2.2), GeometricParams(0.5)
+    first = fresh_tail_table(dist, params, 100.0, bandwidth=0.05)
+    # the same call, and an xmax in the same cell, whose lattice is longer
+    # and holds the same masses up to xmax: the recursion would read the same
+    # inputs
+    again = [bounder._tail_table(dist, params, 100.0, bandwidth=0.05),
+             bounder._tail_table(dist, GeometricParams(0.5), 100.04, bandwidth=0.05)]
+    assert recursions == [100.0]
+    assert same_table(first, panjer_tail(discretize(dist, 0.05, 200.0), params, 100.0))
+    for table in [first, *again]:
         assert same_table(table, first)
-        assert table.xs is not first.xs and table.xs.flags.writeable
-        assert not table.tails.flags.writeable
+        assert not any(a.flags.writeable for a in (table.xs, table.tails, table.stderrs))
         with pytest.raises(ValueError, match="read-only"):
             table.tails[0] = 0.5
-    assert not first.tails.flags.writeable
+    # tails read off at given points are a table of their own
+    points = bounder._tail_table(dist, params, 100.0, bandwidth=0.05, xs=np.array([1.0, 50.0]))
+    assert recursions == [100.0]
+    assert points.tails.tobytes() == first.tails[[20, 1000]].tobytes()
+    assert points.tails.flags.writeable
 
 
 def _masses_with_one_bit_moved(lattice):
@@ -414,22 +436,26 @@ def _masses_with_one_bit_moved(lattice):
                                truncated_mass=lattice.truncated_mass)
 
 
-@pytest.mark.parametrize("change", ["p", "xmax", "one mass", "masses in place"])
-def test_kept_table_misses_on_any_input_the_recursion_reads(recursions, change):
-    lattice = discretize(ParetoDist(2.2), 0.05, 200.0)
-    params, xmax = GeometricParams(0.5), 100.0
-    fresh_panjer_tail(lattice, params, xmax)
+@pytest.mark.parametrize("change", ["p", "xmax", "one mass", "masses in place", "mode"])
+def test_kept_table_misses_on_any_input_the_recursion_reads(monkeypatch, recursions, change):
+    dist, params, xmax, mode = ParetoDist(2.2), GeometricParams(0.5), 100.0, "rounded"
+    lattice = discretize(dist, 0.05, 200.0)
+    if change in ("one mass", "masses in place"):
+        serve(monkeypatch, lattice)
+    fresh_tail_table(dist, params, xmax, bandwidth=0.05, mode=mode)
     if change == "p":
         params = GeometricParams(float(np.nextafter(0.5, 1.0)))
     elif change == "xmax":
         xmax = 100.05
     elif change == "one mass":
-        lattice = _masses_with_one_bit_moved(lattice)
-    else:
+        serve(monkeypatch, _masses_with_one_bit_moved(lattice))
+    elif change == "masses in place":
         lattice.masses[7] = np.nextafter(lattice.masses[7], 1.0)
-    got = panjer_tail(lattice, params, xmax)
+    else:
+        mode = "lower"
+    got = bounder._tail_table(dist, params, xmax, bandwidth=0.05, mode=mode)
     assert len(recursions) == 2
-    assert same_table(got, fresh_panjer_tail(lattice, params, xmax))
+    assert same_table(got, fresh_tail_table(dist, params, xmax, bandwidth=0.05, mode=mode))
 
 
 def _lattice(masses, truncated_mass=0.0):
@@ -438,23 +464,30 @@ def _lattice(masses, truncated_mass=0.0):
                                truncated_mass=truncated_mass)
 
 
-@pytest.mark.parametrize("lattice, error, message, recursed", [
-    (_lattice([0.0, 0.5, 0.3], 0.2), ValueError, "truncated at 2", 1),
-    (_lattice([2.5, 0.0], -1.5), ValueError, "denominator vanishes", 1),
-    (_lattice([0.0, 1.5], -0.5), RuntimeError, "mass conservation", 4),
+# each panjer_tail guard on a valid lattice: a truncated one, an atom at zero
+# of 1 + 5e-13 under p = 1e-13 (q f0 - 1 is 4e-13), and masses totalling
+# 1 + 9e-13, whose compound total p / (p - q 9e-13) exceeds 1 by 9e-8 at
+# p = 1e-5, nearly all of it within 20 cells
+@pytest.mark.parametrize("lattice, p, error, message", [
+    (_lattice([0.0, 0.5, 0.3], 0.2), 0.5, ValueError, "truncated at 2"),
+    (_lattice([1.0 + 5e-13, 0.0]), 1e-13, ValueError, "denominator vanishes"),
+    (_lattice([1.0 - 1e-6, 1e-6 + 9e-13]), 1e-5, RuntimeError, "mass conservation"),
 ], ids=["truncated", "q f0 >= 1", "mass conservation"])
-def test_a_failed_call_keeps_nothing(recursions, lattice, error, message, recursed):
-    # the input checks fail before the kept table is read, and leave it kept;
-    # a failed recursion has dropped it
+def test_a_failed_call_keeps_nothing(monkeypatch, recursions, lattice, p, error, message):
+    # the kept table is dropped before panjer_tail runs, so a call that
+    # fails, in its input checks or in the recursion, leaves nothing kept
     good, params = _lattice([0.0, 0.5, 0.5]), GeometricParams(0.5)
-    want = fresh_panjer_tail(good, params, 5.0)
+    serve(monkeypatch, good)
+    want = fresh_tail_table(None, params, 20.0, bandwidth=1.0)
+    serve(monkeypatch, lattice)
     for _ in range(2):
         with pytest.raises(error, match=message):
-            panjer_tail(lattice, params, 5.0)
-        kept = compound._panjer_last
-        assert kept is None or kept[3].tobytes() == good.masses.tobytes()
-    assert same_table(panjer_tail(good, params, 5.0), want)
-    assert len(recursions) == recursed
+            bounder._tail_table(None, GeometricParams(p), 20.0, bandwidth=1.0)
+        assert bounder._panjer_last is None
+    serve(monkeypatch, good)
+    assert same_table(bounder._tail_table(None, params, 20.0, bandwidth=1.0), want)
+    assert bounder._panjer_last is not None
+    assert len(recursions) == 4
 
 
 def test_criterion_2_certificates_do_not_depend_on_the_kept_table(recursions):
@@ -466,13 +499,13 @@ def test_criterion_2_certificates_do_not_depend_on_the_kept_table(recursions):
                            100.0, engine="panjer", bandwidth=0.02, bstar=bstar,
                            grid_ratio=1.2).to_text()
 
-    compound._panjer_last = None
+    bounder._panjer_last = None
     configs = [(1.0, None), (1.7, None), (1.14, 21.3)]
     warm = [certify(*config) for config in configs]
     assert len(recursions) == 1
     cold = []
     for config in configs:
-        compound._panjer_last = None
+        bounder._panjer_last = None
         cold.append(certify(*config))
     assert len(recursions) == 4
     assert warm == cold
@@ -481,18 +514,18 @@ def test_criterion_2_certificates_do_not_depend_on_the_kept_table(recursions):
 def test_threads_on_different_lattices_get_their_own_tables():
     # more threads than cores, switching every microsecond, each on its own
     # lattice or p: a table handed to the wrong key would show in its bytes
-    cases = [(discretize(ParetoDist(2.2), 0.1, 200.0), GeometricParams(0.5), 100.0),
-             (discretize(ParetoDist(2.2), 0.1, 200.0), GeometricParams(0.3), 100.0),
-             (discretize(WeibullDist(0.5), 0.1, 160.0), GeometricParams(0.5), 80.0),
-             (discretize(ParetoDist(5.0), 0.1, 120.0), GeometricParams(0.7), 60.0)]
-    want = [fresh_panjer_tail(*case).tails.tobytes() for case in cases]
+    cases = [(ParetoDist(2.2), GeometricParams(0.5), 100.0),
+             (ParetoDist(2.2), GeometricParams(0.3), 100.0),
+             (WeibullDist(0.5), GeometricParams(0.5), 80.0),
+             (ParetoDist(5.0), GeometricParams(0.7), 60.0)]
+    want = [fresh_tail_table(*case, bandwidth=0.1).tails.tobytes() for case in cases]
     got = [[] for _ in cases]
     start = threading.Barrier(len(cases))
 
     def run(i):
         start.wait()
         for _ in range(20):
-            got[i].append(panjer_tail(*cases[i]).tails.tobytes())
+            got[i].append(bounder._tail_table(*cases[i], bandwidth=0.1).tails.tobytes())
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
     interval = sys.getswitchinterval()
@@ -515,11 +548,13 @@ def test_threads_on_different_lattices_get_their_own_tables():
 def test_interleaved_calls_are_the_calls_with_nothing_kept(seed, calls):
     rng = np.random.default_rng(seed)
     lattices = [random_lattice(rng) for _ in range(3)]
-    for i, p, k in calls + calls[::-1]:
-        lattice = lattices[i]
-        params, xmax = GeometricParams(p), k * lattice.truncation_point
-        got = panjer_tail(lattice, params, xmax)
-        assert same_table(got, fresh_panjer_tail(lattice, params, xmax))
+    with pytest.MonkeyPatch.context() as patch:
+        for i, p, k in calls + calls[::-1]:
+            lattice = lattices[i]
+            serve(patch, lattice)
+            params, xmax = GeometricParams(p), k * lattice.truncation_point
+            got = bounder._tail_table(None, params, xmax, bandwidth=lattice.bandwidth)
+            assert same_table(got, panjer_tail(lattice, params, xmax))
 
 
 # ---------------------------------------------------------------- Monte Carlo

@@ -1,6 +1,7 @@
 """Distribution layer: tails, sampling, discretization."""
 
 import math
+import re
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -539,6 +540,34 @@ def test_lattice_validation():
     lat = LatticeDistribution(bandwidth=0.5, masses=np.array([0.25, 0.25, 0.5]),
                               truncation_point=1.0, truncated_mass=0.0)
     assert np.allclose(lat.grid, [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("masses, truncated_mass, message", [
+    ([math.nan, 1.0], 0.0, "lattice masses must be finite"),
+    ([0.2, math.nan, 0.8], 0.0, "lattice masses must be finite"),
+    ([0.0, math.inf], 0.0, "lattice masses must be finite"),
+    ([0.0, 1.5], -0.5, "truncated mass must be finite and non-negative, got -0.5"),
+    ([0.5], math.nan, "truncated mass must be finite and non-negative, got nan"),
+])
+def test_lattice_rejects_non_finite_masses_and_a_negative_truncated_mass(masses, truncated_mass,
+                                                                          message):
+    # each once constructed: a NaN fails the total check, and a negative
+    # truncated mass offsets masses above one
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LatticeDistribution(bandwidth=1.0, masses=np.array(masses),
+                            truncation_point=len(masses) - 1.0, truncated_mass=truncated_mass)
+
+
+def test_pareto_k_value_evaluates_each_branch_at_its_own_points():
+    # alpha = 150: x^alpha, the plateau branch, overflows at the two
+    # power-region points, where it is not kept; under pytest a numpy
+    # overflow warning is an error
+    d = ParetoDist(150.0)
+    x, r = np.array([1.8, 131.948, 400.0]), np.array([0.9, 4.5986, 6.5])
+    low = x - r <= 1.0
+    want = np.concatenate([x[low] ** 150.0 - 1.0,
+                           np.expm1(-150.0 * np.log1p(-r[~low] / x[~low]))])
+    assert d.k_value(x, r).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- helpers
