@@ -222,7 +222,7 @@ def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.
     # 2^a_max - 1 and 2^a_max
     pow2_m1 = _inf_on_overflow(math.expm1, a_max * math.log(2.0))
     pow2 = _inf_on_overflow(pow, 2.0, a_max)
-    mean_above = np.vectorize(dist.tail_mean_above, otypes=[float])(r)
+    mean_above = np.array([dist.tail_mean_above(v) for v in r.tolist()], dtype=float)
     tail = dist.tail
     i1 = kappa_m * mean_above / xs + pow2_m1 * np.asarray(tail(xs / m), dtype=float)
     # from the symmetric splitting of the J integral:
@@ -528,18 +528,23 @@ def _below(a: float, b: float) -> bool:
     return a < b - _STOP_MARGIN * abs(b)
 
 
-def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
-    """The f1+f2 supremum and the f3 supremum over [from_x, infinity)
-    together, from one kernel sweep and the test function g.
+def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult | None]:
+    """The f1+f2 supremum and the f3 supremum (phi) over [from_x, infinity)
+    together, from one kernel sweep and the test function g. phi is None
+    when the contraction fails (delta >= 1, or NaN), as no reader needs it
+    then.
 
     J is pulled _J_CHUNK points at a time, and the sweep stops after the
     first chunk whose last point x_i has envelope bounds below the running
     maxima, f1 + f2's also below one, by the margin _STOP_MARGIN. They bound
     the terms on [x_i, infinity), so the grid maxima are those of the whole
-    grid, and f1 + f2 is below one past the prefix the min-b search reads. A
-    NaN maximum never stops. The envelope is evaluated at the chunks' last
-    points and at x_far, where it closes the grid maxima. A kernel failure or
-    a non-positive g beyond the stop is never met; one before it is raised."""
+    grid, and f1 + f2 is below one past the prefix the min-b search reads.
+    Once the running maximum of f1 + f2 is at least one, delta >= 1 is
+    certain, and from that chunk on the sweep stops on the two f1 + f2
+    conditions alone. A NaN maximum never stops. The envelope is evaluated
+    at the chunks' last points and at x_far, where it closes the grid
+    maxima. A kernel failure or a non-positive g beyond the stop is never
+    met; one before it is raised."""
     n = sweep.x.size
     env = _tail_envelopes(sweep.dist, params, sweep.h, g,
                           np.append(sweep.grid[_J_CHUNK - 1 : -1 : _J_CHUNK], sweep.x_far))
@@ -563,7 +568,8 @@ def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
         if got == hi < n:
             top12, top3 = np.maximum(top12, f12[-1].max()), np.maximum(top3, f3c.max())
             e12, e3 = env.f12s[hi // _J_CHUNK - 1], env.f3s[hi // _J_CHUNK - 1]
-            if _below(e12, top12) and _below(e12, 1.0) and _below(e3, top3):
+            # top12 >= 1 makes delta >= 1, which reads no phi: f3 no longer counts
+            if _below(e12, top12) and _below(e12, 1.0) and (top12 >= 1.0 or _below(e3, top3)):
                 break
     else:
         if sweep.error is not None:
@@ -575,7 +581,10 @@ def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult]:
         value = max(float(vals[i]), bound) if env.certified else float(vals[i])
         return SupResult(value, float(vals[i]), float(sweep.x[i]), bound, env.certified, note)
 
-    d_res, p_res = sup(f12, env.f12), sup(f3, env.f3)
+    d_res = sup(f12, env.f12)
+    if not (d_res.value < 1.0):
+        return d_res, None
+    p_res = sup(f3, env.f3)
     if p_res.value < 0.0:
         p_note = (note + "; " if note else "") + "negative remainder supremum clamped to 0"
         p_res = replace(p_res, value=0.0, note=p_note)
@@ -595,7 +604,9 @@ def delta_sup(
     geometric grid from from_x to x_far (samples, not a bound between them),
     raised to the far-tail envelope beyond x_far when one is certified. The
     grid is sampled up to the point where the envelope takes over, below the
-    maximum so far; the maximum is the one over the whole grid."""
+    maximum so far and below one; the maximum is the one over the whole
+    grid. The sweep is _sup_pair's: f3's envelope also holds it back until
+    the maximum so far reaches one."""
     if not (from_x >= h.domain_start * (1.0 - 1e-12)):
         raise ConfigError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
     return _sup_pair(_KernelSweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)[0]
@@ -938,20 +949,23 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
 def _certify(table, sweep: _KernelSweep, params, g, B):
     """The certify core of build_bound and tune: the delta and phi suprema
     from B, then, only when delta < 1, the interval constant over [h(B), B]
-    from ``table()``, the error table's builder, and the constant C (both
-    None when delta >= 1, which builds no table). A NaN delta, which the
-    min-b search also counts as not below one, raises."""
+    from ``table()``, the error table's builder, and the constant C. When
+    delta >= 1 the contraction fails at its verdict: phi, the interval
+    constant and C are all None, and no table is built. A NaN delta, which
+    the min-b search also counts as not below one, raises."""
     d_res, p_res = _sup_pair(sweep, params, g)
     if not (d_res.value < 1.0):
         if math.isnan(d_res.value):
             raise ValueError(f"delta supremum is NaN: f1 + f2 is NaN at x={d_res.grid_argmax:g}")
-        return d_res, p_res, None, None
+        return d_res, None, None, None
     chb = c_interval(table(), g, float(sweep.h(B)), B)
     return d_res, p_res, chb, bound_constant(d_res.value, p_res.value, chb)
 
 
 def _failure(sweep: _KernelSweep, params, g, d_res: SupResult, B, x_far) -> ProcedureFailed:
-    """ProcedureFailed at B, naming the smallest workable integer anchor."""
+    """ProcedureFailed at B, naming the smallest workable integer anchor; it
+    reads delta alone (d_res and the sweep's prefix up to the stop), as a
+    failed contraction computes no phi."""
     cap = min(_MIN_B_CAP, math.ceil(x_far) - 1)  # the search reads the sweep to x_far
     return ProcedureFailed(B, d_res.value, _search_min_b(sweep, params, g, d_res, cap), cap)
 
@@ -1159,13 +1173,14 @@ class VerifyReport:
 
 def verify_bound(certificate: BoundCertificate, delta_table: DeltaTable) -> VerifyReport:
     """Check delta(x) <= C g(x) plus the engine uncertainty for every table
-    point at or beyond the certificate's validity start."""
+    point at or beyond the certificate's validity start; a NaN delta, which
+    no bound covers, is a violation."""
     xs = delta_table.xs
     tol = 1e-9 * max(1.0, certificate.valid_from)
     sel = xs >= certificate.valid_from - tol
     x, d = xs[sel], delta_table.delta[sel]
     allowed = certificate.C * certificate.g.evaluate(x) + 2.0 * delta_table.delta_stderr[sel]
-    bad = d > allowed + 1e-9 * np.maximum(1.0, np.abs(allowed))
+    bad = ~(d <= allowed + 1e-9 * np.maximum(1.0, np.abs(allowed)))
     excess = d[bad] - allowed[bad]
     return VerifyReport(
         ok=not excess.size,

@@ -469,11 +469,18 @@ def delta_from_tails(
     """Relative error of the approximation P(S > x) ~ tail(x) / p.
 
     delta(x) = p * P(S > x) / tail(x) - 1, with the engine uncertainty scaled
-    the same way.
+    the same way. A severity tail that is not a positive number (zero,
+    negative or NaN) at a grid point leaves delta undefined there, and is
+    refused.
     """
     fbar = np.asarray(dist.tail(tails.xs), dtype=float)
-    if np.any(fbar <= 0.0):
-        raise ValueError("severity tail vanishes on the grid; relative error undefined")
+    bad = np.flatnonzero(~(fbar > 0.0))
+    if bad.size:
+        i = bad[0]
+        if fbar[i] <= 0.0:
+            raise ValueError("severity tail vanishes on the grid; relative error undefined")
+        raise ValueError(f"severity tail is {fbar[i]:g} at x={tails.xs[i]:g}; "
+                         "relative error undefined")
     delta = params.p * tails.tails / fbar - 1.0
     stderr = params.p * tails.stderrs / fbar
     return DeltaTable(

@@ -115,6 +115,9 @@ def test_f_terms_equals_sweep_at_grid_points():
         f3 = [ft.f3 for ft in terms]
         assert d_res.grid_max == max(f12)
         assert d_res.grid_argmax == terms[int(np.argmax(f12))].x
+        if d_res.value >= 1.0:  # the K-kernel g fails the contraction: no phi
+            assert p_res is None
+            continue
         assert p_res.grid_max == max(f3)
         assert p_res.grid_argmax == terms[int(np.argmax(f3))].x
 
@@ -150,13 +153,13 @@ def test_bound_constant_rejects_nan(delta_b, phi, c_hb_b):
     pytest.param((50.0, 50.1), dict(engine="panjer", bandwidth=0.02),
                  "lattice masses must be finite", id="panjer"),
     pytest.param((49.9, 50.0), dict(engine="mc", mc_samples=20_000, seed=7),
-                 "interval constant must be non-negative", id="mc"),
+                 "severity tail is nan at x=49.9499; relative error undefined", id="mc"),
 ])
 def test_a_nan_error_table_certifies_nothing(hole, engine, message):
     # criterion 2 pure with the hole inside its error table [h(100), 100]:
-    # on the lattice, the NaN masses fail its constructor; in the Monte Carlo
-    # table, delta and so the interval constant are NaN at the point 49.95,
-    # which the constant refuses. C once dropped it, as max(x, nan) is x
+    # on the lattice, the NaN masses fail its constructor; the Monte Carlo
+    # error table refuses the NaN tail at its grid point 49.9499, where delta
+    # would be NaN. C once dropped it, as max(x, nan) is x
     with pytest.raises(ValueError, match=f"^{message}$"):
         build_bound(HoledPareto(2.2, hole), HALF, H_PARETO, G_PARETO, 100.0, grid_ratio=1.2,
                     **engine)
@@ -246,6 +249,10 @@ def sweep_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(sweep_cases())
 def test_stopped_sweep_is_the_full_sweep_bit_for_bit(case):
+    """The stopped sweep's delta supremum is the full sweep's, bit for bit,
+    and so is its phi whenever delta < 1. A failed contraction stops on the
+    delta conditions alone and returns no phi, and its min b is the full
+    sweep's."""
     dist, params, h, g, grid = case
     full = bounder._kernel_sweep(dist, h, grid)
     try:
@@ -255,9 +262,12 @@ def test_stopped_sweep_is_the_full_sweep_bit_for_bit(case):
     assume(full.error is None)
     sweep = bounder._KernelSweep(dist, h, grid)
     got = bounder._sup_pair(sweep, params, g)
-    assert got == want
+    assert got[0] == want[0]
     assert sweep.J.tolist() == full.J[:sweep.J.size].tolist()
-    if got[0].value >= 1.0:
+    if want[0].value < 1.0:
+        assert got[1] == want[1]
+    else:
+        assert got[1] is None
         assert (bounder._search_min_b(sweep, params, g, got[0], 2000)
                 == bounder._search_min_b(full, params, g, want[0], 2000))
 
@@ -299,6 +309,25 @@ def test_criterion_2_sweep_stops_where_the_envelope_takes_over(monkeypatch):
     cert = build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, engine="panjer", bandwidth=0.05)
     assert cert.delta_tail_certified and cert.phi_tail_certified
     assert len(calls) < 150
+
+
+@pytest.mark.parametrize("grid_ratio, points", [(1.2, 32), (1.02, 288)])
+def test_a_failed_contraction_stops_on_the_delta_conditions_alone(monkeypatch, grid_ratio,
+                                                                   points):
+    """Criterion 6 unscaled fails its contraction: once f1 + f2 reaches one,
+    its sweep stops where the delta envelope alone takes over, and it
+    computes no phi (the phi envelope held it to 48 and 392 points at these
+    ratios). build_bound adds the min-b search's 24 J points."""
+    dist, params, h, g = C6_ARGS
+    sweep = bounder._KernelSweep(dist, h, bounder._sup_grid(100.0, 1e8, grid_ratio))
+    d_res, p_res = bounder._sup_pair(sweep, params, g)
+    assert d_res.value >= 1.0 and p_res is None
+    assert sweep.J.size == points
+    calls = count_J_calls(monkeypatch)
+    with pytest.raises(ProcedureFailed) as exc:
+        build_bound(*C6_ARGS, 100.0, engine="panjer", bandwidth=0.05, grid_ratio=grid_ratio)
+    assert exc.value.min_b == 1658
+    assert len(calls) == points + 24
 
 
 def test_J_failures_beyond_the_stop_are_not_met(monkeypatch):
@@ -939,6 +968,29 @@ def test_verify_bound_flags_undersized_constant():
     assert rep.max_excess > 0.0
 
 
+def test_verify_bound_counts_a_nan_delta_as_a_violation():
+    # an error table that delta_from_tails refuses: the severity tail, and so
+    # delta, is NaN on (150, 150.1). No bound covers a NaN, though
+    # NaN > allowed is false
+    cert = build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0,
+                       engine="panjer", bandwidth=0.05)
+    tails = panjer_tail(discretize(PARETO, 0.05, 400.0), HALF, 200.0)
+    holed = HoledPareto(2.2, (150.0, 150.1))
+    with pytest.raises(ValueError, match="^severity tail is nan at x=150.05; "):
+        delta_from_tails(tails, holed, HALF)
+    delta = HALF.p * tails.tails / holed.tail(tails.xs) - 1.0
+    table = DeltaTable(xs=tails.xs, delta=delta, delta_stderr=np.zeros(delta.size),
+                       engine="panjer")
+    holes = tails.xs[np.isnan(delta)].tolist()
+    assert len(holes) == 1
+    rep = verify_bound(cert, table)
+    assert not rep.ok
+    assert [v[0] for v in rep.violations] == holes
+    assert math.isnan(rep.max_excess)
+    table = dataclasses.replace(table, delta=np.nan_to_num(delta, nan=-1.0))
+    assert verify_bound(cert, table).ok
+
+
 def verify_by_loop(certificate, delta_table):
     """verify_bound's earlier per-point loop, the reference for its arrays."""
     xs = delta_table.xs
@@ -952,7 +1004,7 @@ def verify_by_loop(certificate, delta_table):
         checked += 1
         allowed = certificate.C * gv + 2.0 * s
         slack = 1e-9 * max(1.0, abs(allowed))
-        if d > allowed + slack:
+        if not d <= allowed + slack:
             violations.append((float(x), float(d), float(allowed)))
             max_excess = max(max_excess, float(d - allowed))
     return checked, tuple(violations), max_excess
@@ -1013,6 +1065,43 @@ def test_tune_single_candidate_matches_build(scale, bstar):
     assert res.scale == scale and res.bstar == bstar
     assert res.C == direct.C
     assert res.coefficient == direct.tail_coefficient
+
+
+def build_row(scale, bstar):
+    """The tune row of one candidate from an independent build_bound: its C,
+    coefficient and note."""
+    h = H_PARETO.with_scale(scale)
+    if not 100.0 > h.domain_start:
+        return None, None, "horizon below cutoff domain"
+    try:
+        cert = build_bound(PARETO, HALF, h, G_PARETO, 100.0, engine="panjer", bandwidth=0.05,
+                           bstar=bstar, **COARSE)
+    except ProcedureFailed as exc:
+        return None, None, f"delta = {exc.delta_value:.4g} >= 1"
+    except ValueError as exc:
+        return None, None, str(exc)
+    return cert.C, cert.tail_coefficient, ""
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from([0.5, 0.7, 1.0, 1.14, 1.7, 1e6]), min_size=1, max_size=3,
+                unique=True),
+       st.lists(st.sampled_from([None, 15.0, 21.3, 150.0]), min_size=1, max_size=3,
+                unique=True))
+def test_tune_rows_are_the_certificates_bit_for_bit(s_grid, b_grid):
+    """Every tune row holds the C, coefficient and note of an independent
+    build_bound: infeasible and unusable scales and an out-of-range splice
+    point (150, whose note is the same at every scale) among them. When no
+    row is feasible, tune raises."""
+    want = [(s, b, *build_row(s, b)) for s in s_grid for b in b_grid]
+    try:
+        rows = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, s_grid, b_grid,
+                    engine="panjer", bandwidth=0.05, **COARSE).rows
+    except (ValueError, ProcedureFailed):
+        assert all(C is None for _, _, C, _, _ in want)
+        return
+    assert [(r.scale, r.bstar, r.C, r.coefficient, r.note) for r in rows] == want
+    assert [r.feasible for r in rows] == [C is not None for _, _, C, _, _ in want]
 
 
 def test_tune_sweeps_kernels_once_per_scale(monkeypatch):

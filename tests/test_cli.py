@@ -494,6 +494,36 @@ g.variant = kkernel
 """
 
 
+def test_a_J_failure_past_a_failed_contractions_stop_is_not_met(tmp_path, capsys, monkeypatch):
+    """Criterion 6 unscaled fails its contraction. At grid ratio 1.2 its
+    sweep stops after 32 points, where the delta envelope alone takes over
+    (the phi envelope once held it to 48): a J failure past that point is not
+    met, so the run exits 2 with the line it prints with no failure; a
+    failure before it exits 4."""
+    text = WEIBULL_LOGPOWER.replace("h.scale = 0.179", "h.scale = 1.0") + "grid_ratio = 1.2\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["bound", "--config", cfg]) == 2
+    unfailed = capsys.readouterr().err
+    assert unfailed.endswith("(smallest integer b with delta(b) < 1 is 1658)\n")
+    grid = bounder._sup_grid(100.0, 1e8, 1.2)
+    real = bounder.J_kernel
+    fails_from = [grid[32]]
+
+    def failing(dist, x, r, *args, **kwargs):
+        beyond = np.ravel(x)[np.ravel(x) >= fails_from[0]]
+        if beyond.size:
+            raise RuntimeError(f"J kernel quadrature did not converge at x={beyond[0]:g}")
+        return real(dist, x, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounder, "J_kernel", failing)
+    assert main(["bound", "--config", cfg]) == 2
+    assert capsys.readouterr().err == unfailed
+    fails_from[0] = grid[31]
+    assert main(["bound", "--config", cfg]) == 4
+    assert capsys.readouterr().err == (
+        f"engine error: J kernel quadrature did not converge at x={grid[31]:g}\n")
+
+
 def test_kernels_command_output(tmp_path):
     # a log-power cutoff is undefined at x <= 1: that point is a NaN row
     for text in (BASE + "xgrid = 50, 100, 500\n",

@@ -35,7 +35,7 @@ from geomtail.dist import (
     discretize,
 )
 from geomtail.kernels import CutoffFunction, PowerTestFunction
-from conftest import random_lattice
+from conftest import HoledPareto, random_lattice
 
 
 def brute_force_tail(
@@ -938,8 +938,13 @@ def test_delta_from_tails_rejects_vanishing_tail():
 
     tt = TailTable(xs=np.array([5.0]), tails=np.array([0.1]),
                    stderrs=np.zeros(1), engine="panjer")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^severity tail vanishes on the grid; "):
         delta_from_tails(tt, Dead(2.2), GeometricParams(0.5))
+    # a NaN tail, which fails no "<= 0" test, is refused at its first point
+    tt = TailTable(xs=np.array([5.0, 50.05, 50.08]), tails=np.full(3, 0.1),
+                   stderrs=np.zeros(3), engine="mc")
+    with pytest.raises(ValueError, match="^severity tail is nan at x=50.05; relative error"):
+        delta_from_tails(tt, HoledPareto(2.2), GeometricParams(0.5))
     # sane distribution passes
     delta_from_tails(tt, d, GeometricParams(0.5))
 

@@ -202,3 +202,16 @@ def test_an_envelope_that_overflows_certifies_nothing(alpha):
     env = bounder._tail_envelopes(ParetoDist(alpha), HALF, h, g, 1e6)
     assert (env.f12, env.f3, env.certified, env.note) == (
         None, None, False, "envelope terms not finite at x_far")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([PARETO22, SHAPES["mixture"][0]]),
+       st.lists(st.floats(-3.0, 9.0), min_size=1, max_size=40))
+def test_tail_means_above_are_the_scalar_doubles(dist, log_r):
+    """_power_envelope calls tail_mean_above once per point on Python
+    floats (r.tolist()), where np.vectorize passed numpy scalars: both give
+    the same doubles, cutoffs r < 1 included."""
+    r = 10.0 ** np.array(log_r)
+    scalar = [dist.tail_mean_above(v) for v in r.tolist()]
+    vectorized = np.vectorize(dist.tail_mean_above, otypes=[float])(r)
+    assert np.array(scalar).view(np.uint64).tolist() == vectorized.view(np.uint64).tolist()
