@@ -131,7 +131,11 @@ class SupResult:
     ``grid_max`` is the maximum over the evaluation grid reaching x_far;
     ``tail_bound`` is the closed-form envelope over [x_far, infinity) when
     one is available. ``value`` combines the two when the tail is certified
-    and falls back to the grid maximum (with a caveat) otherwise.
+    and falls back to the grid maximum (with a caveat) otherwise. For the
+    f1 + f2 supremum of a failed contraction (``value`` not below one),
+    ``last_at_one`` is the last grid point read where f1 + f2 is not below
+    one (a NaN is not), or None if there is none; the min-b search starts
+    after it.
     """
 
     value: float
@@ -140,6 +144,7 @@ class SupResult:
     tail_bound: float | None
     tail_certified: bool
     note: str = ""
+    last_at_one: float | None = None
 
     def __float__(self) -> float:
         return self.value
@@ -164,10 +169,11 @@ def _uncertified(note: str) -> _TailEnvelopes:
     return _TailEnvelopes(None, None, False, note)
 
 
-def _where_conditions_hold(envelope, dist, params, h, g, xs, conditions) -> _TailEnvelopes:
+def _where_conditions_hold(envelope, xs, conditions) -> _TailEnvelopes:
     """The envelope's bounds at the points of xs where all conditions hold,
-    each a (holds, note) pair with holds a boolean or a boolean array over xs
-    that, once true, stays true for larger x; certified when they all hold at
+    envelope(holds) being those at xs[holds]; each condition is a
+    (holds, note) pair with holds a boolean or a boolean array over xs that,
+    once true, stays true for larger x; certified when they all hold at
     x_far = xs[-1]. An envelope that overflows at x_far bounds nothing."""
     holds = np.ones(xs.size, dtype=bool)
     for ok, note in conditions:
@@ -176,7 +182,7 @@ def _where_conditions_hold(envelope, dist, params, h, g, xs, conditions) -> _Tai
             return _uncertified(note)
         holds &= ok
     f12s, f3s = np.full(xs.size, np.nan), np.full(xs.size, np.nan)
-    f12s[holds], f3s[holds] = envelope(dist, params, h, g, xs[holds])
+    f12s[holds], f3s[holds] = envelope(holds)
     f12, f3 = float(f12s[-1]), float(f3s[-1])
     if not (math.isfinite(f12) and math.isfinite(f3)):
         return _uncertified("envelope terms not finite at x_far")
@@ -192,10 +198,12 @@ def _inf_on_overflow(fn, *args) -> float:
         return math.inf
 
 
-def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on f1 + f2 and on f3 at each point of the array xs, for a power
-    tail sum c_i x^(-a_i), the cutoff h = s x^gamma and a test function whose
-    declared power tail x^(-e) covers x, h(x) and x - h(x).
+def _power_bounds(dist, params, h, e: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of the bounds on f1 + f2 and on f3 that do not read g, at
+    each point of the array xs, for a power tail sum c_i x^(-a_i), the cutoff
+    h = s x^gamma and a test function whose declared power tail x^(-e)
+    covers x, h(x) and x - h(x): the bound on f1 + f2, and the numerator of
+    the bound on f3, which divides it by g(x).
 
     With u = h(x)/x, the bounds are
 
@@ -205,12 +213,12 @@ def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.
 
     with I1 = kappa_16 E[X; X > h] / x + (2^a_max - 1) tail(x/16) and
     K_env = sum_i (c_i / c_min) x^(a_min - a_i) ((1 - u)^(-a_i) - 1), where
-    c_min goes with a_min.
+    c_min goes with a_min. Every step is elementwise, so a point's doubles
+    do not depend on the other points of xs.
     """
     terms = dist.tail_power_terms
     a_min = min(a for _, a in terms)
     a_max = max(a for _, a in terms)
-    e = g.power_tail[2]
     q = params.q
     r = np.asarray(h(xs), dtype=float)
     u = r / xs
@@ -238,9 +246,7 @@ def _power_envelope(dist, params, h, g, xs: np.ndarray) -> tuple[np.ndarray, np.
         sum(c * np.power(xs, a_min - a) * np.expm1(-a * np.log1p(-u)) for c, a in terms)
         / c_min
     )
-    gx = g.evaluate(xs)
-    f3 = (q * j_excess + (1.0 - params.p**2) * k_bound) / gx
-    return f1 + f2, f3
+    return f1 + f2, q * j_excess + (1.0 - params.p**2) * k_bound
 
 
 def _power_tail_envelopes(
@@ -249,11 +255,13 @@ def _power_tail_envelopes(
     h: CutoffFunction,
     g: TestFunction,
     xs: np.ndarray,
+    kept: dict,
 ) -> _TailEnvelopes:
     """Bounds on f1 + f2 and on f3 over [x, infinity) at the points x of xs,
     for power tails with a power cutoff and a power-decaying test function:
-    _power_envelope at x, its maximum over [x, infinity) once these
-    conditions hold at x, here written for x = x_far:
+    the bounds of _power_bounds at x, its f3 numerator divided by g(x), are
+    their maxima over [x, infinity) once these conditions hold at x, here
+    written for x = x_far:
 
     1. g is in its power regime: its declared power tail starts at or below
        both h(x_far) and x_far - h(x_far);
@@ -283,6 +291,12 @@ def _power_tail_envelopes(
     of x by at most d: on [x_far, infinity) the envelopes then grow by a
     factor at most (x / x_far)^d < exp(2^-50 log(DBL_MAX)) < 1 + 1e-12 over
     all doubles x.
+
+    Only condition 1 reads more of g than e. The terms of _power_bounds are
+    computed where 3 and 4 hold, once per (params, e) in ``kept``, a dict
+    that the caller keeps with dist, h and xs (a sweep keeps one, so the
+    test functions of one scale share them); each g takes its points where
+    1 also holds and divides by g there.
     """
     if h.family != "power":
         return _uncertified("tail envelopes need a power cutoff")
@@ -292,14 +306,22 @@ def _power_tail_envelopes(
     r = np.asarray(h(xs), dtype=float)
     a_min = min(a for _, a in dist.tail_power_terms)
     e_max = min(a_min * h.gamma, 1.0 - h.gamma)
-    return _where_conditions_hold(_power_envelope, dist, params, h, g, xs, (
+    below_half, power_form = r < xs / 2.0, (r >= 1.0) & (xs >= 16.0)
+    g_free = below_half & power_form
+
+    def envelope(holds):
+        if (params, e) not in kept:
+            kept[params, e] = _power_bounds(dist, params, h, e, xs[g_free])
+        f12, numerator = (terms[holds[g_free]] for terms in kept[params, e])
+        return f12, numerator / g.evaluate(xs[holds])
+
+    return _where_conditions_hold(envelope, xs, (
         ((r >= start) & (xs - r >= start), "test function not in its power regime at x_far"),
         (not e > e_max + 4.0 * np.spacing(e_max),
          "test-function exponent exceeds min(a_min*gamma, 1-gamma); "
          "envelope terms need not decrease"),
-        (r < xs / 2.0, "cutoff reaches x/2 beyond x_far"),
-        ((r >= 1.0) & (xs >= 16.0),
-         "cutoff below 1 or x_far below 16; envelope tails not in their power form"),
+        (below_half, "cutoff reaches x/2 beyond x_far"),
+        (power_form, "cutoff below 1 or x_far below 16; envelope tails not in their power form"),
     ))
 
 
@@ -395,7 +417,8 @@ def _weibull_tail_envelopes(
     y0 = math.exp(h.kappa / (1.0 - beta))
     r = np.asarray(h(xs), dtype=float)
     head = abs(kb - 1.0) <= 1e-9 or kb * h.scale**beta * np.log(xs) ** (kb - 1.0) >= 1.0
-    return _where_conditions_hold(_weibull_envelope, dist, params, h, g, xs, (
+    return _where_conditions_hold(
+        lambda holds: _weibull_envelope(dist, params, h, g, xs[holds]), xs, (
         ((xs - 2.0 * r >= y0) & (r >= max(y0, 2.0 * h.domain_start)),
          "x_far too small for the Weibull envelope regime"),
         (head, "kappa*beta*scale^beta*(log x_far)^(kappa*beta-1) < 1; "
@@ -403,16 +426,18 @@ def _weibull_tail_envelopes(
     ))
 
 
-def _tail_envelopes(dist, params, h, g, xs) -> _TailEnvelopes:
+def _tail_envelopes(dist, params, h, g, xs, kept=None) -> _TailEnvelopes:
     """The family's envelope bounds at the increasing points xs (or the one
-    point x_far), which end at x_far; see _TailEnvelopes."""
+    point x_far), which end at x_far; see _TailEnvelopes. ``kept`` keeps the
+    power envelope's terms that do not read g across calls on the same dist,
+    h and xs (_power_tail_envelopes)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     # an overflow inside the envelope is a non-finite bound, and bounds nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if isinstance(dist, WeibullDist):
             return _weibull_tail_envelopes(dist, params, h, g, xs)
         if dist.tail_power_terms is not None:
-            return _power_tail_envelopes(dist, params, h, g, xs)
+            return _power_tail_envelopes(dist, params, h, g, xs, {} if kept is None else kept)
     return _TailEnvelopes(None, None, False, "no closed-form tail envelope for this severity")
 
 
@@ -445,10 +470,18 @@ class _KernelSweep:
     raises, or, once met, J raises. ``error`` is that point's exception
     (None if none), final once J is evaluated at every point; _sup_pair
     raises it once g is checked on the points before it, as f_terms would,
-    unless it stopped before it."""
+    unless it stopped before it.
+
+    ``ends``, each J chunk's last grid point and x_far, are where _sup_pair
+    reads the far-tail envelope. The power envelope's terms that do not read
+    g are kept there too (``kept``, by (params, e); _power_tail_envelopes),
+    so the test functions of one scale, which share the exponent e, compute
+    them once per scale, not once per test function."""
 
     def __init__(self, dist: SummandDistribution, h: CutoffFunction, grid: np.ndarray):
         self.dist, self.h, self.grid, self.x_far = dist, h, grid, float(grid[-1])
+        self.ends = np.append(grid[_J_CHUNK - 1 : -1 : _J_CHUNK], self.x_far)
+        self.kept: dict = {}
         rs = np.asarray(h(grid), dtype=float)
         n = int(np.argmin(np.append((0.0 < rs) & (rs <= grid / 2.0), False)))
         self.error = None if n == grid.size else ValueError(
@@ -546,8 +579,7 @@ def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult | No
     maxima. A kernel failure or a non-positive g beyond the stop is never
     met; one before it is raised."""
     n = sweep.x.size
-    env = _tail_envelopes(sweep.dist, params, sweep.h, g,
-                          np.append(sweep.grid[_J_CHUNK - 1 : -1 : _J_CHUNK], sweep.x_far))
+    env = _tail_envelopes(sweep.dist, params, sweep.h, g, sweep.ends, sweep.kept)
     note = "" if env.certified else (
         f"grid maximum only; tail beyond {sweep.x_far:g} not certified: {env.note}"
     )
@@ -583,7 +615,9 @@ def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult | No
 
     d_res = sup(f12, env.f12)
     if not (d_res.value < 1.0):
-        return d_res, None
+        at_one = np.flatnonzero(~(f12 < 1.0))
+        last = float(sweep.x[at_one[-1]]) if at_one.size else None
+        return replace(d_res, last_at_one=last), None
     p_res = sup(f3, env.f3)
     if p_res.value < 0.0:
         p_note = (note + "; " if note else "") + "negative remainder supremum clamped to 0"
@@ -612,26 +646,52 @@ def delta_sup(
     return _sup_pair(_KernelSweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)[0]
 
 
+def _tolerance(x: float) -> float:
+    """How far an interval of the error table reaches beyond its end x."""
+    return 1e-9 * max(1.0, abs(x))
+
+
+def _interval_constants(delta_table: DeltaTable, g: TestFunction, lo: float, b: float):
+    """The interval constant C[a, b] of c_interval for every a >= lo, as a
+    function of a, from one pass over the table points of [lo, b]: the
+    running maxima of max(0, delta + 2 stderr) / g from b down, each a lookup
+    away. A maximum is exact, so C[a, b] is the double that a pass over
+    [a, b] alone gives. An interval reaches 1e-9 max(1, |x|) beyond each of
+    its ends x; one that holds no table point, or a point where g is not
+    positive, raises."""
+    xs = delta_table.xs
+    lo_i = np.searchsorted(xs, lo - _tolerance(lo))
+    hi_i = np.searchsorted(xs, b + _tolerance(b), side="right")
+    x = xs[lo_i:hi_i]
+    dv = np.maximum(delta_table.delta[lo_i:hi_i] + 2.0 * delta_table.delta_stderr[lo_i:hi_i], 0.0)
+    gx = g.evaluate(x)
+    bad = np.flatnonzero(gx <= 0.0)
+    last_bad = bad[-1] if bad.size else -1
+    # no interval through a point where g is not positive is read: it raises
+    highs = np.maximum.accumulate((dv / np.where(gx > 0.0, gx, np.nan))[::-1])[::-1]
+
+    def constant(a: float) -> float:
+        if not (a < b):
+            raise ValueError("need a < b")
+        i = int(np.searchsorted(x, a - _tolerance(a)))
+        if i == x.size:
+            raise ValueError(f"no table points inside [{a:g}, {b:g}]")
+        if i <= last_bad:
+            raise ValueError("test function must be positive on the interval")
+        return float(highs[i])
+
+    return constant
+
+
 def c_interval(delta_table: DeltaTable, g: TestFunction, a: float, b: float) -> float:
     """Interval constant: max over table points x in [a, b] of
     max(0, delta(x) + 2 stderr(x)) / g(x).
 
     The two-standard-error margin makes the constant conservative under a
-    Monte Carlo table; it vanishes for the exact engines.
+    Monte Carlo table; it vanishes for the exact engines. tune reads the
+    constants of many a at once from the same pass (_interval_constants).
     """
-    if not (a < b):
-        raise ValueError("need a < b")
-    xs = delta_table.xs
-    tol = 1e-9 * max(1.0, abs(a))
-    sel = (xs >= a - tol) & (xs <= b + tol)
-    if not np.any(sel):
-        raise ValueError(f"no table points inside [{a:g}, {b:g}]")
-    dv = delta_table.delta[sel] + 2.0 * delta_table.delta_stderr[sel]
-    dv = np.maximum(dv, 0.0)
-    gx = g.evaluate(xs[sel])
-    if np.any(gx <= 0.0):
-        raise ValueError("test function must be positive on the interval")
-    return float(np.max(dv / gx))
+    return _interval_constants(delta_table, g, a, b)(a)
 
 
 def bound_constant(delta_b: float, phi: float, c_hb_b: float) -> float:
@@ -905,9 +965,9 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     closed by the far-tail envelope, which does not depend on n (at or above
     one, no n qualifies). So with x_k the last grid point where f1 + f2 is
     not below one (a NaN is not), min b is the first integer after x_k where
-    f1 + f2 < 1. x_k is read off the points where the sweep has J: a sweep
-    that _sup_pair stopped early holds it, as the stop needs f1 + f2 below
-    one beyond.
+    f1 + f2 < 1. x_k is d_res.last_at_one, which _sup_pair read off the
+    points it combined: a sweep that it stopped early holds x_k, as the stop
+    needs f1 + f2 below one beyond.
 
     The integers after x_k are taken _MIN_B_SPAN at a time: h, K, tail(h)
     and g over the span at once give f1, and J is computed, _J_CHUNK points
@@ -924,9 +984,7 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     """
     if d_res.tail_certified and not (d_res.tail_bound < 1.0):
         return None
-    f1, f2, _ = _terms(sweep, params, g)
-    x_k = sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]
-    for lo in range(math.floor(x_k) + 1, cap + 1, _MIN_B_SPAN):
+    for lo in range(math.floor(d_res.last_at_one) + 1, cap + 1, _MIN_B_SPAN):
         span = _KernelSweep(sweep.dist, sweep.h,
                             np.arange(lo, min(lo + _MIN_B_SPAN, cap + 1), dtype=float))
         gx, g_xr, g_r = _g_values(g, span.x, span.r)
@@ -946,19 +1004,19 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     return None
 
 
-def _certify(table, sweep: _KernelSweep, params, g, B):
+def _certify(interval, sweep: _KernelSweep, params, g, B):
     """The certify core of build_bound and tune: the delta and phi suprema
-    from B, then, only when delta < 1, the interval constant over [h(B), B]
-    from ``table()``, the error table's builder, and the constant C. When
-    delta >= 1 the contraction fails at its verdict: phi, the interval
-    constant and C are all None, and no table is built. A NaN delta, which
-    the min-b search also counts as not below one, raises."""
+    from B, then, only when delta < 1, the interval constant over [h(B), B],
+    ``interval(h(B))``, which builds the error table it reads, and the
+    constant C. When delta >= 1 the contraction fails at its verdict: phi,
+    the interval constant and C are all None, and no table is built. A NaN
+    delta, which the min-b search also counts as not below one, raises."""
     d_res, p_res = _sup_pair(sweep, params, g)
     if not (d_res.value < 1.0):
         if math.isnan(d_res.value):
             raise ValueError(f"delta supremum is NaN: f1 + f2 is NaN at x={d_res.grid_argmax:g}")
         return d_res, None, None, None
-    chb = c_interval(table(), g, float(sweep.h(B)), B)
+    chb = interval(float(sweep.h(B)))
     return d_res, p_res, chb, bound_constant(d_res.value, p_res.value, chb)
 
 
@@ -1008,7 +1066,8 @@ def build_bound(
     g_final = g if bstar is None else build_spliced_g(table(), bstar, g)
 
     sweep = _KernelSweep(dist, h, grid)
-    d_res, p_res, chb, C = _certify(table, sweep, params, g_final, B)
+    d_res, p_res, chb, C = _certify(lambda a: c_interval(table(), g_final, a, B),
+                                    sweep, params, g_final, B)
     if C is None:
         raise _failure(sweep, params, g_final, d_res, B, x_far)
 
@@ -1087,11 +1146,22 @@ def tune(
 
     The exact-error table does not depend on the cutoff or the splice, so it
     is built once, at the first spliced or feasible candidate; an engine error
-    ends the tune. Ties prefer the smaller scale, then the smaller splice
-    point, with the pure (unspliced) candidate ordered last. When every usable
-    candidate fails the contraction alone, tune raises build_bound's
-    ProcedureFailed for the smallest delta (first row on ties), and unspliced
-    candidates alone build no table.
+    ends the tune. Every candidate goes through the certify core of
+    build_bound, and what candidates share is computed once:
+
+    - per scale, the kernel sweep and the far-tail envelope's terms that do
+      not read g (_KernelSweep);
+    - per splice point, the spliced g, and one table of interval constants
+      over [min h(B), B], which each scale reads at its own h(B)
+      (_interval_constants), built at the splice point's first feasible
+      candidate.
+
+    A splice point that fails to splice is retried at every scale, so each
+    row carries its note. Ties prefer the smaller scale, then the smaller
+    splice point, with the pure (unspliced) candidate ordered last. When
+    every usable candidate fails the contraction alone, tune raises
+    build_bound's ProcedureFailed for the smallest delta (first row on ties),
+    and unspliced candidates alone build no table.
     """
     if not isinstance(g, PowerTestFunction):
         raise ConfigError("tuning compares power-tail coefficients; g must be a power shape")
@@ -1110,6 +1180,11 @@ def tune(
     table_lo = min(float(hs(B)) for hs in usable)
     table = functools.cache(lambda: _build_delta_table(dist, params, B, table_lo, engine,
                                                        bandwidth, mc_samples, seed, mode))
+    # what the scales share, by splice point (None: g itself): the spliced g,
+    # and the interval constants of that g from every scale's h(B)
+    spliced = functools.cache(lambda bst: g if bst is None else build_spliced_g(table(), bst, g))
+    constants = functools.cache(
+        lambda bst: _interval_constants(table(), spliced(bst), table_lo, B))
 
     rows: list[TuneRow] = []
     errors: list[Exception] = []
@@ -1122,8 +1197,9 @@ def tune(
         sweep = _KernelSweep(dist, hs, grid)
         for bst in b_list:
             try:
-                g_final = g if bst is None else build_spliced_g(table(), float(bst), g)
-                d_res, _, _, C = _certify(table, sweep, params, g_final, B)
+                key = None if bst is None else float(bst)
+                g_final = spliced(key)
+                d_res, _, _, C = _certify(lambda a: constants(key)(a), sweep, params, g_final, B)
                 coef = None if C is None else C * g_final.power_tail[1]
                 note = "" if C is not None else f"delta = {d_res.value:.4g} >= 1"
                 if C is None:

@@ -1,5 +1,6 @@
 """Bound construction: f-terms, suprema, interval constants, certificates."""
 
+import collections
 import dataclasses
 import math
 import re
@@ -217,6 +218,11 @@ def full_sup_pair(sweep, params, g):
     if results[1].value < 0.0:
         results[1] = dataclasses.replace(results[1], value=0.0, note=(
             note + "; " if note else "") + "negative remainder supremum clamped to 0")
+    if not results[0].value < 1.0:
+        # the last point at one over every grid point, where the min-b search starts
+        at_one = np.flatnonzero(~(f1 + f2 < 1.0))
+        results[0] = dataclasses.replace(
+            results[0], last_at_one=float(sweep.x[at_one[-1]]) if at_one.size else None)
     return tuple(results)
 
 
@@ -371,6 +377,66 @@ def test_c_interval_clamps_and_margins():
         c_interval(flat, g, 3.21, 3.22)  # no table point inside
     with pytest.raises(ValueError):
         c_interval(flat, g, 8.0, 2.0)
+
+
+def interval_by_pass(table, g, a, b):
+    """The interval constant from a pass over [a, b] alone, each end with
+    its own tolerance of 1e-9 max(1, |x|): the reference for the running
+    maxima of the table that tune shares between its scales."""
+    xs = table.xs
+    sel = (xs >= a - 1e-9 * max(1.0, abs(a))) & (xs <= b + 1e-9 * max(1.0, abs(b)))
+    dv = np.maximum(table.delta[sel] + 2.0 * table.delta_stderr[sel], 0.0)
+    return float(np.max(dv / g.evaluate(xs[sel])))
+
+
+C2_TABLE = pareto_delta_table(bw=0.05, xmax=100.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.0, 60.0), st.sampled_from([None, 15.0, 21.3, 27.1]),
+       st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 10**6)),
+                min_size=1, max_size=8))
+def test_interval_constants_are_c_interval_bit_for_bit(table_lo, bstar, picks):
+    """One pass from table_lo gives, for every a in [table_lo, B], the double
+    of c_interval over [a, B] and of a pass over [a, B] alone: a drawn
+    anywhere, or on a table point at or above table_lo."""
+    B = 100.0
+    g = G_PARETO if bstar is None else bounder.build_spliced_g(C2_TABLE, bstar, G_PARETO)
+    constant = bounder._interval_constants(C2_TABLE, g, table_lo, B)
+    on_table = C2_TABLE.xs[(C2_TABLE.xs >= table_lo) & (C2_TABLE.xs < B)]
+    for pick in picks:
+        a = (table_lo + pick * (B - table_lo) if isinstance(pick, float)
+             else on_table[pick % on_table.size])
+        assume(a < B)
+        want = interval_by_pass(C2_TABLE, g, a, B)
+        assert np.float64(constant(a)).tobytes() == np.float64(want).tobytes()
+        assert np.float64(c_interval(C2_TABLE, g, a, B)).tobytes() == np.float64(want).tobytes()
+
+
+def test_interval_constants_check_each_interval_on_its_own():
+    """An interval raises for a non-positive g or for no table point only
+    when it holds one, or none; a NaN reaches the intervals that hold it."""
+    xs = np.arange(1.0, 7.0)
+    delta = np.array([0.5, math.nan, 0.25, 0.75, 0.5, 0.25])
+    table = DeltaTable(xs=xs, delta=delta, delta_stderr=np.zeros(6), engine="panjer")
+
+    class ZeroAt4(kernels.TestFunction):
+        def evaluate(self, x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x == 4.0, 0.0, G_PARETO.evaluate(x))
+
+    constant = bounder._interval_constants(table, ZeroAt4(), 1.0, 8.0)
+    for a in (1.0, 2.5, 4.0):
+        with pytest.raises(ValueError, match="^test function must be positive on the interval$"):
+            constant(a)
+    assert constant(4.5) == 0.5 / G_PARETO(5.0)
+    with pytest.raises(ValueError, match=r"^no table points inside \[6.5, 8\]$"):
+        constant(6.5)
+    with pytest.raises(ValueError, match="^need a < b$"):
+        constant(8.0)
+    constant = bounder._interval_constants(table, G_PARETO, 1.0, 8.0)
+    assert math.isnan(constant(1.5)) and math.isnan(constant(2.0))
+    assert constant(2.5) == interval_by_pass(table, G_PARETO, 2.5, 8.0) == 0.75 / G_PARETO(4.0)
 
 
 # ---------------------------------------------------------------- build_bound
@@ -700,6 +766,7 @@ def test_min_b_scans_only_the_integers_after_the_last_point_at_one(monkeypatch, 
     sweep, d_res = anchor_sweep(args, x_far=1e8, grid_ratio=grid_ratio)
     f1, f2, _ = bounder._terms(sweep, args[1], args[3])
     x_k = sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]
+    assert d_res.last_at_one == x_k
     chunk = bounder._J_CHUNK
     # f1 from the public f_terms, one integer at a time
     wanted = [n for n in range(math.floor(x_k) + 1, expect + 8 * chunk)
@@ -707,6 +774,8 @@ def test_min_b_scans_only_the_integers_after_the_last_point_at_one(monkeypatch, 
     wanted = wanted[: chunk * (wanted.index(expect) // chunk + 1)]
     calls = count_J_calls(monkeypatch, per_call=True)
     monkeypatch.setattr(bounder, "_tail_envelopes", None)  # the search needs no envelope
+    # nor the terms over the anchor's sweep: x_k comes with the verdict
+    monkeypatch.setattr(bounder, "_terms", None)
     assert search_min_b(sweep, d_res, args) == expect
     assert [len(call) for call in calls] == [chunk] * len(calls)
     assert sum(calls, []) == wanted and len(wanted) <= most
@@ -908,7 +977,8 @@ def test_min_b_J_failures_where_f1_reaches_one_are_not_met(monkeypatch, error):
     integer where f1 < 1, before min b, is raised."""
     sweep, d_res = anchor_sweep(C6_ARGS, grid_ratio=1.2)
     f1, f2, _ = bounder._terms(sweep, C6_ARGS[1], C6_ARGS[3])
-    assert math.floor(sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]) == 1540
+    assert d_res.last_at_one == sweep.x[np.flatnonzero(~(f1 + f2 < 1.0))[-1]]
+    assert math.floor(d_res.last_at_one) == 1540
     f1 = [f_terms(*C6_ARGS, float(n)).f1 for n in range(1541, 1638)]
     assert min(f1[:-1]) >= 1.0 > f1[-1]
     real = bounder.J_kernel
@@ -1083,16 +1153,23 @@ def build_row(scale, bstar):
     return cert.C, cert.tail_coefficient, ""
 
 
+# scales whose h(100) is a table point, a multiple of the bandwidth 0.05
+ON_TABLE_SCALES = st.integers(40, 140).map(lambda k: k * 0.05 / 100.0 ** H_PARETO.gamma)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.sampled_from([0.5, 0.7, 1.0, 1.14, 1.7, 1e6]), min_size=1, max_size=3,
-                unique=True),
-       st.lists(st.sampled_from([None, 15.0, 21.3, 150.0]), min_size=1, max_size=3,
-                unique=True))
+@given(st.lists(st.one_of(st.sampled_from([0.5, 0.7, 1.0, 1.14, 1.7, 1e6]), ON_TABLE_SCALES),
+                min_size=1, max_size=3, unique=True),
+       st.lists(st.one_of(st.sampled_from([None, 15.0, 21.3, 150.0]), st.floats(5.0, 99.0),
+                          st.floats(100.5, 1e4)), min_size=1, max_size=4, unique=True))
 def test_tune_rows_are_the_certificates_bit_for_bit(s_grid, b_grid):
     """Every tune row holds the C, coefficient and note of an independent
-    build_bound: infeasible and unusable scales and an out-of-range splice
-    point (150, whose note is the same at every scale) among them. When no
-    row is feasible, tune raises."""
+    build_bound: infeasible and unusable scales, scales whose h(B) is a table
+    point, splice points whose power start lies above some of the sweep's
+    chunk ends (so the splices of one scale read the far-tail envelope at
+    different points) and out-of-range splice points (150 and above, whose
+    note is the same at every scale) among them. When no row is feasible,
+    tune raises."""
     want = [(s, b, *build_row(s, b)) for s in s_grid for b in b_grid]
     try:
         rows = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, s_grid, b_grid,
@@ -1102,6 +1179,28 @@ def test_tune_rows_are_the_certificates_bit_for_bit(s_grid, b_grid):
         return
     assert [(r.scale, r.bstar, r.C, r.coefficient, r.note) for r in rows] == want
     assert [r.feasible for r in rows] == [C is not None for _, _, C, _, _ in want]
+
+
+def test_tune_reads_each_scales_own_interval_constant(monkeypatch):
+    """An error table that peaks at x = 4.5, inside [h(100), 100] at scale 1
+    (h(100) = 4.22) but not at scale 1.14 (4.81): every scale reads its own
+    interval constant off the one table of running maxima, so each row is
+    still an independent build_bound's, and only scale 1 meets the peak."""
+    real = bounder._build_delta_table
+
+    def peaked(*args, **kwargs):
+        table = real(*args, **kwargs)
+        delta = np.where(np.abs(table.xs - 4.5) < 0.01, 50.0, table.delta)
+        return DeltaTable(xs=table.xs, delta=delta, delta_stderr=table.delta_stderr,
+                          engine=table.engine)
+
+    monkeypatch.setattr(bounder, "_build_delta_table", peaked)
+    s_grid, b_grid = [1.0, 1.14], [None, 21.3]
+    rows = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, s_grid, b_grid, engine="panjer",
+                bandwidth=0.05, **COARSE).rows
+    assert [(r.scale, r.bstar, r.C, r.coefficient, r.note) for r in rows] == [
+        (s, b, *build_row(s, b)) for s in s_grid for b in b_grid]
+    assert rows[0].C > 5.0 * rows[2].C  # the pure rows: scale 1 reads the peak
 
 
 def test_tune_sweeps_kernels_once_per_scale(monkeypatch):
@@ -1129,6 +1228,29 @@ def test_tune_sweeps_kernels_once_per_scale(monkeypatch):
     # evaluated twice on one scale
     assert len(set(calls)) == len(calls) == sum(sweep.J.size for sweep in sweeps)
     assert all(0 < sweep.J.size < sweep.grid.size for sweep in sweeps)
+
+
+def test_tune_computes_what_its_candidates_share_once(monkeypatch):
+    """On criterion 2's grid of 5 scales and 4 splice points (none and three
+    spliced), tune builds each spliced g once, not once per scale, computes
+    the far-tail envelope's terms that do not read g once per scale, not
+    once per candidate, and forms one table of interval constants per test
+    function, which every scale reads, where each candidate computed its own
+    interval constant."""
+    calls = collections.Counter()
+    for name in ("build_spliced_g", "_power_bounds", "_interval_constants", "c_interval"):
+        real = getattr(bounder, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bounder, name, counting)
+    res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14, 1.4, 1.7, 2.0],
+               [None, 15.0, 21.3, 27.1], engine="panjer", bandwidth=0.05, grid_ratio=1.2)
+    assert len(res.rows) == 20 and {r.bstar for r in res.rows if r.feasible} == {
+        None, 15.0, 21.3, 27.1}
+    assert calls == {"build_spliced_g": 3, "_power_bounds": 5, "_interval_constants": 4}
 
 
 def test_tune_notes_when_kernel_sweep_raises(monkeypatch):

@@ -25,17 +25,25 @@ WEIBULL = WeibullDist(0.5)
 H_LOG2 = CutoffFunction.logpower(1.0, 2.0)
 G_LOG2 = KKernelTestFunction(dist=WEIBULL, h=H_LOG2)
 
+
+def power_envelope(dist, params, h, g, xs):
+    """The power envelope's bounds on f1 + f2 and f3 at each point of xs: the
+    terms of bounder._power_bounds, the f3 numerator divided by g."""
+    f12, numerator = bounder._power_bounds(dist, params, h, g.power_tail[2], xs)
+    return f12, numerator / g.evaluate(xs)
+
+
 # the reference shapes: Pareto 2.2 (criterion 2), Pareto 5 with the
 # 1.94 x^(1/6) cutoff (criterion 4), the two-term mixture (criterion 5) and
 # criterion 6 unscaled (Weibull 0.5, (log x)^2, scale 1)
 SHAPES = {
     "pareto22": (PARETO22, CutoffFunction.power(1.0, 1.0 / 3.2),
-                 PowerTestFunction(1.0, 0.6875), bounder._power_envelope),
+                 PowerTestFunction(1.0, 0.6875), power_envelope),
     "pareto5": (ParetoDist(5.0), CutoffFunction.power(1.94, 1.0 / 6.0),
-                PowerTestFunction(1.0, 5.0 / 6.0), bounder._power_envelope),
+                PowerTestFunction(1.0, 5.0 / 6.0), power_envelope),
     "mixture": (PowerMixtureDist(((1.0 / 3.0, 2.0), (2.0 / 3.0, 3.0))),
                 CutoffFunction.power(1.0, 1.0 / 3.0), PowerTestFunction(1.0, 2.0 / 3.0),
-                bounder._power_envelope),
+                power_envelope),
     "weibull": (WEIBULL, H_LOG2, G_LOG2, bounder._weibull_envelope),
 }
 
@@ -97,7 +105,74 @@ def power_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(power_cases())
 def test_power_envelope_decreases_beyond_x_far(case):
-    _check_decrease_and_maximum(bounder._power_envelope, *case)
+    _check_decrease_and_maximum(power_envelope, *case)
+
+
+def one_piece_power_envelope(dist, params, h, g, xs):
+    """The power envelope's bounds on f1 + f2 and f3 at each point of xs in
+    one formula, g's division inside: the reference for the split into
+    bounder._power_bounds, computed once per scale, and a division by each
+    test function's g."""
+    terms = dist.tail_power_terms
+    a_min = min(a for _, a in terms)
+    a_max = max(a for _, a in terms)
+    e = g.power_tail[2]
+    q = params.q
+    r = np.asarray(h(xs), dtype=float)
+    u = r / xs
+    m = 16.0
+    kappa_m = m * bounder._inf_on_overflow(math.expm1, -a_max * math.log1p(-1.0 / m))
+    pow2_m1 = bounder._inf_on_overflow(math.expm1, a_max * math.log(2.0))
+    pow2 = bounder._inf_on_overflow(pow, 2.0, a_max)
+    mean_above = np.array([dist.tail_mean_above(v) for v in r.tolist()], dtype=float)
+    tail = dist.tail
+    i1 = kappa_m * mean_above / xs + pow2_m1 * np.asarray(tail(xs / m), dtype=float)
+    j_excess = (pow2 - 2.0) * np.asarray(tail(xs / 2.0), dtype=float) + 2.0 * i1
+    j_env = np.asarray(tail(r), dtype=float) + j_excess
+    f1 = q * np.exp(-(e + a_max) * np.log1p(-u))
+    f2 = q * np.exp(-e * np.log(u)) * j_env
+    c_min = next(c for c, a in terms if a == a_min)
+    k_bound = (
+        sum(c * np.power(xs, a_min - a) * np.expm1(-a * np.log1p(-u)) for c, a in terms)
+        / c_min
+    )
+    gx = g.evaluate(xs)
+    f3 = (q * j_excess + (1.0 - params.p**2) * k_bound) / gx
+    return f1 + f2, f3
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_cases(), st.floats(1e-6, 1.0), st.booleans())
+def test_split_power_envelope_is_the_one_piece_formula_bit_for_bit(case, start_at, spliced_first):
+    """Over points from x_far / 1e4 to x_far, a power g and a spliced g with
+    the same exponent, whose power start lies anywhere up to h(x_far), read
+    the envelope through one kept store of the terms that do not read g, in
+    either order, and then a power g of half that exponent: each gets, bit
+    for bit, the one-piece formula at the points where its conditions hold
+    and NaN elsewhere, though the first two hold at different points."""
+    dist, params, h, g, x_far = case
+    xs = np.append(x_far * np.geomspace(1e-4, 1.0, 12)[:-1], x_far)
+    r = np.asarray(h(xs), dtype=float)
+    start = start_at * float(r[-1])
+    below = MonotoneEnvelope(np.array([start / 2.0, start]), np.array([1.0, 0.5]))
+    spliced = SplicedTestFunction(bstar=start, envelope=below, kappa_splice=0.5 / g(start),
+                                  tailg=g)
+    kept = {}
+    half = PowerTestFunction(g.coef, g.exponent / 2.0)
+    for test_g in ((spliced, g) if spliced_first else (g, spliced)) + (half,):
+        env = bounder._tail_envelopes(dist, params, h, test_g, xs, kept)
+        begin = test_g.power_tail[0]
+        holds = (r >= begin) & (xs - r >= begin) & (r < xs / 2.0) & (r >= 1.0) & (xs >= 16.0)
+        want12, want3 = np.full(xs.size, np.nan), np.full(xs.size, np.nan)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want12[holds], want3[holds] = one_piece_power_envelope(dist, params, h, test_g,
+                                                                   xs[holds])
+        if not (math.isfinite(want12[-1]) and math.isfinite(want3[-1])):
+            assert not env.certified
+            continue
+        assert env.certified, env.note
+        assert env.f12s.tobytes() == want12.tobytes() and env.f3s.tobytes() == want3.tobytes()
+    assert list(kept) == [(params, g.exponent), (params, half.exponent)]
 
 
 @st.composite
@@ -208,7 +283,7 @@ def test_an_envelope_that_overflows_certifies_nothing(alpha):
 @given(st.sampled_from([PARETO22, SHAPES["mixture"][0]]),
        st.lists(st.floats(-3.0, 9.0), min_size=1, max_size=40))
 def test_tail_means_above_are_the_scalar_doubles(dist, log_r):
-    """_power_envelope calls tail_mean_above once per point on Python
+    """_power_bounds calls tail_mean_above once per point on Python
     floats (r.tolist()), where np.vectorize passed numpy scalars: both give
     the same doubles, cutoffs r < 1 included."""
     r = 10.0 ** np.array(log_r)
