@@ -15,7 +15,6 @@ carries an explicit grid-only caveat.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -688,8 +687,8 @@ def c_interval(delta_table: DeltaTable, g: TestFunction, a: float, b: float) -> 
     max(0, delta(x) + 2 stderr(x)) / g(x).
 
     The two-standard-error margin makes the constant conservative under a
-    Monte Carlo table; it vanishes for the exact engines. tune reads the
-    constants of many a at once from the same pass (_interval_constants).
+    Monte Carlo table; it vanishes for the exact engines. The certify core
+    reads the constants of many a at once from one pass (_interval_constants).
     """
     return _interval_constants(delta_table, g, a, b)(a)
 
@@ -867,8 +866,8 @@ def _lattice_end(xmax: float, bandwidth: float) -> float:
 
 def _check_engine(engine, bandwidth, mc_samples, seed, mode) -> None:
     """The one rule for which inputs each engine needs, and their checks in
-    the table build's order; build_bound and tune run them before the sweep,
-    so they fail ahead of the contraction."""
+    the table build's order; _Anchor runs them before the sweep, so they
+    fail ahead of the contraction."""
     needs = {"panjer": {"bandwidth": bandwidth}, "mc": {"mc_samples": mc_samples, "seed": seed}}
     if engine not in needs:
         raise ValueError(f"unknown engine {engine!r}")
@@ -880,16 +879,6 @@ def _check_engine(engine, bandwidth, mc_samples, seed, mode) -> None:
         _check_mode(mode)
     else:
         _check_mc(mc_samples, seed)
-
-
-def _check_anchor(dist, B, engine, bandwidth) -> None:
-    """build_bound's and tune's checks of the severity and the lattice at the
-    anchor B, before the sweep: the kernels and the error table divide by
-    the severity tail, and the error table needs lattice cells below B."""
-    if not dist.tail(B) > 0.0:
-        raise ConfigError(f"severity tail vanishes at B = {B:g}: {dist!r}")
-    if engine == "panjer" and not bandwidth < B:
-        raise ConfigError(f"bandwidth must be below B = {B:g}, got {bandwidth:g}")
 
 
 # _tail_table's last Panjer table and its key, (p, bandwidth, n, f_0 .. f_n,
@@ -1004,28 +993,86 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     return None
 
 
-def _certify(interval, sweep: _KernelSweep, params, g, B):
-    """The certify core of build_bound and tune: the delta and phi suprema
-    from B, then, only when delta < 1, the interval constant over [h(B), B],
-    ``interval(h(B))``, which builds the error table it reads, and the
-    constant C. When delta >= 1 the contraction fails at its verdict: phi,
-    the interval constant and C are all None, and no table is built. A NaN
-    delta, which the min-b search also counts as not below one, raises."""
-    d_res, p_res = _sup_pair(sweep, params, g)
-    if not (d_res.value < 1.0):
-        if math.isnan(d_res.value):
-            raise ValueError(f"delta supremum is NaN: f1 + f2 is NaN at x={d_res.grid_argmax:g}")
-        return d_res, None, None, None
-    chb = interval(float(sweep.h(B)))
-    return d_res, p_res, chb, bound_constant(d_res.value, p_res.value, chb)
+class _Anchor:
+    """What every certificate at the anchor B shares: the checked inputs, the
+    sweep grid, the exact-error table over [table_lo, B], table_lo the least
+    h(B) of the cutoffs served, built when first read, and, per splice point
+    (a SplicedTestFunction holds arrays, so it keys no cache), the spliced g
+    and its interval constants, which each cutoff reads at its own h(B)."""
 
+    def __init__(self, dist, params, g, B, cutoffs, engine, bandwidth, mc_samples, seed, mode,
+                 x_far, grid_ratio):
+        self.grid = _sup_grid(B, x_far, grid_ratio)
+        _check_engine(engine, bandwidth, mc_samples, seed, mode)
+        # the kernels and the table divide by the severity tail at B, and the
+        # table needs lattice cells below B
+        if not dist.tail(B) > 0.0:
+            raise ConfigError(f"severity tail vanishes at B = {B:g}: {dist!r}")
+        if engine == "panjer" and not bandwidth < B:
+            raise ConfigError(f"bandwidth must be below B = {B:g}, got {bandwidth:g}")
+        self.dist, self.params, self.B, self.x_far, self.mode = dist, params, B, x_far, mode
+        self.table_lo = min(float(hc(B)) for hc in cutoffs)
+        # the engine inputs that the certificate echoes: those its engine reads
+        mc = engine == "mc"
+        self.inputs = dict(engine=engine, bandwidth=None if mc else bandwidth,
+                           mc_samples=mc_samples if mc else None, seed=seed if mc else None)
+        self._table, self._table_raised = None, False
+        self._spliced, self._constants = {None: g}, {}
 
-def _failure(sweep: _KernelSweep, params, g, d_res: SupResult, B, x_far) -> ProcedureFailed:
-    """ProcedureFailed at B, naming the smallest workable integer anchor; it
-    reads delta alone (d_res and the sweep's prefix up to the stop), as a
-    failed contraction computes no phi."""
-    cap = min(_MIN_B_CAP, math.ceil(x_far) - 1)  # the search reads the sweep to x_far
-    return ProcedureFailed(B, d_res.value, _search_min_b(sweep, params, g, d_res, cap), cap)
+    def table(self) -> DeltaTable:
+        if self._table is None:
+            self._table_raised = True  # until the engine returns
+            self._table = _build_delta_table(self.dist, self.params, self.B, self.table_lo,
+                                             mode=self.mode, **self.inputs)
+            self._table_raised = False
+        return self._table
+
+    def table_failed(self) -> bool:
+        """Whether building the error table raised: the engine failed."""
+        return self._table_raised
+
+    def spliced(self, bstar) -> TestFunction:
+        """g itself for bstar None, else g spliced onto the table at bstar."""
+        key = None if bstar is None else float(bstar)
+        if key not in self._spliced:
+            self._spliced[key] = build_spliced_g(self.table(), key, self._spliced[None])
+        return self._spliced[key]
+
+    def certify(self, sweep: _KernelSweep, bstar) -> BoundCertificate | SupResult:
+        """The certificate for the sweep's cutoff and the g at bstar; when
+        delta >= 1 the contraction fails at its verdict, the delta SupResult,
+        with no phi, no interval constant and, unspliced, no table. A NaN
+        delta, which the min-b search counts as not below one too, raises."""
+        g = self.spliced(bstar)
+        d_res, p_res = _sup_pair(sweep, self.params, g)
+        if not (d_res.value < 1.0):
+            if math.isnan(d_res.value):
+                raise ValueError(f"delta supremum is NaN: f1 + f2 is NaN at x={d_res.grid_argmax:g}")
+            return d_res
+        key = None if bstar is None else float(bstar)
+        if key not in self._constants:
+            self._constants[key] = _interval_constants(self.table(), g, self.table_lo, self.B)
+        chb = self._constants[key](float(sweep.h(self.B)))
+        caveats = tuple(text for holds, text in (
+            (not d_res.tail_certified, f"delta sup: {d_res.note}"),
+            (p_res.note, f"phi sup: {p_res.note}"),
+            (self.inputs["engine"] == "mc",
+             "interval constant from a Monte Carlo table with a two-standard-error margin"),
+        ) if holds)
+        return BoundCertificate(
+            params=self.params, dist=self.dist, h=sweep.h, g=g, **self.inputs, B=float(self.B),
+            delta_b=d_res.value, phi=p_res.value, c_hb_b=chb,
+            C=bound_constant(d_res.value, p_res.value, chb),
+            delta_tail_certified=d_res.tail_certified, phi_tail_certified=p_res.tail_certified,
+            caveats=caveats)
+
+    def failure(self, sweep: _KernelSweep, bstar, d_res: SupResult) -> ProcedureFailed:
+        """ProcedureFailed at B, naming the smallest workable integer anchor;
+        it reads delta alone (d_res and the sweep's prefix up to the stop),
+        as a failed contraction computes no phi."""
+        cap = min(_MIN_B_CAP, math.ceil(self.x_far) - 1)  # the search reads the sweep to x_far
+        min_b = _search_min_b(sweep, self.params, self.spliced(bstar), d_res, cap)
+        return ProcedureFailed(self.B, d_res.value, min_b, cap)
 
 
 def build_bound(
@@ -1054,51 +1101,16 @@ def build_bound(
     """
     if not (B > h.domain_start):
         raise ConfigError(f"B must exceed the cutoff domain start {h.domain_start:g}, got {B:g}")
-    # the sweep grid checks x_far and grid_ratio before any table is built
-    grid = _sup_grid(B, x_far, grid_ratio)
-    _check_engine(engine, bandwidth, mc_samples, seed, mode)
-    _check_anchor(dist, B, engine, bandwidth)
-    table = functools.cache(lambda: _build_delta_table(dist, params, B, float(h(B)), engine,
-                                                       bandwidth, mc_samples, seed, mode))
-
+    anchor = _Anchor(dist, params, g, B, [h], engine, bandwidth, mc_samples, seed, mode,
+                     x_far, grid_ratio)
     if bstar is not None and not isinstance(g, PowerTestFunction):
         raise ValueError("splicing requires a power test function for the tail piece")
-    g_final = g if bstar is None else build_spliced_g(table(), bstar, g)
-
-    sweep = _KernelSweep(dist, h, grid)
-    d_res, p_res, chb, C = _certify(lambda a: c_interval(table(), g_final, a, B),
-                                    sweep, params, g_final, B)
-    if C is None:
-        raise _failure(sweep, params, g_final, d_res, B, x_far)
-
-    caveats = []
-    if not d_res.tail_certified:
-        caveats.append(f"delta sup: {d_res.note}")
-    if p_res.note:
-        caveats.append(f"phi sup: {p_res.note}")
-    if engine == "mc":
-        caveats.append(
-            "interval constant from a Monte Carlo table with a two-standard-error margin"
-        )
-
-    return BoundCertificate(
-        params=params,
-        dist=dist,
-        h=h,
-        g=g_final,
-        engine=engine,
-        bandwidth=bandwidth if engine == "panjer" else None,
-        mc_samples=mc_samples if engine == "mc" else None,
-        seed=seed if engine == "mc" else None,
-        B=float(B),
-        delta_b=d_res.value,
-        phi=p_res.value,
-        c_hb_b=chb,
-        C=C,
-        delta_tail_certified=d_res.tail_certified,
-        phi_tail_certified=p_res.tail_certified,
-        caveats=tuple(caveats),
-    )
+    anchor.spliced(bstar)  # a splice reads the error table: it is built before the sweep
+    sweep = _KernelSweep(dist, h, anchor.grid)
+    cert = anchor.certify(sweep, bstar)
+    if isinstance(cert, SupResult):
+        raise anchor.failure(sweep, bstar, cert)
+    return cert
 
 
 @dataclass(frozen=True)
@@ -1146,8 +1158,9 @@ def tune(
 
     The exact-error table does not depend on the cutoff or the splice, so it
     is built once, at the first spliced or feasible candidate; an engine error
-    ends the tune. Every candidate goes through the certify core of
-    build_bound, and what candidates share is computed once:
+    ends the tune. Every candidate is certified by build_bound's core
+    (_Anchor.certify), a feasible row's C and coefficient read off its
+    certificate, and what candidates share is computed once:
 
     - per scale, the kernel sweep and the far-tail envelope's terms that do
       not read g (_KernelSweep);
@@ -1174,48 +1187,36 @@ def tune(
     usable = [hs for hs in scales if B > hs.domain_start]
     if not usable:
         raise ConfigError(f"no candidate scale admits the horizon B = {B:g}")
-    grid = _sup_grid(B, x_far, grid_ratio)
-    _check_engine(engine, bandwidth, mc_samples, seed, mode)
-    _check_anchor(dist, B, engine, bandwidth)
-    table_lo = min(float(hs(B)) for hs in usable)
-    table = functools.cache(lambda: _build_delta_table(dist, params, B, table_lo, engine,
-                                                       bandwidth, mc_samples, seed, mode))
-    # what the scales share, by splice point (None: g itself): the spliced g,
-    # and the interval constants of that g from every scale's h(B)
-    spliced = functools.cache(lambda bst: g if bst is None else build_spliced_g(table(), bst, g))
-    constants = functools.cache(
-        lambda bst: _interval_constants(table(), spliced(bst), table_lo, B))
+    anchor = _Anchor(dist, params, g, B, usable, engine, bandwidth, mc_samples, seed, mode,
+                     x_far, grid_ratio)
 
     rows: list[TuneRow] = []
     errors: list[Exception] = []
-    refused: list[tuple] = []  # (sweep, g, d_res) of each candidate with delta >= 1
+    refused: list[tuple] = []  # (sweep, bstar, d_res) of each candidate with delta >= 1
     for s, hs in zip(s_list, scales):
         if B <= hs.domain_start:
-            for bst in b_list:
-                rows.append(TuneRow(s, bst, False, None, None, "horizon below cutoff domain"))
+            rows += [TuneRow(s, bst, False, None, None, "horizon below cutoff domain")
+                     for bst in b_list]
             continue
-        sweep = _KernelSweep(dist, hs, grid)
+        sweep = _KernelSweep(dist, hs, anchor.grid)
         for bst in b_list:
             try:
-                key = None if bst is None else float(bst)
-                g_final = spliced(key)
-                d_res, _, _, C = _certify(lambda a: constants(key)(a), sweep, params, g_final, B)
-                coef = None if C is None else C * g_final.power_tail[1]
-                note = "" if C is not None else f"delta = {d_res.value:.4g} >= 1"
-                if C is None:
-                    refused.append((sweep, g_final, d_res))
+                cert = anchor.certify(sweep, bst)
             except (ValueError, RuntimeError) as exc:
-                if table.cache_info().misses > table.cache_info().currsize:
-                    raise  # the table build raised (a miss, nothing cached): the engine failed
-                C = coef = None
-                note = str(exc)
+                if anchor.table_failed():
+                    raise
                 errors.append(exc)
-            rows.append(TuneRow(s, bst, C is not None, C, coef, note))
+                rows.append(TuneRow(s, bst, False, None, None, str(exc)))
+                continue
+            if isinstance(cert, SupResult):
+                refused.append((sweep, bst, cert))
+                rows.append(TuneRow(s, bst, False, None, None, f"delta = {cert.value:.4g} >= 1"))
+            else:
+                rows.append(TuneRow(s, bst, True, cert.C, cert.tail_coefficient))
 
     feasible = [r for r in rows if r.feasible]
     if not feasible and not errors:  # min picks the first row on ties
-        sweep, g_final, d_res = min(refused, key=lambda c: c[2].value)
-        raise _failure(sweep, params, g_final, d_res, B, x_far)
+        raise anchor.failure(*min(refused, key=lambda c: c[2].value))
     if not feasible:
         notes = "; ".join(sorted({r.note for r in rows if r.note}))
         # candidates refused only for out-of-range inputs: the inputs are at fault

@@ -119,6 +119,13 @@ _ENGINE_KEYS = ("engine", "bandwidth", "mc_samples", "seed")
 _RUN_KEYS = (*_ENGINE_KEYS, "mode", "x_far", "grid_ratio")
 
 
+def _model(cfg: RunConfig) -> tuple:
+    """(dist, params, h, g, bstar) from the config, built in this order, so
+    the first bad key is the one reported."""
+    dist, params, h = build_dist(cfg), build_params(cfg), build_h(cfg)
+    return (dist, params, h, *build_g(cfg, dist, h))
+
+
 def _tail_table_on_grid(cfg: RunConfig):
     """P(S > x) on the config's xgrid, with the severity and count used."""
     dist = build_dist(cfg)
@@ -182,20 +189,14 @@ def cmd_kernels(cfg: RunConfig, args) -> str:
 
 
 def cmd_bound(cfg: RunConfig, args) -> str:
-    dist = build_dist(cfg)
-    params = build_params(cfg)
-    h = build_h(cfg)
-    g, bstar = build_g(cfg, dist, h)
+    dist, params, h, g, bstar = _model(cfg)
     cert = build_bound(dist, params, h, g, B=cfg.require("B"), bstar=bstar,
                        **_configured(cfg, *_RUN_KEYS))
     return cert.to_text()
 
 
 def cmd_tune(cfg: RunConfig, args) -> str:
-    dist = build_dist(cfg)
-    params = build_params(cfg)
-    h = build_h(cfg)
-    g, _ = build_g(cfg, dist, h)
+    dist, params, h, g, _ = _model(cfg)
     result = tune(dist, params, h, g, B=cfg.require("B"), s_grid=cfg.require("tune.s"),
                   bstar_grid=cfg.require("tune.bstar"), **_configured(cfg, *_RUN_KEYS))
     lines = [
@@ -224,10 +225,7 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
     cert_cfg = RunConfig.from_text(
         "\n".join(f"{k} = {v}" for k, v in cert_kv.items() if k in CONFIG_KEYS)
     )
-    dist = build_dist(cert_cfg)
-    params = build_params(cert_cfg)
-    h = build_h(cert_cfg)
-    g, bstar = build_g(cert_cfg, dist, h)
+    dist, params, h, g, bstar = _model(cert_cfg)
     C = float(cert_kv["C"])
     valid_from = float(cert_kv["valid_from"])
     B = cert_cfg.require("B")

@@ -740,12 +740,22 @@ def test_tune_ends_at_an_engine_error(monkeypatch):
     (dict(engine="mc", mc_samples=0, seed=1), ConfigError, "mc_samples must be at least 1, got 0"),
     (dict(engine="mc", mc_samples=100, seed=-1), ConfigError, "seed must be non-negative, got -1"),
     (dict(engine="fft", bandwidth=0.05), ValueError, "unknown engine 'fft'"),
+    # the anchor's other refusals: the sweep grid, the lattice and the severity at B
+    (dict(bandwidth=0.05, x_far=100.0), ConfigError, "x_far must exceed B = 100, got 100"),
+    (dict(bandwidth=0.05, x_far=50.0), ConfigError, "x_far must exceed B = 100, got 50"),
+    (dict(bandwidth=0.05, grid_ratio=1.0), ConfigError, "grid_ratio must exceed 1, got 1"),
+    (dict(bandwidth=100.0), ConfigError, "bandwidth must be below B = 100, got 100"),
+    (dict(bandwidth=150.0), ConfigError, "bandwidth must be below B = 100, got 150"),
+    (dict(bandwidth=0.05, dist=ParetoDist(1e300)), ConfigError,
+     "severity tail vanishes at B = 100: ParetoDist(alpha=1e+300)"),
 ])
 def test_engine_inputs_are_checked_before_a_failed_contraction(controls, error, message):
     # criterion 3 pure fails its contraction, which needs no table; the
-    # checks of the table's inputs still come first
-    for run in (lambda: build_bound(*MINB_ARGS, 100.0, **controls, **COARSE),
-                lambda: tune(*MINB_ARGS, 100.0, [1.0], [None], **controls, **COARSE)):
+    # checks of the table's inputs still come first, alike in build_bound and tune
+    controls = {**COARSE, **controls}
+    args = (controls.pop("dist", MINB_ARGS[0]), *MINB_ARGS[1:])
+    for run in (lambda: build_bound(*args, 100.0, **controls),
+                lambda: tune(*args, 100.0, [1.0], [None], **controls)):
         with pytest.raises(error) as exc:
             run()
         assert type(exc.value) is error and str(exc.value) == message

@@ -649,12 +649,16 @@ def test_module_entry_point(tmp_path):
 
 def test_package_imports_no_scipy():
     # the library and its CLI run on numpy alone; only the tests and the
-    # benchmark use scipy
+    # benchmark use scipy. Nor does an import load numpy.polynomial
+    # (_gauss_legendre computes its own nodes) or concurrent.futures (mc_tail
+    # imports its pool when it runs): both would add to every run's start-up
+    # time and peak memory
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import geomtail, geomtail.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m.startswith(('numpy.polynomial', 'concurrent.futures'))))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
