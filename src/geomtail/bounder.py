@@ -1253,8 +1253,7 @@ def verify_bound(certificate: BoundCertificate, delta_table: DeltaTable) -> Veri
     point at or beyond the certificate's validity start; a NaN delta, which
     no bound covers, is a violation."""
     xs = delta_table.xs
-    tol = 1e-9 * max(1.0, certificate.valid_from)
-    sel = xs >= certificate.valid_from - tol
+    sel = xs >= certificate.valid_from - _tolerance(certificate.valid_from)
     x, d = xs[sel], delta_table.delta[sel]
     allowed = certificate.C * certificate.g.evaluate(x) + 2.0 * delta_table.delta_stderr[sel]
     bad = ~(d <= allowed + 1e-9 * np.maximum(1.0, np.abs(allowed)))
