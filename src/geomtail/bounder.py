@@ -485,18 +485,22 @@ class _KernelSweep:
         n = int(np.argmin(np.append((0.0 < rs) & (rs <= grid / 2.0), False)))
         self.error = None if n == grid.size else ValueError(
             f"cutoff h(x)={rs[n]:g} outside (0, x/2] at x={grid[n]:g}")
-        K = np.empty(0)
-        while n:
+        K = [np.empty(0)]
+        try:
+            if n:
+                K.append(K_kernel(dist, grid[:n], rs[:n]))
+        except ValueError:
+            # K is elementwise: keep it up to its first failing point, found as J's is
             try:
-                K = K_kernel(dist, grid[:n], rs[:n])
-                break
+                for part in _kernel_chunks(K_kernel, dist, grid[:n], rs[:n]):
+                    K.append(part)
             except ValueError as exc:
-                # K names the first point where it fails: drop points until it passes
-                n, self.error = n - 1, exc
-        self.x, self.r, self.K = grid[:n], rs[:n], K[:n]
-        self.tail_r = np.asarray(dist.tail(rs[:n]), dtype=float)
+                self.error = exc
+        self.K = np.concatenate(K)
+        self.x, self.r = grid[: self.K.size], rs[: self.K.size]
+        self.tail_r = np.asarray(dist.tail(self.r), dtype=float)
         self.J = np.empty(0)
-        self._chunks = _j_chunks(dist, self.x, self.r)
+        self._chunks = _kernel_chunks(J_kernel, dist, self.x, self.r)
 
     def evaluate(self, n: int | None = None) -> int:
         """Compute J in whole chunks up to point n (every point if None), or
@@ -516,26 +520,26 @@ class _KernelSweep:
         return min(n, done)
 
 
-# sweep points per J call: fewer leave more per-call cost, more let the
-# quadrature's temporaries (about 10 KB a point) leave the cache
+# sweep points per J call, and per K call in search of a failing point: fewer
+# leave more per-call cost, more let J's temporaries (about 10 KB a point) leave the cache
 _J_CHUNK = 8
 # the stop tests' relative margin, far above J's quadrature tolerance of
 # 1e-10: the terms computed beyond the stop stay below the maxima before it
 _STOP_MARGIN = 1e-6
 
 
-def _j_chunks(dist, xs: np.ndarray, rs: np.ndarray):
-    """J at the points (xs, rs) in order, as arrays of _J_CHUNK points (the
-    last one shorter); J at a point is the same double in any batch. A chunk
-    where J raises is redone one point at a time, so the values before its
+def _kernel_chunks(kernel, dist, xs: np.ndarray, rs: np.ndarray):
+    """K or J at the points (xs, rs) in order, as arrays of _J_CHUNK points (the
+    last one shorter); each is the same double in any batch. A chunk where the
+    kernel raises is redone one point at a time, so the values before its
     first failing point come out before that point's error is raised."""
     for lo in range(0, xs.size, _J_CHUNK):
         hi = min(lo + _J_CHUNK, xs.size)
         try:
-            yield J_kernel(dist, xs[lo:hi], rs[lo:hi])
+            yield kernel(dist, xs[lo:hi], rs[lo:hi])
         except (ValueError, RuntimeError):
             for i in range(lo, hi):
-                yield J_kernel(dist, xs[i : i + 1], rs[i : i + 1])
+                yield kernel(dist, xs[i : i + 1], rs[i : i + 1])
 
 
 def _kernel_sweep(dist, h, xs: np.ndarray) -> _KernelSweep:
@@ -645,6 +649,11 @@ def delta_sup(
     return _sup_pair(_KernelSweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)[0]
 
 
+# the Monte Carlo margin in standard errors of the error table, which c_interval's
+# docstring and certify's caveat spell out; the exact engines have no stderr
+_MC_MARGIN = 2.0
+
+
 def _tolerance(x: float) -> float:
     """How far an interval of the error table reaches beyond its end x."""
     return 1e-9 * max(1.0, abs(x))
@@ -653,16 +662,17 @@ def _tolerance(x: float) -> float:
 def _interval_constants(delta_table: DeltaTable, g: TestFunction, lo: float, b: float):
     """The interval constant C[a, b] of c_interval for every a >= lo, as a
     function of a, from one pass over the table points of [lo, b]: the
-    running maxima of max(0, delta + 2 stderr) / g from b down, each a lookup
-    away. A maximum is exact, so C[a, b] is the double that a pass over
-    [a, b] alone gives. An interval reaches 1e-9 max(1, |x|) beyond each of
-    its ends x; one that holds no table point, or a point where g is not
-    positive, raises."""
+    running maxima of max(0, delta + _MC_MARGIN stderr) / g from b down,
+    each a lookup away. A maximum is exact, so C[a, b] is the double that a
+    pass over [a, b] alone gives. An interval reaches 1e-9 max(1, |x|)
+    beyond each of its ends x; one that holds no table point, or a point
+    where g is not positive, raises."""
     xs = delta_table.xs
     lo_i = np.searchsorted(xs, lo - _tolerance(lo))
     hi_i = np.searchsorted(xs, b + _tolerance(b), side="right")
     x = xs[lo_i:hi_i]
-    dv = np.maximum(delta_table.delta[lo_i:hi_i] + 2.0 * delta_table.delta_stderr[lo_i:hi_i], 0.0)
+    dv = delta_table.delta[lo_i:hi_i] + _MC_MARGIN * delta_table.delta_stderr[lo_i:hi_i]
+    dv = np.maximum(dv, 0.0)
     gx = g.evaluate(x)
     bad = np.flatnonzero(gx <= 0.0)
     last_bad = bad[-1] if bad.size else -1
@@ -686,9 +696,10 @@ def c_interval(delta_table: DeltaTable, g: TestFunction, a: float, b: float) -> 
     """Interval constant: max over table points x in [a, b] of
     max(0, delta(x) + 2 stderr(x)) / g(x).
 
-    The two-standard-error margin makes the constant conservative under a
-    Monte Carlo table; it vanishes for the exact engines. The certify core
-    reads the constants of many a at once from one pass (_interval_constants).
+    The two-standard-error margin, _MC_MARGIN, makes the constant
+    conservative under a Monte Carlo table; it vanishes for the exact
+    engines. The certify core reads the constants of many a at once from one
+    pass (_interval_constants).
     """
     return _interval_constants(delta_table, g, a, b)(a)
 
@@ -980,7 +991,7 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
         n = int(np.argmin(np.append(gx > 0.0, False)))  # the first non-positive g
         at = np.flatnonzero(_f1(params, gx[:n], g_xr[:n], span.K[:n], span.tail_r[:n]) < 1.0)
         done = 0
-        for J in _j_chunks(span.dist, span.x[at], span.r[at]):
+        for J in _kernel_chunks(J_kernel, span.dist, span.x[at], span.r[at]):
             i = at[done : done + J.size]
             done += J.size
             f1, f2, _ = _combine(params, gx[i], g_xr[i], g_r[i], span.K[i], J, span.tail_r[i])
@@ -1254,8 +1265,8 @@ def verify_bound(certificate: BoundCertificate, delta_table: DeltaTable) -> Veri
     no bound covers, is a violation."""
     xs = delta_table.xs
     sel = xs >= certificate.valid_from - _tolerance(certificate.valid_from)
-    x, d = xs[sel], delta_table.delta[sel]
-    allowed = certificate.C * certificate.g.evaluate(x) + 2.0 * delta_table.delta_stderr[sel]
+    x, d, s = xs[sel], delta_table.delta[sel], delta_table.delta_stderr[sel]
+    allowed = certificate.C * certificate.g.evaluate(x) + _MC_MARGIN * s
     bad = ~(d <= allowed + 1e-9 * np.maximum(1.0, np.abs(allowed)))
     excess = d[bad] - allowed[bad]
     return VerifyReport(

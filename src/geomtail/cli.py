@@ -16,6 +16,7 @@ error, 4 engine error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -59,32 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="geomtail", description=__doc__.split("\n\n")[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("tail", "compound tail probabilities on a grid"),
-        ("delta", "relative error of the first-order tail approximation"),
-        ("kernels", "overshoot kernels along the cutoff"),
-        ("bound", "certified relative-error bound"),
-        ("tune", "sweep cutoff scales and splice points"),
-        ("plot-data", "exact error versus certified bound"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="key=value configuration file")
-        cmd.add_argument("--out", default=None, help="output file (default: stdout)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument(
-            "--engine", choices=("panjer", "mc"), default=None,
-            help="override the config engine",
-        )
-        if name == "plot-data":
-            cmd.add_argument(
-                "--certificate", required=True, help="certificate file from the bound command"
-            )
-    return parser
-
-
 def _emit(out_path: str | None, text: str) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -94,7 +69,9 @@ def _emit(out_path: str | None, text: str) -> None:
 
 
 def _fmt(*vals) -> str:
-    return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in vals)
+    """One CSV row: floats to 12 significant digits, None as an empty cell."""
+    return ",".join("" if v is None else f"{v:.12g}" if isinstance(v, float) else str(v)
+                    for v in vals)
 
 
 def _load(args) -> RunConfig:
@@ -207,14 +184,8 @@ def cmd_tune(cfg: RunConfig, args) -> str:
         "scale,bstar,feasible,C,coefficient,note",
     ]
     for row in result.rows:
-        lines.append(
-            _fmt(row.scale)
-            + f",{'none' if row.bstar is None else f'{row.bstar:.12g}'}"
-            + f",{int(row.feasible)}"
-            + f",{'' if row.C is None else f'{row.C:.12g}'}"
-            + f",{'' if row.coefficient is None else f'{row.coefficient:.12g}'}"
-            + f",{row.note}"
-        )
+        lines.append(_fmt(row.scale, "none" if row.bstar is None else row.bstar,
+                          int(row.feasible), row.C, row.coefficient, row.note))
     return "\n".join(lines) + "\n"
 
 
@@ -272,22 +243,42 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
     return "\n".join(lines) + "\n"
 
 
+# every command once: its handler and its help text, which build the parser
+# and dispatch its commands
 _COMMANDS = {
-    "tail": cmd_tail,
-    "delta": cmd_delta,
-    "kernels": cmd_kernels,
-    "bound": cmd_bound,
-    "tune": cmd_tune,
-    "plot-data": cmd_plot_data,
+    "tail": (cmd_tail, "compound tail probabilities on a grid"),
+    "delta": (cmd_delta, "relative error of the first-order tail approximation"),
+    "kernels": (cmd_kernels, "overshoot kernels along the cutoff"),
+    "bound": (cmd_bound, "certified relative-error bound"),
+    "tune": (cmd_tune, "sweep cutoff scales and splice points"),
+    "plot-data": (cmd_plot_data, "exact error versus certified bound"),
 }
 
 
+# built on first use and kept: parse_args returns a fresh namespace on every
+# call, and a run that never parses pays nothing
+@functools.cache
+def _parser() -> _Parser:
+    parser = _Parser(prog="geomtail", description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", required=True, help="key=value configuration file")
+        cmd.add_argument("--out", default=None, help="output file (default: stdout)")
+        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
+        cmd.add_argument("--engine", choices=("panjer", "mc"), default=None,
+                         help="override the config engine")
+        if name == "plot-data":
+            cmd.add_argument("--certificate", required=True,
+                             help="certificate file from the bound command")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = _load(args)
-        text = _COMMANDS[args.command](cfg, args)
+        text = _COMMANDS[args.command][0](cfg, args)
         _emit(args.out, text)
         return 0
     except ConfigError as exc:

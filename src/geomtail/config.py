@@ -60,11 +60,9 @@ _FLOAT_KEYS = (
     "x_far", "grid_ratio", "plot.xmax",
 )
 _INT_KEYS = ("mc_samples", "seed", "plot.points")
-_FLOAT_LIST_KEYS = ("xgrid", "tune.s")
+_FLOAT_LIST_KEYS = ("xgrid", "tune.s", "tune.bstar")
 # every key a configuration may set
-CONFIG_KEYS = frozenset(
-    (*_STR_KEYS, *_FLOAT_KEYS, *_INT_KEYS, *_FLOAT_LIST_KEYS, "terms", "tune.bstar")
-)
+CONFIG_KEYS = frozenset((*_STR_KEYS, *_FLOAT_KEYS, *_INT_KEYS, *_FLOAT_LIST_KEYS, "terms"))
 
 
 def _parse_float(key: str, val: str) -> float:
@@ -115,17 +113,13 @@ class RunConfig:
                 parts = [s for s in (t.strip() for t in val.split(",")) if s]
                 if not parts:
                     raise ConfigError(f"{key}: expected a comma-separated list")
-                values[key] = tuple(_parse_float(key, s) for s in parts)
-            elif key == "terms":
-                values[key] = _parse_terms(val)
-            elif key == "tune.bstar":
-                parts = [s for s in (t.strip() for t in val.split(",")) if s]
-                if not parts:
-                    raise ConfigError("tune.bstar: expected a comma-separated list")
+                # a splice point of none tunes the unspliced g
                 values[key] = tuple(
-                    None if s.lower() == "none" else _parse_float("tune.bstar", s)
+                    None if key == "tune.bstar" and s.lower() == "none" else _parse_float(key, s)
                     for s in parts
                 )
+            elif key == "terms":
+                values[key] = _parse_terms(val)
             else:
                 raise ConfigError(f"unknown configuration key {key!r}")
         return RunConfig(values=values)

@@ -977,6 +977,70 @@ def test_min_b_K_and_cutoff_errors_after_a_deciding_point_are_not_met(kind):
         bounder._sup_pair(sweep, HALF, g)
 
 
+def test_a_K_failure_is_found_chunk_by_chunk(monkeypatch):
+    """K is NaN from x = 42 on: the sweep finds the first failing point as
+    J's is found, by the whole grid, then _J_CHUNK parts up to the failing
+    one, then that part point by point, not by one call per dropped point.
+    The points and values it keeps and the error it names are those of K
+    at each point on its own; a sweep where K passes makes one call."""
+    dist, h, _, message = breaks_between("K", 42.0, math.inf)
+    grid = bounder._sup_grid(30.0, 1e8, 1.02)
+    first = int(np.argmax(grid > 42.0))
+    assert (grid.size, first) == (760, 17)
+    real, sizes = bounder.K_kernel, []
+
+    def counted(dist, x, r):
+        sizes.append(x.size)
+        return real(dist, x, r)
+
+    monkeypatch.setattr(bounder, "K_kernel", counted)
+    sweep = bounder._KernelSweep(dist, h, grid)
+    assert sizes == [760, 8, 8, 8, 1, 1]
+    assert sweep.x.tolist() == grid[:first].tolist()
+    assert sweep.K.tolist() == [real(dist, x, h(x)) for x in grid[:first]]
+    assert str(sweep.error).startswith(message.format(x=grid[first]))
+    sizes.clear()
+    bounder._KernelSweep(PARETO, h, grid)
+    assert sizes == [760]
+
+
+def test_a_negative_remainder_supremum_is_clamped_to_zero(monkeypatch):
+    """f3 = (q J + (1 - p^2) K - q (K + 1) tail(h)) / g is negative where K
+    and J vanish. No real severity is known to get there: J >= tail(h) -
+    tail(x - h), and the K terms are positive. With no tail envelope, phi
+    is the grid maximum, clamped to 0 with a note."""
+
+    class NoEnvelope(ParetoDist):
+        tail_power_terms = None
+
+    def vanishing(dist, x, r):
+        return np.zeros_like(x)
+
+    monkeypatch.setattr(bounder, "K_kernel", vanishing)
+    monkeypatch.setattr(bounder, "J_kernel", vanishing)
+    sweep = bounder._KernelSweep(NoEnvelope(2.2), H_PARETO, bounder._sup_grid(100.0, 1e4, 1.2))
+    d_res, p_res = bounder._sup_pair(sweep, HALF, G_PARETO)
+    assert d_res.value < 1.0
+    assert p_res.grid_max < 0.0 and p_res.value == 0.0
+    assert p_res.note.endswith("; negative remainder supremum clamped to 0")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: build_bound(PARETO, HALF, H_PARETO, KKernelTestFunction(PARETO, H_PARETO),
+                                     100.0, bstar=21.3, bandwidth=0.05),
+                 "splicing requires a power test function for the tail piece", id="splice"),
+    pytest.param(lambda: tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [], [None], bandwidth=0.05),
+                 "empty tuning grid", id="no scales"),
+    pytest.param(lambda: tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0], [], bandwidth=0.05),
+                 "empty tuning grid", id="no splice points"),
+])
+def test_unusable_arguments_raise_before_any_table(monkeypatch, call, message):
+    record_engine(monkeypatch, [], fail=AssertionError("a tail engine was called"))
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("error", [RuntimeError("J kernel quadrature did not converge at x={x:g}"),
                                    ValueError("J kernel is NaN at x={x:g}")],
                          ids=["no convergence", "NaN"])

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, determinism."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from geomtail import bounder, cli, config
 from geomtail.bounder import _build_delta_table, build_bound, tune
 from geomtail.cli import main
 from geomtail.compound import DeltaTable, mc_tail, panjer_tail
-from geomtail.config import parse_kv
+from geomtail.config import RunConfig, parse_kv
 from geomtail.dist import (
     ConfigError,
     GeometricParams,
@@ -149,6 +150,8 @@ TUNE = "\ntune.s = 1.0, 1.5\ntune.bstar = none"
     pytest.param("B = 100", "B = 100\ntune.s = 1.0\ntune.bstar = 500",
                  "no feasible tuning candidate: bstar=500 outside the table range [0, 100]",
                  "tune", id="tune.bstar = 500"),
+    pytest.param("x_far = 1e6", "x_far = 1e6\nxgrid = 10, 5", "xgrid must be strictly increasing",
+                 "tail", id="xgrid = 10, 5"),
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, old, new, message, command):
     cfg = write_cfg(tmp_path, BASE.replace(old, new))
@@ -385,6 +388,45 @@ def test_bad_flag_exits_3(tmp_path, capsys):
     assert main(["bound", "--config", cfg, "--bogus"]) == 3
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # the parser is built from the command table once per process: building
+    # it costs about 25 times what parsing with it does
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cfg = write_cfg(tmp_path, BASE + "xgrid = 5\n")
+    for _ in range(2):
+        assert main(["tail", "--config", cfg, "--out", str(tmp_path / "tail.csv")]) == 0
+    assert built.count("geomtail") <= 1
+
+
+@pytest.mark.parametrize("flags, out", [
+    pytest.param([], "x,tail,stderr,engine\n5,", id="stdout"),
+    pytest.param(["--engine", "mc"], ",mc\n", id="engine override"),
+])
+def test_tail_command_writes_stdout_with_the_flagged_engine(tmp_path, capsys, flags, out):
+    cfg = write_cfg(tmp_path, BASE + "xgrid = 5\nmc_samples = 1000\nseed = 1\n")
+    assert main(["tail", "--config", cfg, *flags]) == 0
+    assert out in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = 1.5", "seed: expected an integer, got '1.5'"),
+    ("xgrid = , ,", "xgrid: expected a comma-separated list"),
+    ("tune.bstar =", "tune.bstar: expected a comma-separated list"),
+    ("tune.bstar = none, x", "tune.bstar: expected a number, got 'x'"),
+])
+def test_config_value_errors_name_the_key(line, message):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_text(line)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------- tables
 
 def test_tail_command_matches_engine(tmp_path):
@@ -597,6 +639,24 @@ def test_plot_data_rebuilds_with_the_configured_mode(tmp_path):
     header = out.read_text().splitlines()[0]
     kappa = float(parse_kv(cert_path.read_text())["kappa_splice"])
     assert header == f"# spliced test function rebuilt, kappa = {kappa:.12g}"
+
+
+def test_plot_data_notes_a_kappa_that_drifts_from_the_certificate(tmp_path):
+    text = (BASE.replace("h.scale = 1.0", "h.scale = 1.14")
+            .replace("g.variant = power", "g.variant = spliced") + "g.bstar = 21.3\n")
+    cfg = write_cfg(tmp_path, text)
+    cert_path = tmp_path / "cert.txt"
+    assert main(["bound", "--config", cfg, "--out", str(cert_path)]) == 0
+    kappa = float(parse_kv(cert_path.read_text())["kappa_splice"])
+    cert_path.write_text("".join(
+        f"kappa_splice = {2.0 * kappa!r}\n" if ln.startswith("kappa_splice") else ln
+        for ln in cert_path.read_text().splitlines(keepends=True)))
+    out = tmp_path / "plot.csv"
+    assert main(["plot-data", "--config", cfg, "--certificate", str(cert_path),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == (
+        f"# spliced test function rebuilt, kappa = {kappa:.12g}"
+        " (rebuilt kappa drifts by 5.00e-01 from the certificate)")
 
 
 @pytest.mark.parametrize("points", [0, -1])

@@ -359,6 +359,19 @@ def test_almost_degenerate_count_reduces_to_severity():
     assert np.max(np.abs(dd.delta[sel])) < 0.02
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: panjer_tail(discretize(ParetoDist(2.2), 0.5, 10.0),
+                                     GeometricParams(0.5), 0.0),
+                 "xmax must be positive", id="panjer xmax = 0"),
+    pytest.param(lambda: mc_tail(ParetoDist(2.2), GeometricParams(0.5), 100, 1, []),
+                 "xgrid must be a non-empty 1-d array", id="mc empty xgrid"),
+])
+def test_engines_reject_an_empty_range(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------- kept table
 
 def test_panjer_tail_recurses_on_every_call_with_writable_tails(monkeypatch):

@@ -570,6 +570,19 @@ def test_pareto_k_value_evaluates_each_branch_at_its_own_points():
     assert d.k_value(x, r).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: LatticeDistribution(bandwidth=1.0, masses=np.array([]),
+                                             truncation_point=0.0, truncated_mass=0.0),
+                 "masses must be a non-empty 1-d array", id="no masses"),
+    pytest.param(lambda: discretize(ParetoDist(2.2), 0.5, 0.0), "truncation must be positive",
+                 id="truncation = 0"),
+])
+def test_empty_lattices_are_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------- helpers
 
 def test_overshoot_upper_weights():

@@ -17,6 +17,7 @@ from geomtail.kernels import (
     KKernelTestFunction,
     MonotoneEnvelope,
     PowerTestFunction,
+    SplicedTestFunction,
     build_spliced_g,
     optimal_pareto_g,
     pareto_J_envelope,
@@ -576,6 +577,36 @@ def test_spliced_rejections():
                      delta_stderr=np.zeros(100), engine="panjer")
     with pytest.raises(ValueError):
         build_spliced_g(neg, 10.0, tailg)  # no positive anchor
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: pareto_J_envelope(2.2, 100.0, 50.0), "requires 0 < h < x/2",
+                 id="pareto J envelope"),
+    pytest.param(lambda: weibull_K_envelope(0.5, 100.0, 50.0), "requires 0 < h < x/2",
+                 id="weibull K envelope"),
+    pytest.param(lambda: MonotoneEnvelope([1.0], [1.0]),
+                 "envelope needs matching 1-d grid and values, length >= 2", id="one point"),
+    pytest.param(lambda: MonotoneEnvelope([2.0, 1.0], [1.0, 0.0]),
+                 "envelope grid must be strictly increasing", id="grid decreasing"),
+    pytest.param(lambda: MonotoneEnvelope([1.0, 2.0], [0.0, 1.0]),
+                 "envelope values must be non-increasing", id="values increasing"),
+    pytest.param(lambda: optimal_pareto_g(1.0, 0.3), "alpha must exceed 1", id="alpha = 1"),
+    pytest.param(lambda: optimal_pareto_g(2.2, 1.0), "gamma must lie in (0, 1)", id="gamma = 1"),
+])
+def test_envelope_and_optimal_g_validation(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_log_power_rescaling_and_descriptions():
+    h = CutoffFunction.logpower(0.179, 2.0)
+    assert h.with_scale(0.5) == CutoffFunction.logpower(0.5, 2.0)
+    assert KKernelTestFunction(WeibullDist(0.5), h).describe() == (
+        f"K(x, h(x)) with h(x) = {h.describe()}")
+    spliced = SplicedTestFunction(bstar=20.0, envelope=MonotoneEnvelope([5.0, 20.0], [0.4, 0.1]),
+                                  kappa_splice=2.0, tailg=PowerTestFunction(1.5, 0.5))
+    assert spliced.describe() == "running max of the error table on [5, 20], then 3 * x^-0.5"
 
 
 def test_power_test_function_validation():
