@@ -40,6 +40,7 @@ from .kernels import (
     PowerTestFunction,
     SplicedTestFunction,
     TestFunction,
+    _power_series,
     build_spliced_g,
     weibull_J_envelope,
     weibull_K_envelope,
@@ -481,6 +482,7 @@ class _KernelSweep:
         self.dist, self.h, self.grid, self.x_far = dist, h, grid, float(grid[-1])
         self.ends = np.append(grid[_J_CHUNK - 1 : -1 : _J_CHUNK], self.x_far)
         self.kept: dict = {}
+        _power_series(dist)  # J's series refuses a tail too steep for it before K meets it
         rs = np.asarray(h(grid), dtype=float)
         n = int(np.argmin(np.append((0.0 < rs) & (rs <= grid / 2.0), False)))
         self.error = None if n == grid.size else ValueError(

@@ -148,6 +148,8 @@ def cmd_kernels(cfg: RunConfig, args) -> str:
             sweep = _kernel_sweep(dist, h, np.array([x]))
             if sweep.error is None:
                 kv, jv = float(sweep.K[0]), float(sweep.J[0])
+        except ConfigError:
+            raise  # a severity the kernels refuse (J's series), not a failing row
         except (ValueError, RuntimeError):
             pass
         ek = ej = math.nan
@@ -281,7 +283,9 @@ def main(argv=None) -> int:
         text = _COMMANDS[args.command][0](cfg, args)
         _emit(args.out, text)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # OSError: a --config or --certificate that cannot be read, an --out
+        # that cannot be written
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     except ProcedureFailed as exc:

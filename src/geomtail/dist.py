@@ -48,21 +48,21 @@ class SummandDistribution:
     """Base class for positive severity distributions.
 
     Subclasses must provide ``tail``, ``density`` and ``sample``; the kernels
-    also need ``k_value(x, r)`` = tail(x - r)/tail(x) - 1 and
-    ``j_integrand(x)``, each family in its own numerically safe form.
-    ``k_value`` is an array hook: one numpy expression over arrays x and r
-    with 0 <= r < x. ``j_integrand(x)`` returns the array function (y, u=None) ->
-    tail(x - y)/tail(x) * density(y) for 0 < y < x, one numpy expression over
-    arrays of y; x is an array that broadcasts against y (J_kernel passes one
-    x per row of nodes), and the per-x constants are arrays computed once.
-    ``u``, when given, is x - y to full relative accuracy, which a y near x
-    does not carry. ``J_kernel`` integrates it with the 24-node
-    Gauss-Legendre rule on panels that grow geometrically from both ends
-    (cut at r * 2^k and x - r * 2^k), taking the gap to the 16-node rule as
-    each panel's error estimate. ``tail_ge`` and ``tail_power_terms`` have
-    defaults that a family may override; a power-type family, one that sets
-    ``tail_power_terms``, gets ``integrand_breakpoints`` and
-    ``tail_mean_above`` from its terms.
+    also need ``k_value(x, r)`` = tail(x - r)/tail(x) - 1, each family in its
+    own numerically safe form: an array hook, one numpy expression over
+    arrays x and r with 0 <= r < x. ``tail_ge`` and ``tail_power_terms`` have
+    defaults that a family may override. A power-type family, one that sets
+    ``tail_power_terms``, gets ``tail_mean_above`` from its terms, and
+    ``J_kernel`` evaluates J on it as a series of its terms in closed form.
+    Any other family provides ``j_integrand(x)``, which returns the array
+    function (y, u=None) -> tail(x - y)/tail(x) * density(y) for 0 < y < x,
+    one numpy expression over arrays of y; x is an array that broadcasts
+    against y (J_kernel passes one x per row of nodes), and the per-x
+    constants are arrays computed once. ``u``, when given, is x - y to full
+    relative accuracy, which a y near x does not carry. ``J_kernel``
+    integrates it with the 24-node Gauss-Legendre rule on panels that grow
+    geometrically from both ends (cut at r * 2^k and x - r * 2^k), taking
+    the gap to the 16-node rule as each panel's error estimate.
     """
 
     # mc_tail screens its sums only when it expects those it must still
@@ -104,12 +104,6 @@ class SummandDistribution:
         unit support threshold, or None when the tail is not of power type."""
         return None
 
-    def integrand_breakpoints(self, x) -> list:
-        """Interior points where the J integrand has kinks: the unit threshold
-        of a power-type tail, in y and in x - y. ``x`` is an array, and each
-        point is a float or an array like it."""
-        return [] if self.tail_power_terms is None else [1.0, x - 1.0]
-
     def tail_mean_above(self, r: float) -> float:
         """E[X; X > r] in closed form, for a power-type tail."""
         rr = max(r, 1.0)
@@ -132,6 +126,23 @@ def _check_uniforms(u: np.ndarray) -> None:
     # written so that a NaN, which fails every comparison, is rejected too
     if u.size and not (np.min(u) > 0.0 and np.max(u) < 1.0):
         raise ValueError("uniform inputs must lie strictly inside (0, 1)")
+
+
+def _log_power_weights(terms, x) -> tuple[np.ndarray, np.ndarray]:
+    """log(c_i x^-a_i / tail(x)) for the terms (c_i, a_i) of a power tail,
+    stacked on a first axis, and log tail(x), over an array x; the tail is 1
+    for x <= 1. By log-sum-exp on log c_i - (a_i - a_min) log x, shifted by
+    its largest value: no term underflows however steep it is, and a
+    one-term tail has weight 1 exactly. Each point reads only its own values,
+    and the sum over the terms runs in their order, so they are the same
+    doubles in any batch."""
+    x = np.asarray(x, dtype=float)
+    log_x = np.log(np.maximum(x, 1.0))
+    a_min = min(a for _, a in terms)
+    z = np.stack([math.log(c) - (a - a_min) * log_x for c, a in terms])
+    top = z.max(axis=0)
+    lse = top + np.log(sum(np.exp(zi - top) for zi in z))
+    return z - lse, np.where(x <= 1.0, 0.0, lse - a_min * log_x)
 
 
 @dataclass(frozen=True)
@@ -174,19 +185,6 @@ class ParetoDist(SummandDistribution):
         low = x - r <= 1.0
         return np.where(low, np.power(np.where(low, x, 1.0), self.alpha) - 1.0,
                         np.expm1(-self.alpha * np.log1p(-np.where(low, 0.0, r / x))))
-
-    def j_integrand(self, x):
-        alpha = self.alpha
-        dens_exp = -alpha - 1.0
-        log_x = np.log(x)
-
-        def integrand(y, u=None):
-            u = x - y if u is None else u
-            # where x - y <= 1 the tail ratio is x^alpha, this log form at x - y = 1
-            ratio = np.exp(-alpha * (np.log(np.maximum(u, 1.0)) - log_x))
-            return np.where(y < 1.0, 0.0, ratio * alpha * np.maximum(y, 1.0) ** dens_exp)
-
-        return integrand
 
     @property
     def tail_power_terms(self):
@@ -435,19 +433,15 @@ class PowerMixtureDist(SummandDistribution):
 
     def k_value(self, x, r):
         # term by term, c x^-a ((1 - r/x)^-a - 1) does not cancel as
-        # tail(x - r) / tail(x) - 1 does; below the threshold tail(x - r) is 1
-        tail_x = self.tail(x)
-        log_shift = np.log1p(-r / x)
-        excess = sum(c * np.power(x, -a) * np.expm1(-a * log_shift) for c, a in self.terms)
-        return np.where(x - r <= 1.0, 1.0 / tail_x - 1.0, excess / tail_x)
-
-    def j_integrand(self, x):
-        tail_x = self.tail(x)
-
-        def integrand(y, u=None):
-            return self.tail(x - y if u is None else u) / tail_x * self.density(y)
-
-        return integrand
+        # tail(x - r) / tail(x) - 1 does, and the weights c x^-a / tail(x) do
+        # not underflow as c x^-a alone does; below the threshold tail(x - r)
+        # is 1, and K = 1 / tail(x) - 1. Each branch is evaluated only at its
+        # own points: at the other's, a steep term overflows
+        log_w, log_tail = _log_power_weights(self.terms, x)
+        low = x - r <= 1.0
+        log_shift = np.log1p(-np.where(low, 0.0, r / x))
+        excess = sum(np.exp(lw) * np.expm1(-a * log_shift) for lw, (_, a) in zip(log_w, self.terms))
+        return np.where(low, np.expm1(-np.where(low, log_tail, 0.0)), excess)
 
     @property
     def tail_power_terms(self):

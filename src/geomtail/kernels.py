@@ -5,6 +5,12 @@ The two kernels measure how much heavier the tail of X is near x than at x:
     K(x, r) = tail(x - r) / tail(x) - 1
     J(x, r) = integral_r^{x-r} tail(x - y)/tail(x) * density(y) dy
 
+K is in closed form for every family. J is in closed form on a power tail,
+as the upper end of a series enclosure, an incomplete beta integral with
+negative parameters expanded in binomial series (``_j_series``); on any
+other family it is a Gauss-Legendre quadrature of the family's integrand
+(``_j_quadrature``).
+
 A cutoff function h splits the integration range, and a test function g is
 the shape the final relative-error bound is expressed against. The spliced
 test function follows a monotone envelope of the exact relative error up to a
@@ -13,12 +19,14 @@ splice point and a pure power beyond it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .dist import ConfigError, SummandDistribution
+from .dist import ConfigError, SummandDistribution, _log_power_weights
 
 __all__ = [
     "CutoffFunction",
@@ -177,31 +185,21 @@ _J_RTOL = 1e-10
 _J_HALVINGS = 8
 
 
-def _j_panels(dist: SummandDistribution, x: np.ndarray, r: np.ndarray) -> tuple:
+def _j_panels(x: np.ndarray, r: np.ndarray) -> tuple:
     """Panels (owner, lo, hi, right) covering [r, x - r] at every point
     (x, r) with r < x/2, split at x/2: panel i of point owner[i] spans y in
     [lo, hi] if it is a left panel, x - y in [lo, hi] if ``right``. Both
-    halves cut at r * 2^k below x/2, and at the family's breakpoints, so the
-    panels grow geometrically from both ends: the integrand is steep near
-    y = r and has a spike of width about r at y -> x - r. A point's panels
-    are adjacent, its left ones first, each half in increasing order."""
+    halves cut at r * 2^k below x/2, so the panels grow geometrically from
+    both ends: the integrand is steep near y = r and has a spike of width
+    about r at y -> x - r. A point's panels are adjacent, its left ones
+    first, each half in increasing order."""
     half = x / 2.0
-    xc, rc, hc = x[:, None], r[:, None], half[:, None]
-    # r * 2^k from k = 0 until every point has passed x/2
+    # r * 2^k from k = 0 until every point has passed x/2, clipped to x/2,
+    # where every step beyond it leaves an empty panel; both halves take the
+    # same cuts
     k = np.arange(int(math.log2(half.max()) - math.log2(r.min())) + 3)
-    breaks = dist.integrand_breakpoints(x)
-    cuts = np.empty((x.size, len(breaks)))
-    for j, p in enumerate(breaks):
-        cuts[:, j] = p
-    # a cut y goes to the left half, x - y to the right one; every cut is
-    # clipped to [r, x/2], where a cut outside that range (and every step
-    # beyond it) lands on r or x/2 and leaves an empty panel
-    ends = np.empty((x.size, 2, k.size + cuts.shape[1]))
-    ends[:, :, : k.size] = np.ldexp(rc, k)[:, None]
-    ends[:, 0, k.size :] = cuts
-    ends[:, 1, k.size :] = xc - cuts
-    ends = np.minimum(np.maximum(ends, rc[:, None]), hc[:, None])
-    ends.sort()
+    ends = np.minimum(np.ldexp(r[:, None], k), half[:, None])
+    ends = np.repeat(ends[:, None], 2, axis=1)
     lo, hi = ends[..., :-1], ends[..., 1:]
     keep = hi > lo
     owner, side, _ = keep.nonzero()
@@ -233,33 +231,267 @@ def J_kernel(dist: SummandDistribution, x, r):
     """Integral of tail(x-y)/tail(x) against the severity density over [r, x-r].
 
     Vectorized over ``x`` and ``r``; a float for scalar input. Empty for
-    r >= x/2 (0 at equality, rejected beyond). J is the 24-node
-    Gauss-Legendre rule on panels that grow geometrically from both ends
-    (``_j_panels``), the panels of every point evaluated by one call of the
-    family's integrand. Every panel whose 24- and 16-node rules differ by
-    more than ``_J_RTOL`` of its own point's |J| is halved, all in one pass
-    per round, and each round evaluates only the two halves of the failing
-    panels. A panel's sums are formed from its own nodes alone and a point's
-    J from its own panels, so J at a point is the same double in any batch.
-    A point still failing after ``_J_HALVINGS`` rounds, and a NaN value, are
+    r >= x/2 (0 at equality, rejected beyond). The family decides the
+    method, here alone: on a power tail (``tail_power_terms``) J is the upper
+    end S + E of the series enclosure of ``_j_series``, an upper bound on J,
+    which is what f2 and f3 need, as q J enters both with a plus sign. Any
+    other family integrates its ``j_integrand`` by ``_j_quadrature``. Either
+    way J at a point is the same double in any batch, and a NaN value is
     reported rather than silently returned, naming the first failing point
     in array order.
     """
     x, r = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(r, dtype=float))
-    if not np.all(r > 0.0):
+    if not (r > 0.0).all():
         raise ValueError("r must be positive")
-    if np.any(r > x / 2.0):
+    half = x / 2.0
+    if (r > half).any():
         raise ValueError("requires r <= x/2")
-    J = np.zeros(x.shape)
-    live = np.flatnonzero(r != x / 2.0)
-    if live.size:
-        J.flat[live] = _j_quadrature(dist, x.ravel()[live], r.ravel()[live])
+    series = _power_series(dist)
+    if series is not None:
+        # at r = x/2 the series is 0 up to E's underflow allowance
+        S, E = _j_series(series, x.ravel(), r.ravel())
+        J = _clamp_at_zero("J", np.where(r == half, 0.0, (S + E).reshape(x.shape)), x, r)
+    else:
+        J = np.zeros(x.shape)
+        live = np.flatnonzero(r != half)
+        if live.size:
+            J.flat[live] = _j_quadrature(dist, x.ravel()[live], r.ravel()[live])
     return J if J.ndim else float(J)
 
 
+# the unit roundoff of a double
+_U = 2.0**-53
+# J's series takes each binomial series until the terms it drops sum to at
+# most _J_SERIES_TAIL of the whole series, and refuses a tail whose steepest
+# exponent needs more than _J_TERMS_MAX terms: Pareto 2.2 takes 71 and 75
+# terms in its two halves, Pareto 150 takes 351 and 352, and exponents up to
+# about 650 fit
+_J_SERIES_TAIL = 2.0**-64
+_J_TERMS_MAX = 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _binomial_series(b: float) -> np.ndarray | None:
+    """The terms c_k = (b)_k / k! / 2^k of the binomial series of (1 - t)^-b
+    at t = 1/2, which sum to 2^b, for k < N: N the least count whose
+    dropped terms sum to at most _J_SERIES_TAIL 2^b, by the geometric series
+    of the term ratio (b + k) / (2 (k + 1)), which decreases in k for b > 1.
+    None when N exceeds _J_TERMS_MAX; the terms peak near k = b. b is a
+    ratio of integers, and so is each c_k, rounded once: it is within _U of
+    its value. Read-only: the cache hands it to every caller."""
+    if not b < _J_TERMS_MAX:
+        return None
+    p, q = b.as_integer_ratio()
+    num, den, c = 1, 1, []
+    tail = _J_SERIES_TAIL * 2.0**b
+    for k in range(_J_TERMS_MAX):
+        c.append(num / den)
+        # c_k ratio / (1 - ratio) bounds the terms after k once ratio < 1
+        ratio = (b + k) / (2.0 * (k + 1))
+        if ratio < 1.0 and c[k] * ratio <= tail * (1.0 - ratio):
+            c = np.array(c)
+            c.flags.writeable = False
+            return c
+        num *= p + k * q
+        den *= 2 * q * (k + 1)
+    return None
+
+
+class _Series(NamedTuple):
+    """J's series on a power tail sum_i c_i x^-a_i: one row per term of each
+    binomial series of ``_j_series``, over all pairs of tail terms and both
+    halves. Row m at ell is
+
+        expm1(neg_abs_e_m ell) gain_m V [exp(neg_k_m ell)],
+
+    V the weight w_p (p = ``far``) times the power that ``combo`` names, and
+    the last factor on the first len(neg_k) rows alone, those with e < 0.
+    gain is -coef / |e|; a row at e = 0 takes |e| = 2^-300, where expm1 is
+    its argument, so that the row is coef ell.
+
+    E reads the rows ``edge`` with the relative weights edge_c + edge_l ell:
+    the rows with e < 0, for the rounding of exp(neg_k ell), and the last
+    row of each series, whose factor ratio / (1 - ratio) bounds the terms it
+    drops. Every other error is a share of S (``s_err``) or of the
+    weights, or the underflow allowance ``floor``."""
+
+    terms: tuple
+    exponents: np.ndarray
+    neg_abs_e: np.ndarray
+    gain: np.ndarray
+    combo: np.ndarray
+    far: np.ndarray
+    neg_k: np.ndarray
+    edge: np.ndarray
+    edge_c: np.ndarray
+    edge_l: np.ndarray
+    s_err: float
+    floor: float
+    weight_err: float
+
+
+@functools.lru_cache(maxsize=16)
+def _series_table(terms: tuple) -> _Series | None:
+    """The rows of J's series for the tail terms (c_i, a_i), built on first
+    use for each tail and shared by equal ones; None when an exponent needs
+    more than _J_TERMS_MAX terms."""
+    n = len(terms)
+    exponents = np.array([a for _, a in terms])
+    # the weights' error, 6 u |log w_p| plus this: the shifted log-sum-exp
+    # behind them is at most -log of the flattest term's coefficient. A
+    # one-term tail has weight 1 exactly
+    flat = -math.log(terms[int(np.argmin(exponents))][0])
+    weight_err = _U * (24.0 * flat + 12.0 * math.log(n) + 5.0 * n + 6.0) if n > 1 else 0.0
+    parts, tails = [], []
+    for i, (ci, ai) in enumerate(terms):
+        for j, (cj, aj) in enumerate(terms):
+            # the left half expands (1 - t)^-a_i and integrates t^(k - a_j - 1),
+            # under the weight w_i; the right one, in s = 1 - t, expands
+            # (1 - s)^-(a_j + 1) and integrates s^(k - a_i), under w_j
+            for b, shift, near, far, scale in ((ai, 0, j, i, cj * aj),
+                                               (aj + 1.0, 1, i, j, 0.5 * ci * aj)):
+                c = _binomial_series(b)
+                if c is None:
+                    return None
+                k = np.arange(c.size)
+                e = (k + shift) - terms[near][1]  # one rounding: within u of e
+                abs_e = np.where(e == 0.0, 2.0**-300, np.abs(e))
+                below = e < 0.0
+                parts.append((below, -abs_e, -scale * c / abs_e,
+                              far * 2 * n + np.where(below, near, n + near), np.full(c.size, far),
+                              -(k + shift).astype(float), scale * c))
+                ratio = (b + c.size - 1.0) / (2.0 * c.size)
+                tails.append(ratio / (1.0 - ratio))
+    # the rows with e < 0 first: they alone take exp(-k ell)
+    below, *rows = (np.concatenate(p) for p in zip(*parts))
+    order = np.concatenate((np.flatnonzero(below), np.flatnonzero(~below)))
+    neg_abs_e, gain, combo, far, neg_k, coef = (v[order] for v in rows)
+    n_below = int(np.count_nonzero(below))
+    M = coef.size
+    position = np.empty(M, dtype=int)
+    position[order] = np.arange(M)
+    last = position[np.cumsum([p[0].size for p in parts]) - 1]
+    # rows: 24 u; the row sum: at most 26 + log2 M additions; the final
+    # sums: 2 u
+    s_err = (24.0 + 28.0 + math.log2(M)) * _U + weight_err
+    # underflow: each row is at most coef ell, and ell <= log(x/2) < 710
+    floor = 2.0**-1071 * (710.0 * math.fsum(coef) + M)
+    return _Series(terms, exponents, neg_abs_e, gain, combo, far, neg_k[:n_below],
+                   np.concatenate((np.arange(n_below), last)),
+                   np.concatenate((np.zeros(n_below), tails)),
+                   np.concatenate((-5.0 * _U * neg_k[:n_below], np.zeros(last.size))),
+                   s_err, floor, weight_err)
+
+
+def _power_series(dist: SummandDistribution) -> _Series | None:
+    """J's series for a power-type family, None for any other; a tail too
+    steep for the series is refused. The kernel sweep asks for it before K,
+    whose plateau branch x^a overflows at such an exponent."""
+    terms = dist.tail_power_terms
+    if terms is None:
+        return None
+    series = _series_table(tuple(terms))
+    if series is None:
+        raise ConfigError(f"severity tail too steep for the J kernel's series, which takes at "
+                          f"most {_J_TERMS_MAX} terms per half: {dist!r}")
+    return series
+
+
+def _j_series(series: _Series, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The enclosure [S, S + E] of J at the points (x, r) with 0 < r <= x/2,
+    on the power tail sum_i c_i x^-a_i of ``series``; S = 0 at r = x/2.
+
+    With rr = max(r, 1) and u = rr/x, J is, where u < 1/2,
+
+        sum_ij c_i c_j a_j x^(-a_i - a_j) / tail(x) * I_ij(u),
+        I_ij(u) = integral_u^(1-u) t^(-a_j - 1) (1 - t)^(-a_i) dt,
+
+    plus, where r < 1, the part of [r, x - r] where x - y < 1 and
+    tail(x - y) = 1 (the density vanishes below 1):
+    (tail(max(1, x - 1)) - tail(x - r)) / tail(x), formed term by term as
+    w_i (x/b)^a_i expm1(a_i log(b/m)), with m = max(1, x - 1), b = x - r and
+    the weights w_i = c_i x^-a_i / tail(x).
+
+    I_ij is split at 1/2. On the left (1 - t)^-a_i is expanded; on the
+    right, in s = 1 - t, (1 - s)^(-a_j - 1). Each term is a binomial
+    coefficient times G(e) = integral_u^(1/2) t^(e - 1) dt, with e = k - a_j
+    or k + 1 - a_i, and G(e) = base^e ell phi(|e| ell), where
+    ell = log(1/(2u)), phi(z) = -expm1(-z)/z, phi(0) = 1, and base is u for
+    e < 0 and 1/2 otherwise. Every term is positive. The weights come from a
+    log-sum-exp, and base^e x^-a_j is written as a power of rr or of x/2
+    times (2u)^k = exp(-k ell), so no factor overflows. A power can
+    underflow where its term, whose coefficient reaches 2^b, does not; E's
+    underflow allowance covers what it loses, so on a steep tail the
+    enclosure of a J below about 2^(b - 1022) is wide.
+
+    E bounds |S - J| to first order in the unit roundoff u = 2^-53, with
+    exp, expm1, log, log1p and power within one ulp:
+    - the dropped terms: a term's ratio to the one before is at most
+      (b + k)/(2 (k + 1)), as t <= 1/2 on [u, 1/2], so the geometric series
+      from each series' last term bounds them;
+    - each term's rounding: 24 u, 5 u k ell for exp(-k ell), and, for its
+      weight w_p, 6 u |log w_p| plus a constant of the tail;
+    - the row sum: numpy sums a contiguous row pairwise, in blocks of at
+      most 128 terms by eight running sums, so at most 26 + log2 M additions
+      lie between a term and S, M the number of rows;
+    - underflow: 2^-1071 (710 sum|coef| + M), as ell < 710;
+    - the unit-threshold piece: (14 + 6 a_i (log(x/b) + log(b/m))) u and the
+      weight's error on each term; then the final sums.
+    Each point reads only its own row, by elementwise products and a row
+    sum, so S and E at a point are the same doubles in any batch.
+    """
+    a = series.exponents
+    n = a.size
+    rr = np.maximum(r, 1.0)
+    two_r = rr + rr
+    # ell = log1p(q) >= 0 within 4 u: q = (x - 2 rr) / (2 rr) is within 2 u,
+    # x - 2 rr exact where 2 rr >= x/2, and log1p's condition number is at
+    # most 1 for q >= 0. ell = 0, where rr >= x/2, makes every row 0
+    ell = np.log1p(np.maximum(x - two_r, 0.0) / two_r)
+    ell_col = ell[:, None]
+    # the powers rr^-a_q, used where e < 0, and (x/2)^-a_q, where e >= 0;
+    # times the weights w_p of a tail of more than one term
+    P = np.power(np.stack((rr, 0.5 * x), axis=1)[:, :, None], -a).reshape(x.size, 2 * n)
+    # a one-term tail has weight 1
+    log_w = _log_power_weights(series.terms, x)[0].T if n > 1 else np.zeros((x.size, 1))
+    if n > 1:
+        P = (np.exp(log_w)[:, :, None] * P[:, None, :]).reshape(x.size, 2 * n * n)
+    T = np.expm1(series.neg_abs_e * ell_col)
+    T *= series.gain
+    T *= P[:, series.combo]
+    below = T[:, : series.neg_k.size]
+    below *= np.exp(series.neg_k * ell_col)
+    S = T.sum(axis=1)
+    E = (series.s_err * S + series.floor
+         + (T[:, series.edge] * (series.edge_c + series.edge_l * ell_col)).sum(axis=1))
+    if n > 1:
+        E += (T * (6.0 * _U * np.abs(log_w))[:, series.far]).sum(axis=1)
+    low = r < 1.0
+    if low.any():
+        m = np.maximum(x - 1.0, 1.0)
+        b = x - r
+        # b - m: 1 - r for x >= 2, (x - 1) - r below, where x - 1 is exact
+        gap = np.maximum(np.where(x >= 2.0, 1.0 - r, (x - 1.0) - r), 0.0)
+        up, step = np.log1p(r / b)[:, None], np.log1p(gap / m)[:, None]
+        U = np.where(low[:, None], np.exp(log_w + a * up) * np.expm1(a * step), 0.0)
+        U_err = 7.0 * _U * np.abs(log_w) + series.weight_err + _U * (14.0 + 6.0 * a * (up + step))
+        E += (U * U_err).sum(axis=1) + (n + 2) * _U * U.sum(axis=1)
+        S = S + U.sum(axis=1)
+    return S, E
+
+
 def _j_quadrature(dist: SummandDistribution, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """J at the points (x, r) with 0 < r < x/2, as J_kernel describes it."""
-    owner, lo, hi, right = _j_panels(dist, x, r)
+    """J at the points (x, r) with 0 < r < x/2 by the 24-node Gauss-Legendre
+    rule on panels that grow geometrically from both ends (``_j_panels``),
+    the panels of every point evaluated by one call of the family's
+    integrand. Every panel whose 24- and 16-node rules differ by more than
+    ``_J_RTOL`` of its own point's |J| is halved, all in one pass per round,
+    and each round evaluates only the two halves of the failing panels. A
+    panel's sums are formed from its own nodes alone and a point's J from
+    its own panels, so J at a point is the same double in any batch. A point
+    still failing after ``_J_HALVINGS`` rounds, and a NaN value, are
+    reported, naming the first failing point in array order."""
+    owner, lo, hi, right = _j_panels(x, r)
     vals, errs = _gauss_panels(dist, x[owner], lo, hi, right)
     for halvings in range(_J_HALVINGS + 1):
         # each point sums its panels in their order: the first ones, each

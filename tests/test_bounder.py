@@ -1327,6 +1327,24 @@ def test_tune_computes_what_its_candidates_share_once(monkeypatch):
     assert calls == {"build_spliced_g": 3, "_power_bounds": 5, "_interval_constants": 4}
 
 
+def test_tune_on_a_power_tail_runs_no_quadrature(monkeypatch):
+    """On criterion 2's grid every J is the series' enclosure: the
+    quadrature, which Weibull keeps, is never called."""
+    calls = collections.Counter()
+    for name in ("_j_series", "_j_quadrature"):
+        real = getattr(kernels, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, counting)
+    res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14, 1.4, 1.7, 2.0],
+               [None, 15.0, 21.3, 27.1], engine="panjer", bandwidth=0.05, grid_ratio=1.2)
+    assert len(res.rows) == 20
+    assert calls["_j_series"] > 0 and calls["_j_quadrature"] == 0
+
+
 def test_tune_notes_when_kernel_sweep_raises(monkeypatch):
     """A kernel failure inside a scale's sweep lands in every candidate row
     of that scale, after any failure of the candidate's own splice."""

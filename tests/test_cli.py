@@ -252,14 +252,43 @@ def test_engine_error_exits_4(tmp_path, capsys):
         "engine error: severity tail vanishes on the grid; relative error undefined\n")
 
 
-def test_steep_pareto_tail_warns_nothing_before_it_exits_4(tmp_path, capsys):
+def test_steep_pareto_tail_warns_nothing_before_it_exits_2(tmp_path, capsys):
     # alpha = 150 at B = 100: K evaluates each of its two branches only at
     # its own points, so no numpy overflow warning (an error under pytest)
-    # escapes before J's quadrature fails on the steep integrand
+    # escapes, and J's series, where a quadrature once failed to converge at
+    # x = 131.948, finds the contraction failed
     cfg = write_cfg(tmp_path, BASE.replace("alpha = 2.2", "alpha = 150"))
-    assert main(["bound", "--config", cfg]) == 4
-    assert capsys.readouterr().err.startswith(
-        "engine error: J kernel quadrature did not converge at x=131.948, r=4.5986: ")
+    assert main(["bound", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "bound construction failed: delta(100) = 330.024 >= 1; the bound construction requires "
+        "delta < 1 (smallest integer b with delta(b) < 1 is 2519)\n")
+
+
+def test_a_tail_too_steep_for_the_series_exits_3_before_any_warning(tmp_path, capsys):
+    # at alpha = 1e300, K's plateau branch x^alpha overflows: the sweep asks
+    # for J's series first, which refuses the exponent; the kernels command
+    # reports it too, not as rows of NaN
+    text = (BASE.replace("alpha = 2.2", "alpha = 1e300").replace("B = 100", "B = 0.9")
+            .replace("h.scale = 1.0", "h.scale = 0.1"))
+    for command in ("bound", "kernels"):
+        assert main([command, "--config", write_cfg(tmp_path, text + "xgrid = 1.5, 10\n")]) == 3
+        assert capsys.readouterr().err == (
+            "configuration error: severity tail too steep for the J kernel's series, which "
+            "takes at most 1024 terms per half: ParetoDist(alpha=1e+300)\n")
+
+
+@pytest.mark.parametrize("case", ["config", "certificate", "out"])
+def test_unreadable_or_unwritable_files_exit_3(tmp_path, capsys, case):
+    # a --config or --certificate that cannot be read, or an --out that
+    # cannot be written, is a configuration error naming the file
+    missing = str(tmp_path / "missing" / "file.txt")
+    cfg = write_cfg(tmp_path, BASE + "xgrid = 10, 20\n")
+    argv = {"config": ["tail", "--config", missing],
+            "certificate": ["plot-data", "--config", cfg, "--certificate", missing],
+            "out": ["tail", "--config", cfg, "--out", missing]}[case]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"configuration error: [Errno 2] No such file or directory: {missing!r}\n")
 
 
 def test_nan_error_table_exits_4(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geomtail import kernels
@@ -29,18 +29,20 @@ from geomtail.compound import DeltaTable
 
 
 def midpoint_J(dist, x, r, n=100_000):
-    """Independent Riemann-midpoint evaluation of the J integral."""
+    """Independent Riemann-midpoint evaluation of the J integral, from the
+    tail and the density themselves."""
     ys = np.linspace(r, x - r, n + 1)
     mids = 0.5 * (ys[:-1] + ys[1:])
     dy = ys[1] - ys[0]
-    return math.fsum(dist.j_integrand(x)(mids)) * dy
+    return math.fsum(dist.tail(x - mids) / dist.tail(x) * dist.density(mids)) * dy
 
 
 def mpmath_J(dist, x, r):
     """J at 25 digits by mpmath's tanh-sinh quadrature, an oracle independent
     of the Gauss-Legendre panels: the pieces are split at r * 2^k below x/2,
-    at x/2, at x - r * 2^k and at the family's breakpoints. The Weibull
-    exponent loses up to 8 of the digits to cancellation at x = 1e8."""
+    at x/2, at x - r * 2^k and, on a power tail, at the unit threshold in y
+    and in x - y, where the integrand has kinks. The Weibull exponent loses
+    up to 8 of the digits to cancellation at x = 1e8."""
     with mpmath.workdps(25):
         X, R = mpmath.mpf(x), mpmath.mpf(r)
         if isinstance(dist, WeibullDist):
@@ -62,7 +64,8 @@ def mpmath_J(dist, x, r):
         steps = []
         while R * 2 ** (len(steps) + 1) < X / 2:
             steps.append(R * 2 ** (len(steps) + 1))
-        cuts = [mpmath.mpf(p) for p in dist.integrand_breakpoints(x) if r < p < x - r]
+        kinks = [] if isinstance(dist, WeibullDist) else [1.0, x - 1.0]
+        cuts = [mpmath.mpf(p) for p in kinks if r < p < x - r]
         pts = sorted({R, X / 2, X - R, *steps, *(X - s for s in steps), *cuts})
         # quad's tolerance is absolute: integrate in units of m * f(m)
         m = max(R, 1)
@@ -107,9 +110,9 @@ def test_K_rejections():
 
 
 @st.composite
-def severities(draw):
+def severities(draw, kinds=("pareto", "weibull", "mixture")):
     """A Pareto, a Weibull or a power mixture of 1 to 4 terms."""
-    kind = draw(st.sampled_from(["pareto", "weibull", "mixture"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "pareto":
         return ParetoDist(draw(st.floats(1.05, 10.0)))
     if kind == "weibull":
@@ -164,6 +167,18 @@ def test_K_matches_mpmath(case):
         assert type(one) is float and one == k
 
 
+def test_steep_one_term_mixture_K_is_pareto_K():
+    # the mixture's K reads the weights c x^-a / tail(x) from a log-sum-exp:
+    # dividing by the raw tail, 42^-200 underflowed to 0 and K divided by it
+    mix, par = PowerMixtureDist(((1.0, 200.0),)), ParetoDist(200.0)
+    x, r = np.array([42.0072, 1.5, 300.0]), np.array([3.2158, 0.6, 149.0])
+    assert float(mix.tail(42.0072)) == 0.0
+    for got, want in ((K_kernel(mix, x, r), par.k_value(x, r)),
+                      (K_kernel(mix, 42.0072, 3.2158), float(par.k_value(42.0072, 3.2158)))):
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert type(K_kernel(mix, 42.0072, 3.2158)) is float
+
+
 # ---------------------------------------------------------------- J kernel
 
 def test_J_against_midpoint_rule(rng):
@@ -183,10 +198,10 @@ def test_J_against_midpoint_rule(rng):
 
 
 @st.composite
-def j_points(draw, size):
+def j_points(draw, size, kinds=("pareto", "weibull", "mixture")):
     """A severity, a power or log-power cutoff h, and ``size`` points x in
     [h's domain, 1e8], as fractions of that range on a log scale."""
-    d = draw(severities())
+    d = draw(severities(kinds))
     if draw(st.booleans()):
         h = CutoffFunction.power(draw(st.floats(0.2, 2.0)), draw(st.floats(0.1, 0.6)))
     else:
@@ -197,10 +212,10 @@ def j_points(draw, size):
 
 
 @st.composite
-def j_cases(draw):
+def j_cases(draw, kinds=("pareto", "weibull", "mixture")):
     """A severity, a cutoff h and x in [h's domain, 1e8] where tail(h(x)),
     about the size of J, is a normal double; (d, x, h(x))."""
-    d, h, (x,) = draw(j_points((1, 1)))
+    d, h, (x,) = draw(j_points((1, 1), kinds))
     r = float(h(x))
     assume(float(d.tail(r)) > 1e-250)
     return d, x, r
@@ -213,18 +228,99 @@ def test_J_matches_mpmath(case):
     assert math.isclose(J_kernel(d, x, r), mpmath_J(d, x, r), rel_tol=1e-12, abs_tol=0.0)
 
 
+def mpmath_series_J(dist, x, r):
+    """J on a power tail at 25 digits by mpmath's tanh-sinh quadrature in
+    log coordinates, independent of the series: with rr = max(r, 1), the
+    halves [rr, x/2] and [x/2, x - rr] as y = rr e^s and x - y = rr e^s,
+    split at s = 2^k / a_max, the scales on which the steepest term decays,
+    and [max(x - 1, 1), x - r], where tail(x - y) = 1."""
+    with mpmath.workdps(25):
+        X, R = mpmath.mpf(x), mpmath.mpf(r)
+        terms = [(mpmath.mpf(c), mpmath.mpf(a)) for c, a in dist.tail_power_terms]
+
+        def tail(u):
+            return 1 if u <= 1 else mpmath.fsum(c * u**-a for c, a in terms)
+
+        def density(y):
+            return 0 if y < 1 else mpmath.fsum(c * a * y ** (-a - 1) for c, a in terms)
+
+        # quad's tolerance is absolute: each piece is integrated in units of
+        # its integrand's value at its start times the scale it decays on
+        total = mpmath.mpf(0)
+        rr = max(R, 1)
+        if rr < X / 2:
+            end = mpmath.log1p((X - 2 * rr) / (2 * rr))  # without cancellation near x/2
+            step = 1 / max(a for _, a in terms)
+            pts = [mpmath.mpf(0)]
+            while pts[-1] < end:
+                pts.append(min(end, step * 2 ** (len(pts) - 1)))
+            unit = tail(X - rr) * density(rr) * rr * min(end, step)
+            halves = (lambda y: tail(X - y) * density(y), lambda y: tail(y) * density(X - y))
+            total += sum(mpmath.quad(lambda s: f(rr * mpmath.exp(s)) * rr * mpmath.exp(s) / unit,
+                                     pts) for f in halves) * unit
+        lo = max(X - 1, 1)
+        if X - R > lo:
+            unit = density(lo) * (X - R - lo)
+            total += mpmath.quad(lambda y: density(y) / unit, [lo, X - R]) * unit
+        return float(total / tail(X))
+
+
+@st.composite
+def series_cases(draw):
+    """A Pareto with alpha in (1, 150] or a power mixture of two or three
+    terms, and a point 0 < r < x/2 where J, about tail(r), is a normal
+    double: anywhere, with r < 1, with 1 < x < 2, or with r within a
+    relative 1e-9 of x/2."""
+    if draw(st.booleans()):
+        d = ParetoDist(draw(st.floats(1.0, 150.0, exclude_min=True)))
+    else:
+        m = draw(st.integers(2, 3))
+        raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m))
+        exponents = draw(st.lists(st.floats(1.05, 30.0), min_size=m, max_size=m))
+        d = PowerMixtureDist(tuple((w / math.fsum(raw), a) for w, a in zip(raw, exponents)))
+    x_max = min(1e8, 10.0 ** (250.0 / min(a for _, a in d.tail_power_terms)))
+    where = draw(st.sampled_from(["any", "r < 1", "1 < x < 2", "near x/2"]))
+    if where == "1 < x < 2":
+        x = draw(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+    else:
+        x = 2.0 * (x_max / 2.0) ** draw(st.floats(0.0, 1.0))
+    if where == "near x/2":
+        r = x / 2.0 * (1.0 - draw(st.floats(1e-15, 1e-9)))
+    elif where == "any":
+        r = x / 2.0 * 10.0 ** -draw(st.floats(0.0, 8.0))
+    else:
+        r = min(x / 2.0, 1.0) * draw(st.floats(1e-6, 1.0, exclude_max=True))
+    assume(r < x / 2.0)
+    return d, x, r
+
+
+@settings(max_examples=25, deadline=None)
+@given(series_cases())
+@example((ParetoDist(150.0), 131.948, 4.5986))  # a quadrature did not settle here
+@example((PowerMixtureDist(((1.0 / 3.0, 2.0), (2.0 / 3.0, 3.0))), 80.0, 4.30886938006))
+def test_J_series_encloses_mpmath(case):
+    d, x, r = case
+    S, E = (float(v[0]) for v in kernels._j_series(kernels._power_series(d), np.array([x]),
+                                                     np.array([r])))
+    want = mpmath_series_J(d, x, r)
+    assert S - E <= want <= S + E, (S, E, want)
+    if want == 0.0:  # no density where tail(x - y) is a power: J is 0 exactly
+        assert S == 0.0 and E < 1e-250
+    else:
+        assert E <= 1e-13 * S
+    assert J_kernel(d, x, r) == S + E
+
+
 def one_point_loop_J(dist, x, r):
-    """J by the one-point loop J_kernel once was: the panels from sets of
-    Python floats, every panel evaluated again in every round, and the
+    """J by the one-point loop the quadrature once was: the panels from sets
+    of Python floats, every panel evaluated again in every round, and the
     panel sums as matrix products."""
     half = x / 2.0
     steps, step = [], 2.0 * r
     while step < half:
         steps.append(step)
         step *= 2.0
-    cuts = [p for p in dist.integrand_breakpoints(x) if r < p < x - r]
-    left = sorted({r, half, *steps, *(p for p in cuts if p <= half)})
-    right = sorted({r, half, *steps, *(x - p for p in cuts if p > half)})
+    left = right = sorted({r, half, *steps})
     lo, hi = np.array(left[:-1] + right[:-1]), np.array(left[1:] + right[1:])
     side = (np.arange(lo.size) >= len(left) - 1)[:, None]
     integrand = dist.j_integrand(x)
@@ -261,6 +357,8 @@ def j_batches(draw):
 @settings(max_examples=40, deadline=None)
 @given(j_batches())
 def test_J_over_a_batch_is_the_one_point_J_bit_for_bit(case):
+    # the quadrature sums each panel, and the series each row, from its own
+    # values alone
     d, x, r = case
     got = J_kernel(d, x, r)
     one = [J_kernel(d, xi, ri) for xi, ri in zip(x.tolist(), r.tolist())]
@@ -270,10 +368,11 @@ def test_J_over_a_batch_is_the_one_point_J_bit_for_bit(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(j_cases())
+@given(j_cases(kinds=("weibull",)))
 def test_J_is_the_one_point_loop_to_1e_14(case):
     # row-by-row panel sums and per-point sums of the panels move J by a few
-    # ulps from the one-point loop's matrix products
+    # ulps from the one-point loop's matrix products; the families J
+    # integrates by quadrature
     d, x, r = case
     assert math.isclose(J_kernel(d, x, r), one_point_loop_J(d, x, r), rel_tol=1e-14, abs_tol=0.0)
 
@@ -292,7 +391,7 @@ def test_J_keeps_the_right_end_spike(dist, h, x, want):
     assert got == pytest.approx(want, rel=1e-7)
 
 
-class NarrowBump(ParetoDist):
+class NarrowBump(WeibullDist):
     """A J integrand with a Gaussian bump of width x/1000 inside one panel,
     which the first panel rules do not resolve; it records the panels of
     each call."""
@@ -312,35 +411,38 @@ class NarrowBump(ParetoDist):
 def test_J_halves_the_panels_whose_rules_disagree():
     x, r = 1000.0, 10.0
     NarrowBump.rows = []
-    got = J_kernel(NarrowBump(2.2), x, r)
+    got = J_kernel(NarrowBump(0.5), x, r)
     assert got == pytest.approx(1e-3 * x * math.sqrt(math.pi), rel=1e-12)
     first, *rounds = NarrowBump.rows
     assert 1 <= len(rounds) <= 8  # one call per round, at most 8 halvings
     # the first call takes every panel; a halving round only the two halves
     # of each failing panel
-    assert first == kernels._j_panels(NarrowBump(2.2), np.array([x]), np.array([r]))[0].size
+    assert first == kernels._j_panels(np.array([x]), np.array([r]))[0].size
     assert all(n % 2 == 0 and n < first for n in rounds)
 
 
-class UncutPareto(ParetoDist):
-    """Pareto without its breakpoints: for r < 1 the integrand jumps from 0
-    at y = 1, inside a panel, and no number of halvings settles it."""
+class JumpAtOne(WeibullDist):
+    """A family J integrates by quadrature, with Pareto 2.2's integrand: for
+    r < 1 it jumps from 0 at y = 1, inside a panel, and no number of
+    halvings settles it."""
 
-    def integrand_breakpoints(self, x):
-        return []
+    def j_integrand(self, x):
+        pareto = ParetoDist(2.2)
+        return lambda y, u=None: (pareto.tail(x - y if u is None else u) / pareto.tail(x)
+                                  * pareto.density(y))
 
 
 def test_J_reports_panels_that_do_not_settle():
     with pytest.raises(RuntimeError, match=r"J kernel quadrature did not converge at x=100, "
                                             r"r=0\.3: value 1\.07\d*e\+00, error estimate"):
-        J_kernel(UncutPareto(2.2), 100.0, 0.3)
-    # with the breakpoint at y = 1 the same J converges
+        J_kernel(JumpAtOne(0.5), 100.0, 0.3)
+    # Pareto's series takes the jump in closed form
     d = ParetoDist(2.2)
     assert math.isclose(J_kernel(d, 100.0, 0.3), mpmath_J(d, 100.0, 0.3), rel_tol=1e-12)
 
 
-class NanAt70(UncutPareto):
-    """UncutPareto whose J integrand is NaN at x = 70."""
+class NanAt70(JumpAtOne):
+    """JumpAtOne whose J integrand is NaN at x = 70."""
 
     def j_integrand(self, x):
         integrand = super().j_integrand(x)
@@ -348,8 +450,8 @@ class NanAt70(UncutPareto):
 
 
 def test_a_failing_J_batch_names_its_first_failing_point():
-    # without the breakpoint at y = 1, (100, 0.3) and (50, 0.35) never settle
-    d = NanAt70(2.2)
+    # with the jump at y = 1, (100, 0.3) and (50, 0.35) never settle
+    d = NanAt70(0.5)
     x, r = np.array([100.0, 100.0, 50.0]), np.array([10.0, 0.3, 0.35])
     with pytest.raises(RuntimeError, match=r"did not converge at x=100, r=0\.3: "):
         J_kernel(d, x, r)
@@ -390,7 +492,7 @@ def test_J_rejections():
         J_kernel(d, 100.0, 60.0)
 
 
-class NanPareto(ParetoDist):
+class NanWeibull(WeibullDist):
     """A family whose kernel hooks fail by returning NaN."""
 
     def k_value(self, x, r):
@@ -402,11 +504,14 @@ class NanPareto(ParetoDist):
 
 def test_kernels_refuse_nan():
     # clamping a NaN at zero would give K = J = 0, which lowers f1 to f3
-    d = NanPareto(2.2)
+    d = NanWeibull(0.5)
     with pytest.raises(ValueError, match=r"K kernel is NaN at x=100, r=10"):
         K_kernel(d, 100.0, 10.0)
     with pytest.raises(ValueError, match=r"J kernel is NaN at x=100, r=10"):
         J_kernel(d, 100.0, 10.0)
+    # the series is NaN only where an input is
+    with pytest.raises(ValueError, match=r"J kernel is NaN at x=nan, r=10"):
+        J_kernel(ParetoDist(2.2), [100.0, math.nan], 10.0)
 
 
 # ---------------------------------------------------------------- envelopes
