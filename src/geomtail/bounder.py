@@ -40,6 +40,7 @@ from .kernels import (
     PowerTestFunction,
     SplicedTestFunction,
     TestFunction,
+    _inf_on_overflow,
     _power_series,
     build_spliced_g,
     weibull_J_envelope,
@@ -187,15 +188,6 @@ def _where_conditions_hold(envelope, xs, conditions) -> _TailEnvelopes:
     if not (math.isfinite(f12) and math.isfinite(f3)):
         return _uncertified("envelope terms not finite at x_far")
     return _TailEnvelopes(f12, f3, True, "", f12s, f3s)
-
-
-def _inf_on_overflow(fn, *args) -> float:
-    """fn(*args), or inf where it overflows: an envelope built on it is then
-    not finite, and certifies nothing (_where_conditions_hold)."""
-    try:
-        return fn(*args)
-    except OverflowError:
-        return math.inf
 
 
 def _power_bounds(dist, params, h, e: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,7 +361,9 @@ def _weibull_tail_envelopes(
     y0 = exp(kappa / (1 - beta)) and L = log x_far:
 
     1. kappa beta >= 1; at kappa beta = 1 (within 1e-9), s >= 1. Otherwise
-       the remainder term grows without bound and no envelope exists;
+       f2, the J term, grows without bound (criterion 6 scaled: 0.013 at
+       1e12, 0.51 at 1e53, 415 at 1e100, while f1 and f3 stay at 0.5 and
+       0.75) and no envelope exists;
     2. x_far - 2 h(x_far) >= y0 and h(x_far) >= max(y0, 2 x_h), where x_h is
        the cutoff's domain start;
     3. kappa beta s^beta L^(kappa beta - 1) >= 1 when kappa beta > 1.
@@ -410,7 +404,7 @@ def _weibull_tail_envelopes(
     kb = h.kappa * beta
     if not (kb > 1.0 + 1e-9 or (abs(kb - 1.0) <= 1e-9 and h.scale >= 1.0 - 1e-12)):
         return _uncertified(
-            "remainder term does not vanish for kappa*beta < 1 "
+            "f2 = q g(h) J / g(x) grows without bound for kappa*beta < 1 "
             "(or = 1 with scale < 1); the supremum diverges"
         )
 
@@ -894,8 +888,8 @@ def _check_engine(engine, bandwidth, mc_samples, seed, mode) -> None:
         _check_mc(mc_samples, seed)
 
 
-# _tail_table's last Panjer table and its key, (p, bandwidth, n, f_0 .. f_n,
-# table), or None: the one table the package keeps (see _tail_table)
+# _tail_table's last Panjer table and its key, (p, bandwidth, n, the tails
+# F_0 .. F_n, table), or None: the one table the package keeps (see _tail_table)
 _panjer_last: tuple[float, float, int, np.ndarray, TailTable] | None = None
 
 
@@ -913,13 +907,14 @@ def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=
     The one path to the engines: it checks their inputs (_check_engine),
     sizes the Panjer lattice (_lattice_end) and keeps the last Panjer table,
     keyed on all that panjer_tail reads: p, the bandwidth, the cell count
-    n = floor(xmax / bandwidth) and the masses f_0 .. f_n, compared bit for
-    bit. A call with the same key reuses the table without a recursion, so
-    certificates that differ only in their cutoff, test function or splice
-    run one recursion between them. The entry is dropped before a recursion
-    and replaced, whole, only once panjer_tail has returned: a failed call
-    keeps nothing, and threads read a consistent entry. The kept table's
-    arrays are read-only.
+    n = floor(xmax / bandwidth) and the lattice tails F_0 .. F_n, compared
+    bit for bit; they fix f_1 .. f_n too, and do not depend on where the
+    lattice ends. A call with the same key reuses the table without a
+    recursion, so certificates that differ only in their cutoff, test
+    function or splice run one recursion between them. The entry is dropped
+    before a recursion and replaced, whole, only once panjer_tail has
+    returned: a failed call keeps nothing, and threads read a consistent
+    entry. The kept table's arrays are read-only.
 
     S is lattice-valued and non-negative, so P(S > x) is its value at the
     last lattice point at or below x, and 1 for x < 0. The lattice reaches
@@ -932,16 +927,16 @@ def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=
     xmax = max(xmax, bandwidth)
     lattice = discretize(dist, bandwidth, _lattice_end(xmax, bandwidth), mode=mode)
     n = math.floor(xmax / bandwidth + 1e-9)
-    f = lattice.masses[: n + 1]
+    tails = lattice.tails[: n + 1]
     last = _panjer_last
-    if last is not None and last[:3] == (params.p, bandwidth, n) and _same_bits(last[3], f):
+    if last is not None and last[:3] == (params.p, bandwidth, n) and _same_bits(last[3], tails):
         table = last[4]
     else:
         _panjer_last = None
         table = panjer_tail(lattice, params, xmax)
         for values in (table.xs, table.tails, table.stderrs):
             values.flags.writeable = False
-        _panjer_last = (params.p, bandwidth, n, f.copy(), table)
+        _panjer_last = (params.p, bandwidth, n, tails.copy(), table)
     if xs is not None:
         idx = np.floor(xs / bandwidth + 1e-9).astype(int)
         tails = np.where(idx < 0, 1.0, table.tails[np.clip(idx, 0, len(table) - 1)])

@@ -469,36 +469,40 @@ class GeometricParams:
 
 @dataclass(frozen=True)
 class LatticeDistribution:
-    """Severity mass function on the lattice {0, h, 2h, ..., nh}."""
+    """Severity on the lattice {0, h, 2h, ..., nh}, held as its tails:
+    tails[j] = P(X > j h). The mass past the truncation point nh is
+    tails[n]; the masses and the truncated mass are read off the tails."""
 
     bandwidth: float
-    masses: np.ndarray
+    tails: np.ndarray
     truncation_point: float
-    truncated_mass: float
 
     def __post_init__(self):
         _check_bandwidth(self.bandwidth)
-        m = np.asarray(self.masses, dtype=float)
-        if m.ndim != 1 or m.size == 0:
-            raise ValueError("masses must be a non-empty 1-d array")
-        if not np.isfinite(m).all():
-            raise ValueError("lattice masses must be finite")
-        if np.min(m) < -1e-12:
-            raise ValueError("negative lattice mass")
-        if not (0.0 <= self.truncated_mass < math.inf):
-            raise ValueError(
-                f"truncated mass must be finite and non-negative, got {self.truncated_mass:g}")
-        m = np.maximum(m, 0.0)
-        object.__setattr__(self, "masses", m)
-        # a memoryview yields Python floats, one at a time: the same exactly
-        # rounded sum as over numpy scalars, at a third of the cost
-        total = math.fsum(memoryview(m)) + self.truncated_mass
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"lattice masses plus truncated mass total {total}, expected 1")
+        t = np.asarray(self.tails, dtype=float)
+        if t.ndim != 1 or t.size == 0:
+            raise ValueError("tails must be a non-empty 1-d array")
+        if not np.isfinite(t).all():
+            raise ValueError("lattice tails must be finite")
+        # no mass is negative, and by telescoping the masses and the
+        # truncated mass total 1
+        if not (t[0] <= 1.0 and t[-1] >= 0.0 and np.all(t[1:] <= t[:-1])):
+            raise ValueError("lattice tails must lie in [0, 1] and not increase")
+        object.__setattr__(self, "tails", t)
+
+    @property
+    def masses(self) -> np.ndarray:
+        """P(X = j h): 1 - tails[0], then the differences of the tails."""
+        return np.concatenate(([1.0], self.tails[:-1])) - self.tails
+
+    @property
+    def truncated_mass(self) -> float:
+        """P(X > nh), the mass the lattice does not place."""
+        return float(self.tails[-1])
 
     @property
     def grid(self) -> np.ndarray:
-        return np.arange(self.masses.size) * self.bandwidth
+        return np.arange(self.tails.size) * self.bandwidth
 
 
 def _check_mode(mode: str) -> None:
@@ -520,8 +524,12 @@ def discretize(
     * ``lower``:   mass of [ j bw, (j+1) bw ), shifting mass down;
     * ``upper``:   mass of ( (j-1) bw, j bw ], shifting mass up.
 
-    ``lower`` keeps atoms sitting exactly on the lattice at their own index,
-    which is why it queries P(X >= x) rather than P(X > x).
+    So the lattice tail P(X_lat > j bw) is X's tail at the top of cell j,
+    T((j + c) bw) with c = 1/2, 1 or 0, for j = 0 .. n: one evaluation per
+    point, which does not depend on where the lattice ends. ``lower`` keeps
+    atoms sitting exactly on the lattice at their own index, which is why
+    its T is P(X >= x) rather than P(X > x). The mass past the truncation
+    point is the last tail; no mass is summed.
     """
     _check_bandwidth(bandwidth)
     if not (truncation > 0.0):
@@ -532,27 +540,13 @@ def discretize(
         raise ValueError("truncation must be a positive integer multiple of bandwidth")
     _check_mode(mode)
 
-    j = np.arange(n + 1, dtype=float)
-    if mode == "rounded":
-        cdf = 1.0 - np.asarray(dist.tail((j + 0.5) * bandwidth), dtype=float)
-        masses = np.empty(n + 1)
-        masses[0] = cdf[0]
-        masses[1:] = np.diff(cdf)
-    elif mode == "lower":
-        tg = np.asarray(dist.tail_ge(np.arange(n + 2) * bandwidth), dtype=float)
-        masses = tg[:-1] - tg[1:]
-    else:
-        t = np.asarray(dist.tail(np.arange(-1, n + 1) * bandwidth), dtype=float)
-        masses = t[:-1] - t[1:]
-
-    masses = np.maximum(masses, 0.0)
-    truncated = max(0.0, 1.0 - math.fsum(memoryview(masses)))
-    return LatticeDistribution(
-        bandwidth=bandwidth,
-        masses=masses,
-        truncation_point=float(truncation),
-        truncated_mass=truncated,
-    )
+    top = (np.arange(n + 1) + {"rounded": 0.5, "lower": 1.0, "upper": 0.0}[mode]) * bandwidth
+    t = np.asarray(dist.tail_ge(top) if mode == "lower" else dist.tail(top), dtype=float)
+    # a tail that rises by rounding is flattened, so no mass is negative
+    tails = np.minimum(t, 1.0)
+    np.minimum.accumulate(tails, out=tails)
+    return LatticeDistribution(bandwidth=bandwidth, tails=tails,
+                               truncation_point=float(truncation))
 
 
 def build_overshoot_upper(c1: float, c2: float, base_exponent: float) -> PowerMixtureDist:

@@ -526,21 +526,31 @@ def _j_quadrature(dist: SummandDistribution, x: np.ndarray, r: np.ndarray) -> np
     return _clamp_at_zero("J", J, x, r)
 
 
+def _inf_on_overflow(fn, *args) -> float:
+    """fn(*args), or inf where it overflows: a dominator is still one at inf,
+    and an envelope built on it is not finite and certifies nothing."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
 def pareto_K_envelope(alpha: float, x: float, h: float) -> float:
     """Closed-form dominator of K(x, h) for the unit-threshold Pareto:
-    alpha * h * x^alpha / (x - h)^(alpha + 1), valid for h < x/2."""
+    alpha * h * x^alpha / (x - h)^(alpha + 1), valid for h < x/2; inf where
+    it overflows."""
     if not (0.0 < h < x / 2.0):
         raise ValueError("requires 0 < h < x/2")
     u = h / x
-    return alpha * u * math.exp(-(alpha + 1.0) * math.log1p(-u))
+    return alpha * u * _inf_on_overflow(math.exp, -(alpha + 1.0) * math.log1p(-u))
 
 
 def pareto_J_envelope(alpha: float, x: float, h: float) -> float:
     """Closed-form dominator of J(x, h) for the unit-threshold Pareto:
-    2 (2/h)^alpha + (4/x)^alpha, valid for h < x/2."""
+    2 (2/h)^alpha + (4/x)^alpha, valid for h < x/2; inf where it overflows."""
     if not (0.0 < h < x / 2.0):
         raise ValueError("requires 0 < h < x/2")
-    return 2.0 * (2.0 / h) ** alpha + (4.0 / x) ** alpha
+    return 2.0 * _inf_on_overflow(pow, 2.0 / h, alpha) + _inf_on_overflow(pow, 4.0 / x, alpha)
 
 
 def weibull_K_envelope(beta: float, x, h):

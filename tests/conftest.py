@@ -44,16 +44,24 @@ class HoledPareto(ParetoDist):
         return t if t.ndim else float(t)
 
 
+def lattice_from_masses(bandwidth, masses, truncated_mass=0.0):
+    """The lattice of the given masses on 0, bw, 2 bw, ... and the given mass
+    beyond: each tail is the truncated mass plus the masses above its cell, a
+    reverse running sum, held at 1 where the masses' rounding lifts it."""
+    masses = np.asarray(masses, dtype=float)
+    tails = np.cumsum(np.append(truncated_mass, masses[:0:-1]))[::-1]
+    tails = np.where(tails <= 1.0 + 1e-12, np.minimum(tails, 1.0), tails)
+    return LatticeDistribution(bandwidth=bandwidth, tails=tails,
+                               truncation_point=bandwidth * (masses.size - 1))
+
+
 def random_lattice(rng, max_atoms=25):
     """Random finite severity on a lattice with no truncated mass."""
     bandwidth = float(rng.choice([0.25, 0.5, 1.0]))
     n = int(rng.integers(5, max_atoms + 1))
     raw = rng.random(n + 1)
     raw[0] *= 0.2  # keep the atom at zero from dominating
-    masses = raw / raw.sum()
-    return LatticeDistribution(bandwidth=bandwidth, masses=masses,
-                               truncation_point=bandwidth * n,
-                               truncated_mass=0.0)
+    return lattice_from_masses(bandwidth, raw / raw.sum())
 
 
 @pytest.fixture

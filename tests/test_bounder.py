@@ -152,13 +152,13 @@ def test_bound_constant_rejects_nan(delta_b, phi, c_hb_b):
 
 @pytest.mark.parametrize("hole, engine, message", [
     pytest.param((50.0, 50.1), dict(engine="panjer", bandwidth=0.02),
-                 "lattice masses must be finite", id="panjer"),
+                 "lattice tails must be finite", id="panjer"),
     pytest.param((49.9, 50.0), dict(engine="mc", mc_samples=20_000, seed=7),
                  "severity tail is nan at x=49.9499; relative error undefined", id="mc"),
 ])
 def test_a_nan_error_table_certifies_nothing(hole, engine, message):
     # criterion 2 pure with the hole inside its error table [h(100), 100]:
-    # on the lattice, the NaN masses fail its constructor; the Monte Carlo
+    # on the lattice, the NaN tails fail its constructor; the Monte Carlo
     # error table refuses the NaN tail at its grid point 49.9499, where delta
     # would be NaN. C once dropped it, as max(x, nan) is x
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -725,8 +725,8 @@ def test_tune_ends_at_an_engine_error(monkeypatch):
     # the engine fails for every candidate alike, so it is no candidate's
     # note: tune raises its error at the first candidate that builds the table
     events = []
-    record_engine(monkeypatch, events, fail=RuntimeError("mass conservation violated"))
-    with pytest.raises(RuntimeError, match="^mass conservation violated$"):
+    record_engine(monkeypatch, events, fail=RuntimeError("engine failed"))
+    with pytest.raises(RuntimeError, match="^engine failed$"):
         tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14], [None, 21.3],
              bandwidth=0.05, **COARSE)
     assert events == ["sweep"]

@@ -293,13 +293,13 @@ def test_unreadable_or_unwritable_files_exit_3(tmp_path, capsys, case):
 
 def test_nan_error_table_exits_4(tmp_path, capsys, monkeypatch):
     # criterion 2 pure on a severity whose tail is NaN on (50, 50.1), inside
-    # the error table: the lattice refuses its NaN masses, where a
+    # the error table: the lattice refuses its NaN tails, where a
     # certificate with c_hb_b = nan once printed
     monkeypatch.setattr(cli, "build_dist", lambda cfg: HoledPareto(cfg.require("alpha")))
     cfg = write_cfg(tmp_path, BASE.replace("bandwidth = 0.05", "bandwidth = 0.02")
                     + "grid_ratio = 1.2\n")
     assert main(["bound", "--config", cfg]) == 4
-    assert capsys.readouterr().err == "engine error: lattice masses must be finite\n"
+    assert capsys.readouterr().err == "engine error: lattice tails must be finite\n"
 
 
 H = CutoffFunction.power(1.0, 0.3125)
@@ -324,7 +324,7 @@ TABLE = DeltaTable(np.array([1.0, 2.0, 4.0]), np.array([0.3, 0.2, 0.1]), np.zero
                  "p must lie in (0, 1)", id="p"),
     pytest.param(lambda: discretize(ParetoDist(2.2), 0.0, 10.0),
                  "bandwidth must be positive, got 0", id="bandwidth"),
-    pytest.param(lambda: LatticeDistribution(-1.0, np.ones(1), 0.0, 0.0),
+    pytest.param(lambda: LatticeDistribution(-1.0, np.zeros(1), 0.0),
                  "bandwidth must be positive, got -1", id="lattice bandwidth"),
     pytest.param(lambda: CutoffFunction("cubic", 1.0),
                  "unknown cutoff family 'cubic'", id="h.family"),
@@ -611,6 +611,17 @@ def test_kernels_command_output(tmp_path):
                 continue
             assert 0.0 <= kv <= ek  # envelope dominates
             assert jv <= ej
+
+
+def test_kernels_command_prints_inf_where_an_envelope_overflows(tmp_path):
+    # alpha = 300 with h(1.5) = 0.1135: (2/h)^alpha overflows a double, where
+    # it once raised OverflowError out of the command
+    cfg = write_cfg(tmp_path, "family = pareto\nalpha = 300\np = 0.5\nh.family = power\n"
+                    "h.scale = 0.1\nh.gamma = 0.3125\nxgrid = 1.5, 10\n")
+    out = tmp_path / "kern.csv"
+    assert main(["kernels", "--config", cfg, "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+    assert [row[4] for row in rows] == ["inf", "7.24483826845e+296"]
 
 
 # ---------------------------------------------------------------- tune

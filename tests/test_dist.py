@@ -19,7 +19,7 @@ from geomtail.dist import (
     build_overshoot_upper,
     discretize,
 )
-from conftest import PointMass
+from conftest import PointMass, lattice_from_masses
 
 
 def bisect_quantile(tail, target, lo, hi, iters=200):
@@ -469,10 +469,9 @@ def test_discretize_mass_conservation():
     lat = discretize(d, 0.5, 2000.0)
     total = math.fsum(lat.masses) + lat.truncated_mass
     assert abs(total - 1.0) < 1e-12
-    # the exactly rounded sum over numpy scalars, one at a time
-    assert lat.truncated_mass == max(0.0, 1.0 - math.fsum(list(lat.masses)))
-    # rounded mode cuts at the half-cell edge beyond the truncation point
-    assert lat.truncated_mass == pytest.approx(float(d.tail(2000.25)), rel=1e-12)
+    # rounded mode cuts at the half-cell edge beyond the truncation point:
+    # the truncated mass is the last tail, with no sum of masses behind it
+    assert lat.truncated_mass == lat.tails[-1] == float(d.tail(2000.25))
 
 
 def test_discretize_modes_bracket_rounded():
@@ -502,11 +501,45 @@ LOWER_MODE_FAMILIES = {
        st.integers(1, 5000))
 def test_discretize_lower_is_the_per_point_tail_ge_bit_for_bit(name, bw, n):
     # lower mode reads tail_ge over the whole lattice in one array call; the
-    # masses are those of one scalar call per lattice point
+    # tails and masses are those of one scalar call per lattice point
     d = LOWER_MODE_FAMILIES[name]
     lat = discretize(d, bw, n * bw, mode="lower")
     tg = np.array([d.tail_ge(v) for v in np.arange(n + 2) * bw], dtype=float)
+    assert lat.tails.tobytes() == tg[1:].tobytes()
     assert lat.masses.tobytes() == np.maximum(tg[:-1] - tg[1:], 0.0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LOWER_MODE_FAMILIES)),
+       st.sampled_from(["rounded", "lower", "upper"]),
+       st.sampled_from([0.002, 0.01, 0.25, 1.0]),
+       st.integers(1, 5000))
+def test_discretize_tails_are_the_severity_tail_at_each_cell_top(name, mode, bw, n):
+    # tails[j] is T((j + c) bw), c = 1/2, 1 or 0, with T = tail_ge in lower
+    # mode; these families' tails do not rise, so no cell is flattened. The
+    # masses are the tails' differences and the truncated mass the last tail
+    d = LOWER_MODE_FAMILIES[name]
+    lat = discretize(d, bw, n * bw, mode=mode)
+    c = {"rounded": 0.5, "lower": 1.0, "upper": 0.0}[mode]
+    tail = d.tail_ge if mode == "lower" else d.tail
+    want = np.asarray(tail((np.arange(n + 1) + c) * bw), dtype=float)
+    assert lat.tails.tobytes() == want.tobytes()
+    assert lat.masses.tobytes() == (np.append(1.0, want[:-1]) - want).tobytes()
+    assert lat.truncated_mass == want[-1]
+    assert math.fsum(lat.masses) + lat.truncated_mass == pytest.approx(1.0, abs=1e-15)
+
+
+def test_discretize_flattens_a_rising_tail():
+    # a tail that rises by rounding, here one ulp past cell 1 and above 1 at
+    # cell 0, is held at its running minimum: no mass is negative
+    class Rising(PointMass):
+        def tail(self, x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x < 1.0, 1.0 + 2.0**-52, np.where(x < 2.0, 0.25, 0.25 + 2.0**-54))
+
+    lat = discretize(Rising(1.0), 1.0, 3.0, mode="upper")
+    assert lat.tails.tolist() == [1.0, 0.25, 0.25, 0.25]
+    assert lat.masses.tolist() == [0.0, 0.75, 0.0, 0.0]
 
 
 def test_discretize_rejections():
@@ -520,31 +553,40 @@ def test_discretize_rejections():
 
 
 def test_lattice_validation():
-    with pytest.raises(ValueError):
-        LatticeDistribution(bandwidth=0.5, masses=np.array([0.5, -0.1, 0.6]),
-                            truncation_point=1.0, truncated_mass=0.0)
-    with pytest.raises(ValueError):
-        LatticeDistribution(bandwidth=0.5, masses=np.array([0.5, 0.4]),
-                            truncation_point=0.5, truncated_mass=0.0)
-    lat = LatticeDistribution(bandwidth=0.5, masses=np.array([0.25, 0.25, 0.5]),
-                              truncation_point=1.0, truncated_mass=0.0)
+    # a rising tail is a negative mass, and a first tail above 1 a negative
+    # mass at 0
+    for tails in ([0.5, 0.6, 0.0], [1.5, 0.5]):
+        with pytest.raises(ValueError,
+                           match=r"^lattice tails must lie in \[0, 1\] and not increase$"):
+            LatticeDistribution(bandwidth=0.5, tails=np.array(tails),
+                                truncation_point=0.5 * (len(tails) - 1))
+    # masses 0.25, 0.25 and 0.5 on three cells, none truncated
+    lat = LatticeDistribution(bandwidth=0.5, tails=np.array([0.75, 0.5, 0.0]),
+                              truncation_point=1.0)
     assert np.allclose(lat.grid, [0.0, 0.5, 1.0])
+    assert lat.masses.tolist() == [0.25, 0.25, 0.5]
+    assert lat.truncated_mass == 0.0
+    # the derived quantities are read-only
+    for name in ("masses", "truncated_mass"):
+        with pytest.raises(AttributeError):
+            setattr(lat, name, 0.0)
 
 
 @pytest.mark.parametrize("masses, truncated_mass, message", [
-    ([math.nan, 1.0], 0.0, "lattice masses must be finite"),
-    ([0.2, math.nan, 0.8], 0.0, "lattice masses must be finite"),
-    ([0.0, math.inf], 0.0, "lattice masses must be finite"),
-    ([0.0, 1.5], -0.5, "truncated mass must be finite and non-negative, got -0.5"),
-    ([0.5], math.nan, "truncated mass must be finite and non-negative, got nan"),
+    ([0.0, math.nan], 0.0, "lattice tails must be finite"),
+    ([0.2, math.nan, 0.8], 0.0, "lattice tails must be finite"),
+    ([0.0, math.inf], 0.0, "lattice tails must be finite"),
+    ([0.0, 1.5], -0.5, "lattice tails must lie in [0, 1] and not increase"),
+    ([0.5], math.nan, "lattice tails must be finite"),
 ])
 def test_lattice_rejects_non_finite_masses_and_a_negative_truncated_mass(masses, truncated_mass,
                                                                           message):
-    # each once constructed: a NaN fails the total check, and a negative
-    # truncated mass offsets masses above one
+    # the lattice holds the masses as its tails, each the truncated mass plus
+    # the masses above its cell: a NaN or infinite mass above cell 0 or a NaN
+    # truncated mass makes a tail non-finite, and a negative truncated mass
+    # offsetting a mass above one makes the last tail negative
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        LatticeDistribution(bandwidth=1.0, masses=np.array(masses),
-                            truncation_point=len(masses) - 1.0, truncated_mass=truncated_mass)
+        lattice_from_masses(1.0, masses, truncated_mass)
 
 
 def test_pareto_k_value_evaluates_each_branch_at_its_own_points():
@@ -560,9 +602,9 @@ def test_pareto_k_value_evaluates_each_branch_at_its_own_points():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: LatticeDistribution(bandwidth=1.0, masses=np.array([]),
-                                             truncation_point=0.0, truncated_mass=0.0),
-                 "masses must be a non-empty 1-d array", id="no masses"),
+    pytest.param(lambda: LatticeDistribution(bandwidth=1.0, tails=np.array([]),
+                                             truncation_point=0.0),
+                 "tails must be a non-empty 1-d array", id="no masses"),
     pytest.param(lambda: discretize(ParetoDist(2.2), 0.5, 0.0), "truncation must be positive",
                  id="truncation = 0"),
 ])

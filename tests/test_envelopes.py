@@ -230,10 +230,10 @@ FAILING = [
     (WEIBULL, H_LOG2, KKernelTestFunction(dist=WEIBULL, h=CutoffFunction.logpower(1.1, 2.0)),
      1e8, "Weibull envelopes need the matching K-kernel test function"),
     (WEIBULL, CutoffFunction.logpower(0.179, 2.0), None, 1e8,
-     "remainder term does not vanish for kappa*beta < 1 "
+     "f2 = q g(h) J / g(x) grows without bound for kappa*beta < 1 "
      "(or = 1 with scale < 1); the supremum diverges"),
     (WEIBULL, CutoffFunction.logpower(1.0 - 1e-6, 2.0), None, 1e8,
-     "remainder term does not vanish for kappa*beta < 1 "
+     "f2 = q g(h) J / g(x) grows without bound for kappa*beta < 1 "
      "(or = 1 with scale < 1); the supremum diverges"),
     (WEIBULL, H_LOG2, G_LOG2, 1e3, "x_far too small for the Weibull envelope regime"),
     (WEIBULL, CutoffFunction.logpower(0.005, 3.0), None, 1e20,

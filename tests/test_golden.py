@@ -130,7 +130,7 @@ C = 2.9519401292
 valid_from = 100
 delta_tail_certified = false
 phi_tail_certified = false
-caveats = delta sup: grid maximum only; tail beyond 1e+08 not certified: remainder term does not vanish for kappa*beta < 1 (or = 1 with scale < 1); the supremum diverges | phi sup: grid maximum only; tail beyond 1e+08 not certified: remainder term does not vanish for kappa*beta < 1 (or = 1 with scale < 1); the supremum diverges
+caveats = delta sup: grid maximum only; tail beyond 1e+08 not certified: f2 = q g(h) J / g(x) grows without bound for kappa*beta < 1 (or = 1 with scale < 1); the supremum diverges | phi sup: grid maximum only; tail beyond 1e+08 not certified: f2 = q g(h) J / g(x) grows without bound for kappa*beta < 1 (or = 1 with scale < 1); the supremum diverges
 report = Delta(x) <= 2.95194 * K(x,h(x)) for x >= 100, h(x) = 0.179 * (log x)^2
 """
 

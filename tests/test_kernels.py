@@ -526,6 +526,13 @@ def test_pareto_envelopes_dominate(rng):
         assert pareto_J_envelope(alpha, x, h) >= J_kernel(d, x, h) * (1.0 - 1e-9)
 
 
+def test_pareto_envelopes_are_inf_where_they_overflow():
+    # still dominators; an envelope built on them certifies nothing
+    assert pareto_K_envelope(2000.0, 10.0, 4.9) == math.inf
+    assert pareto_J_envelope(300.0, 1.5, 0.1) == math.inf
+    assert math.isfinite(pareto_J_envelope(300.0, 10.0, 0.1 * 10.0**0.3125))
+
+
 def test_pareto_K_envelope_value():
     # alpha=2, x=10, h=2: 2 * 2 * 10^2 / 8^3 = 0.78125
     assert pareto_K_envelope(2.0, 10.0, 2.0) == pytest.approx(0.78125, rel=1e-12)
