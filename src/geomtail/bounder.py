@@ -29,7 +29,6 @@ from .dist import (
     SummandDistribution,
     WeibullDist,
     _check_bandwidth,
-    _check_mode,
     discretize,
 )
 from .kernels import (
@@ -657,9 +656,9 @@ def _tolerance(x: float) -> float:
 
 def _interval_constants(delta_table: DeltaTable, g: TestFunction, lo: float, b: float):
     """The interval constant C[a, b] of c_interval for every a >= lo, as a
-    function of a, from one pass over the table points of [lo, b]: the
-    running maxima of max(0, delta + _MC_MARGIN stderr) / g from b down,
-    each a lookup away. A maximum is exact, so C[a, b] is the double that a
+    function of a, from one pass over the (upper lattice's) table points of
+    [lo, b]: the running maxima of max(0, delta + _MC_MARGIN stderr) / g
+    from b down, each a lookup away. A maximum is exact, so C[a, b] is the double that a
     pass over [a, b] alone gives. An interval reaches 1e-9 max(1, |x|)
     beyond each of its ends x; one that holds no table point, or a point
     where g is not positive, raises."""
@@ -692,10 +691,11 @@ def c_interval(delta_table: DeltaTable, g: TestFunction, a: float, b: float) -> 
     """Interval constant: max over table points x in [a, b] of
     max(0, delta(x) + 2 stderr(x)) / g(x).
 
-    The two-standard-error margin, _MC_MARGIN, makes the constant
-    conservative under a Monte Carlo table; it vanishes for the exact
-    engines. The certify core reads the constants of many a at once from one
-    pass (_interval_constants).
+    On the upper lattice's table, which certificates read, it bounds delta/g
+    at the table points, not between them. The two-standard-error margin,
+    _MC_MARGIN, makes it conservative under a Monte Carlo table; it vanishes
+    for the exact engines. The certify core reads the constants of many a at
+    once from one pass (_interval_constants).
     """
     return _interval_constants(delta_table, g, a, b)(a)
 
@@ -787,7 +787,7 @@ class BoundCertificate:
         g, coef = self.g, self.tail_coefficient
         if coef is not None:
             start, _, e = g.power_tail
-            return f"Delta(x) <= {coef:.6g} * x^-{e:.6g} for x > {max(self.B, start):g}"
+            return f"Delta(x) <= {coef:.6g} * x^-{e:.6g} for x >= {max(self.B, start):g}"
         if isinstance(g, KKernelTestFunction):
             return (f"Delta(x) <= {self.C:.6g} * K(x,h(x)) for x >= {self.B:g}, "
                     f"h(x) = {g.h.describe()}")
@@ -871,7 +871,7 @@ def _lattice_end(xmax: float, bandwidth: float) -> float:
     return math.ceil(2.0 * xmax / bandwidth - 1e-9) * bandwidth
 
 
-def _check_engine(engine, bandwidth, mc_samples, seed, mode) -> None:
+def _check_engine(engine, bandwidth, mc_samples, seed) -> None:
     """The one rule for which inputs each engine needs, and their checks in
     the table build's order; _Anchor runs them before the sweep, so they
     fail ahead of the contraction."""
@@ -883,14 +883,13 @@ def _check_engine(engine, bandwidth, mc_samples, seed, mode) -> None:
         raise ConfigError(f"missing required configuration keys: {', '.join(missing)}")
     if engine == "panjer":
         _check_bandwidth(bandwidth)  # before it sizes the lattice
-        _check_mode(mode)
     else:
         _check_mc(mc_samples, seed)
 
 
-# _tail_table's last Panjer table and its key, (p, bandwidth, n, the tails
-# F_0 .. F_n, table), or None: the one table the package keeps (see _tail_table)
-_panjer_last: tuple[float, float, int, np.ndarray, TailTable] | None = None
+# _tail_table's last Panjer table of each lattice, under discretize's name for
+# it, with its key: (p, bandwidth, n, the tails F_0 .. F_n, table)
+_panjer_last: dict[str, tuple[float, float, int, np.ndarray, TailTable]] = {}
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -902,41 +901,41 @@ def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=
                 seed=None, xs=None, mode="rounded") -> TailTable:
     """Compound tails P(S > x) at the points xs up to xmax. Panjer with xs
     None gives the tails at every lattice point up to xmax; Monte Carlo
-    needs xs.
+    needs xs. ``mode`` is discretize's: upper for certificates
+    (_build_delta_table), the run config's for the tail and delta estimates.
 
     The one path to the engines: it checks their inputs (_check_engine),
-    sizes the Panjer lattice (_lattice_end) and keeps the last Panjer table,
-    keyed on all that panjer_tail reads: p, the bandwidth, the cell count
-    n = floor(xmax / bandwidth) and the lattice tails F_0 .. F_n, compared
-    bit for bit; they fix f_1 .. f_n too, and do not depend on where the
-    lattice ends. A call with the same key reuses the table without a
+    sizes the Panjer lattice (_lattice_end) and keeps the last Panjer table
+    of each mode, keyed on all that panjer_tail reads: p, the bandwidth, the
+    cell count n = floor(xmax / bandwidth) and the lattice tails F_0 .. F_n,
+    compared bit for bit; they fix f_1 .. f_n too, and do not depend on where
+    the lattice ends. A call with the same key reuses the table without a
     recursion, so certificates that differ only in their cutoff, test
-    function or splice run one recursion between them. The entry is dropped
-    before a recursion and replaced, whole, only once panjer_tail has
-    returned: a failed call keeps nothing, and threads read a consistent
-    entry. The kept table's arrays are read-only.
+    function or splice run one recursion between them, and an estimate in
+    another mode keeps its own. The entry is dropped before a recursion and
+    replaced, whole, only once panjer_tail has returned: a failed call keeps
+    nothing, and threads read a consistent entry. Kept arrays are read-only.
 
     S is lattice-valued and non-negative, so P(S > x) is its value at the
     last lattice point at or below x, and 1 for x < 0. The lattice reaches
     at least one cell, so points all at or below 0 read it as well.
     """
-    global _panjer_last
-    _check_engine(engine, bandwidth, mc_samples, seed, mode)
+    _check_engine(engine, bandwidth, mc_samples, seed)
     if engine == "mc":
         return mc_tail(dist, params, mc_samples, seed, xs)
     xmax = max(xmax, bandwidth)
     lattice = discretize(dist, bandwidth, _lattice_end(xmax, bandwidth), mode=mode)
     n = math.floor(xmax / bandwidth + 1e-9)
     tails = lattice.tails[: n + 1]
-    last = _panjer_last
+    last = _panjer_last.get(mode)
     if last is not None and last[:3] == (params.p, bandwidth, n) and _same_bits(last[3], tails):
         table = last[4]
     else:
-        _panjer_last = None
+        _panjer_last.pop(mode, None)
         table = panjer_tail(lattice, params, xmax)
         for values in (table.xs, table.tails, table.stderrs):
             values.flags.writeable = False
-        _panjer_last = (params.p, bandwidth, n, tails.copy(), table)
+        _panjer_last[mode] = (params.p, bandwidth, n, tails.copy(), table)
     if xs is not None:
         idx = np.floor(xs / bandwidth + 1e-9).astype(int)
         tails = np.where(idx < 0, 1.0, table.tails[np.clip(idx, 0, len(table) - 1)])
@@ -945,12 +944,11 @@ def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=
 
 
 def _build_delta_table(dist, params, B, table_lo, engine="panjer", bandwidth=None,
-                       mc_samples=None, seed=None, mode="rounded",
-                       points=_MC_GRID_POINTS) -> DeltaTable:
-    """The exact-error table up to B; Monte Carlo estimates it at ``points``
-    geometric points of [table_lo, B]."""
+                       mc_samples=None, seed=None, points=_MC_GRID_POINTS) -> DeltaTable:
+    """The exact-error table up to B, on the upper lattice; Monte Carlo
+    estimates it at ``points`` geometric points of [table_lo, B]."""
     xs = np.geomspace(0.999 * table_lo, B, points) if engine == "mc" else None
-    tails = _tail_table(dist, params, B, engine, bandwidth, mc_samples, seed, xs, mode)
+    tails = _tail_table(dist, params, B, engine, bandwidth, mc_samples, seed, xs, "upper")
     return delta_from_tails(tails, dist, params)
 
 
@@ -1008,17 +1006,17 @@ class _Anchor:
     (a SplicedTestFunction holds arrays, so it keys no cache), the spliced g
     and its interval constants, which each cutoff reads at its own h(B)."""
 
-    def __init__(self, dist, params, g, B, cutoffs, engine, bandwidth, mc_samples, seed, mode,
+    def __init__(self, dist, params, g, B, cutoffs, engine, bandwidth, mc_samples, seed,
                  x_far, grid_ratio):
         self.grid = _sup_grid(B, x_far, grid_ratio)
-        _check_engine(engine, bandwidth, mc_samples, seed, mode)
+        _check_engine(engine, bandwidth, mc_samples, seed)
         # the kernels and the table divide by the severity tail at B, and the
         # table needs lattice cells below B
         if not dist.tail(B) > 0.0:
             raise ConfigError(f"severity tail vanishes at B = {B:g}: {dist!r}")
         if engine == "panjer" and not bandwidth < B:
             raise ConfigError(f"bandwidth must be below B = {B:g}, got {bandwidth:g}")
-        self.dist, self.params, self.B, self.x_far, self.mode = dist, params, B, x_far, mode
+        self.dist, self.params, self.B, self.x_far = dist, params, B, x_far
         self.table_lo = min(float(hc(B)) for hc in cutoffs)
         # the engine inputs that the certificate echoes: those its engine reads
         mc = engine == "mc"
@@ -1031,7 +1029,7 @@ class _Anchor:
         if self._table is None:
             self._table_raised = True  # until the engine returns
             self._table = _build_delta_table(self.dist, self.params, self.B, self.table_lo,
-                                             mode=self.mode, **self.inputs)
+                                             **self.inputs)
             self._table_raised = False
         return self._table
 
@@ -1094,7 +1092,6 @@ def build_bound(
     mc_samples: int | None = None,
     seed: int | None = None,
     bstar: float | None = None,
-    mode: str = "rounded",
     x_far: float = 1e8,
     grid_ratio: float = 1.02,
 ) -> BoundCertificate:
@@ -1102,14 +1099,16 @@ def build_bound(
 
     Evaluates the contraction suprema from B, then builds the exact
     relative-error table on [0, B] (or a Monte Carlo grid; first, for a
-    splice at bstar) and assembles the certificate. Raises ProcedureFailed,
-    with the smallest workable integer anchor up to _MIN_B_CAP and below
-    x_far when one exists, if delta < 1 fails at B; unspliced, that failure
-    builds no table: no Panjer recursion, no Monte Carlo sums.
+    splice at bstar) and assembles the certificate. The Panjer table is the
+    upper lattice's, bw ceil(X / bw) >= X, whose compound tail dominates S's
+    at every table point. Raises ProcedureFailed, with the smallest
+    workable integer anchor up to _MIN_B_CAP and below x_far when one
+    exists, if delta < 1 fails at B; unspliced, that failure builds no
+    table: no Panjer recursion, no Monte Carlo sums.
     """
     if not (B > h.domain_start):
         raise ConfigError(f"B must exceed the cutoff domain start {h.domain_start:g}, got {B:g}")
-    anchor = _Anchor(dist, params, g, B, [h], engine, bandwidth, mc_samples, seed, mode,
+    anchor = _Anchor(dist, params, g, B, [h], engine, bandwidth, mc_samples, seed,
                      x_far, grid_ratio)
     if bstar is not None and not isinstance(g, PowerTestFunction):
         raise ValueError("splicing requires a power test function for the tail piece")
@@ -1157,16 +1156,15 @@ def tune(
     bandwidth: float | None = None,
     mc_samples: int | None = None,
     seed: int | None = None,
-    mode: str = "rounded",
     x_far: float = 1e8,
     grid_ratio: float = 1.02,
 ) -> TuneResult:
     """Sweep cutoff scales and splice points, minimizing the bound's tail
     coefficient C * kappa (spliced) or C * coef (pure power).
 
-    The exact-error table does not depend on the cutoff or the splice, so it
-    is built once, at the first spliced or feasible candidate; an engine error
-    ends the tune. Every candidate is certified by build_bound's core
+    The exact-error table, on the upper lattice as build_bound's, does not
+    depend on the cutoff or the splice, so it is built once, at the first
+    spliced or feasible candidate; an engine error ends the tune. Every candidate is certified by build_bound's core
     (_Anchor.certify), a feasible row's C and coefficient read off its
     certificate, and what candidates share is computed once:
 
@@ -1195,7 +1193,7 @@ def tune(
     usable = [hs for hs in scales if B > hs.domain_start]
     if not usable:
         raise ConfigError(f"no candidate scale admits the horizon B = {B:g}")
-    anchor = _Anchor(dist, params, g, B, usable, engine, bandwidth, mc_samples, seed, mode,
+    anchor = _Anchor(dist, params, g, B, usable, engine, bandwidth, mc_samples, seed,
                      x_far, grid_ratio)
 
     rows: list[TuneRow] = []

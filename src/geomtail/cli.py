@@ -89,11 +89,11 @@ def _configured(cfg: RunConfig, *keys: str) -> dict:
     return {k: cfg.values[k] for k in keys if k in cfg.values}
 
 
-# the engine and its inputs, which the library checks (bounder._check_engine);
-# the discretization mode always comes from the run config
+# the engine and its inputs, which the library checks (bounder._check_engine)
 _ENGINE_KEYS = ("engine", "bandwidth", "mc_samples", "seed")
-# run controls that build_bound and tune share
-_RUN_KEYS = (*_ENGINE_KEYS, "mode", "x_far", "grid_ratio")
+# run controls that build_bound and tune share; they read no mode, as a
+# certificate's table is always the upper lattice's
+_RUN_KEYS = (*_ENGINE_KEYS, "x_far", "grid_ratio")
 
 
 def _model(cfg: RunConfig) -> tuple:
@@ -210,9 +210,9 @@ def cmd_plot_data(cfg: RunConfig, args) -> str:
     npts = cfg.get("plot.points", 200)
     if npts < 1:
         raise ConfigError(f"plot.points must be at least 1, got {npts}")
-    # the certificate does not record the discretization mode; the run config does
+    # the upper lattice's table, as the certificate's, for the splice and the curve
     table = _build_delta_table(dist, params, max(xmax, B), lo, points=max(npts, 256),
-                               **_configured(cert_cfg, *_ENGINE_KEYS), **_configured(cfg, "mode"))
+                               **_configured(cert_cfg, *_ENGINE_KEYS))
     if bstar is not None:
         g_final = build_spliced_g(table, bstar, g)
         stored = cert_kv.get("kappa_splice")

@@ -505,11 +505,6 @@ class LatticeDistribution:
         return np.arange(self.tails.size) * self.bandwidth
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("rounded", "lower", "upper"):
-        raise ValueError(f"unknown discretization mode {mode!r}")
-
-
 def discretize(
     dist: SummandDistribution,
     bandwidth: float,
@@ -538,9 +533,10 @@ def discretize(
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, n):
         raise ValueError("truncation must be a positive integer multiple of bandwidth")
-    _check_mode(mode)
-
-    top = (np.arange(n + 1) + {"rounded": 0.5, "lower": 1.0, "upper": 0.0}[mode]) * bandwidth
+    offsets = {"rounded": 0.5, "lower": 1.0, "upper": 0.0}
+    if mode not in offsets:
+        raise ValueError(f"unknown discretization mode {mode!r}")
+    top = (np.arange(n + 1) + offsets[mode]) * bandwidth
     t = np.asarray(dist.tail_ge(top) if mode == "lower" else dist.tail(top), dtype=float)
     # a tail that rises by rounding is flattened, so no mass is negative
     tails = np.minimum(t, 1.0)

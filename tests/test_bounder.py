@@ -689,19 +689,19 @@ def test_feasible_build_calls_the_engine_once_after_the_sweep(monkeypatch, engin
     events = []
     record_engine(monkeypatch, events)
     # each build starts with no Panjer table kept, so each one recurses
-    monkeypatch.setattr(bounder, "_panjer_last", None)
+    monkeypatch.setattr(bounder, "_panjer_last", {})
     build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, **engine, **COARSE)
     assert events.count("table") == 1
     assert events.index("sweep") < events.index("table")
     # a splice needs the table for its test function: it comes before the sweep
     events.clear()
-    bounder._panjer_last = None
+    bounder._panjer_last.clear()
     build_bound(PARETO, HALF, H_PARETO, G_PARETO, 100.0, bstar=21.3, **engine, **COARSE)
     assert events.count("table") == 1
     assert events[0] == "table" and "sweep" in events
     # a tune builds it once for all its candidates
     events.clear()
-    bounder._panjer_last = None
+    bounder._panjer_last.clear()
     res = tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14], [None, 21.3],
                **engine, **COARSE)
     assert all(row.feasible for row in res.rows)
@@ -717,7 +717,7 @@ def test_feasible_build_calls_the_engine_once_after_the_sweep(monkeypatch, engin
 def test_check_engine_names_exactly_the_missing_keys(engine, inputs, missing):
     controls = {"bandwidth": None, "mc_samples": None, "seed": None, **inputs}
     with pytest.raises(ConfigError) as exc:
-        bounder._check_engine(engine, mode="rounded", **controls)
+        bounder._check_engine(engine, **controls)
     assert str(exc.value) == f"missing required configuration keys: {missing}"
 
 
@@ -735,7 +735,8 @@ def test_tune_ends_at_an_engine_error(monkeypatch):
 @pytest.mark.parametrize("controls, error, message", [
     (dict(engine="panjer"), ConfigError, "missing required configuration keys: bandwidth"),
     (dict(bandwidth=-1.0), ConfigError, "bandwidth must be positive, got -1"),
-    (dict(bandwidth=0.05, mode="bogus"), ValueError, "unknown discretization mode 'bogus'"),
+    # a None engine is refused, not read as the default
+    (dict(engine=None, bandwidth=0.05), ValueError, "unknown engine None"),
     (dict(engine="mc", mc_samples=100), ConfigError, "missing required configuration keys: seed"),
     (dict(engine="mc", mc_samples=0, seed=1), ConfigError, "mc_samples must be at least 1, got 0"),
     (dict(engine="mc", mc_samples=100, seed=-1), ConfigError, "seed must be non-negative, got -1"),

@@ -526,8 +526,9 @@ def test_truncation_rounds_up_to_whole_cells(tmp_path):
     assert cert.truncation == pytest.approx(667 * 0.3)
     table = _build_delta_table(dist, params, 100.0, 4.0, "panjer", 0.3, None, None)
     assert table.xs[-1] == pytest.approx(99.9)
+    # the certificate's table is the upper lattice's, which delta reads in that mode
     cfg = write_cfg(tmp_path, BASE.replace("bandwidth = 0.05", "bandwidth = 0.3")
-                    + "xgrid = 100\n")
+                    + "mode = upper\nxgrid = 100\n")
     out = tmp_path / "delta.csv"
     assert main(["delta", "--config", cfg, "--out", str(out)]) == 0
     x, delta, _ = (float(v) for v in out.read_text().splitlines()[1].split(","))
@@ -664,21 +665,22 @@ def test_plot_data_bounds_exact_curve(tmp_path):
     assert checked >= 5
 
 
-def test_plot_data_rebuilds_with_the_configured_mode(tmp_path):
-    # the certificate does not record the discretization mode, so plot-data
-    # takes it from the run config and rebuilds the certified splice constant
+def test_plot_data_rebuilds_the_certificates_kappa_whatever_the_mode(tmp_path):
+    # the certificate is built on the upper lattice whatever the config's
+    # mode, and so is plot-data's table: a --config with any mode rebuilds
+    # the certified splice constant
     text = (BASE.replace("h.scale = 1.0", "h.scale = 1.14")
-            .replace("g.variant = power", "g.variant = spliced")
-            + "g.bstar = 21.3\nmode = lower\n")
-    cfg = write_cfg(tmp_path, text)
+            .replace("g.variant = power", "g.variant = spliced") + "g.bstar = 21.3\n")
     cert_path = tmp_path / "cert.txt"
-    assert main(["bound", "--config", cfg, "--out", str(cert_path)]) == 0
-    out = tmp_path / "plot.csv"
-    assert main(["plot-data", "--config", cfg, "--certificate", str(cert_path),
-                 "--out", str(out)]) == 0
-    header = out.read_text().splitlines()[0]
+    assert main(["bound", "--config", write_cfg(tmp_path, text), "--out", str(cert_path)]) == 0
     kappa = float(parse_kv(cert_path.read_text())["kappa_splice"])
-    assert header == f"# spliced test function rebuilt, kappa = {kappa:.12g}"
+    for mode in ("rounded", "lower", "upper"):
+        plot_cfg = write_cfg(tmp_path, text + f"mode = {mode}\n", name="plot.cfg")
+        out = tmp_path / "plot.csv"
+        assert main(["plot-data", "--config", plot_cfg, "--certificate", str(cert_path),
+                     "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == f"# spliced test function rebuilt, kappa = {kappa:.12g}", mode
 
 
 def test_plot_data_notes_a_kappa_that_drifts_from_the_certificate(tmp_path):

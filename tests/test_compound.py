@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geomtail import bounder, compound
+from geomtail import bounder, cli, compound
 from geomtail.bounder import build_bound
 from geomtail.compound import (
     TailTable,
@@ -438,7 +438,7 @@ def test_panjer_tail_recurses_on_every_call_with_writable_tails(monkeypatch):
 
 def fresh_tail_table(*args, **kwargs):
     """bounder._tail_table with no table kept, as the first call of a process."""
-    bounder._panjer_last = None
+    bounder._panjer_last.clear()
     return bounder._tail_table(*args, **kwargs)
 
 
@@ -518,6 +518,80 @@ def test_kept_table_misses_on_any_input_the_recursion_reads(monkeypatch, recursi
     assert same_table(got, fresh_tail_table(dist, params, xmax, bandwidth=0.05, mode=mode))
 
 
+def test_tail_table_refuses_an_unknown_mode():
+    # the tail and delta estimates pass the configured mode, which discretize
+    # checks before any recursion; certificates always read the upper lattice
+    with pytest.raises(ValueError, match="^unknown discretization mode 'bogus'$"):
+        fresh_tail_table(ParetoDist(2.2), GeometricParams(0.5), 100.0, bandwidth=0.05,
+                         mode="bogus")
+    assert bounder._panjer_last == {}
+
+
+# the benchmark's tune_cli inputs: criterion 2 tuned over 5 scales and 4
+# splice points, and its error estimated on xgrid in the default mode
+TUNE_DELTA_CONFIG = """\
+family = pareto
+alpha = 2.2
+p = 0.5
+engine = panjer
+bandwidth = 0.02
+grid_ratio = 1.2
+B = 100
+h.family = power
+h.scale = 1.0
+h.gamma = 0.3125
+g.variant = power
+g.exponent = 0.6875
+tune.s = 1.0, 1.14, 1.4, 1.7, 2.0
+tune.bstar = none, 15, 21.3, 27.1
+xgrid = 5, 10, 20, 35, 50, 75, 100
+"""
+
+
+def test_a_certificate_and_an_estimate_keep_a_table_each(monkeypatch, recursions, tmp_path):
+    # tune reads the upper lattice and delta the rounded one, both up to 100:
+    # one table per mode is kept, so the first round recurses once on each
+    # lattice and the second not at all, where a single kept table would
+    # have them evict each other every round
+    monkeypatch.setattr(bounder, "_panjer_last", {})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TUNE_DELTA_CONFIG)
+    for _ in range(2):
+        for command in ("tune", "delta"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert recursions == [100.0, 100.0]
+    assert sorted(bounder._panjer_last) == ["rounded", "upper"]
+
+
+def panjer_rounding(n: int) -> float:
+    """panjer_tail's stated relative bound on a table of n + 1 cells whose
+    lattice reaches past it: gamma_N for N = (n + L)(n + 3) + 1."""
+    u, chain = 2.0**-53, (n + compound._PANJER_BLOCK) * (n + 3) + 1
+    return chain * u / (1.0 - chain * u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([ParetoDist(2.2), ParetoDist(5.0), WeibullDist(0.5),
+                          PowerMixtureDist(((1.0 / 3.0, 2.0), (2.0 / 3.0, 3.0)))]),
+       p=st.floats(0.05, 0.95), bw=st.floats(0.05, 1.0), xmax=st.floats(1.0, 40.0))
+def test_upper_and_lower_lattices_bracket_the_compound_tail(d, p, bw, xmax):
+    # bw ceil(X / bw) >= X >= bw floor(X / bw) pathwise, and a coarser
+    # lattice rounds further, so at the points j bw of both lattices the
+    # compound tails are ordered upper(bw) >= upper(bw/2) >= lower(bw/2) >=
+    # lower(bw): the upper lattice's lies above P(S > x), which is why
+    # certificates read it. Each computed tail is within panjer_rounding of
+    # its exact value, relative
+    params = GeometricParams(p)
+    tables = [bounder._tail_table(d, params, xmax, bandwidth=width, mode=mode).tails
+              for mode, width in (("upper", bw), ("upper", bw / 2), ("lower", bw / 2),
+                                  ("lower", bw))]
+    points = tables[0].size
+    shared = [t[:: round(bw / w)][:points] for t, w in zip(tables, (bw, bw / 2, bw / 2, bw))]
+    slack = [panjer_rounding(t.size - 1) for t in tables]
+    for hi, lo, g_hi, g_lo in zip(shared, shared[1:], slack, slack[1:]):
+        assert np.all(hi / (1.0 - g_hi) >= lo / (1.0 + g_lo))
+
+
 def _lattice(masses, truncated_mass=0.0):
     return lattice_from_masses(1.0, masses, truncated_mass)
 
@@ -529,8 +603,8 @@ def _lattice(masses, truncated_mass=0.0):
     (_lattice([1.0, 0.0]), 1e-17, "denominator vanishes"),
 ], ids=["truncated", "q f0 >= 1"])
 def test_a_failed_call_keeps_nothing(monkeypatch, recursions, lattice, p, message):
-    # the kept table is dropped before panjer_tail runs, so a call that
-    # fails leaves nothing kept
+    # the mode's kept table is dropped before panjer_tail runs, so a call
+    # that fails leaves nothing kept
     good, params = _lattice([0.0, 0.5, 0.5]), GeometricParams(0.5)
     serve(monkeypatch, good)
     want = fresh_tail_table(None, params, 20.0, bandwidth=1.0)
@@ -538,10 +612,10 @@ def test_a_failed_call_keeps_nothing(monkeypatch, recursions, lattice, p, messag
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             bounder._tail_table(None, GeometricParams(p), 20.0, bandwidth=1.0)
-        assert bounder._panjer_last is None
+        assert bounder._panjer_last == {}
     serve(monkeypatch, good)
     assert same_table(bounder._tail_table(None, params, 20.0, bandwidth=1.0), want)
-    assert bounder._panjer_last is not None
+    assert list(bounder._panjer_last) == ["rounded"]
     assert len(recursions) == 4
 
 
@@ -554,13 +628,13 @@ def test_criterion_2_certificates_do_not_depend_on_the_kept_table(recursions):
                            100.0, engine="panjer", bandwidth=0.02, bstar=bstar,
                            grid_ratio=1.2).to_text()
 
-    bounder._panjer_last = None
+    bounder._panjer_last.clear()
     configs = [(1.0, None), (1.7, None), (1.14, 21.3)]
     warm = [certify(*config) for config in configs]
     assert len(recursions) == 1
     cold = []
     for config in configs:
-        bounder._panjer_last = None
+        bounder._panjer_last.clear()
         cold.append(certify(*config))
     assert len(recursions) == 4
     assert warm == cold

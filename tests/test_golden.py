@@ -42,13 +42,13 @@ B = 100
 b = 100
 delta_b = 0.785556796676
 phi = 1.87267007011
-c_hb_b = 14.2233674643
-C = 13.0459330533
+c_hb_b = 14.8215981535
+C = 13.5158772372
 valid_from = 100
-tail_coefficient = 13.0459330533
+tail_coefficient = 13.5158772372
 delta_tail_certified = true
 phi_tail_certified = true
-report = Delta(x) <= 13.0459 * x^-0.6875 for x > 100
+report = Delta(x) <= 13.5159 * x^-0.6875 for x >= 100
 """
 
 SPLICED_CONFIG = """\
@@ -84,16 +84,16 @@ g.coef = 1
 g.exponent = 0.6875
 B = 100
 b = 100
-delta_b = 0.751412792012
-phi = 0.263121385476
+delta_b = 0.749133698485
+phi = 0.241930564059
 c_hb_b = 1
-C = 1.05846711746
+C = 0.991064262544
 valid_from = 100
-kappa_splice = 8.08532625641
-tail_coefficient = 8.55805197632
+kappa_splice = 8.79352410425
+tail_coefficient = 8.71494748154
 delta_tail_certified = true
 phi_tail_certified = true
-report = Delta(x) <= 8.55805 * x^-0.6875 for x > 100
+report = Delta(x) <= 8.71495 * x^-0.6875 for x >= 100
 """
 
 KKERNEL_CONFIG = """\
@@ -125,7 +125,7 @@ B = 100
 b = 100
 delta_b = 0.601057223183
 phi = 1.17765519214
-c_hb_b = 2.66927320023
+c_hb_b = 2.73472051801
 C = 2.9519401292
 valid_from = 100
 delta_tail_certified = false
@@ -155,15 +155,15 @@ tune.bstar = none, 21.3
 TUNE_OUTPUT = """\
 # best scale = 1.14
 # best bstar = 21.3
-# coefficient = 8.52081308451
-# C = 1.01131591668
+# coefficient = 8.71494748154
+# C = 0.991064262544
 scale,bstar,feasible,C,coefficient,note
-1,none,1,13.0459330533,13.0459330533,
-1,21.3,1,1.05444249945,8.88417486368,
-1.14,none,1,12.5272249128,12.5272249128,
-1.14,21.3,1,1.01131591668,8.52081308451,
-1.7,none,1,12.8195605207,12.8195605207,
-1.7,21.3,1,1.29153020618,10.8817504979,
+1,none,1,13.5158772372,13.5158772372,
+1,21.3,1,1.00301627735,8.82004781185,
+1.14,none,1,12.9646375812,12.9646375812,
+1.14,21.3,1,0.991064262544,8.71494748154,
+1.7,none,1,13.2231809688,13.2231809688,
+1.7,21.3,1,1.23508826552,10.8607784338,
 """
 
 # criterion 2 at its acceptance bandwidth with a small cutoff scale: at 0.3
@@ -188,13 +188,13 @@ tune.bstar = none, 21.3
 TUNE_SMALL_SCALE_OUTPUT = """\
 # best scale = 1
 # best bstar = 21.3
-# coefficient = 8.90525777702
-# C = 1.04969587112
+# coefficient = 8.89896627122
+# C = 1.04455983474
 scale,bstar,feasible,C,coefficient,note
 0.3,none,0,,,delta = 6.711 >= 1
-0.3,21.3,0,,,delta = 3.171 >= 1
-1,none,1,13.138050355,13.138050355,
-1,21.3,1,1.04969587112,8.90525777702,
+0.3,21.3,0,,,delta = 3.17 >= 1
+1,none,1,13.1838496072,13.1838496072,
+1,21.3,1,1.04455983474,8.89896627122,
 """
 
 # criterion 5 of the acceptance suite at 2e5 sums and a coarser sweep: pins
@@ -240,7 +240,7 @@ tail_coefficient = 13.1860853868
 delta_tail_certified = true
 phi_tail_certified = true
 caveats = interval constant from a Monte Carlo table with a two-standard-error margin
-report = Delta(x) <= 13.1861 * x^-0.666667 for x > 80
+report = Delta(x) <= 13.1861 * x^-0.666667 for x >= 80
 """
 
 # criteria 3 (pure) and 6 (unscaled) fail at the benchmark's resolution
@@ -298,6 +298,20 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_is_byte_identical(tmp_path, name):
     command, config, expected = CASES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("mode", [None, "rounded", "lower", "upper"])
+@pytest.mark.parametrize("name", ["spliced", "tune"])
+def test_mode_does_not_move_a_certificate(tmp_path, name, mode):
+    # certificates read the upper lattice whatever the config's mode, which
+    # sets only the tail and delta estimates
+    command, config, expected = CASES[name]
+    config = config.replace("mode = lower\n", "") + ("" if mode is None else f"mode = {mode}\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     out = tmp_path / "out.txt"
