@@ -767,11 +767,6 @@ class BoundCertificate:
     valid_from = b
 
     @property
-    def truncation(self) -> float | None:
-        """The end of the Panjer severity lattice, None for Monte Carlo."""
-        return None if self.bandwidth is None else _lattice_end(self.B, self.bandwidth)
-
-    @property
     def kappa_splice(self) -> float | None:
         """The splice constant of a spliced test function, else None."""
         return self.g.kappa_splice if isinstance(self.g, SplicedTestFunction) else None
@@ -818,7 +813,6 @@ class BoundCertificate:
         put("p", self.params.p)
         put("engine", self.engine)
         put("bandwidth", self.bandwidth)
-        put("truncation", self.truncation)
         put("mc_samples", self.mc_samples)
         put("seed", self.seed)
         put("h.family", self.h.family)
@@ -865,12 +859,6 @@ _MIN_B_CAP = 10_000
 _MIN_B_SPAN = 1024
 
 
-def _lattice_end(xmax: float, bandwidth: float) -> float:
-    """Where the severity lattice for tails up to xmax ends: 2 * xmax,
-    rounded up to whole cells."""
-    return math.ceil(2.0 * xmax / bandwidth - 1e-9) * bandwidth
-
-
 def _check_engine(engine, bandwidth, mc_samples, seed) -> None:
     """The one rule for which inputs each engine needs, and their checks in
     the table build's order; _Anchor runs them before the sweep, so they
@@ -885,6 +873,32 @@ def _check_engine(engine, bandwidth, mc_samples, seed) -> None:
         _check_bandwidth(bandwidth)  # before it sizes the lattice
     else:
         _check_mc(mc_samples, seed)
+
+
+def _check_g_at_table_lo(g: TestFunction, table_lo: float, B: float, h: CutoffFunction) -> None:
+    """g must be defined and positive at table_lo = h(B), where the error
+    table that the interval constants divide by g starts; _Anchor checks it
+    before the sweep, and _interval_constants still checks every table
+    point. A power g is positive at every x > 0. g = K(x, h(x)) =
+    tail(x - h(x)) / tail(x) - 1 is defined where 0 < h(x) < x and, for the
+    shipped severities, positive there exactly where tail(x) < 1, an up-set,
+    so one point decides; it is read off h and the severity tail, with no
+    kernel call."""
+    if not isinstance(g, KKernelTestFunction):
+        return
+    try:
+        r = float(g.h(table_lo))
+    except ValueError as exc:
+        what = f"undefined ({exc})"
+    else:
+        if not 0.0 < r < table_lo:
+            what = f"undefined (h = {r:g} outside (0, x))"
+        elif not g.dist.tail(table_lo) < 1.0:
+            what = "0, not positive"
+        else:
+            return
+    raise ConfigError(f"test function at h(B) = {table_lo:g}, where the error table starts, "
+                      f"is {what}; raise B = {B:g} or h.scale = {h.scale:g}")
 
 
 # _tail_table's last Panjer table of each lattice, under discretize's name for
@@ -902,19 +916,22 @@ def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=
     """Compound tails P(S > x) at the points xs up to xmax. Panjer with xs
     None gives the tails at every lattice point up to xmax; Monte Carlo
     needs xs. ``mode`` is discretize's: upper for certificates
-    (_build_delta_table), the run config's for the tail and delta estimates.
+    (_build_delta_table); the tail and delta estimates read rounded, the
+    midpoint rule, and bracket it by lower and upper, as floor <= round <=
+    ceil of X / bandwidth pathwise.
 
     The one path to the engines: it checks their inputs (_check_engine),
-    sizes the Panjer lattice (_lattice_end) and keeps the last Panjer table
-    of each mode, keyed on all that panjer_tail reads: p, the bandwidth, the
-    cell count n = floor(xmax / bandwidth) and the lattice tails F_0 .. F_n,
-    compared bit for bit; they fix f_1 .. f_n too, and do not depend on where
-    the lattice ends. A call with the same key reuses the table without a
-    recursion, so certificates that differ only in their cutoff, test
-    function or splice run one recursion between them, and an estimate in
-    another mode keeps its own. The entry is dropped before a recursion and
-    replaced, whole, only once panjer_tail has returned: a failed call keeps
-    nothing, and threads read a consistent entry. Kept arrays are read-only.
+    sizes the Panjer lattice and keeps the last Panjer table of each mode.
+    The lattice ends at xmax rounded up to whole cells: panjer_tail reads
+    the lattice tails F_0 .. F_n alone, for n = floor(xmax / bandwidth),
+    and they fix f_1 .. f_n too. The kept table is keyed on all of that: p,
+    the bandwidth, n and F_0 .. F_n, compared bit for bit. A call with the
+    same key reuses the table without a recursion, so certificates that
+    differ only in their cutoff, test function or splice run one recursion
+    between them, and the estimates keep a table per lattice. The entry is
+    dropped before a recursion and replaced, whole, only once panjer_tail
+    has returned: a failed call keeps nothing, and threads read a
+    consistent entry. Kept arrays are read-only.
 
     S is lattice-valued and non-negative, so P(S > x) is its value at the
     last lattice point at or below x, and 1 for x < 0. The lattice reaches
@@ -924,7 +941,8 @@ def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=
     if engine == "mc":
         return mc_tail(dist, params, mc_samples, seed, xs)
     xmax = max(xmax, bandwidth)
-    lattice = discretize(dist, bandwidth, _lattice_end(xmax, bandwidth), mode=mode)
+    end = math.ceil(xmax / bandwidth - 1e-9) * bandwidth
+    lattice = discretize(dist, bandwidth, end, mode=mode)
     n = math.floor(xmax / bandwidth + 1e-9)
     tails = lattice.tails[: n + 1]
     last = _panjer_last.get(mode)
@@ -1017,7 +1035,9 @@ class _Anchor:
         if engine == "panjer" and not bandwidth < B:
             raise ConfigError(f"bandwidth must be below B = {B:g}, got {bandwidth:g}")
         self.dist, self.params, self.B, self.x_far = dist, params, B, x_far
-        self.table_lo = min(float(hc(B)) for hc in cutoffs)
+        low = min(cutoffs, key=lambda hc: float(hc(B)))
+        self.table_lo = float(low(B))
+        _check_g_at_table_lo(g, self.table_lo, B, low)
         # the engine inputs that the certificate echoes: those its engine reads
         mc = engine == "mc"
         self.inputs = dict(engine=engine, bandwidth=None if mc else bandwidth,

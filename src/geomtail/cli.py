@@ -9,6 +9,12 @@ Six subcommands share one flat key=value configuration file:
 * ``tune``      sweep cutoff scales and splice points
 * ``plot-data`` exact error versus certified bound, ready for plotting
 
+On engine panjer, ``tail`` and ``delta`` print the rounded lattice's
+estimate (the midpoint rule) and, as ``lo`` and ``hi``, those of the lower
+and upper lattices, which bracket it; certificates and ``plot-data`` read
+the upper lattice. Each lattice ends at the largest point read, rounded up
+to whole cells. On engine mc the ``lo`` and ``hi`` cells are empty.
+
 Exit codes: 0 success, 2 contraction failure (delta >= 1), 3 configuration
 error, 4 engine error.
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
@@ -91,8 +98,8 @@ def _configured(cfg: RunConfig, *keys: str) -> dict:
 
 # the engine and its inputs, which the library checks (bounder._check_engine)
 _ENGINE_KEYS = ("engine", "bandwidth", "mc_samples", "seed")
-# run controls that build_bound and tune share; they read no mode, as a
-# certificate's table is always the upper lattice's
+# run controls that build_bound and tune share; a certificate's table is
+# always the upper lattice's, so no key picks a lattice
 _RUN_KEYS = (*_ENGINE_KEYS, "x_far", "grid_ratio")
 
 
@@ -103,14 +110,29 @@ def _model(cfg: RunConfig) -> tuple:
     return (dist, params, h, *build_g(cfg, dist, h))
 
 
-def _tail_table_on_grid(cfg: RunConfig):
-    """P(S > x) on the config's xgrid, with the severity and count used."""
+def _tail_tables_on_grid(cfg: RunConfig):
+    """P(S > x) on the config's xgrid, with the severity and count used: on
+    Panjer the tables of the rounded lattice (the midpoint rule) and of the
+    lower and upper lattices that bracket it, as floor <= round <= ceil of
+    X / bandwidth pathwise; on Monte Carlo its one table."""
     dist = build_dist(cfg)
     params = build_params(cfg)
     xs = _grid_from_config(cfg)
-    table = _tail_table(dist, params, float(np.max(xs)), xs=xs,
-                        **_configured(cfg, *_ENGINE_KEYS, "mode"))
-    return table, dist, params
+    xmax, engine = float(np.max(xs)), _configured(cfg, *_ENGINE_KEYS)
+    tables = [_tail_table(dist, params, xmax, xs=xs, **engine)]
+    if tables[0].engine == "panjer":
+        tables += [_tail_table(dist, params, xmax, xs=xs, mode=mode, **engine)
+                   for mode in ("lower", "upper")]
+    return tables, dist, params
+
+
+def _csv(header: str, rows, tables: list, column: str) -> str:
+    """The CSV of the rows of the first table, each followed by its lo and
+    hi cells: the column of the other two tables, empty with none."""
+    brackets = (zip(*(getattr(t, column).tolist() for t in tables[1:])) if tables[1:]
+                else itertools.repeat((None, None)))
+    lines = [header] + [_fmt(*row, *bracket) for row, bracket in zip(rows, brackets)]
+    return "\n".join(lines) + "\n"
 
 
 def _grid_from_config(cfg: RunConfig) -> np.ndarray:
@@ -121,19 +143,18 @@ def _grid_from_config(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_tail(cfg: RunConfig, args) -> str:
-    table, _, _ = _tail_table_on_grid(cfg)
-    lines = ["x,tail,stderr,engine"]
-    for x, t, s in zip(table.xs, table.tails, table.stderrs):
-        lines.append(_fmt(float(x), float(t), float(s)) + f",{table.engine}")
-    return "\n".join(lines) + "\n"
+    tables, _, _ = _tail_tables_on_grid(cfg)
+    t = tables[0]
+    rows = zip(t.xs.tolist(), t.tails.tolist(), t.stderrs.tolist(), itertools.repeat(t.engine))
+    return _csv("x,tail,stderr,engine,lo,hi", rows, tables, "tails")
 
 
 def cmd_delta(cfg: RunConfig, args) -> str:
-    table = delta_from_tails(*_tail_table_on_grid(cfg))
-    lines = ["x,delta,delta_stderr"]
-    for x, d, s in zip(table.xs, table.delta, table.delta_stderr):
-        lines.append(_fmt(float(x), float(d), float(s)))
-    return "\n".join(lines) + "\n"
+    tables, dist, params = _tail_tables_on_grid(cfg)
+    tables = [delta_from_tails(t, dist, params) for t in tables]
+    t = tables[0]
+    rows = zip(t.xs.tolist(), t.delta.tolist(), t.delta_stderr.tolist())
+    return _csv("x,delta,delta_stderr,lo,hi", rows, tables, "delta")
 
 
 def cmd_kernels(cfg: RunConfig, args) -> str:
@@ -292,7 +313,7 @@ def main(argv=None) -> int:
         print(f"bound construction failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, MemoryError) as exc:
-        # MemoryError: a lattice (2 * max(xgrid) / bandwidth cells) too large to allocate
+        # MemoryError: a lattice (max(xgrid) / bandwidth cells) too large to allocate
         print(f"engine error: {exc}", file=sys.stderr)
         return 4
 

@@ -51,7 +51,6 @@ _STR_KEYS = {
     "engine": ("panjer", "mc"),
     "h.family": ("power", "logpower"),
     "g.variant": ("power", "kkernel", "spliced"),
-    "mode": ("rounded", "lower", "upper"),
 }
 _FLOAT_KEYS = (
     "alpha", "beta", "p", "bandwidth", "B",

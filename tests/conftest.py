@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from geomtail import compound
 from geomtail.dist import LatticeDistribution, ParetoDist, SummandDistribution
 
 # HYPOTHESIS_PROFILE=ci prints the reproduction blob of a failing property
@@ -53,6 +54,13 @@ def lattice_from_masses(bandwidth, masses, truncated_mass=0.0):
     tails = np.where(tails <= 1.0 + 1e-12, np.minimum(tails, 1.0), tails)
     return LatticeDistribution(bandwidth=bandwidth, tails=tails,
                                truncation_point=bandwidth * (masses.size - 1))
+
+
+def panjer_rounding(n: int) -> float:
+    """panjer_tail's stated relative bound on a table of n + 1 cells whose
+    lattice reaches past it: gamma_N for N = (n + L)(n + 3) + 1."""
+    u, chain = 2.0**-53, (n + compound._PANJER_BLOCK) * (n + 3) + 1
+    return chain * u / (1.0 - chain * u)
 
 
 def random_lattice(rng, max_atoms=25):

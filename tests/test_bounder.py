@@ -439,6 +439,30 @@ def test_interval_constants_check_each_interval_on_its_own():
     assert constant(2.5) == interval_by_pass(table, G_PARETO, 2.5, 8.0) == 0.75 / G_PARETO(4.0)
 
 
+@pytest.mark.parametrize("dist", [ParetoDist(2.2), ParetoDist(6.39), WeibullDist(0.5),
+                                  WeibullDist(0.9031),
+                                  PowerMixtureDist(((1.0 / 3.0, 2.0), (2.0 / 3.0, 3.0)))])
+@pytest.mark.parametrize("h", [CutoffFunction.power(0.2583, 0.051),
+                               CutoffFunction.power(1.0, 1.0 / 3.2),
+                               CutoffFunction.logpower(0.1344, 0.7149),
+                               CutoffFunction.logpower(0.179, 2.0)])
+def test_anchor_refuses_a_kkernel_g_exactly_where_it_is_not_positive(dist, h):
+    # the anchor decides g = K(x, h(x)) at h(B) from h and the severity tail,
+    # with no kernel call: it refuses exactly where K raises or is not positive
+    g = KKernelTestFunction(dist, h)
+    for x in np.geomspace(0.05, 50.0, 160).tolist():
+        try:
+            positive = g.evaluate(np.array([x]))[0] > 0.0
+        except ValueError:
+            positive = False
+        try:
+            bounder._check_g_at_table_lo(g, x, 100.0, h)
+        except ConfigError:
+            assert not positive, x
+        else:
+            assert positive, x
+
+
 # ---------------------------------------------------------------- build_bound
 
 def test_certificate_fields_and_invariant():

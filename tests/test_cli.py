@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geomtail
 from geomtail import bounder, cli, config
 from geomtail.bounder import _build_delta_table, build_bound, tune
 from geomtail.cli import main
-from geomtail.compound import DeltaTable, mc_tail, panjer_tail
+from geomtail.compound import DeltaTable, delta_from_tails, mc_tail, panjer_tail
 from geomtail.config import RunConfig, parse_kv
 from geomtail.dist import (
     ConfigError,
@@ -31,7 +33,7 @@ from geomtail.kernels import (
     PowerTestFunction,
     build_spliced_g,
 )
-from conftest import HoledPareto
+from conftest import HoledPareto, panjer_rounding
 
 BASE = """\
 family = pareto
@@ -87,10 +89,12 @@ def test_unknown_key_exits_3(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["truncation = 300", "mc_grid_points = 512", "min_b_cap = 150"])
+@pytest.mark.parametrize("line", ["truncation = 300", "mc_grid_points = 512", "min_b_cap = 150",
+                                  "mode = lower"])
 def test_derived_sizes_are_not_configuration_keys(tmp_path, capsys, line):
     # the lattice end, the Monte Carlo grid size and the min-b search cap are
-    # worked out or fixed, not set
+    # worked out or fixed, not set; nor is the lattice, as tail and delta
+    # print all three and certificates read the upper one
     cfg = write_cfg(tmp_path, BASE + line + "\n")
     assert main(["bound", "--config", cfg]) == 3
     key = line.split(" ")[0]
@@ -183,9 +187,6 @@ INFEASIBLE = BASE.replace("p = 0.5", "p = 0.2")
                  "seed must be non-negative, got -1", id="seed = -1"),
     pytest.param("bandwidth = 0.05\n", "", "missing required configuration keys: bandwidth",
                  id="no bandwidth"),
-    pytest.param("engine = panjer", "engine = panjer\nmode = bogus",
-                 "mode: expected one of ('rounded', 'lower', 'upper'), got 'bogus'",
-                 id="mode = bogus"),
 ])
 @pytest.mark.parametrize("command", ["bound", "tune"])
 def test_input_errors_come_before_a_failed_contraction(tmp_path, capsys, old, new, message,
@@ -216,6 +217,32 @@ def test_huge_finite_inputs_exit_3_naming_the_key(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err == f"configuration error: {message}\n"
     assert key in err and "Traceback" not in err
+
+
+# a K-kernel g that the error table, which starts at h(B), reads outside its
+# domain or where it is 0: g = K(x, h(x)) is positive exactly where the
+# severity tail is below one, an up-set, so g at h(B) alone decides
+@pytest.mark.parametrize("text, message", [
+    pytest.param("family = weibull\nbeta = 0.9031\nbandwidth = 0.05\nB = 30.58\n"
+                 "h.family = logpower\nh.scale = 0.1344\nh.kappa = 0.7149\n",
+                 "test function at h(B) = 0.323747, where the error table starts, is undefined "
+                 "(log-power cutoff is defined for x > 1 only); raise B = 30.58 or "
+                 "h.scale = 0.1344", id="weibull below the cutoff's domain"),
+    pytest.param("family = pareto\nalpha = 6.39\nbandwidth = 0.5\nB = 1536\n"
+                 "h.family = power\nh.scale = 0.2583\nh.gamma = 0.051\n",
+                 "test function at h(B) = 0.375518, where the error table starts, is 0, not "
+                 "positive; raise B = 1536 or h.scale = 0.2583", id="pareto where the tail is 1"),
+])
+def test_a_kkernel_g_undefined_at_h_of_b_exits_3_before_the_sweep(tmp_path, capsys, monkeypatch,
+                                                                   text, message):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(bounder, "_KernelSweep", no_sweep)
+    monkeypatch.setattr(bounder, "discretize", refuse)
+    cfg = write_cfg(tmp_path, text + "p = 0.5\nengine = panjer\ng.variant = kkernel\n")
+    assert main(["bound", "--config", cfg]) == 3
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_tune_with_every_candidate_infeasible_fails_as_bound(tmp_path, capsys, monkeypatch):
@@ -389,13 +416,13 @@ def refuse(dist, bandwidth, truncation, mode="rounded"):
 
 @pytest.mark.parametrize("command", ["tail", "delta"])
 def test_unallocatable_lattice_exits_4(tmp_path, capsys, monkeypatch, command):
-    # an xgrid up to 1e8 at bandwidth 0.05 sizes a lattice of 4e9 cells; numpy
+    # an xgrid up to 1e8 at bandwidth 0.05 sizes a lattice of 2e9 cells; numpy
     # raises MemoryError for it, stood in for here so nothing large is allocated
     monkeypatch.setattr(bounder, "discretize", refuse)
     cfg = write_cfg(tmp_path, BASE + "xgrid = 10, 1e8\n")
     assert main([command, "--config", cfg]) == 4
     err = capsys.readouterr().err
-    assert err == "engine error: Unable to allocate 29.8 GiB for an array\n"
+    assert err == "engine error: Unable to allocate 14.9 GiB for an array\n"
 
 
 @pytest.mark.parametrize("command", ["bound", "tune"])
@@ -435,8 +462,8 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags, out", [
-    pytest.param([], "x,tail,stderr,engine\n5,", id="stdout"),
-    pytest.param(["--engine", "mc"], ",mc\n", id="engine override"),
+    pytest.param([], "x,tail,stderr,engine,lo,hi\n5,", id="stdout"),
+    pytest.param(["--engine", "mc"], ",mc,,\n", id="engine override"),
 ])
 def test_tail_command_writes_stdout_with_the_flagged_engine(tmp_path, capsys, flags, out):
     cfg = write_cfg(tmp_path, BASE + "xgrid = 5\nmc_samples = 1000\nseed = 1\n")
@@ -463,7 +490,7 @@ def test_tail_command_matches_engine(tmp_path):
     out = tmp_path / "tail.csv"
     assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x,tail,stderr,engine"
+    assert lines[0] == "x,tail,stderr,engine,lo,hi"
     rows = [ln.split(",") for ln in lines[1:]]
     assert [float(r[0]) for r in rows] == [5.0, 10.0, 20.0]
     lat = discretize(ParetoDist(2.2), 0.05, 40.0)
@@ -499,12 +526,12 @@ def test_tables_at_or_below_zero_agree_across_engines(tmp_path, command, xgrid):
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
         outs.append(out.read_text())
     xs = xgrid.split(", ")
+    rows = [out.splitlines()[1:] for out in outs]
+    # Monte Carlo leaves the lo and hi cells of the lattice brackets empty
     if command == "tail":
-        assert outs[0].splitlines()[1:] == [f"{x},1,0,panjer" for x in xs]
-        assert outs[1] == outs[0].replace("panjer", "mc")
+        assert rows == [[f"{x},1,0,panjer,1,1" for x in xs], [f"{x},1,0,mc,," for x in xs]]
     else:
-        assert outs[0].splitlines()[1:] == [f"{x},-0.5,0" for x in xs]
-        assert outs[1] == outs[0]
+        assert rows == [[f"{x},-0.5,0,-0.5,-0.5" for x in xs], [f"{x},-0.5,0,," for x in xs]]
 
 
 def test_delta_command_output(tmp_path):
@@ -512,32 +539,116 @@ def test_delta_command_output(tmp_path):
     out = tmp_path / "delta.csv"
     assert main(["delta", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "x,delta,delta_stderr"
+    assert lines[0] == "x,delta,delta_stderr,lo,hi"
     vals = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert all(v > 0.0 for v in vals)  # approximation underestimates here
 
 
+BRACKET_SEVERITIES = {
+    "pareto 2.2": "family = pareto\nalpha = 2.2\n",
+    "pareto 5": "family = pareto\nalpha = 5\n",
+    "weibull 0.5": "family = weibull\nbeta = 0.5\n",
+    # criterion 5's
+    "mixture": f"family = mixture\nterms = [({1 / 3!r}, 2), ({2 / 3!r}, 3)]\n",
+}
+
+
+def _bracketed(lo: float, value: float, hi: float, gamma: float, shift: float) -> bool:
+    """lo <= value <= hi for three printed CSV cells, up to their rounding:
+    the positive quantities they print, each cell plus shift (a tail, or
+    1 + delta), are each within the relative gamma of their exact values,
+    and 12 significant digits move a cell by at most 5e-12 of it."""
+    def at_most(a, b):
+        return ((a + shift) * (1.0 - gamma)
+                <= (b + shift) * (1.0 + gamma) + 1e-11 * (abs(a) + abs(b)) + 1e-15)
+
+    return at_most(lo, value) and at_most(value, hi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(severity=st.sampled_from(sorted(BRACKET_SEVERITIES)), p=st.floats(0.05, 0.95),
+       bw=st.floats(0.05, 1.0), engine=st.sampled_from(["panjer", "mc"]),
+       xgrid=st.lists(st.floats(-3.0, 30.0), min_size=1, max_size=5, unique=True).map(sorted))
+def test_tail_and_delta_print_the_rounded_estimate_inside_its_brackets(tmp_path_factory, severity,
+                                                                      p, bw, engine, xgrid):
+    # floor <= round <= ceil of X / bw pathwise, so the lower and upper
+    # lattices' compound tails bracket the rounded one's at every x, off the
+    # lattice and at or below 0 too; the bracket is printed beside the
+    # estimate, which is the library's rounded table to the last digit
+    tmp_path = tmp_path_factory.mktemp("brackets")
+    engine_keys = (f"bandwidth = {bw!r}\n" if engine == "panjer"
+                   else "mc_samples = 200\nseed = 7\n")
+    text = (BRACKET_SEVERITIES[severity] + f"p = {p!r}\nengine = {engine}\n" + engine_keys
+            + "xgrid = " + ", ".join(repr(x) for x in xgrid) + "\n")
+    cfg = write_cfg(tmp_path, text)
+    rows = {}
+    for command in ("tail", "delta"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        rows[command] = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    cfg_values = RunConfig.from_text(text)
+    dist, params, xs = config.build_dist(cfg_values), GeometricParams(p), np.array(xgrid)
+    if engine == "mc":
+        assert all(row[-2:] == ["", ""] for rows_ in rows.values() for row in rows_)
+        return
+    ref = bounder._tail_table(dist, params, float(xs.max()), bandwidth=bw, xs=xs,
+                              mode="rounded")
+    ref_delta = delta_from_tails(ref, dist, params)
+    assert [row[1] for row in rows["tail"]] == [f"{v:.12g}" for v in ref.tails.tolist()]
+    assert [row[1] for row in rows["delta"]] == [f"{v:.12g}" for v in ref_delta.delta.tolist()]
+    gamma = panjer_rounding(math.floor(max(xs.max(), bw) / bw + 1e-9))
+    for row in rows["tail"]:
+        assert _bracketed(float(row[4]), float(row[1]), float(row[5]), gamma, 0.0), row
+    for row in rows["delta"]:
+        assert _bracketed(float(row[3]), float(row[1]), float(row[4]), gamma, 1.0), row
+
+
 def test_truncation_rounds_up_to_whole_cells(tmp_path):
-    """The lattice ends at 2 B rounded up to the next whole cell, and the
+    """The lattice ends at B rounded up to the next whole cell, and the
     library and the CLI read P(S > x) off it alike."""
     dist, params = ParetoDist(2.2), GeometricParams(0.5)
-    cert = build_bound(dist, params, CutoffFunction.power(1, 1 / 3.2),
-                       PowerTestFunction(1, 0.6875), 100.0, bandwidth=0.3)
-    assert cert.truncation == pytest.approx(667 * 0.3)
+    build_bound(dist, params, CutoffFunction.power(1, 1 / 3.2), PowerTestFunction(1, 0.6875),
+                100.0, bandwidth=0.3)
     table = _build_delta_table(dist, params, 100.0, 4.0, "panjer", 0.3, None, None)
     assert table.xs[-1] == pytest.approx(99.9)
-    # the certificate's table is the upper lattice's, which delta reads in that mode
+    # the certificate's table is the upper lattice's, which delta's hi column reads
     cfg = write_cfg(tmp_path, BASE.replace("bandwidth = 0.05", "bandwidth = 0.3")
-                    + "mode = upper\nxgrid = 100\n")
+                    + "xgrid = 100\n")
     out = tmp_path / "delta.csv"
     assert main(["delta", "--config", cfg, "--out", str(out)]) == 0
-    x, delta, _ = (float(v) for v in out.read_text().splitlines()[1].split(","))
+    x, _, _, _, delta = (float(v) for v in out.read_text().splitlines()[1].split(","))
     assert x == 100.0
     # S lives on the lattice, so P(S > 100) = P(S > 99.9): the CLI's delta at
     # 100 and the table's at 99.9 rescale the same compound tail
     compound_tail = (1.0 + delta) * dist.tail(100.0) / params.p
     assert compound_tail == pytest.approx(
         (1.0 + table.delta[-1]) * dist.tail(table.xs[-1]) / params.p, rel=1e-12)
+
+
+# the largest point each command reads P(S > x) at: B, the last xgrid point,
+# or plot.xmax beyond B; none of them on the 0.3 lattice
+@pytest.mark.parametrize("command, xmax", [
+    ("bound", 100.0), ("tune", 100.0), ("tail", 33.31), ("delta", 33.31), ("plot-data", 120.1),
+])
+def test_the_lattice_ends_at_xmax_rounded_up_to_whole_cells(tmp_path, monkeypatch, command,
+                                                            xmax):
+    text = (BASE.replace("bandwidth = 0.05", "bandwidth = 0.3") + TUNE
+            + "\nxgrid = 5, 33.31\nplot.xmax = 120.1\n")
+    cfg = write_cfg(tmp_path, text)
+    cert = tmp_path / "cert.txt"
+    assert main(["bound", "--config", cfg, "--out", str(cert)]) == 0
+    ends, real = [], bounder.discretize
+
+    def recording(dist, bandwidth, truncation, mode="rounded"):
+        ends.append(truncation)
+        return real(dist, bandwidth, truncation, mode)
+
+    monkeypatch.setattr(bounder, "discretize", recording)
+    extra = ["--certificate", str(cert)] if command == "plot-data" else []
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 0
+    want = math.ceil(xmax / 0.3 - 1e-9) * 0.3
+    assert ends and set(ends) == {want}
+    assert len(ends) == (3 if command in ("tail", "delta") else 1)
 
 
 def test_mc_tail_respects_seed_flag(tmp_path):
@@ -666,21 +777,19 @@ def test_plot_data_bounds_exact_curve(tmp_path):
 
 
 def test_plot_data_rebuilds_the_certificates_kappa_whatever_the_mode(tmp_path):
-    # the certificate is built on the upper lattice whatever the config's
-    # mode, and so is plot-data's table: a --config with any mode rebuilds
+    # the certificate is built on the upper lattice, whatever lattice the
+    # tail and delta estimates read, and so is plot-data's table: it rebuilds
     # the certified splice constant
     text = (BASE.replace("h.scale = 1.0", "h.scale = 1.14")
             .replace("g.variant = power", "g.variant = spliced") + "g.bstar = 21.3\n")
     cert_path = tmp_path / "cert.txt"
     assert main(["bound", "--config", write_cfg(tmp_path, text), "--out", str(cert_path)]) == 0
     kappa = float(parse_kv(cert_path.read_text())["kappa_splice"])
-    for mode in ("rounded", "lower", "upper"):
-        plot_cfg = write_cfg(tmp_path, text + f"mode = {mode}\n", name="plot.cfg")
-        out = tmp_path / "plot.csv"
-        assert main(["plot-data", "--config", plot_cfg, "--certificate", str(cert_path),
-                     "--out", str(out)]) == 0
-        header = out.read_text().splitlines()[0]
-        assert header == f"# spliced test function rebuilt, kappa = {kappa:.12g}", mode
+    out = tmp_path / "plot.csv"
+    assert main(["plot-data", "--config", write_cfg(tmp_path, text, name="plot.cfg"),
+                 "--certificate", str(cert_path), "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0]
+    assert header == f"# spliced test function rebuilt, kappa = {kappa:.12g}"
 
 
 def test_plot_data_notes_a_kappa_that_drifts_from_the_certificate(tmp_path):

@@ -34,7 +34,7 @@ from geomtail.dist import (
     discretize,
 )
 from geomtail.kernels import CutoffFunction, PowerTestFunction
-from conftest import HoledPareto, lattice_from_masses, random_lattice
+from conftest import HoledPareto, lattice_from_masses, panjer_rounding, random_lattice
 
 
 def brute_force_tail(
@@ -519,8 +519,8 @@ def test_kept_table_misses_on_any_input_the_recursion_reads(monkeypatch, recursi
 
 
 def test_tail_table_refuses_an_unknown_mode():
-    # the tail and delta estimates pass the configured mode, which discretize
-    # checks before any recursion; certificates always read the upper lattice
+    # discretize checks the mode before any recursion; certificates read the
+    # upper lattice, and the tail and delta estimates all three
     with pytest.raises(ValueError, match="^unknown discretization mode 'bogus'$"):
         fresh_tail_table(ParetoDist(2.2), GeometricParams(0.5), 100.0, bandwidth=0.05,
                          mode="bogus")
@@ -528,7 +528,7 @@ def test_tail_table_refuses_an_unknown_mode():
 
 
 # the benchmark's tune_cli inputs: criterion 2 tuned over 5 scales and 4
-# splice points, and its error estimated on xgrid in the default mode
+# splice points, and its error estimated on xgrid with its brackets
 TUNE_DELTA_CONFIG = """\
 family = pareto
 alpha = 2.2
@@ -549,25 +549,19 @@ xgrid = 5, 10, 20, 35, 50, 75, 100
 
 
 def test_a_certificate_and_an_estimate_keep_a_table_each(monkeypatch, recursions, tmp_path):
-    # tune reads the upper lattice and delta the rounded one, both up to 100:
-    # one table per mode is kept, so the first round recurses once on each
-    # lattice and the second not at all, where a single kept table would
-    # have them evict each other every round
+    # tune reads the upper lattice, and delta the rounded one with its lower
+    # and upper brackets, all up to 100: one table per lattice is kept, so
+    # the first round recurses once on each lattice (delta's hi column reads
+    # tune's table) and the second not at all, where a single kept table
+    # would have them evict each other every round
     monkeypatch.setattr(bounder, "_panjer_last", {})
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TUNE_DELTA_CONFIG)
     for _ in range(2):
         for command in ("tune", "delta"):
             assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert recursions == [100.0, 100.0]
-    assert sorted(bounder._panjer_last) == ["rounded", "upper"]
-
-
-def panjer_rounding(n: int) -> float:
-    """panjer_tail's stated relative bound on a table of n + 1 cells whose
-    lattice reaches past it: gamma_N for N = (n + L)(n + 3) + 1."""
-    u, chain = 2.0**-53, (n + compound._PANJER_BLOCK) * (n + 3) + 1
-    return chain * u / (1.0 - chain * u)
+        assert recursions == [100.0, 100.0, 100.0]
+    assert sorted(bounder._panjer_last) == ["lower", "rounded", "upper"]
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,7 +31,6 @@ alpha = 2.2
 p = 0.5
 engine = panjer
 bandwidth = 0.05
-truncation = 200
 h.family = power
 h.scale = 1
 h.gamma = 0.3125
@@ -57,7 +56,6 @@ alpha = 2.2
 p = 0.5
 engine = panjer
 bandwidth = 0.05
-mode = lower
 B = 100
 h.family = power
 h.scale = 1.14
@@ -74,7 +72,6 @@ alpha = 2.2
 p = 0.5
 engine = panjer
 bandwidth = 0.05
-truncation = 200
 h.family = power
 h.scale = 1.14
 h.gamma = 0.3125
@@ -116,7 +113,6 @@ beta = 0.5
 p = 0.5
 engine = panjer
 bandwidth = 0.05
-truncation = 200
 h.family = logpower
 h.scale = 0.179
 h.kappa = 2
@@ -298,20 +294,6 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_is_byte_identical(tmp_path, name):
     command, config, expected = CASES[name]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config)
-    out = tmp_path / "out.txt"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-    assert out.read_text() == expected
-
-
-@pytest.mark.parametrize("mode", [None, "rounded", "lower", "upper"])
-@pytest.mark.parametrize("name", ["spliced", "tune"])
-def test_mode_does_not_move_a_certificate(tmp_path, name, mode):
-    # certificates read the upper lattice whatever the config's mode, which
-    # sets only the tail and delta estimates
-    command, config, expected = CASES[name]
-    config = config.replace("mode = lower\n", "") + ("" if mode is None else f"mode = {mode}\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     out = tmp_path / "out.txt"
