@@ -875,30 +875,37 @@ def _check_engine(engine, bandwidth, mc_samples, seed) -> None:
         _check_mc(mc_samples, seed)
 
 
-def _check_g_at_table_lo(g: TestFunction, table_lo: float, B: float, h: CutoffFunction) -> None:
-    """g must be defined and positive at table_lo = h(B), where the error
-    table that the interval constants divide by g starts; _Anchor checks it
-    before the sweep, and _interval_constants still checks every table
-    point. A power g is positive at every x > 0. g = K(x, h(x)) =
-    tail(x - h(x)) / tail(x) - 1 is defined where 0 < h(x) < x and, for the
-    shipped severities, positive there exactly where tail(x) < 1, an up-set,
-    so one point decides; it is read off h and the severity tail, with no
-    kernel call."""
-    if not isinstance(g, KKernelTestFunction):
-        return
+def _table_start(table_lo: float, B: float, engine: str, bandwidth) -> float:
+    """The first point of the error table over [table_lo, B], the one that
+    _interval_constants reads first: the least at or above table_lo minus
+    its tolerance, a lattice point j bandwidth on Panjer and a point of the
+    geometric grid on Monte Carlo."""
+    at = table_lo - _tolerance(table_lo)
+    if engine == "mc":
+        xs = _mc_table_xs(table_lo, B)
+        return float(xs[np.searchsorted(xs, at)])
+    # the rounded quotient can put ceil one cell high: step up from below it
+    j = max(math.ceil(at / bandwidth) - 1, 0)
+    while j * bandwidth < at:
+        j += 1
+    return j * bandwidth
+
+
+def _check_g_at_table_start(g: TestFunction, x: float, table_lo: float, B: float,
+                            h: CutoffFunction) -> None:
+    """g must be defined and positive at x, the first point of the error
+    table that the interval constants divide by g; _Anchor checks it before
+    the sweep, and _interval_constants still checks every table point."""
     try:
-        r = float(g.h(table_lo))
+        value = float(g.evaluate(np.array([x]))[0])
     except ValueError as exc:
         what = f"undefined ({exc})"
     else:
-        if not 0.0 < r < table_lo:
-            what = f"undefined (h = {r:g} outside (0, x))"
-        elif not g.dist.tail(table_lo) < 1.0:
-            what = "0, not positive"
-        else:
+        if value > 0.0:
             return
-    raise ConfigError(f"test function at h(B) = {table_lo:g}, where the error table starts, "
-                      f"is {what}; raise B = {B:g} or h.scale = {h.scale:g}")
+        what = f"{value:g}, not positive"
+    raise ConfigError(f"test function at {x:g}, the first point of the error table "
+                      f"(h(B) = {table_lo:g}), is {what}; raise B = {B:g} or h.scale = {h.scale:g}")
 
 
 # _tail_table's last Panjer table of each lattice, under discretize's name for
@@ -961,11 +968,17 @@ def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=
     return table
 
 
+def _mc_table_xs(table_lo, B, points=_MC_GRID_POINTS) -> np.ndarray:
+    """The points of a Monte Carlo error table: geometric over [table_lo, B],
+    starting a little below table_lo."""
+    return np.geomspace(0.999 * table_lo, B, points)
+
+
 def _build_delta_table(dist, params, B, table_lo, engine="panjer", bandwidth=None,
                        mc_samples=None, seed=None, points=_MC_GRID_POINTS) -> DeltaTable:
     """The exact-error table up to B, on the upper lattice; Monte Carlo
     estimates it at ``points`` geometric points of [table_lo, B]."""
-    xs = np.geomspace(0.999 * table_lo, B, points) if engine == "mc" else None
+    xs = _mc_table_xs(table_lo, B, points) if engine == "mc" else None
     tails = _tail_table(dist, params, B, engine, bandwidth, mc_samples, seed, xs, "upper")
     return delta_from_tails(tails, dist, params)
 
@@ -1037,7 +1050,8 @@ class _Anchor:
         self.dist, self.params, self.B, self.x_far = dist, params, B, x_far
         low = min(cutoffs, key=lambda hc: float(hc(B)))
         self.table_lo = float(low(B))
-        _check_g_at_table_lo(g, self.table_lo, B, low)
+        _check_g_at_table_start(g, _table_start(self.table_lo, B, engine, bandwidth),
+                                self.table_lo, B, low)
         # the engine inputs that the certificate echoes: those its engine reads
         mc = engine == "mc"
         self.inputs = dict(engine=engine, bandwidth=None if mc else bandwidth,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 
@@ -111,28 +110,21 @@ def _model(cfg: RunConfig) -> tuple:
 
 
 def _tail_tables_on_grid(cfg: RunConfig):
-    """P(S > x) on the config's xgrid, with the severity and count used: on
-    Panjer the tables of the rounded lattice (the midpoint rule) and of the
-    lower and upper lattices that bracket it, as floor <= round <= ceil of
-    X / bandwidth pathwise; on Monte Carlo its one table."""
+    """P(S > x) on the config's xgrid, its brackets, and the severity and
+    count used. The table is the rounded lattice's on Panjer (the midpoint
+    rule), and the brackets the (lower, upper) pair of lattice tables, as
+    floor <= round <= ceil of X / bandwidth pathwise; Monte Carlo has no
+    brackets (None)."""
     dist = build_dist(cfg)
     params = build_params(cfg)
     xs = _grid_from_config(cfg)
     xmax, engine = float(np.max(xs)), _configured(cfg, *_ENGINE_KEYS)
-    tables = [_tail_table(dist, params, xmax, xs=xs, **engine)]
-    if tables[0].engine == "panjer":
-        tables += [_tail_table(dist, params, xmax, xs=xs, mode=mode, **engine)
-                   for mode in ("lower", "upper")]
-    return tables, dist, params
-
-
-def _csv(header: str, rows, tables: list, column: str) -> str:
-    """The CSV of the rows of the first table, each followed by its lo and
-    hi cells: the column of the other two tables, empty with none."""
-    brackets = (zip(*(getattr(t, column).tolist() for t in tables[1:])) if tables[1:]
-                else itertools.repeat((None, None)))
-    lines = [header] + [_fmt(*row, *bracket) for row, bracket in zip(rows, brackets)]
-    return "\n".join(lines) + "\n"
+    table = _tail_table(dist, params, xmax, xs=xs, **engine)
+    brackets = None
+    if table.engine == "panjer":
+        brackets = tuple(_tail_table(dist, params, xmax, xs=xs, mode=mode, **engine)
+                         for mode in ("lower", "upper"))
+    return table, brackets, dist, params
 
 
 def _grid_from_config(cfg: RunConfig) -> np.ndarray:
@@ -143,18 +135,24 @@ def _grid_from_config(cfg: RunConfig) -> np.ndarray:
 
 
 def cmd_tail(cfg: RunConfig, args) -> str:
-    tables, _, _ = _tail_tables_on_grid(cfg)
-    t = tables[0]
-    rows = zip(t.xs.tolist(), t.tails.tolist(), t.stderrs.tolist(), itertools.repeat(t.engine))
-    return _csv("x,tail,stderr,engine,lo,hi", rows, tables, "tails")
+    table, brackets, _, _ = _tail_tables_on_grid(cfg)
+    lines = ["x,tail,stderr,engine,lo,hi"]
+    for i, (x, t, s) in enumerate(zip(table.xs, table.tails, table.stderrs)):
+        lo, hi = (float(b.tails[i]) for b in brackets) if brackets else (None, None)
+        lines.append(_fmt(float(x), float(t), float(s), table.engine, lo, hi))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_delta(cfg: RunConfig, args) -> str:
-    tables, dist, params = _tail_tables_on_grid(cfg)
-    tables = [delta_from_tails(t, dist, params) for t in tables]
-    t = tables[0]
-    rows = zip(t.xs.tolist(), t.delta.tolist(), t.delta_stderr.tolist())
-    return _csv("x,delta,delta_stderr,lo,hi", rows, tables, "delta")
+    table, brackets, dist, params = _tail_tables_on_grid(cfg)
+    table = delta_from_tails(table, dist, params)
+    if brackets:
+        brackets = [delta_from_tails(b, dist, params) for b in brackets]
+    lines = ["x,delta,delta_stderr,lo,hi"]
+    for i, (x, d, s) in enumerate(zip(table.xs, table.delta, table.delta_stderr)):
+        lo, hi = (float(b.delta[i]) for b in brackets) if brackets else (None, None)
+        lines.append(_fmt(float(x), float(d), float(s), lo, hi))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_kernels(cfg: RunConfig, args) -> str:

@@ -439,28 +439,42 @@ def test_interval_constants_check_each_interval_on_its_own():
     assert constant(2.5) == interval_by_pass(table, G_PARETO, 2.5, 8.0) == 0.75 / G_PARETO(4.0)
 
 
-@pytest.mark.parametrize("dist", [ParetoDist(2.2), ParetoDist(6.39), WeibullDist(0.5),
-                                  WeibullDist(0.9031),
-                                  PowerMixtureDist(((1.0 / 3.0, 2.0), (2.0 / 3.0, 3.0)))])
-@pytest.mark.parametrize("h", [CutoffFunction.power(0.2583, 0.051),
-                               CutoffFunction.power(1.0, 1.0 / 3.2),
-                               CutoffFunction.logpower(0.1344, 0.7149),
-                               CutoffFunction.logpower(0.179, 2.0)])
-def test_anchor_refuses_a_kkernel_g_exactly_where_it_is_not_positive(dist, h):
-    # the anchor decides g = K(x, h(x)) at h(B) from h and the severity tail,
-    # with no kernel call: it refuses exactly where K raises or is not positive
-    g = KKernelTestFunction(dist, h)
-    for x in np.geomspace(0.05, 50.0, 160).tolist():
-        try:
-            positive = g.evaluate(np.array([x]))[0] > 0.0
-        except ValueError:
-            positive = False
-        try:
-            bounder._check_g_at_table_lo(g, x, 100.0, h)
-        except ConfigError:
-            assert not positive, x
-        else:
-            assert positive, x
+class PositiveFrom(kernels.TestFunction):
+    """1 at x >= x0 (x > x0 if strict), 0 below: positive from one point on."""
+
+    def __init__(self, x0: float, strict: bool):
+        self.x0, self.strict = x0, strict
+
+    def evaluate(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.where(xs > self.x0 if self.strict else xs >= self.x0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("engine", [dict(engine="panjer", bandwidth=0.3),
+                                    dict(engine="panjer", bandwidth=0.05),
+                                    dict(engine="mc", bandwidth=None, mc_samples=2000, seed=1)],
+                         ids=["panjer-0.3", "panjer-0.05", "mc"])
+def test_the_anchor_checks_g_where_the_interval_constants_start(engine):
+    # on, just off and between lattice points: _table_start is the first
+    # table point that the constant from table_lo reads, so a g positive from
+    # it on passes both the anchor's check and the constant, and one positive
+    # only above it fails both
+    B, bw = 10.0, engine["bandwidth"]
+    for table_lo in ([k * 0.3 + d for k in (1, 3, 7) for d in (-1e-9, -1e-12, 0.0, 1e-12, 0.1)]
+                     + [0.95, 1.2, 2.0 / 3.0]):
+        x0 = bounder._table_start(table_lo, B, engine["engine"], bw)
+        table = bounder._build_delta_table(PARETO, HALF, B, table_lo, **engine)
+        for strict in (False, True):
+            g = PositiveFrom(x0, strict)
+            constant = bounder._interval_constants(table, g, table_lo, B)
+            if strict:
+                with pytest.raises(ConfigError, match=r"^test function at .*, is 0, not positive;"):
+                    bounder._check_g_at_table_start(g, x0, table_lo, B, H_PARETO)
+                with pytest.raises(ValueError, match="must be positive"):
+                    constant(table_lo)
+            else:
+                bounder._check_g_at_table_start(g, x0, table_lo, B, H_PARETO)
+                assert constant(table_lo) >= 0.0
 
 
 # ---------------------------------------------------------------- build_bound

@@ -219,19 +219,19 @@ def test_huge_finite_inputs_exit_3_naming_the_key(tmp_path, capsys, monkeypatch,
     assert key in err and "Traceback" not in err
 
 
-# a K-kernel g that the error table, which starts at h(B), reads outside its
-# domain or where it is 0: g = K(x, h(x)) is positive exactly where the
-# severity tail is below one, an up-set, so g at h(B) alone decides
+# a K-kernel g that the error table reads outside its domain or where it is
+# 0, at its first point at or above h(B)
 @pytest.mark.parametrize("text, message", [
     pytest.param("family = weibull\nbeta = 0.9031\nbandwidth = 0.05\nB = 30.58\n"
                  "h.family = logpower\nh.scale = 0.1344\nh.kappa = 0.7149\n",
-                 "test function at h(B) = 0.323747, where the error table starts, is undefined "
-                 "(log-power cutoff is defined for x > 1 only); raise B = 30.58 or "
+                 "test function at 0.35, the first point of the error table (h(B) = 0.323747), "
+                 "is undefined (log-power cutoff is defined for x > 1 only); raise B = 30.58 or "
                  "h.scale = 0.1344", id="weibull below the cutoff's domain"),
     pytest.param("family = pareto\nalpha = 6.39\nbandwidth = 0.5\nB = 1536\n"
                  "h.family = power\nh.scale = 0.2583\nh.gamma = 0.051\n",
-                 "test function at h(B) = 0.375518, where the error table starts, is 0, not "
-                 "positive; raise B = 1536 or h.scale = 0.2583", id="pareto where the tail is 1"),
+                 "test function at 0.5, the first point of the error table (h(B) = 0.375518), "
+                 "is 0, not positive; raise B = 1536 or h.scale = 0.2583",
+                 id="pareto where the tail is 1"),
 ])
 def test_a_kkernel_g_undefined_at_h_of_b_exits_3_before_the_sweep(tmp_path, capsys, monkeypatch,
                                                                    text, message):
@@ -243,6 +243,18 @@ def test_a_kkernel_g_undefined_at_h_of_b_exits_3_before_the_sweep(tmp_path, caps
     cfg = write_cfg(tmp_path, text + "p = 0.5\nengine = panjer\ng.variant = kkernel\n")
     assert main(["bound", "--config", cfg]) == 3
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def test_a_kkernel_g_positive_from_the_first_table_point_certifies(tmp_path):
+    # h(20) = 0.977, where the Pareto tail is 1 and K is 0; the table's first
+    # point is 1.2, where K is positive, so the certificate stands
+    cfg = write_cfg(tmp_path, "family = pareto\nalpha = 2.2\np = 0.9\nengine = panjer\n"
+                              "bandwidth = 0.3\nB = 20\nh.family = power\nh.scale = 0.12\n"
+                              "h.gamma = 0.7\ng.variant = kkernel\n")
+    out = tmp_path / "cert.txt"
+    assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "c_hb_b = 2.09374514794\n" in text and "C = 1.07450941675\n" in text
 
 
 def test_tune_with_every_candidate_infeasible_fails_as_bound(tmp_path, capsys, monkeypatch):
