@@ -74,17 +74,25 @@ class FTerms:
     f3: float
 
 
-def _g_values(g: TestFunction, x: np.ndarray, r: np.ndarray) -> tuple:
+def _g_values(g: TestFunction, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """g(x), g(x - h(x)) and g(h(x)), the test-function values the
-    contraction terms need."""
-    return g.evaluate(x), g.evaluate(x - r), g.evaluate(r)
+    contraction terms need, as the rows of one array from one evaluation of
+    g. Every test function here is elementwise, so each value is the double
+    that an evaluation at its own row gives, and a failing point raises as
+    it would there, in this order."""
+    return g.evaluate(np.concatenate((x, x - r, r))).reshape(3, -1)
 
 
-def _check_g(x: np.ndarray, gx: np.ndarray) -> None:
-    """g must be positive at the points x, where it is gx."""
-    bad = np.flatnonzero(~(gx > 0.0))
+def _check_g(x: np.ndarray, gx: np.ndarray, h: CutoffFunction) -> None:
+    """g must be positive and finite at the points x, where it is gx; a g
+    that overflows there, as the K kernel does when h(x) is too large a
+    share of x, is an input error."""
+    bad = np.flatnonzero(~((gx > 0.0) & (gx < math.inf)))
     if bad.size:
         i = bad[0]
+        if gx[i] == math.inf:
+            raise ConfigError(f"test function overflows: g({x[i]:g})=inf; lower h.scale = "
+                              f"{h.scale:g}")
         raise ValueError(f"test function must be positive; g({x[i]:g})={gx[i]:g}")
 
 
@@ -177,8 +185,7 @@ def _where_conditions_hold(envelope, xs, conditions) -> _TailEnvelopes:
     x_far = xs[-1]. An envelope that overflows at x_far bounds nothing."""
     holds = np.ones(xs.size, dtype=bool)
     for ok, note in conditions:
-        ok = np.broadcast_to(ok, xs.shape)
-        if not ok[-1]:
+        if not (ok[-1] if isinstance(ok, np.ndarray) else ok):
             return _uncertified(note)
         holds &= ok
     f12s, f3s = np.full(xs.size, np.nan), np.full(xs.size, np.nan)
@@ -247,6 +254,7 @@ def _power_tail_envelopes(
     g: TestFunction,
     xs: np.ndarray,
     kept: dict,
+    g_xs: np.ndarray | None,
 ) -> _TailEnvelopes:
     """Bounds on f1 + f2 and on f3 over [x, infinity) at the points x of xs,
     for power tails with a power cutoff and a power-decaying test function:
@@ -283,36 +291,41 @@ def _power_tail_envelopes(
     factor at most (x / x_far)^d < exp(2^-50 log(DBL_MAX)) < 1 + 1e-12 over
     all doubles x.
 
-    Only condition 1 reads more of g than e. The terms of _power_bounds are
-    computed where 3 and 4 hold, once per (params, e) in ``kept``, a dict
-    that the caller keeps with dist, h and xs (a sweep keeps one, so the
-    test functions of one scale share them); each g takes its points where
-    1 also holds and divides by g there.
+    Only condition 1 reads more of g than e. Conditions 2 to 4 (bar e) and
+    the terms of _power_bounds where 3 and 4 hold are computed once in ``kept``, a
+    dict that the caller keeps with dist, h and xs (one _sup_pair call keeps
+    one, which its test functions share), the terms once per (params, e);
+    each g adds condition 1 and divides by g where all four hold, reading g
+    at xs off ``g_xs`` when given.
     """
     if h.family != "power":
         return _uncertified("tail envelopes need a power cutoff")
     if g.power_tail is None:
         return _uncertified("no tail envelope for this test function")
     start, _, e = g.power_tail
-    r = np.asarray(h(xs), dtype=float)
-    a_min = min(a for _, a in dist.tail_power_terms)
-    e_max = min(a_min * h.gamma, 1.0 - h.gamma)
-    below_half, power_form = r < xs / 2.0, (r >= 1.0) & (xs >= 16.0)
-    g_free = below_half & power_form
+    if "cutoff" not in kept:
+        r = np.asarray(h(xs), dtype=float)
+        a_min = min(a for _, a in dist.tail_power_terms)
+        below_half, power_form = r < xs / 2.0, (r >= 1.0) & (xs >= 16.0)
+        kept["cutoff"] = (np.minimum(r, xs - r), min(a_min * h.gamma, 1.0 - h.gamma),
+                          below_half & power_form,
+                          "cutoff below 1 or x_far below 16; envelope tails not in their power "
+                          "form" if below_half[-1] else "cutoff reaches x/2 beyond x_far")
+    nearer, e_max, g_free, g_free_note = kept["cutoff"]
 
     def envelope(holds):
         if (params, e) not in kept:
             kept[params, e] = _power_bounds(dist, params, h, e, xs[g_free])
-        f12, numerator = (terms[holds[g_free]] for terms in kept[params, e])
-        return f12, numerator / g.evaluate(xs[holds])
+        at = holds[g_free]
+        f12, numerator = (terms[at] for terms in kept[params, e])
+        return f12, numerator / (g.evaluate(xs[holds]) if g_xs is None else g_xs[holds])
 
     return _where_conditions_hold(envelope, xs, (
-        ((r >= start) & (xs - r >= start), "test function not in its power regime at x_far"),
+        (nearer >= start, "test function not in its power regime at x_far"),
         (not e > e_max + 4.0 * np.spacing(e_max),
          "test-function exponent exceeds min(a_min*gamma, 1-gamma); "
          "envelope terms need not decrease"),
-        (below_half, "cutoff reaches x/2 beyond x_far"),
-        (power_form, "cutoff below 1 or x_far below 16; envelope tails not in their power form"),
+        (g_free, g_free_note),  # 3 and 4, and the note of the first to fail
     ))
 
 
@@ -419,18 +432,19 @@ def _weibull_tail_envelopes(
     ))
 
 
-def _tail_envelopes(dist, params, h, g, xs, kept=None) -> _TailEnvelopes:
+def _tail_envelopes(dist, params, h, g, xs, kept=None, g_xs=None) -> _TailEnvelopes:
     """The family's envelope bounds at the increasing points xs (or the one
     point x_far), which end at x_far; see _TailEnvelopes. ``kept`` keeps the
-    power envelope's terms that do not read g across calls on the same dist,
-    h and xs (_power_tail_envelopes)."""
+    power envelope's parts that do not read g across calls on the same dist,
+    h and xs, and ``g_xs``, when given, is g at xs (_power_tail_envelopes)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     # an overflow inside the envelope is a non-finite bound, and bounds nothing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if isinstance(dist, WeibullDist):
             return _weibull_tail_envelopes(dist, params, h, g, xs)
         if dist.tail_power_terms is not None:
-            return _power_tail_envelopes(dist, params, h, g, xs, {} if kept is None else kept)
+            return _power_tail_envelopes(dist, params, h, g, xs, {} if kept is None else kept,
+                                         g_xs)
     return _TailEnvelopes(None, None, False, "no closed-form tail envelope for this severity")
 
 
@@ -454,7 +468,8 @@ def _sup_grid(from_x: float, x_far: float, grid_ratio: float) -> np.ndarray:
 class _KernelSweep:
     """The kernel values at the increasing points ``grid`` up to x_far, the
     last one; they do not depend on g, so one sweep serves every test
-    function on the cutoff.
+    function on the cutoff, and one _sup_pair call serves all those of a
+    tune scale.
 
     h, K and tail(h(x)) are computed over the whole grid at once; J, by
     ``evaluate``, in _J_CHUNK chunks only as far as a reader asks, and kept
@@ -462,19 +477,15 @@ class _KernelSweep:
     ``tail_r`` stop at the first point where h(x) leaves (0, x/2] or K
     raises, or, once met, J raises. ``error`` is that point's exception
     (None if none), final once J is evaluated at every point; _sup_pair
-    raises it once g is checked on the points before it, as f_terms would,
-    unless it stopped before it.
+    gives it for each test function whose g is checked on the points before
+    it, as f_terms would raise it, unless that g's row stopped before it.
 
     ``ends``, each J chunk's last grid point and x_far, are where _sup_pair
-    reads the far-tail envelope. The power envelope's terms that do not read
-    g are kept there too (``kept``, by (params, e); _power_tail_envelopes),
-    so the test functions of one scale, which share the exponent e, compute
-    them once per scale, not once per test function."""
+    reads the far-tail envelope."""
 
     def __init__(self, dist: SummandDistribution, h: CutoffFunction, grid: np.ndarray):
         self.dist, self.h, self.grid, self.x_far = dist, h, grid, float(grid[-1])
         self.ends = np.append(grid[_J_CHUNK - 1 : -1 : _J_CHUNK], self.x_far)
-        self.kept: dict = {}
         _power_series(dist)  # J's series refuses a tail too steep for it before K meets it
         rs = np.asarray(h(grid), dtype=float)
         n = int(np.argmin(np.append((0.0 < rs) & (rs <= grid / 2.0), False)))
@@ -549,8 +560,9 @@ def _terms(sweep: _KernelSweep, params, g) -> tuple:
     """The contraction terms (f1, f2, f3) at the points of a sweep that have J."""
     n = sweep.J.size
     gx, g_xr, g_r = _g_values(g, sweep.x[:n], sweep.r[:n])
-    _check_g(sweep.x[:n], gx)
-    return _combine(params, gx, g_xr, g_r, sweep.K[:n], sweep.J, sweep.tail_r[:n])
+    _check_g(sweep.x[:n], gx, sweep.h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _combine(params, gx, g_xr, g_r, sweep.K[:n], sweep.J, sweep.tail_r[:n])
 
 
 def _below(a: float, b: float) -> bool:
@@ -559,52 +571,100 @@ def _below(a: float, b: float) -> bool:
     return a < b - _STOP_MARGIN * abs(b)
 
 
-def _sup_pair(sweep: _KernelSweep, params, g) -> tuple[SupResult, SupResult | None]:
+def _sup_pair(sweep: _KernelSweep, params, gs) -> list:
     """The f1+f2 supremum and the f3 supremum (phi) over [from_x, infinity)
-    together, from one kernel sweep and the test function g. phi is None
-    when the contraction fails (delta >= 1, or NaN), as no reader needs it
-    then.
+    together, from one kernel sweep, for each test function of gs: the pair
+    (d_res, p_res), or the exception its candidate raises. phi is None when
+    the contraction fails (delta >= 1, or NaN), as no reader needs it then.
 
-    J is pulled _J_CHUNK points at a time, and the sweep stops after the
-    first chunk whose last point x_i has envelope bounds below the running
-    maxima, f1 + f2's also below one, by the margin _STOP_MARGIN. They bound
-    the terms on [x_i, infinity), so the grid maxima are those of the whole
-    grid, and f1 + f2 is below one past the prefix the min-b search reads.
-    Once the running maximum of f1 + f2 is at least one, delta >= 1 is
-    certain, and from that chunk on the sweep stops on the two f1 + f2
-    conditions alone. A NaN maximum never stops. The envelope is evaluated
-    at the chunks' last points and at x_far, where it closes the grid
-    maxima. A kernel failure or a non-positive g beyond the stop is never
-    met; one before it is raised."""
+    Each g is evaluated once, over the sweep's x, x - h(x) and h(x) and, for
+    the power envelope, its ``ends``; the rows of values still live are
+    checked and combined together, a J chunk at a time. A row stops after
+    the first chunk whose last point x_i has envelope bounds below its
+    running maxima, f1 + f2's also below one, by the margin _STOP_MARGIN:
+    they bound the terms on [x_i, infinity), so the grid maxima are those of
+    the whole grid, and f1 + f2 is below one past the prefix the min-b
+    search reads. Once its maximum of f1 + f2 is at least one, delta >= 1,
+    and the row stops on the two f1 + f2 conditions alone. A NaN maximum
+    never stops, nor does a row with no envelope, which reads J everywhere.
+    The envelope is evaluated at the chunks' last points and at x_far, where
+    it closes the grid maxima. A kernel failure or a g not positive and
+    finite beyond a row's stop is never met; one before it is the row's
+    exception. J is pulled as far as the furthest row reads it, and each row
+    is, bit for bit, the call with its g alone: the terms are elementwise
+    and the maxima exact. An inf K, which overflows the terms, warns nothing."""
+    results: list = [None] * len(gs)
+    rows, values, envs, kept = [], [], [], {}
     n = sweep.x.size
-    env = _tail_envelopes(sweep.dist, params, sweep.h, g, sweep.ends, sweep.kept)
+    points = np.concatenate((sweep.x, sweep.x - sweep.r, sweep.r))
+    for i, g in enumerate(gs):
+        try:
+            # as _g_values, and the ends for the power envelope, which alone reads g there
+            v = g.evaluate(points if g.power_tail is None else np.append(points, sweep.ends))
+            envs.append(_tail_envelopes(sweep.dist, params, sweep.h, g, sweep.ends, kept,
+                                        v[3 * n :]))
+        except (ValueError, RuntimeError) as exc:
+            results[i] = exc
+            continue
+        rows.append(i)
+        values.append(v[: 3 * n].reshape(3, n))
+    if not rows:
+        return results
+    # axes (quantity, row, point): g at x, x - h(x) and h(x), and the terms
+    # f1 + f2 and f3; their running maxima; each row's first point where g is
+    # not positive and finite (n if none), and the points it reads once it
+    # is no longer combined
+    G, F = np.array(values).transpose(1, 0, 2), np.empty((2, len(rows), n))
+    top = np.full((2, len(rows)), -math.inf)
+    ok = (G[0] > 0.0) & (G[0] < math.inf)
+    bad_at = [n] * len(rows) if ok.all() else np.logical_and.accumulate(ok, 1).sum(1).tolist()
+    stops, live = [0] * len(rows), list(range(len(rows)))
+    if not all(env.certified for env in envs):
+        sweep.evaluate()  # a row with no envelope reads J everywhere, as it does alone
+    lo = 0
+    # the terms of a row no longer combined are formed but never read
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for hi in ([*range(_J_CHUNK, n, _J_CHUNK), n] if any(env.certified for env in envs)
+                   else [n]):
+            got = sweep.evaluate(hi)
+            for j in [j for j in live if bad_at[j] < got]:
+                try:
+                    _check_g(sweep.x[lo:got], G[0, j, lo:got], sweep.h)
+                except ValueError as exc:
+                    results[rows[j]] = exc
+                live.remove(j)
+            f1, f2, f3 = _combine(params, *G[:, :, lo:got], sweep.K[lo:got], sweep.J[lo:got],
+                                  sweep.tail_r[lo:got])
+            F[0, :, lo:got], F[1, :, lo:got] = f1 + f2, f3
+            if got == hi < n:
+                top = np.maximum(top, F[:, :, lo:got].max(axis=2))
+                tops = top.T.tolist()
+                for j in [j for j in live if envs[j].certified]:
+                    (top12, top3), env = tops[j], envs[j]
+                    e12, e3 = env.f12s[hi // _J_CHUNK - 1], env.f3s[hi // _J_CHUNK - 1]
+                    # top12 >= 1 makes delta >= 1, which reads no phi: f3 no longer counts
+                    if (_below(e12, top12) and _below(e12, 1.0)
+                            and (top12 >= 1.0 or _below(e3, top3))):
+                        stops[j] = got
+                        live.remove(j)
+            lo = got
+            if not live or got < hi:  # past a failing J point no more J comes
+                break
+    for j in live:
+        stops[j] = lo
+        results[rows[j]] = sweep.error
+    for j, i in enumerate(rows):
+        if results[i] is None:
+            results[i] = _sups(sweep, envs[j], *F[:, j, : stops[j]])
+    return results
+
+
+def _sups(sweep: _KernelSweep, env: _TailEnvelopes, f12: np.ndarray, f3: np.ndarray) -> tuple:
+    """_sup_pair's (d_res, p_res) of one test function, from its terms f1 + f2
+    and f3 at the sweep's points up to its stop and its envelope."""
     note = "" if env.certified else (
         f"grid maximum only; tail beyond {sweep.x_far:g} not certified: {env.note}"
     )
-
-    gvals = _g_values(g, sweep.x, sweep.r)
-    f12, f3 = [], []
-    top12 = top3 = -math.inf
-    lo = 0
-    # past a failing J point, got stays there: the loop runs out and raises
-    for hi in [*range(_J_CHUNK, n, _J_CHUNK), n] if env.certified else [n]:
-        got = sweep.evaluate(hi)
-        _check_g(sweep.x[lo:got], gvals[0][lo:got])
-        f1, f2, f3c = _combine(params, *(v[lo:got] for v in (*gvals, sweep.K, sweep.J,
-                                                              sweep.tail_r)))
-        f12.append(f1 + f2)
-        f3.append(f3c)
-        lo = got
-        if got == hi < n:
-            top12, top3 = np.maximum(top12, f12[-1].max()), np.maximum(top3, f3c.max())
-            e12, e3 = env.f12s[hi // _J_CHUNK - 1], env.f3s[hi // _J_CHUNK - 1]
-            # top12 >= 1 makes delta >= 1, which reads no phi: f3 no longer counts
-            if _below(e12, top12) and _below(e12, 1.0) and (top12 >= 1.0 or _below(e3, top3)):
-                break
-    else:
-        if sweep.error is not None:
-            raise sweep.error
-    f12, f3 = np.concatenate(f12), np.concatenate(f3)
 
     def sup(vals: np.ndarray, bound: float | None) -> SupResult:
         i = int(np.argmax(vals))
@@ -641,7 +701,10 @@ def delta_sup(
     the maximum so far reaches one."""
     if not (from_x >= h.domain_start * (1.0 - 1e-12)):
         raise ConfigError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
-    return _sup_pair(_KernelSweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, g)[0]
+    (res,) = _sup_pair(_KernelSweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, [g])
+    if isinstance(res, Exception):
+        raise res
+    return res[0]
 
 
 # the Monte Carlo margin in standard errors of the error table, which c_interval's
@@ -891,31 +954,28 @@ def _table_start(table_lo: float, B: float, engine: str, bandwidth) -> float:
     return j * bandwidth
 
 
-def _check_g_at_table_start(g: TestFunction, x: float, table_lo: float, B: float,
-                            h: CutoffFunction) -> None:
-    """g must be defined and positive at x, the first point of the error
-    table that the interval constants divide by g; _Anchor checks it before
-    the sweep, and _interval_constants still checks every table point."""
+def _check_g_at(g: TestFunction, x: float, where: str, B: float, h: CutoffFunction,
+                positive: bool = True) -> None:
+    """g must be defined at x, and positive there when ``positive``. _Anchor
+    checks it before the sweep at the error table's first point, which the
+    interval constants divide by g (_interval_constants still checks every
+    table point), and, defined only, at each cutoff's h(B), where the sweep
+    first reads g(h(x))."""
     try:
         value = float(g.evaluate(np.array([x]))[0])
     except ValueError as exc:
         what = f"undefined ({exc})"
     else:
-        if value > 0.0:
+        if value > 0.0 or not positive:
             return
         what = f"{value:g}, not positive"
-    raise ConfigError(f"test function at {x:g}, the first point of the error table "
-                      f"(h(B) = {table_lo:g}), is {what}; raise B = {B:g} or h.scale = {h.scale:g}")
+    raise ConfigError(f"test function at {x:g}, {where}, is {what}; "
+                      f"raise B = {B:g} or h.scale = {h.scale:g}")
 
 
 # _tail_table's last Panjer table of each lattice, under discretize's name for
-# it, with its key: (p, bandwidth, n, the tails F_0 .. F_n, table)
-_panjer_last: dict[str, tuple[float, float, int, np.ndarray, TailTable]] = {}
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float arrays hold the same doubles, bit for bit."""
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+# it, with its key: (dist, p, bandwidth, n, table)
+_panjer_last: dict[str, tuple[SummandDistribution, float, float, int, TailTable]] = {}
 
 
 def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=None,
@@ -931,14 +991,16 @@ def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=
     sizes the Panjer lattice and keeps the last Panjer table of each mode.
     The lattice ends at xmax rounded up to whole cells: panjer_tail reads
     the lattice tails F_0 .. F_n alone, for n = floor(xmax / bandwidth),
-    and they fix f_1 .. f_n too. The kept table is keyed on all of that: p,
-    the bandwidth, n and F_0 .. F_n, compared bit for bit. A call with the
-    same key reuses the table without a recursion, so certificates that
-    differ only in their cutoff, test function or splice run one recursion
-    between them, and the estimates keep a table per lattice. The entry is
-    dropped before a recursion and replaced, whole, only once panjer_tail
-    has returned: a failed call keeps nothing, and threads read a
-    consistent entry. Kept arrays are read-only.
+    and discretize fixes them from dist, the bandwidth and the mode, each
+    one a tail of dist at its own point. The kept table is keyed on all of
+    that: dist, compared by == (a dataclass's also compares the class), p,
+    the bandwidth and n. A call with the same key reuses the table without
+    a discretization or a recursion, so certificates that differ only in
+    their cutoff, test function or splice run one recursion between them,
+    and the estimates keep a table per lattice. The entry is dropped before
+    a recursion and replaced, whole, only once panjer_tail has returned: a
+    failed call keeps nothing, and threads read a consistent entry. Kept
+    arrays are read-only.
 
     S is lattice-valued and non-negative, so P(S > x) is its value at the
     last lattice point at or below x, and 1 for x < 0. The lattice reaches
@@ -948,19 +1010,18 @@ def _tail_table(dist, params, xmax, engine="panjer", bandwidth=None, mc_samples=
     if engine == "mc":
         return mc_tail(dist, params, mc_samples, seed, xs)
     xmax = max(xmax, bandwidth)
-    end = math.ceil(xmax / bandwidth - 1e-9) * bandwidth
-    lattice = discretize(dist, bandwidth, end, mode=mode)
     n = math.floor(xmax / bandwidth + 1e-9)
-    tails = lattice.tails[: n + 1]
+    key = (dist, params.p, bandwidth, n)
     last = _panjer_last.get(mode)
-    if last is not None and last[:3] == (params.p, bandwidth, n) and _same_bits(last[3], tails):
+    if last is not None and last[:4] == key:
         table = last[4]
     else:
         _panjer_last.pop(mode, None)
-        table = panjer_tail(lattice, params, xmax)
+        end = math.ceil(xmax / bandwidth - 1e-9) * bandwidth
+        table = panjer_tail(discretize(dist, bandwidth, end, mode=mode), params, xmax)
         for values in (table.xs, table.tails, table.stderrs):
             values.flags.writeable = False
-        _panjer_last[mode] = (params.p, bandwidth, n, tails.copy(), table)
+        _panjer_last[mode] = (*key, table)
     if xs is not None:
         idx = np.floor(xs / bandwidth + 1e-9).astype(int)
         tails = np.where(idx < 0, 1.0, table.tails[np.clip(idx, 0, len(table) - 1)])
@@ -1001,7 +1062,7 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     q > 0, J >= 0, g(x) > 0 and g(h(x)) >= 0, as every test function here
     has, f2 >= 0, so fl(f1 + f2) is not below one at the other integers
     either, and min b is the same integer as with J at every integer. g is
-    checked up to the deciding integer: a non-positive g, a cutoff outside
+    checked up to the deciding integer: a g not positive and finite, a cutoff outside
     (0, x/2] or a K or J failure at a later integer is never met, nor is a
     J failure where f1 >= 1 (an exception that g itself raises is met
     anywhere in the span). At grid ratios 1.2 and 1.5 criterion 3 pure
@@ -1014,17 +1075,20 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
         span = _KernelSweep(sweep.dist, sweep.h,
                             np.arange(lo, min(lo + _MIN_B_SPAN, cap + 1), dtype=float))
         gx, g_xr, g_r = _g_values(g, span.x, span.r)
-        n = int(np.argmin(np.append(gx > 0.0, False)))  # the first non-positive g
-        at = np.flatnonzero(_f1(params, gx[:n], g_xr[:n], span.K[:n], span.tail_r[:n]) < 1.0)
-        done = 0
-        for J in _kernel_chunks(J_kernel, span.dist, span.x[at], span.r[at]):
-            i = at[done : done + J.size]
-            done += J.size
-            f1, f2, _ = _combine(params, gx[i], g_xr[i], g_r[i], span.K[i], J, span.tail_r[i])
-            below = np.flatnonzero(f1 + f2 < 1.0)
-            if below.size:
-                return int(span.x[i[below[0]]])
-        _check_g(span.x, gx)
+        # the first g not positive and finite
+        n = int(np.argmin(np.append((gx > 0.0) & (gx < math.inf), False)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            at = np.flatnonzero(_f1(params, gx[:n], g_xr[:n], span.K[:n], span.tail_r[:n]) < 1.0)
+            done = 0
+            for J in _kernel_chunks(J_kernel, span.dist, span.x[at], span.r[at]):
+                i = at[done : done + J.size]
+                done += J.size
+                f1, f2, _ = _combine(params, gx[i], g_xr[i], g_r[i], span.K[i], J,
+                                     span.tail_r[i])
+                below = np.flatnonzero(f1 + f2 < 1.0)
+                if below.size:
+                    return int(span.x[i[below[0]]])
+        _check_g(span.x, gx, span.h)
         if span.error is not None:
             raise span.error
     return None
@@ -1050,8 +1114,11 @@ class _Anchor:
         self.dist, self.params, self.B, self.x_far = dist, params, B, x_far
         low = min(cutoffs, key=lambda hc: float(hc(B)))
         self.table_lo = float(low(B))
-        _check_g_at_table_start(g, _table_start(self.table_lo, B, engine, bandwidth),
-                                self.table_lo, B, low)
+        _check_g_at(g, _table_start(self.table_lo, B, engine, bandwidth),
+                    f"the first point of the error table (h(B) = {self.table_lo:g})", B, low)
+        for hc in cutoffs:
+            _check_g_at(g, float(hc(B)), "h(B), where the sweep first reads g(h(x))", B, hc,
+                        positive=False)
         # the engine inputs that the certificate echoes: those its engine reads
         mc = engine == "mc"
         self.inputs = dict(engine=engine, bandwidth=None if mc else bandwidth,
@@ -1067,10 +1134,6 @@ class _Anchor:
             self._table_raised = False
         return self._table
 
-    def table_failed(self) -> bool:
-        """Whether building the error table raised: the engine failed."""
-        return self._table_raised
-
     def spliced(self, bstar) -> TestFunction:
         """g itself for bstar None, else g spliced onto the table at bstar."""
         key = None if bstar is None else float(bstar)
@@ -1078,13 +1141,36 @@ class _Anchor:
             self._spliced[key] = build_spliced_g(self.table(), key, self._spliced[None])
         return self._spliced[key]
 
-    def certify(self, sweep: _KernelSweep, bstar) -> BoundCertificate | SupResult:
-        """The certificate for the sweep's cutoff and the g at bstar; when
-        delta >= 1 the contraction fails at its verdict, the delta SupResult,
-        with no phi, no interval constant and, unspliced, no table. A NaN
-        delta, which the min-b search counts as not below one too, raises."""
-        g = self.spliced(bstar)
-        d_res, p_res = _sup_pair(sweep, self.params, g)
+    def certify(self, sweep: _KernelSweep, bstars) -> list:
+        """The certificates for the sweep's cutoff and the g at each splice
+        point of bstars (None for g itself), from one _sup_pair call: per
+        splice point a BoundCertificate; when delta >= 1, the contraction
+        failing at its verdict, the delta SupResult, with no phi, no interval
+        constant and, unspliced, no table; or the exception its candidate
+        raises, which a NaN delta (not below one to the min-b search too)
+        is. An engine failure, which ends every candidate, raises."""
+        gs = [self._attempt(self.spliced, bstar) for bstar in bstars]
+        pairs = iter(_sup_pair(sweep, self.params,
+                               [g for g in gs if not isinstance(g, Exception)]))
+        return [g if isinstance(g, Exception)
+                else self._attempt(self._certificate, sweep, bstar, g, next(pairs))
+                for bstar, g in zip(bstars, gs)]
+
+    def _attempt(self, step, *args):
+        """step(*args), or the exception it raises, unless building the
+        error table raised it: the engine failed."""
+        try:
+            return step(*args)
+        except (ValueError, RuntimeError) as exc:
+            if self._table_raised:
+                raise
+            return exc
+
+    def _certificate(self, sweep: _KernelSweep, bstar, g: TestFunction, pair):
+        """certify's result for one splice point, from its _sup_pair result."""
+        if isinstance(pair, Exception):
+            return pair
+        d_res, p_res = pair
         if not (d_res.value < 1.0):
             if math.isnan(d_res.value):
                 raise ValueError(f"delta supremum is NaN: f1 + f2 is NaN at x={d_res.grid_argmax:g}")
@@ -1148,7 +1234,9 @@ def build_bound(
         raise ValueError("splicing requires a power test function for the tail piece")
     anchor.spliced(bstar)  # a splice reads the error table: it is built before the sweep
     sweep = _KernelSweep(dist, h, anchor.grid)
-    cert = anchor.certify(sweep, bstar)
+    (cert,) = anchor.certify(sweep, [bstar])
+    if isinstance(cert, Exception):
+        raise cert
     if isinstance(cert, SupResult):
         raise anchor.failure(sweep, bstar, cert)
     return cert
@@ -1197,13 +1285,17 @@ def tune(
     coefficient C * kappa (spliced) or C * coef (pure power).
 
     The exact-error table, on the upper lattice as build_bound's, does not
-    depend on the cutoff or the splice, so it is built once, at the first
-    spliced or feasible candidate; an engine error ends the tune. Every candidate is certified by build_bound's core
-    (_Anchor.certify), a feasible row's C and coefficient read off its
-    certificate, and what candidates share is computed once:
+    depend on the cutoff or the splice, so it is built once: at the first
+    scale's splice, or, with no splice point, at the first feasible
+    candidate; an engine error ends the tune. Every candidate is certified
+    by build_bound's core (_Anchor.certify), a feasible row's C and
+    coefficient read off its certificate, and what candidates share is
+    computed once:
 
-    - per scale, the kernel sweep and the far-tail envelope's terms that do
-      not read g (_KernelSweep);
+    - per scale, one _sup_pair call for all its splice points: one kernel
+      sweep (_KernelSweep), the far-tail envelope's parts that do not read
+      g, and the contraction terms of every splice point's g, each g
+      evaluated once, as the rows of one array;
     - per splice point, the spliced g, and one table of interval constants
       over [min h(B), B], which each scale reads at its own h(B)
       (_interval_constants), built at the splice point's first feasible
@@ -1239,16 +1331,11 @@ def tune(
                      for bst in b_list]
             continue
         sweep = _KernelSweep(dist, hs, anchor.grid)
-        for bst in b_list:
-            try:
-                cert = anchor.certify(sweep, bst)
-            except (ValueError, RuntimeError) as exc:
-                if anchor.table_failed():
-                    raise
-                errors.append(exc)
-                rows.append(TuneRow(s, bst, False, None, None, str(exc)))
-                continue
-            if isinstance(cert, SupResult):
+        for bst, cert in zip(b_list, anchor.certify(sweep, b_list)):
+            if isinstance(cert, Exception):
+                errors.append(cert)
+                rows.append(TuneRow(s, bst, False, None, None, str(cert)))
+            elif isinstance(cert, SupResult):
                 refused.append((sweep, bst, cert))
                 rows.append(TuneRow(s, bst, False, None, None, f"delta = {cert.value:.4g} >= 1"))
             else:

@@ -138,7 +138,10 @@ def _clamp_at_zero(name: str, value, x, r):
 
 def K_kernel(dist: SummandDistribution, x, r):
     """Relative overshoot of the tail over a shift r: tail(x-r)/tail(x) - 1,
-    0 at r = 0. Vectorized over ``x`` and ``r``; a float for scalar input."""
+    0 at r = 0. Vectorized over ``x`` and ``r``; a float for scalar input.
+    inf where it overflows, without a warning, as _inf_on_overflow gives
+    the envelopes: the contraction terms read an inf K as no contraction,
+    and _sup_pair refuses a test function that is inf."""
     x, r = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(r, dtype=float))
     if np.any(r < 0.0):
         raise ValueError("r must be non-negative")
@@ -147,7 +150,9 @@ def K_kernel(dist: SummandDistribution, x, r):
         raise ValueError("requires r < x")
     # stability beyond floating-point tail underflow is the distribution's
     # job: k_value works on ratios, never on the raw tails
-    k = _clamp_at_zero("K", np.where(shift, dist.k_value(x, r), 0.0), x, r)
+    with np.errstate(over="ignore"):
+        k = np.where(shift, dist.k_value(x, r), 0.0)
+    k = _clamp_at_zero("K", k, x, r)
     return k if k.ndim else float(k)
 
 

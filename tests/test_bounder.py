@@ -111,7 +111,7 @@ def test_f_terms_equals_sweep_at_grid_points():
         assert [ft.f1 for ft in terms] == f1.tolist()
         assert [ft.f2 for ft in terms] == f2.tolist()
         assert [ft.f3 for ft in terms] == f3.tolist()
-        d_res, p_res = bounder._sup_pair(sweep, HALF, g)
+        d_res, p_res = sup_pair(sweep, HALF, g)
         f12 = [ft.f1 + ft.f2 for ft in terms]
         f3 = [ft.f3 for ft in terms]
         assert d_res.grid_max == max(f12)
@@ -201,6 +201,15 @@ def test_sup_uncertified_for_small_log_cutoff():
 
 # ---------------------------------------------------------------- the stopped sweep
 
+def sup_pair(sweep, params, g):
+    """_sup_pair's one-row case, as build_bound and delta_sup make it: the
+    pair (d_res, p_res) of g alone, or the exception of its row, raised."""
+    (res,) = bounder._sup_pair(sweep, params, [g])
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
 def full_sup_pair(sweep, params, g):
     """_sup_pair over every point of a sweep with J everywhere: the grid
     maxima closed by the envelope at x_far alone, the reference for the
@@ -226,10 +235,26 @@ def full_sup_pair(sweep, params, g):
     return tuple(results)
 
 
+class ZeroFrom(kernels.TestFunction):
+    """A power g that is 0 from x0 on, though it declares its power tail:
+    its sweep fails at x0 unless it stops before."""
+
+    def __init__(self, tailg: PowerTestFunction, x0: float):
+        self.tailg, self.x0 = tailg, x0
+        self.power_tail = tailg.power_tail
+
+    def evaluate(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.where(xs < self.x0, self.tailg.evaluate(xs), 0.0)
+
+
 @st.composite
 def sweep_cases(draw):
-    """A Pareto or a two-term power mixture, p, a power cutoff, a pure or
-    spliced power g within the envelope's exponent rule, and a grid."""
+    """A Pareto or a two-term power mixture, p, a power cutoff, a grid, and
+    1 to 4 test functions: first a pure or spliced power g within the
+    envelope's exponent rule, then any of a pure, a spliced (at a random
+    start) and a power g that is 0 from a point of the grid on, each with
+    its own exponent."""
     exponents = draw(st.lists(st.floats(1.5, 6.0), min_size=1, max_size=2))
     if len(exponents) == 1:
         dist = ParetoDist(exponents[0])
@@ -239,17 +264,26 @@ def sweep_cases(draw):
     params = GeometricParams(draw(st.floats(0.05, 0.95)))
     gamma = draw(st.floats(0.1, 0.6))
     h = CutoffFunction.power(draw(st.floats(0.5, 2.5)), gamma)
-    # above the rule (1.2) no envelope is certified and the sweep reads every point
-    e = min(min(exponents) * gamma, 1.0 - gamma) * draw(st.sampled_from([1.0, 0.9, 0.5, 1.2]))
-    g = PowerTestFunction(1.0, e)
     B = h.domain_start * draw(st.floats(1.05, 40.0))
-    if draw(st.booleans()):
-        bstar = B * draw(st.floats(0.2, 5.0))
-        env = MonotoneEnvelope(np.array([bstar / 2.0, bstar]), np.array([1.0, 0.5]))
-        g = SplicedTestFunction(bstar=bstar, envelope=env, kappa_splice=0.5 / g(bstar), tailg=g)
     grid = bounder._sup_grid(B, draw(st.sampled_from([1e5, 1e8])),
                              draw(st.sampled_from([1.02, 1.2, 1.5])))
-    return dist, params, h, g, grid
+
+    def test_function(kind):
+        # above the rule (1.2) no envelope is certified and the sweep reads every point
+        e = min(min(exponents) * gamma, 1.0 - gamma) * draw(st.sampled_from([1.0, 0.9, 0.5, 1.2]))
+        g = PowerTestFunction(1.0, e)
+        if kind == "spliced":
+            bstar = B * draw(st.floats(0.2, 5.0))
+            env = MonotoneEnvelope(np.array([bstar / 2.0, bstar]), np.array([1.0, 0.5]))
+            g = SplicedTestFunction(bstar=bstar, envelope=env, kappa_splice=0.5 / g(bstar),
+                                    tailg=g)
+        elif kind == "zero":
+            g = ZeroFrom(g, draw(st.sampled_from(grid.tolist())))
+        return g
+
+    kinds = [draw(st.sampled_from(["pure", "spliced"]))]
+    kinds += draw(st.lists(st.sampled_from(["pure", "spliced", "zero"]), max_size=3))
+    return dist, params, h, [test_function(kind) for kind in kinds], grid
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,7 +293,7 @@ def test_stopped_sweep_is_the_full_sweep_bit_for_bit(case):
     and so is its phi whenever delta < 1. A failed contraction stops on the
     delta conditions alone and returns no phi, and its min b is the full
     sweep's."""
-    dist, params, h, g, grid = case
+    dist, params, h, (g, *_), grid = case
     full = bounder._kernel_sweep(dist, h, grid)
     try:
         want = full_sup_pair(full, params, g)
@@ -267,7 +301,7 @@ def test_stopped_sweep_is_the_full_sweep_bit_for_bit(case):
         assume(False)  # a kernel failure, which a stopped sweep may not meet
     assume(full.error is None)
     sweep = bounder._KernelSweep(dist, h, grid)
-    got = bounder._sup_pair(sweep, params, g)
+    got = sup_pair(sweep, params, g)
     assert got[0] == want[0]
     assert sweep.J.tolist() == full.J[:sweep.J.size].tolist()
     if want[0].value < 1.0:
@@ -276,6 +310,31 @@ def test_stopped_sweep_is_the_full_sweep_bit_for_bit(case):
         assert got[1] is None
         assert (bounder._search_min_b(sweep, params, g, got[0], 2000)
                 == bounder._search_min_b(full, params, g, want[0], 2000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_cases())
+def test_one_sweep_serves_many_test_functions_each_as_alone(case):
+    """One _sup_pair call over several test functions gives each row, bit
+    for bit, what a call with its g alone on a fresh sweep gives, or the
+    same exception, by type and message; the shared sweep pulls J as far as
+    the longest of those, and no further."""
+    dist, params, h, gs, grid = case
+    shared = bounder._KernelSweep(dist, h, grid)
+    rows = bounder._sup_pair(shared, params, gs)
+    assert len(rows) == len(gs)
+    longest = np.empty(0)
+    for g, row in zip(gs, rows):
+        alone = bounder._KernelSweep(dist, h, grid)
+        (want,) = bounder._sup_pair(alone, params, [g])
+        if isinstance(want, Exception):
+            assert (type(row), str(row)) == (type(want), str(want))
+        else:
+            # repr tells every double apart, and a NaN equals itself
+            assert repr(row) == repr(want)
+        if alone.J.size > longest.size:
+            longest = alone.J
+    assert shared.J.tobytes() == longest.tobytes()
 
 
 def test_stop_margin_is_relative_to_the_maximum_of_either_sign():
@@ -292,7 +351,7 @@ def test_sweep_does_not_stop_while_the_envelope_reaches_one(monkeypatch):
     dist, params, h, g = MINB_ARGS
     grid = bounder._sup_grid(100.0, 1e8, 1.2)
     sweep = bounder._KernelSweep(dist, h, grid)
-    d_res = bounder._sup_pair(sweep, params, g)[0]
+    d_res = sup_pair(sweep, params, g)[0]
     assert 0 < sweep.J.size < grid.size
     assert search_min_b(sweep, d_res) == 1082
     real = bounder._tail_envelopes
@@ -303,7 +362,7 @@ def test_sweep_does_not_stop_while_the_envelope_reaches_one(monkeypatch):
 
     monkeypatch.setattr(bounder, "_tail_envelopes", at_one)
     sweep = bounder._KernelSweep(dist, h, grid)
-    assert bounder._sup_pair(sweep, params, g)[0] == d_res
+    assert sup_pair(sweep, params, g)[0] == d_res
     assert sweep.J.size == grid.size
     assert search_min_b(sweep, d_res) == 1082
 
@@ -326,7 +385,7 @@ def test_a_failed_contraction_stops_on_the_delta_conditions_alone(monkeypatch, g
     ratios). build_bound adds the min-b search's 24 J points."""
     dist, params, h, g = C6_ARGS
     sweep = bounder._KernelSweep(dist, h, bounder._sup_grid(100.0, 1e8, grid_ratio))
-    d_res, p_res = bounder._sup_pair(sweep, params, g)
+    d_res, p_res = sup_pair(sweep, params, g)
     assert d_res.value >= 1.0 and p_res is None
     assert sweep.J.size == points
     calls = count_J_calls(monkeypatch)
@@ -469,11 +528,11 @@ def test_the_anchor_checks_g_where_the_interval_constants_start(engine):
             constant = bounder._interval_constants(table, g, table_lo, B)
             if strict:
                 with pytest.raises(ConfigError, match=r"^test function at .*, is 0, not positive;"):
-                    bounder._check_g_at_table_start(g, x0, table_lo, B, H_PARETO)
+                    bounder._check_g_at(g, x0, "the first table point", B, H_PARETO)
                 with pytest.raises(ValueError, match="must be positive"):
                     constant(table_lo)
             else:
-                bounder._check_g_at_table_start(g, x0, table_lo, B, H_PARETO)
+                bounder._check_g_at(g, x0, "the first table point", B, H_PARETO)
                 assert constant(table_lo) >= 0.0
 
 
@@ -655,7 +714,7 @@ def anchor_sweep(args=MINB_ARGS, x_far=MINB_SWEEP["x_far"], grid_ratio=MINB_SWEE
     """The kernel sweep from B = 100 and the delta supremum it gives."""
     dist, params, h, g = args
     sweep = bounder._kernel_sweep(dist, h, bounder._sup_grid(100.0, x_far, grid_ratio))
-    return sweep, bounder._sup_pair(sweep, params, g)[0]
+    return sweep, sup_pair(sweep, params, g)[0]
 
 
 def search_min_b(sweep, d_res, args=MINB_ARGS, cap=10_000):
@@ -885,7 +944,7 @@ def test_min_b_is_the_scan_of_every_integer(case):
     dist, params, h, g, grid, cap = case
     sweep = bounder._KernelSweep(dist, h, grid)
     try:
-        d_res = bounder._sup_pair(sweep, params, g)[0]
+        d_res = sup_pair(sweep, params, g)[0]
         assume(d_res.value >= 1.0)
         want = scan_every_integer(sweep, params, g, d_res, cap)
     except (ValueError, RuntimeError):
@@ -1013,7 +1072,7 @@ def test_min_b_K_and_cutoff_errors_after_a_deciding_point_are_not_met(kind):
         g = KKernelTestFunction(PARETO, H_PARETO)
     # a supremum with no envelope to stop at reads every point and meets it
     with pytest.raises(ValueError, match=re.escape(message.format(x=first))):
-        bounder._sup_pair(sweep, HALF, g)
+        sup_pair(sweep, HALF, g)
 
 
 def test_a_K_failure_is_found_chunk_by_chunk(monkeypatch):
@@ -1058,7 +1117,7 @@ def test_a_negative_remainder_supremum_is_clamped_to_zero(monkeypatch):
     monkeypatch.setattr(bounder, "K_kernel", vanishing)
     monkeypatch.setattr(bounder, "J_kernel", vanishing)
     sweep = bounder._KernelSweep(NoEnvelope(2.2), H_PARETO, bounder._sup_grid(100.0, 1e4, 1.2))
-    d_res, p_res = bounder._sup_pair(sweep, HALF, G_PARETO)
+    d_res, p_res = sup_pair(sweep, HALF, G_PARETO)
     assert d_res.value < 1.0
     assert p_res.grid_max < 0.0 and p_res.value == 0.0
     assert p_res.note.endswith("; negative remainder supremum clamped to 0")
@@ -1345,13 +1404,15 @@ def test_tune_sweeps_kernels_once_per_scale(monkeypatch):
 
 def test_tune_computes_what_its_candidates_share_once(monkeypatch):
     """On criterion 2's grid of 5 scales and 4 splice points (none and three
-    spliced), tune builds each spliced g once, not once per scale, computes
-    the far-tail envelope's terms that do not read g once per scale, not
-    once per candidate, and forms one table of interval constants per test
+    spliced), tune builds each spliced g once, not once per scale, certifies
+    each scale's 4 splice points in one _sup_pair call, computes the
+    far-tail envelope's terms that do not read g once per scale, not once
+    per candidate, and forms one table of interval constants per test
     function, which every scale reads, where each candidate computed its own
     interval constant."""
     calls = collections.Counter()
-    for name in ("build_spliced_g", "_power_bounds", "_interval_constants", "c_interval"):
+    for name in ("build_spliced_g", "_sup_pair", "_power_bounds", "_interval_constants",
+                 "c_interval"):
         real = getattr(bounder, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
@@ -1363,7 +1424,8 @@ def test_tune_computes_what_its_candidates_share_once(monkeypatch):
                [None, 15.0, 21.3, 27.1], engine="panjer", bandwidth=0.05, grid_ratio=1.2)
     assert len(res.rows) == 20 and {r.bstar for r in res.rows if r.feasible} == {
         None, 15.0, 21.3, 27.1}
-    assert calls == {"build_spliced_g": 3, "_power_bounds": 5, "_interval_constants": 4}
+    assert calls == {"build_spliced_g": 3, "_sup_pair": 5, "_power_bounds": 5,
+                     "_interval_constants": 4}
 
 
 def test_tune_on_a_power_tail_runs_no_quadrature(monkeypatch):

@@ -232,6 +232,13 @@ def test_huge_finite_inputs_exit_3_naming_the_key(tmp_path, capsys, monkeypatch,
                  "test function at 0.5, the first point of the error table (h(B) = 0.375518), "
                  "is 0, not positive; raise B = 1536 or h.scale = 0.2583",
                  id="pareto where the tail is 1"),
+    # the table's first point, 1.2, passes; h(B) = 0.949 is where the sweep
+    # first reads g(h(x)), and g is K(x, h(x)) with h(x) needing x > 1
+    pytest.param("family = weibull\nbeta = 0.5\nbandwidth = 0.3\nB = 10\n"
+                 "h.family = logpower\nh.scale = 0.179\nh.kappa = 2\n",
+                 "test function at 0.94904, h(B), where the sweep first reads g(h(x)), is "
+                 "undefined (log-power cutoff is defined for x > 1 only); raise B = 10 or "
+                 "h.scale = 0.179", id="weibull, h(B) below the cutoff's domain"),
 ])
 def test_a_kkernel_g_undefined_at_h_of_b_exits_3_before_the_sweep(tmp_path, capsys, monkeypatch,
                                                                    text, message):
@@ -255,6 +262,25 @@ def test_a_kkernel_g_positive_from_the_first_table_point_certifies(tmp_path):
     assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
     text = out.read_text()
     assert "c_hb_b = 2.09374514794\n" in text and "C = 1.07450941675\n" in text
+
+
+# Weibull 0.805 with h = 0.305 x^0.949: K(x, h(x)) overflows a double from
+# x = 38021.4 on. K is inf there without a numpy warning (an error under
+# pytest): a K-kernel g is then inf, an input error, and a power g meets
+# f1 + f2 = inf, a failed contraction
+@pytest.mark.parametrize("g, code, message", [
+    pytest.param("g.variant = kkernel\n", 3,
+                 "configuration error: test function overflows: g(38021.4)=inf; "
+                 "lower h.scale = 0.305\n", id="kkernel"),
+    pytest.param("g.variant = power\ng.coef = 1.0\ng.exponent = 0.5\n", 2,
+                 "bound construction failed: delta(50) = inf >= 1; the bound construction "
+                 "requires delta < 1 (no b <= 10000 achieves delta(b) < 1)\n", id="power"),
+])
+def test_an_overflowing_K_kernel_warns_nothing(tmp_path, capsys, g, code, message):
+    text = ("family = weibull\nbeta = 0.805\np = 0.5\nengine = panjer\nbandwidth = 0.1\n"
+            "B = 50\nh.family = power\nh.scale = 0.305\nh.gamma = 0.949\n")
+    assert main(["bound", "--config", write_cfg(tmp_path, text + g)]) == code
+    assert capsys.readouterr().err == message
 
 
 def test_tune_with_every_candidate_infeasible_fails_as_bound(tmp_path, capsys, monkeypatch):
@@ -656,6 +682,8 @@ def test_the_lattice_ends_at_xmax_rounded_up_to_whole_cells(tmp_path, monkeypatc
         return real(dist, bandwidth, truncation, mode)
 
     monkeypatch.setattr(bounder, "discretize", recording)
+    # as a new process: no table kept from the bound above, so each lattice is discretized
+    monkeypatch.setattr(bounder, "_panjer_last", {})
     extra = ["--certificate", str(cert)] if command == "plot-data" else []
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *extra]) == 0
     want = math.ceil(xmax / 0.3 - 1e-9) * 0.3

@@ -443,8 +443,11 @@ def fresh_tail_table(*args, **kwargs):
 
 
 def serve(patch, lattice):
-    """Make bounder's discretize return ``lattice``, whatever it is asked for."""
+    """Make bounder's discretize return ``lattice``, whatever it is asked for,
+    and give a stand-in dist of its own to ask with: the kept table is keyed
+    on the dist, which fixes the lattice."""
     patch.setattr(bounder, "discretize", lambda *args, **kwargs: lattice)
+    return object()
 
 
 def same_table(a: TailTable, b: TailTable) -> bool:
@@ -496,21 +499,23 @@ def _tails_with_one_bit_moved(lattice):
                                truncation_point=lattice.truncation_point)
 
 
-@pytest.mark.parametrize("change", ["p", "xmax", "one tail", "tails in place", "mode"])
+@pytest.mark.parametrize("change", ["p", "xmax", "one tail", "dist class", "mode"])
 def test_kept_table_misses_on_any_input_the_recursion_reads(monkeypatch, recursions, change):
     dist, params, xmax, mode = ParetoDist(2.2), GeometricParams(0.5), 100.0, "rounded"
     lattice = discretize(dist, 0.05, 200.0)
-    if change in ("one tail", "tails in place"):
-        serve(monkeypatch, lattice)
+    if change == "one tail":
+        dist = serve(monkeypatch, lattice)
     fresh_tail_table(dist, params, xmax, bandwidth=0.05, mode=mode)
     if change == "p":
         params = GeometricParams(float(np.nextafter(0.5, 1.0)))
     elif change == "xmax":
         xmax = 100.05
     elif change == "one tail":
-        serve(monkeypatch, _tails_with_one_bit_moved(lattice))
-    elif change == "tails in place":
-        lattice.tails[30] = np.nextafter(lattice.tails[30], 0.0)
+        dist = serve(monkeypatch, _tails_with_one_bit_moved(lattice))
+    elif change == "dist class":
+        # equal fields and, with no lattice point in its hole, equal lattice
+        # tails: == still tells the classes apart
+        dist = HoledPareto(2.2, (50.005, 50.02))
     else:
         mode = "lower"
     got = bounder._tail_table(dist, params, xmax, bandwidth=0.05, mode=mode)
@@ -600,15 +605,15 @@ def test_a_failed_call_keeps_nothing(monkeypatch, recursions, lattice, p, messag
     # the mode's kept table is dropped before panjer_tail runs, so a call
     # that fails leaves nothing kept
     good, params = _lattice([0.0, 0.5, 0.5]), GeometricParams(0.5)
-    serve(monkeypatch, good)
-    want = fresh_tail_table(None, params, 20.0, bandwidth=1.0)
-    serve(monkeypatch, lattice)
+    stand_in = serve(monkeypatch, good)
+    want = fresh_tail_table(stand_in, params, 20.0, bandwidth=1.0)
+    failing = serve(monkeypatch, lattice)
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
-            bounder._tail_table(None, GeometricParams(p), 20.0, bandwidth=1.0)
+            bounder._tail_table(failing, GeometricParams(p), 20.0, bandwidth=1.0)
         assert bounder._panjer_last == {}
     serve(monkeypatch, good)
-    assert same_table(bounder._tail_table(None, params, 20.0, bandwidth=1.0), want)
+    assert same_table(bounder._tail_table(stand_in, params, 20.0, bandwidth=1.0), want)
     assert list(bounder._panjer_last) == ["rounded"]
     assert len(recursions) == 4
 
@@ -672,11 +677,12 @@ def test_interleaved_calls_are_the_calls_with_nothing_kept(seed, calls):
     rng = np.random.default_rng(seed)
     lattices = [random_lattice(rng) for _ in range(3)]
     with pytest.MonkeyPatch.context() as patch:
+        stand_ins = [serve(patch, lattice) for lattice in lattices]
         for i, p, k in calls + calls[::-1]:
             lattice = lattices[i]
             serve(patch, lattice)
             params, xmax = GeometricParams(p), k * lattice.truncation_point
-            got = bounder._tail_table(None, params, xmax, bandwidth=lattice.bandwidth)
+            got = bounder._tail_table(stand_ins[i], params, xmax, bandwidth=lattice.bandwidth)
             assert same_table(got, panjer_tail(lattice, params, xmax))
 
 
