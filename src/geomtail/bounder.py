@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -83,17 +84,19 @@ def _g_values(g: TestFunction, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return g.evaluate(np.concatenate((x, x - r, r))).reshape(3, -1)
 
 
-def _check_g(x: np.ndarray, gx: np.ndarray, h: CutoffFunction) -> None:
-    """g must be positive and finite at the points x, where it is gx; a g
+def _check_g(x: np.ndarray, gx: np.ndarray, h: CutoffFunction) -> tuple[int, Exception | None]:
+    """The one test-function rule: g must be positive and finite at the
+    points x, where it is gx. The index of the first point where it is not
+    (x.size if none), and the exception that names it (None if none); a g
     that overflows there, as the K kernel does when h(x) is too large a
     share of x, is an input error."""
-    bad = np.flatnonzero(~((gx > 0.0) & (gx < math.inf)))
-    if bad.size:
-        i = bad[0]
-        if gx[i] == math.inf:
-            raise ConfigError(f"test function overflows: g({x[i]:g})=inf; lower h.scale = "
+    i = int(np.argmin(np.append((gx > 0.0) & (gx < math.inf), False)))
+    if i == x.size:
+        return i, None
+    if gx[i] == math.inf:
+        return i, ConfigError(f"test function overflows: g({x[i]:g})=inf; lower h.scale = "
                               f"{h.scale:g}")
-        raise ValueError(f"test function must be positive; g({x[i]:g})={gx[i]:g}")
+    return i, ValueError(f"test function must be positive; g({x[i]:g})={gx[i]:g}")
 
 
 def _f1(params: GeometricParams, gx, g_xr, K, tail_r):
@@ -560,7 +563,9 @@ def _terms(sweep: _KernelSweep, params, g) -> tuple:
     """The contraction terms (f1, f2, f3) at the points of a sweep that have J."""
     n = sweep.J.size
     gx, g_xr, g_r = _g_values(g, sweep.x[:n], sweep.r[:n])
-    _check_g(sweep.x[:n], gx, sweep.h)
+    _, bad = _check_g(sweep.x[:n], gx, sweep.h)
+    if bad is not None:
+        raise bad
     with np.errstate(over="ignore", invalid="ignore"):
         return _combine(params, gx, g_xr, g_r, sweep.K[:n], sweep.J, sweep.tail_r[:n])
 
@@ -586,13 +591,14 @@ def _sup_pair(sweep: _KernelSweep, params, gs) -> list:
     the whole grid, and f1 + f2 is below one past the prefix the min-b
     search reads. Once its maximum of f1 + f2 is at least one, delta >= 1,
     and the row stops on the two f1 + f2 conditions alone. A NaN maximum
-    never stops, nor does a row with no envelope, which reads J everywhere.
-    The envelope is evaluated at the chunks' last points and at x_far, where
-    it closes the grid maxima. A kernel failure or a g not positive and
-    finite beyond a row's stop is never met; one before it is the row's
-    exception. J is pulled as far as the furthest row reads it, and each row
-    is, bit for bit, the call with its g alone: the terms are elementwise
-    and the maxima exact. An inf K, which overflows the terms, warns nothing."""
+    never stops, nor does a row with no envelope. The envelope is evaluated
+    at the chunks' last points and at x_far, where it closes the grid
+    maxima. A kernel failure or a g not positive and finite (_check_g)
+    beyond a row's stop is never met; one before it is the row's exception,
+    and the row reads no J past that point's chunk. J is pulled as far as
+    the furthest row reads it, and each row is, bit for bit, the call with
+    its g alone: the terms are elementwise and the maxima exact. An inf K,
+    which overflows the terms, warns nothing."""
     results: list = [None] * len(gs)
     rows, values, envs, kept = [], [], [], {}
     n = sweep.x.size
@@ -611,27 +617,19 @@ def _sup_pair(sweep: _KernelSweep, params, gs) -> list:
     if not rows:
         return results
     # axes (quantity, row, point): g at x, x - h(x) and h(x), and the terms
-    # f1 + f2 and f3; their running maxima; each row's first point where g is
-    # not positive and finite (n if none), and the points it reads once it
-    # is no longer combined
+    # f1 + f2 and f3; their running maxima; each row's g check, and the
+    # points it reads once it is no longer combined
     G, F = np.array(values).transpose(1, 0, 2), np.empty((2, len(rows), n))
     top = np.full((2, len(rows)), -math.inf)
-    ok = (G[0] > 0.0) & (G[0] < math.inf)
-    bad_at = [n] * len(rows) if ok.all() else np.logical_and.accumulate(ok, 1).sum(1).tolist()
+    bad = [_check_g(sweep.x, gx, sweep.h) for gx in G[0]]
     stops, live = [0] * len(rows), list(range(len(rows)))
-    if not all(env.certified for env in envs):
-        sweep.evaluate()  # a row with no envelope reads J everywhere, as it does alone
     lo = 0
     # the terms of a row no longer combined are formed but never read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for hi in ([*range(_J_CHUNK, n, _J_CHUNK), n] if any(env.certified for env in envs)
-                   else [n]):
+        for hi in [*range(_J_CHUNK, n, _J_CHUNK), n]:
             got = sweep.evaluate(hi)
-            for j in [j for j in live if bad_at[j] < got]:
-                try:
-                    _check_g(sweep.x[lo:got], G[0, j, lo:got], sweep.h)
-                except ValueError as exc:
-                    results[rows[j]] = exc
+            for j in [j for j in live if bad[j][0] < got]:
+                results[rows[j]] = bad[j][1]
                 live.remove(j)
             f1, f2, f3 = _combine(params, *G[:, :, lo:got], sweep.K[lo:got], sweep.J[lo:got],
                                   sweep.tail_r[lo:got])
@@ -1075,8 +1073,7 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
         span = _KernelSweep(sweep.dist, sweep.h,
                             np.arange(lo, min(lo + _MIN_B_SPAN, cap + 1), dtype=float))
         gx, g_xr, g_r = _g_values(g, span.x, span.r)
-        # the first g not positive and finite
-        n = int(np.argmin(np.append((gx > 0.0) & (gx < math.inf), False)))
+        n, bad = _check_g(span.x, gx, span.h)
         with np.errstate(over="ignore", invalid="ignore"):
             at = np.flatnonzero(_f1(params, gx[:n], g_xr[:n], span.K[:n], span.tail_r[:n]) < 1.0)
             done = 0
@@ -1088,10 +1085,19 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
                 below = np.flatnonzero(f1 + f2 < 1.0)
                 if below.size:
                     return int(span.x[i[below[0]]])
-        _check_g(span.x, gx, span.h)
-        if span.error is not None:
-            raise span.error
+        if bad or span.error:
+            raise bad or span.error
     return None
+
+
+def _attempt(step, *args):
+    """step(*args), or the ValueError or RuntimeError it raises, which is
+    the candidate's own: certify reads the error table, where an engine
+    failure raises, before any step can."""
+    try:
+        return step(*args)
+    except (ValueError, RuntimeError) as exc:
+        return exc
 
 
 class _Anchor:
@@ -1123,22 +1129,18 @@ class _Anchor:
         mc = engine == "mc"
         self.inputs = dict(engine=engine, bandwidth=None if mc else bandwidth,
                            mc_samples=mc_samples if mc else None, seed=seed if mc else None)
-        self._table, self._table_raised = None, False
         self._spliced, self._constants = {None: g}, {}
 
+    @cached_property
     def table(self) -> DeltaTable:
-        if self._table is None:
-            self._table_raised = True  # until the engine returns
-            self._table = _build_delta_table(self.dist, self.params, self.B, self.table_lo,
-                                             **self.inputs)
-            self._table_raised = False
-        return self._table
+        """The error table, built when first read; an engine failure raises here."""
+        return _build_delta_table(self.dist, self.params, self.B, self.table_lo, **self.inputs)
 
     def spliced(self, bstar) -> TestFunction:
         """g itself for bstar None, else g spliced onto the table at bstar."""
         key = None if bstar is None else float(bstar)
         if key not in self._spliced:
-            self._spliced[key] = build_spliced_g(self.table(), key, self._spliced[None])
+            self._spliced[key] = build_spliced_g(self.table, key, self._spliced[None])
         return self._spliced[key]
 
     def certify(self, sweep: _KernelSweep, bstars) -> list:
@@ -1148,23 +1150,19 @@ class _Anchor:
         failing at its verdict, the delta SupResult, with no phi, no interval
         constant and, unspliced, no table; or the exception its candidate
         raises, which a NaN delta (not below one to the min-b search too)
-        is. An engine failure, which ends every candidate, raises."""
-        gs = [self._attempt(self.spliced, bstar) for bstar in bstars]
-        pairs = iter(_sup_pair(sweep, self.params,
-                               [g for g in gs if not isinstance(g, Exception)]))
+        is. An engine failure, which ends every candidate, raises: the table
+        is read before any candidate reads it, ahead of the splices when
+        there are any and after the sweep when a delta is below one."""
+        if any(bstar is not None for bstar in bstars):
+            self.table
+        gs = [_attempt(self.spliced, bstar) for bstar in bstars]
+        pairs = _sup_pair(sweep, self.params, [g for g in gs if not isinstance(g, Exception)])
+        if any(not isinstance(pair, Exception) and pair[0].value < 1.0 for pair in pairs):
+            self.table
+        pairs = iter(pairs)
         return [g if isinstance(g, Exception)
-                else self._attempt(self._certificate, sweep, bstar, g, next(pairs))
+                else _attempt(self._certificate, sweep, bstar, g, next(pairs))
                 for bstar, g in zip(bstars, gs)]
-
-    def _attempt(self, step, *args):
-        """step(*args), or the exception it raises, unless building the
-        error table raised it: the engine failed."""
-        try:
-            return step(*args)
-        except (ValueError, RuntimeError) as exc:
-            if self._table_raised:
-                raise
-            return exc
 
     def _certificate(self, sweep: _KernelSweep, bstar, g: TestFunction, pair):
         """certify's result for one splice point, from its _sup_pair result."""
@@ -1177,7 +1175,7 @@ class _Anchor:
             return d_res
         key = None if bstar is None else float(bstar)
         if key not in self._constants:
-            self._constants[key] = _interval_constants(self.table(), g, self.table_lo, self.B)
+            self._constants[key] = _interval_constants(self.table, g, self.table_lo, self.B)
         chb = self._constants[key](float(sweep.h(self.B)))
         caveats = tuple(text for holds, text in (
             (not d_res.tail_certified, f"delta sup: {d_res.note}"),
@@ -1286,8 +1284,8 @@ def tune(
 
     The exact-error table, on the upper lattice as build_bound's, does not
     depend on the cutoff or the splice, so it is built once: at the first
-    scale's splice, or, with no splice point, at the first feasible
-    candidate; an engine error ends the tune. Every candidate is certified
+    scale's splice, or, with no splice point, after the first sweep that
+    finds a delta below one; an engine error ends the tune. Every candidate is certified
     by build_bound's core (_Anchor.certify), a feasible row's C and
     coefficient read off its certificate, and what candidates share is
     computed once:

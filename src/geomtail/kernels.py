@@ -731,7 +731,8 @@ def build_spliced_g(delta_table, bstar: float, tailg: PowerTestFunction) -> Spli
     env = MonotoneEnvelope.from_table(sub_x, sub_v)
     anchor = float(env.values[-1])
     if anchor <= 0.0:
-        raise ValueError("relative error at the splice point is not positive")
+        raise ConfigError(f"relative error at the splice point g.bstar = {bstar:g} is "
+                          f"{anchor:g}, not positive")
     kappa = anchor / tailg(bstar)
     return SplicedTestFunction(bstar=float(bstar), envelope=env, kappa_splice=kappa, tailg=tailg)
 

@@ -337,6 +337,16 @@ def test_one_sweep_serves_many_test_functions_each_as_alone(case):
     assert shared.J.tobytes() == longest.tobytes()
 
 
+def test_a_row_whose_g_fails_reads_no_J_past_that_points_chunk():
+    # 0.75 exceeds min(2 * 0.5, 1 - 0.5): no envelope is certified and the
+    # row never stops, but its g is 0 from the grid's first point on
+    grid = bounder._sup_grid(8.0, 1e5, 1.02)
+    sweep = bounder._KernelSweep(ParetoDist(2.0), CutoffFunction.power(1.0, 0.5), grid)
+    (res,) = bounder._sup_pair(sweep, HALF, [ZeroFrom(PowerTestFunction(1.0, 0.75), 8.0)])
+    assert (type(res), str(res)) == (ValueError, "test function must be positive; g(8)=0")
+    assert grid.size == 478 and sweep.J.size == 8
+
+
 def test_stop_margin_is_relative_to_the_maximum_of_either_sign():
     below = bounder._below
     assert below(1.0 - 2e-6, 1.0) and not below(1.0 - 5e-7, 1.0)
@@ -825,6 +835,19 @@ def test_tune_ends_at_an_engine_error(monkeypatch):
     record_engine(monkeypatch, events, fail=RuntimeError("engine failed"))
     with pytest.raises(RuntimeError, match="^engine failed$"):
         tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14], [None, 21.3],
+             bandwidth=0.05, **COARSE)
+    assert events == ["sweep"]
+
+
+# splice points alone read the table before the sweep; with none, it is read
+# after the first sweep that finds a delta below one, and the engine's error
+# still ends the tune rather than becoming a row's note
+@pytest.mark.parametrize("bstar_grid", [[21.3], [None]], ids=["spliced", "unspliced"])
+def test_tune_ends_at_an_engine_error_before_or_after_the_sweep(monkeypatch, bstar_grid):
+    events = []
+    record_engine(monkeypatch, events, fail=RuntimeError("engine failed"))
+    with pytest.raises(RuntimeError, match="^engine failed$"):
+        tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, [1.0, 1.14], bstar_grid,
              bandwidth=0.05, **COARSE)
     assert events == ["sweep"]
 

@@ -163,6 +163,39 @@ def test_out_of_range_value_exits_3(tmp_path, capsys, old, new, message, command
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
+# the upper lattice's relative error at 2.49872 is -0.0173, though it is
+# positive elsewhere below B: no power tail can be anchored there
+SPLICE_AT_A_NEGATIVE_ERROR = """\
+family = weibull
+beta = 0.503908
+p = 0.650812
+engine = panjer
+bandwidth = 0.00438106
+B = 19.8359
+h.family = power
+h.scale = 0.937225
+h.gamma = 0.0989514
+g.coef = 1.0
+g.exponent = 0.454618
+grid_ratio = 1.91589
+x_far = 1.71765e9
+"""
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("bound", "g.variant = spliced\ng.bstar = 2.49872\n"),
+    ("tune", "g.variant = power\ntune.s = 0.937225\ntune.bstar = 2.49872\n"),
+])
+def test_a_splice_point_where_the_error_is_not_positive_exits_3(tmp_path, capsys, command,
+                                                                lines):
+    cfg = write_cfg(tmp_path, SPLICE_AT_A_NEGATIVE_ERROR + lines)
+    assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.endswith("relative error at the splice point g.bstar = 2.49872 is -0.017326, "
+                        "not positive\n")
+
+
 def test_contraction_failure_exits_2(tmp_path, capsys):
     text = BASE.replace("p = 0.5", "p = 0.2").replace("x_far = 1e6", "x_far = 151")
     cfg = write_cfg(tmp_path, text)
