@@ -90,28 +90,40 @@ def _check_g(x: np.ndarray, gx: np.ndarray, h: CutoffFunction) -> tuple[int, Exc
     (x.size if none), and the exception that names it (None if none); a g
     that overflows there, as the K kernel does when h(x) is too large a
     share of x, is an input error."""
-    i = int(np.argmin(np.append((gx > 0.0) & (gx < math.inf), False)))
-    if i == x.size:
-        return i, None
+    ok = (gx > 0.0) & (gx < math.inf)
+    if ok.all():
+        return x.size, None
+    i = int(np.argmin(ok))
     if gx[i] == math.inf:
         return i, ConfigError(f"test function overflows: g({x[i]:g})=inf; lower h.scale = "
                               f"{h.scale:g}")
     return i, ValueError(f"test function must be positive; g({x[i]:g})={gx[i]:g}")
 
 
-def _f1(params: GeometricParams, gx, g_xr, K, tail_r):
+def _kernel_factors(params: GeometricParams, K, tail_r) -> tuple:
+    """The factors of the contraction terms that read neither g nor J, at
+    the points where K and tail(h(x)) are given: K + 1, 1 - tail(h), and
+    f3's K terms (1 - p^2) K and q (K + 1) tail(h). Each is the double that
+    the terms' own formulas form, so a sweep computes them once."""
+    k1 = K + 1.0
+    return k1, 1.0 - tail_r, (1.0 - params.p**2) * K, params.q * k1 * tail_r
+
+
+def _f1(params: GeometricParams, gx, g_xr, factors):
     """The contraction term f1, the one that needs no J, from g at x and
-    x - h(x) and the kernel values at x."""
-    return params.q * g_xr * (K + 1.0) * (1.0 - tail_r) / gx
+    x - h(x) and the kernel factors at x."""
+    return params.q * g_xr * factors[0] * factors[1] / gx
 
 
-def _combine(params: GeometricParams, gx, g_xr, g_r, K, J, tail_r) -> tuple:
+def _combine(params: GeometricParams, gx, g_xr, g_r, J, factors) -> tuple:
     """The contraction terms (f1, f2, f3) from the values of g at x, x - h(x)
-    and h(x) and the kernel values at x, as arrays or numpy scalars."""
+    and h(x), J and the kernel factors at x (_kernel_factors), as arrays or
+    numpy scalars: f1 = q g(x - h) (K + 1)(1 - tail(h)) / g(x), f2 = q g(h)
+    J / g(x) and f3 = (q J + (1 - p^2) K - q (K + 1) tail(h)) / g(x)."""
     q = params.q
-    f1 = _f1(params, gx, g_xr, K, tail_r)
+    f1 = _f1(params, gx, g_xr, factors)
     f2 = q * g_r * J / gx
-    f3 = (q * J + (1.0 - params.p**2) * K - q * (K + 1.0) * tail_r) / gx
+    f3 = (q * J + factors[2] - factors[3]) / gx
     return f1, f2, f3
 
 
@@ -199,12 +211,12 @@ def _where_conditions_hold(envelope, xs, conditions) -> _TailEnvelopes:
     return _TailEnvelopes(f12, f3, True, "", f12s, f3s)
 
 
-def _power_bounds(dist, params, h, e: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _power_bounds(dist, params, e: float, xs: np.ndarray, r: np.ndarray) -> tuple:
     """The parts of the bounds on f1 + f2 and on f3 that do not read g, at
-    each point of the array xs, for a power tail sum c_i x^(-a_i), the cutoff
-    h = s x^gamma and a test function whose declared power tail x^(-e)
-    covers x, h(x) and x - h(x): the bound on f1 + f2, and the numerator of
-    the bound on f3, which divides it by g(x).
+    each point of the array xs, where a power cutoff h = s x^gamma is r, for
+    a power tail sum c_i x^(-a_i) and a test function whose declared power
+    tail x^(-e) covers x, h(x) and x - h(x): the bound on f1 + f2, and the
+    numerator of the bound on f3, which divides it by g(x).
 
     With u = h(x)/x, the bounds are
 
@@ -215,13 +227,13 @@ def _power_bounds(dist, params, h, e: float, xs: np.ndarray) -> tuple[np.ndarray
     with I1 = kappa_16 E[X; X > h] / x + (2^a_max - 1) tail(x/16) and
     K_env = sum_i (c_i / c_min) x^(a_min - a_i) ((1 - u)^(-a_i) - 1), where
     c_min goes with a_min. Every step is elementwise, so a point's doubles
-    do not depend on the other points of xs.
+    do not depend on the other points of xs, whichever cutoff each point's r
+    comes from.
     """
     terms = dist.tail_power_terms
     a_min = min(a for _, a in terms)
     a_max = max(a for _, a in terms)
     q = params.q
-    r = np.asarray(h(xs), dtype=float)
     u = r / xs
 
     # K(x, y) <= kappa_m * y / x for y <= x/m, by convexity of the pure
@@ -232,12 +244,14 @@ def _power_bounds(dist, params, h, e: float, xs: np.ndarray) -> tuple[np.ndarray
     pow2_m1 = _inf_on_overflow(math.expm1, a_max * math.log(2.0))
     pow2 = _inf_on_overflow(pow, 2.0, a_max)
     mean_above = np.array([dist.tail_mean_above(v) for v in r.tolist()], dtype=float)
-    tail = dist.tail
-    i1 = kappa_m * mean_above / xs + pow2_m1 * np.asarray(tail(xs / m), dtype=float)
+    # the tail is elementwise: one call gives tail(x/16), tail(x/2) and tail(r)
+    tail_m, tail_2, tail_r = _unstack(
+        np.asarray(dist.tail(np.concatenate((xs / m, xs / 2.0, r))), dtype=float), (xs, xs, r))
+    i1 = kappa_m * mean_above / xs + pow2_m1 * tail_m
     # from the symmetric splitting of the J integral:
     # J <= tail(r) + (2^a_max - 2) tail(x/2) + 2 I1
-    j_excess = (pow2 - 2.0) * np.asarray(tail(xs / 2.0), dtype=float) + 2.0 * i1
-    j_env = np.asarray(tail(r), dtype=float) + j_excess
+    j_excess = (pow2 - 2.0) * tail_2 + 2.0 * i1
+    j_env = tail_r + j_excess
 
     f1 = q * np.exp(-(e + a_max) * np.log1p(-u))
     f2 = q * np.exp(-e * np.log(u)) * j_env
@@ -295,11 +309,14 @@ def _power_tail_envelopes(
     all doubles x.
 
     Only condition 1 reads more of g than e. Conditions 2 to 4 (bar e) and
-    the terms of _power_bounds where 3 and 4 hold are computed once in ``kept``, a
-    dict that the caller keeps with dist, h and xs (one _sup_pair call keeps
-    one, which its test functions share), the terms once per (params, e);
-    each g adds condition 1 and divides by g where all four hold, reading g
-    at xs off ``g_xs`` when given.
+    the terms of _power_bounds where 3 and 4 hold are computed once in
+    ``kept``, a dict that the caller keeps with dist and xs (one _sup_pair
+    call keeps one, which all its rows share): the conditions of every power
+    cutoff in ``kept["cutoffs"]`` (h alone if unset) at the first call, and
+    the terms once per (params, e), from one _power_bounds call over the
+    points of every one of those cutoffs whose conditions 3 and 4 hold at
+    x_far. Each g adds condition 1 and divides by g where all four hold,
+    reading g at xs off ``g_xs`` when given.
     """
     if h.family != "power":
         return _uncertified("tail envelopes need a power cutoff")
@@ -307,20 +324,32 @@ def _power_tail_envelopes(
         return _uncertified("no tail envelope for this test function")
     start, _, e = g.power_tail
     if "cutoff" not in kept:
-        r = np.asarray(h(xs), dtype=float)
+        # each power cutoff's conditions, and its slice of the points where
+        # 3 and 4 hold for the cutoffs where they hold at x_far
         a_min = min(a for _, a in dist.tail_power_terms)
-        below_half, power_form = r < xs / 2.0, (r >= 1.0) & (xs >= 16.0)
-        kept["cutoff"] = (np.minimum(r, xs - r), min(a_min * h.gamma, 1.0 - h.gamma),
-                          below_half & power_form,
-                          "cutoff below 1 or x_far below 16; envelope tails not in their power "
-                          "form" if below_half[-1] else "cutoff reaches x/2 beyond x_far")
-    nearer, e_max, g_free, g_free_note = kept["cutoff"]
+        conditions, free, end = {}, [], 0
+        for hc in kept.get("cutoffs", [h]):
+            if hc.family == "power" and hc not in conditions:
+                r = np.asarray(hc(xs), dtype=float)
+                below_half, power_form = r < xs / 2.0, (r >= 1.0) & (xs >= 16.0)
+                ok = below_half & power_form
+                size = int(np.count_nonzero(ok)) if ok[-1] else 0
+                conditions[hc] = (
+                    np.minimum(r, xs - r), min(a_min * hc.gamma, 1.0 - hc.gamma), ok,
+                    "cutoff below 1 or x_far below 16; envelope tails not in their power form"
+                    if below_half[-1] else "cutoff reaches x/2 beyond x_far",
+                    slice(end, end + size))
+                free += [(xs[ok], r[ok])] if size else []
+                end += size
+        kept["cutoff"] = conditions, free
+    nearer, e_max, g_free, g_free_note, own = kept["cutoff"][0][h]
 
     def envelope(holds):
         if (params, e) not in kept:
-            kept[params, e] = _power_bounds(dist, params, h, e, xs[g_free])
+            points, rs = zip(*kept["cutoff"][1])
+            kept[params, e] = _power_bounds(dist, params, e, _stack(points), _stack(rs))
         at = holds[g_free]
-        f12, numerator = (terms[at] for terms in kept[params, e])
+        f12, numerator = (terms[own][at] for terms in kept[params, e])
         return f12, numerator / (g.evaluate(xs[holds]) if g_xs is None else g_xs[holds])
 
     return _where_conditions_hold(envelope, xs, (
@@ -469,93 +498,147 @@ def _sup_grid(from_x: float, x_far: float, grid_ratio: float) -> np.ndarray:
 
 
 class _KernelSweep:
-    """The kernel values at the increasing points ``grid`` up to x_far, the
-    last one; they do not depend on g, so one sweep serves every test
-    function on the cutoff, and one _sup_pair call serves all those of a
-    tune scale.
+    """One cutoff's kernel values at the increasing points ``grid`` up to
+    x_far, the last one; they do not depend on g, so one sweep serves every
+    test function on the cutoff, and one _sup_pair call serves the sweeps of
+    every cutoff stacked on one grid (tune's scales).
 
-    h, K and tail(h(x)) are computed over the whole grid at once; J, by
-    ``evaluate``, in _J_CHUNK chunks only as far as a reader asks, and kept
-    (``J``), so no point's J is computed twice. ``x``, ``r``, ``K`` and
-    ``tail_r`` stop at the first point where h(x) leaves (0, x/2] or K
-    raises, or, once met, J raises. ``error`` is that point's exception
-    (None if none), final once J is evaluated at every point; _sup_pair
-    gives it for each test function whose g is checked on the points before
-    it, as f_terms would raise it, unless that g's row stopped before it.
+    ``kernels`` is the cutoff's share of a _cutoff_kernels call over the
+    cutoffs stacked with it, computed for h alone when None: ``x``, ``r``,
+    ``K`` and ``tail_r`` stop at the first point where h(x) leaves (0, x/2]
+    or K raises, and ``error`` is that point's exception (None if none). J
+    comes _J_CHUNK points at a time (_next_J, which stacks the chunks of
+    several sweeps into calls of at most _J_STACK points), only as far as a
+    reader asks, and is kept (``J``), so no point's J is computed twice; a
+    point where J raises, once met, ends x, r, K and tail_r and is the
+    error, final once J is evaluated at every point. _sup_pair gives it for
+    each test function whose g is checked on the points before it, as
+    f_terms would raise it, unless that g's row stopped before it.
 
     ``ends``, each J chunk's last grid point and x_far, are where _sup_pair
     reads the far-tail envelope."""
 
-    def __init__(self, dist: SummandDistribution, h: CutoffFunction, grid: np.ndarray):
+    def __init__(self, dist: SummandDistribution, h: CutoffFunction, grid: np.ndarray,
+                 kernels: tuple | None = None):
         self.dist, self.h, self.grid, self.x_far = dist, h, grid, float(grid[-1])
         self.ends = np.append(grid[_J_CHUNK - 1 : -1 : _J_CHUNK], self.x_far)
-        _power_series(dist)  # J's series refuses a tail too steep for it before K meets it
-        rs = np.asarray(h(grid), dtype=float)
-        n = int(np.argmin(np.append((0.0 < rs) & (rs <= grid / 2.0), False)))
-        self.error = None if n == grid.size else ValueError(
-            f"cutoff h(x)={rs[n]:g} outside (0, x/2] at x={grid[n]:g}")
-        K = [np.empty(0)]
-        try:
-            if n:
-                K.append(K_kernel(dist, grid[:n], rs[:n]))
-        except ValueError:
-            # K is elementwise: keep it up to its first failing point, found as J's is
-            try:
-                for part in _kernel_chunks(K_kernel, dist, grid[:n], rs[:n]):
-                    K.append(part)
-            except ValueError as exc:
-                self.error = exc
-        self.K = np.concatenate(K)
-        self.x, self.r = grid[: self.K.size], rs[: self.K.size]
-        self.tail_r = np.asarray(dist.tail(self.r), dtype=float)
+        self.x, self.r, self.K, self.tail_r, self.error = (
+            _cutoff_kernels(dist, [h], grid)[0] if kernels is None else kernels)
         self.J = np.empty(0)
-        self._chunks = _kernel_chunks(J_kernel, dist, self.x, self.r)
-
-    def evaluate(self, n: int | None = None) -> int:
-        """Compute J in whole chunks up to point n (every point if None), or
-        up to its first failing point; the number of points up to n with J."""
-        n = self.x.size if n is None else min(n, self.x.size)
-        parts = [self.J]
-        done = self.J.size
-        try:
-            while done < n:
-                parts.append(next(self._chunks))
-                done += parts[-1].size
-        except (ValueError, RuntimeError) as exc:
-            self.error = exc
-            self.x, self.r, self.K, self.tail_r = (
-                a[:done] for a in (self.x, self.r, self.K, self.tail_r))
-        self.J = np.concatenate(parts)
-        return min(n, done)
 
 
-# sweep points per J call, and per K call in search of a failing point: fewer
-# leave more per-call cost, more let J's temporaries (about 10 KB a point) leave the cache
+# sweep points per J call in a sweep of one cutoff, and per K call in search
+# of a failing point: fewer leave more per-call cost, more let J's
+# temporaries (about 10 KB a point) leave the cache
 _J_CHUNK = 8
+# sweep points per J call at most when _next_J stacks the chunks of several
+# cutoffs, as tune does for its scales: 8 chunks of _J_CHUNK, so J's
+# temporaries stay under about 640 KB however many scales are stacked
+_J_STACK = 8 * _J_CHUNK
 # the stop tests' relative margin, far above J's quadrature tolerance of
 # 1e-10: the terms computed beyond the stop stay below the maxima before it
 _STOP_MARGIN = 1e-6
 
 
-def _kernel_chunks(kernel, dist, xs: np.ndarray, rs: np.ndarray):
-    """K or J at the points (xs, rs) in order, as arrays of _J_CHUNK points (the
-    last one shorter); each is the same double in any batch. A chunk where the
-    kernel raises is redone one point at a time, so the values before its
-    first failing point come out before that point's error is raised."""
-    for lo in range(0, xs.size, _J_CHUNK):
-        hi = min(lo + _J_CHUNK, xs.size)
-        try:
-            yield kernel(dist, xs[lo:hi], rs[lo:hi])
-        except (ValueError, RuntimeError):
-            for i in range(lo, hi):
-                yield kernel(dist, xs[i : i + 1], rs[i : i + 1])
+def _cutoff_kernels(dist, cutoffs, grid: np.ndarray) -> list[tuple]:
+    """The kernel values of each cutoff h of cutoffs at the increasing points
+    grid, as (x, r, K, tail_r, error): the points x of grid before the first
+    where h(x) leaves (0, x/2] or K raises, h(x), K(x, h(x)) and tail(h(x))
+    there, and the exception of that point (None if none). K and tail(h)
+    each come from one call over every cutoff's points (_kernel_parts); both
+    are elementwise, so each value is the double a call on its own cutoff
+    gives."""
+    _power_series(dist)  # J's series refuses a tail too steep for it before K meets it
+    rs = [np.asarray(h(grid), dtype=float) for h in cutoffs]
+    ns = [int(np.argmin(np.append((0.0 < r) & (r <= grid / 2.0), False))) for r in rs]
+    Ks = _kernel_parts(K_kernel, dist, [(grid[:n], r[:n]) for r, n in zip(rs, ns)])
+    heads = [r[: K.size] for r, (K, _) in zip(rs, Ks)]
+    tails = _unstack(np.asarray(dist.tail(_stack(heads)), dtype=float), heads)
+    kernels = []
+    for r, n, (K, error), tail_r in zip(rs, ns, Ks, tails):
+        if error is None and n < grid.size:
+            error = ValueError(f"cutoff h(x)={r[n]:g} outside (0, x/2] at x={grid[n]:g}")
+        kernels.append((grid[: K.size], r[: K.size], K, tail_r, error))
+    return kernels
+
+
+def _stack(arrays) -> np.ndarray:
+    """The 1-D arrays end to end, as one call over the points of several
+    takes them (the one array itself when alone)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _unstack(values: np.ndarray, arrays) -> list:
+    """The values of one call over _stack(arrays), cut back into one piece
+    per array."""
+    if len(arrays) == 1:
+        return [values]
+    pieces, lo = [], 0
+    for a in arrays:
+        pieces.append(values[lo : lo + a.size])
+        lo += a.size
+    return pieces
+
+
+def _kernel_parts(kernel, dist, parts: list) -> list[tuple]:
+    """K or J at the points (xs, rs) of each part of parts, from one call
+    over all of them: per part, its values up to its first failing point and
+    that point's exception (None if none). A call that raises is redone part
+    by part, a part in _J_CHUNK pieces and a piece of at most _J_CHUNK
+    points point by point, so a failing point costs a few calls, not one per
+    point. Each value is the same double in any batch, so a part's values
+    and exception are those of a call on it alone."""
+    xs, rs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    if not xs.size:
+        return [(x, None) for x, _ in parts]
+    try:
+        values = kernel(dist, xs, rs)
+        return [(values, None)] if len(parts) == 1 else [
+            (v, None) for v in _unstack(values, [x for x, _ in parts])]
+    except (ValueError, RuntimeError) as exc:
+        if xs.size == 1:
+            return [(xs[:0], exc)]
+    if len(parts) > 1:
+        return [_kernel_parts(kernel, dist, [part])[0] for part in parts]
+    step, found = _J_CHUNK if xs.size > _J_CHUNK else 1, []
+    for lo in range(0, xs.size, step):
+        piece = (xs[lo : lo + step], rs[lo : lo + step])
+        ((values, error),) = _kernel_parts(kernel, dist, [piece])
+        found.append(values)
+        if error is not None:
+            break
+    return [(np.concatenate(found), error)]
+
+
+def _next_J(sweeps: list, upto: int) -> None:
+    """J at the next _J_CHUNK points before point ``upto`` of each sweep of
+    sweeps that has any left, the chunks of up to _J_STACK / _J_CHUNK sweeps
+    in one call (_kernel_parts). A sweep whose J raises at a point keeps J
+    up to it, and its x, r, K and tail_r end there, with that point's
+    exception as its error."""
+    todo, parts = [], []
+    for s in sweeps:
+        lo = s.J.size
+        hi = min(lo + _J_CHUNK, upto, s.x.size)
+        if lo < hi:
+            todo.append(s)
+            parts.append((s.x[lo:hi], s.r[lo:hi]))
+    per_call = _J_STACK // _J_CHUNK
+    for c in range(0, len(todo), per_call):
+        found = _kernel_parts(J_kernel, todo[c].dist, parts[c : c + per_call])
+        for s, (J, error) in zip(todo[c : c + per_call], found):
+            s.J = np.concatenate((s.J, J))
+            if error is not None:
+                s.error = error
+                s.x, s.r, s.K, s.tail_r = (a[: s.J.size] for a in (s.x, s.r, s.K, s.tail_r))
 
 
 def _kernel_sweep(dist, h, xs: np.ndarray) -> _KernelSweep:
     """The kernel sweep of the increasing points xs with J at every point,
     for f_terms and the CLI ``kernels`` command."""
     sweep = _KernelSweep(dist, h, xs)
-    sweep.evaluate()
+    while sweep.J.size < sweep.x.size:
+        _next_J([sweep], sweep.x.size)
     return sweep
 
 
@@ -567,7 +650,8 @@ def _terms(sweep: _KernelSweep, params, g) -> tuple:
     if bad is not None:
         raise bad
     with np.errstate(over="ignore", invalid="ignore"):
-        return _combine(params, gx, g_xr, g_r, sweep.K[:n], sweep.J, sweep.tail_r[:n])
+        return _combine(params, gx, g_xr, g_r, sweep.J,
+                        _kernel_factors(params, sweep.K[:n], sweep.tail_r[:n]))
 
 
 def _below(a: float, b: float) -> bool:
@@ -576,84 +660,112 @@ def _below(a: float, b: float) -> bool:
     return a < b - _STOP_MARGIN * abs(b)
 
 
-def _sup_pair(sweep: _KernelSweep, params, gs) -> list:
+def _sup_pair(sweeps: list, params, gs) -> list:
     """The f1+f2 supremum and the f3 supremum (phi) over [from_x, infinity)
-    together, from one kernel sweep, for each test function of gs: the pair
-    (d_res, p_res), or the exception its candidate raises. phi is None when
-    the contraction fails (delta >= 1, or NaN), as no reader needs it then.
+    together, for each row: a kernel sweep of sweeps, which stack their
+    cutoffs on one grid, with a test function of gs. Per row, in scale-major
+    order (row k len(gs) + j is sweeps[k] with gs[j]), the pair (d_res,
+    p_res), or the exception its candidate raises. phi is None when the
+    contraction fails (delta >= 1, or NaN), as no reader needs it then.
 
-    Each g is evaluated once, over the sweep's x, x - h(x) and h(x) and, for
-    the power envelope, its ``ends``; the rows of values still live are
-    checked and combined together, a J chunk at a time. A row stops after
-    the first chunk whose last point x_i has envelope bounds below its
-    running maxima, f1 + f2's also below one, by the margin _STOP_MARGIN:
-    they bound the terms on [x_i, infinity), so the grid maxima are those of
-    the whole grid, and f1 + f2 is below one past the prefix the min-b
-    search reads. Once its maximum of f1 + f2 is at least one, delta >= 1,
-    and the row stops on the two f1 + f2 conditions alone. A NaN maximum
-    never stops, nor does a row with no envelope. The envelope is evaluated
-    at the chunks' last points and at x_far, where it closes the grid
-    maxima. A kernel failure or a g not positive and finite (_check_g)
-    beyond a row's stop is never met; one before it is the row's exception,
-    and the row reads no J past that point's chunk. J is pulled as far as
-    the furthest row reads it, and each row is, bit for bit, the call with
-    its g alone: the terms are elementwise and the maxima exact. An inf K,
-    which overflows the terms, warns nothing."""
-    results: list = [None] * len(gs)
-    rows, values, envs, kept = [], [], [], {}
-    n = sweep.x.size
-    points = np.concatenate((sweep.x, sweep.x - sweep.r, sweep.r))
-    for i, g in enumerate(gs):
+    Each g is evaluated once, over every sweep's x, x - h(x) and h(x) and,
+    for the power envelope, the grid's ``ends`` (per sweep if that raises,
+    so each row meets its own sweep's exception). The rows still live are
+    checked and combined together, a round at a time, and each round pulls
+    J at the next _J_CHUNK points of every sweep with a live row, in calls
+    of at most _J_STACK points, which bound J's temporaries (_next_J).
+    A row stops after the round whose last point x_i has envelope bounds
+    below its running maxima, f1 + f2's also below one, by the margin
+    _STOP_MARGIN: they bound the terms on [x_i, infinity), so the grid
+    maxima are those of the whole grid, and f1 + f2 is below one past the
+    prefix the min-b search reads. Once its maximum of f1 + f2 is at least
+    one, delta >= 1, and the row stops on the two f1 + f2 conditions alone.
+    A NaN maximum never stops, nor does a row with no envelope. The envelope
+    is evaluated at the chunks' last points and at x_far, where it closes
+    the grid maxima; its parts that do not read g are computed once for all
+    rows (_power_tail_envelopes). A kernel failure or a g not positive and
+    finite (_check_g) beyond a row's stop is never met; one before it is
+    the row's exception, and the row reads no J past that point's chunk.
+    Each sweep pulls J as far as its furthest row reads it, and each row
+    is, bit for bit, the call with its sweep and g alone: the terms are
+    elementwise and the maxima exact. An inf K, which overflows the terms,
+    warns nothing."""
+    # row i = k len(gs) + j; axes (quantity, row, point): g at x, x - h(x)
+    # and h(x), the kernels, and the terms f1 + f2 and f3, NaN past each
+    # sweep's points; their running maxima
+    n_g, size, ends = len(gs), sweeps[0].grid.size, sweeps[0].ends
+    ns = [sweep.x.size for sweep in sweeps]
+    results, envs = [None] * (len(sweeps) * n_g), [None] * (len(sweeps) * n_g)
+    arrays = np.full((8, len(results), size), np.nan)
+    G, factors, J = arrays[:3], arrays[3:7], arrays[7]
+    F, top = np.empty((2, len(results), size)), np.full((2, len(results)), -math.inf)
+    kept, points = {"cutoffs": [sweep.h for sweep in sweeps]}, {}
+    for j, g in enumerate(gs):
+        # the power envelope alone reads g at the ends
+        with_ends = g.power_tail is not None
+        if with_ends not in points:
+            read = (ends,) if with_ends else ()
+            points[with_ends] = [np.concatenate((s.x, s.x - s.r, s.r, *read)) for s in sweeps]
+        parts = points[with_ends]
         try:
-            # as _g_values, and the ends for the power envelope, which alone reads g there
-            v = g.evaluate(points if g.power_tail is None else np.append(points, sweep.ends))
-            envs.append(_tail_envelopes(sweep.dist, params, sweep.h, g, sweep.ends, kept,
-                                        v[3 * n :]))
-        except (ValueError, RuntimeError) as exc:
-            results[i] = exc
-            continue
-        rows.append(i)
-        values.append(v[: 3 * n].reshape(3, n))
-    if not rows:
-        return results
-    # axes (quantity, row, point): g at x, x - h(x) and h(x), and the terms
-    # f1 + f2 and f3; their running maxima; each row's g check, and the
-    # points it reads once it is no longer combined
-    G, F = np.array(values).transpose(1, 0, 2), np.empty((2, len(rows), n))
-    top = np.full((2, len(rows)), -math.inf)
-    bad = [_check_g(sweep.x, gx, sweep.h) for gx in G[0]]
-    stops, live = [0] * len(rows), list(range(len(rows)))
-    lo = 0
-    # the terms of a row no longer combined are formed but never read
+            vs = _unstack(g.evaluate(_stack(parts)), parts)
+        except (ValueError, RuntimeError):
+            vs = [_attempt(g.evaluate, part) for part in parts]
+        for k, (sweep, v, n) in enumerate(zip(sweeps, vs, ns)):
+            env = v if isinstance(v, Exception) else _attempt(
+                _tail_envelopes, sweep.dist, params, sweep.h, g, ends, kept, v[3 * n :])
+            if isinstance(env, Exception):
+                results[k * n_g + j] = env
+            else:
+                G[:, k * n_g + j, :n], envs[k * n_g + j] = v[: 3 * n].reshape(3, n), env
+    live = [i for i, env in enumerate(envs) if env is not None]
+    # each row's g check, the points it reads once it is no longer
+    # combined, and the sweeps that still have a live row
+    bad = {i: _check_g(sweeps[i // n_g].x, G[0, i, : ns[i // n_g]], sweeps[i // n_g].h)
+           for i in live}
+    stops, got, pulled = [0] * len(results), [0] * len(sweeps), sorted({i // n_g for i in live})
+    # an inf K overflows the terms silently; the terms of a row no longer
+    # combined, or past its sweep's points, are formed but never read
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for hi in [*range(_J_CHUNK, n, _J_CHUNK), n]:
-            got = sweep.evaluate(hi)
-            for j in [j for j in live if bad[j][0] < got]:
-                results[rows[j]] = bad[j][1]
-                live.remove(j)
-            f1, f2, f3 = _combine(params, *G[:, :, lo:got], sweep.K[lo:got], sweep.J[lo:got],
-                                  sweep.tail_r[lo:got])
-            F[0, :, lo:got], F[1, :, lo:got] = f1 + f2, f3
-            if got == hi < n:
-                top = np.maximum(top, F[:, :, lo:got].max(axis=2))
-                tops = top.T.tolist()
-                for j in [j for j in live if envs[j].certified]:
-                    (top12, top3), env = tops[j], envs[j]
-                    e12, e3 = env.f12s[hi // _J_CHUNK - 1], env.f3s[hi // _J_CHUNK - 1]
+        for k, sweep in enumerate(sweeps):
+            for rows, values in zip(factors, _kernel_factors(params, sweep.K, sweep.tail_r)):
+                rows[k * n_g : (k + 1) * n_g, : ns[k]] = values
+        for lo in range(0, size if live else 0, _J_CHUNK):
+            hi, combined = min(lo + _J_CHUNK, size), len(live)
+            _next_J([sweeps[k] for k in pulled], hi)
+            for k in pulled:
+                got[k] = min(sweeps[k].J.size, hi)
+                J[k * n_g : (k + 1) * n_g, lo : got[k]] = sweeps[k].J[lo : got[k]]
+            for i in [i for i in live if bad[i][0] < got[i // n_g]]:
+                results[i] = bad[i][1]
+                live.remove(i)
+            f1, f2, f3 = _combine(params, *G[:, :, lo:hi], J[:, lo:hi], factors[:, :, lo:hi])
+            F[0, :, lo:hi], F[1, :, lo:hi] = f1 + f2, f3
+            top = np.maximum(top, F[:, :, lo:hi].max(axis=2))
+            tops, still = top.T.tolist(), []
+            for i in live:
+                k, env = i // n_g, envs[i]
+                if not got[k] == min(hi, ns[k]) < ns[k]:
+                    # past a failing J point no more J comes, nor past the sweep's last
+                    stops[i], results[i] = got[k], sweeps[k].error
+                    continue
+                if env.certified:
+                    (top12, top3), at = tops[i], lo // _J_CHUNK
+                    e12, e3 = env.f12s[at], env.f3s[at]
                     # top12 >= 1 makes delta >= 1, which reads no phi: f3 no longer counts
                     if (_below(e12, top12) and _below(e12, 1.0)
                             and (top12 >= 1.0 or _below(e3, top3))):
-                        stops[j] = got
-                        live.remove(j)
-            lo = got
-            if not live or got < hi:  # past a failing J point no more J comes
+                        stops[i] = got[k]
+                        continue
+                still.append(i)
+            if len(still) < combined:
+                pulled = sorted({i // n_g for i in still})
+            live = still
+            if not live:
                 break
-    for j in live:
-        stops[j] = lo
-        results[rows[j]] = sweep.error
-    for j, i in enumerate(rows):
-        if results[i] is None:
-            results[i] = _sups(sweep, envs[j], *F[:, j, : stops[j]])
+    for i, env in enumerate(envs):
+        if env is not None and results[i] is None:
+            results[i] = _sups(sweeps[i // n_g], env, *F[:, i, : stops[i]])
     return results
 
 
@@ -664,16 +776,19 @@ def _sups(sweep: _KernelSweep, env: _TailEnvelopes, f12: np.ndarray, f3: np.ndar
         f"grid maximum only; tail beyond {sweep.x_far:g} not certified: {env.note}"
     )
 
-    def sup(vals: np.ndarray, bound: float | None) -> SupResult:
+    def sup(vals: np.ndarray, bound: float | None, failed: bool = False) -> SupResult:
         i = int(np.argmax(vals))
         value = max(float(vals[i]), bound) if env.certified else float(vals[i])
-        return SupResult(value, float(vals[i]), float(sweep.x[i]), bound, env.certified, note)
+        last = None
+        if failed and not value < 1.0:
+            at_one = np.flatnonzero(~(vals < 1.0))
+            last = float(sweep.x[at_one[-1]]) if at_one.size else None
+        return SupResult(value, float(vals[i]), float(sweep.x[i]), bound, env.certified, note,
+                         last)
 
-    d_res = sup(f12, env.f12)
+    d_res = sup(f12, env.f12, failed=True)
     if not (d_res.value < 1.0):
-        at_one = np.flatnonzero(~(f12 < 1.0))
-        last = float(sweep.x[at_one[-1]]) if at_one.size else None
-        return replace(d_res, last_at_one=last), None
+        return d_res, None
     p_res = sup(f3, env.f3)
     if p_res.value < 0.0:
         p_note = (note + "; " if note else "") + "negative remainder supremum clamped to 0"
@@ -699,7 +814,7 @@ def delta_sup(
     the maximum so far reaches one."""
     if not (from_x >= h.domain_start * (1.0 - 1e-12)):
         raise ConfigError(f"from_x={from_x:g} below the cutoff domain start {h.domain_start:g}")
-    (res,) = _sup_pair(_KernelSweep(dist, h, _sup_grid(from_x, x_far, grid_ratio)), params, [g])
+    (res,) = _sup_pair([_KernelSweep(dist, h, _sup_grid(from_x, x_far, grid_ratio))], params, [g])
     if isinstance(res, Exception):
         raise res
     return res[0]
@@ -1070,23 +1185,25 @@ def _search_min_b(sweep: _KernelSweep, params, g, d_res: SupResult, cap: int) ->
     if d_res.tail_certified and not (d_res.tail_bound < 1.0):
         return None
     for lo in range(math.floor(d_res.last_at_one) + 1, cap + 1, _MIN_B_SPAN):
-        span = _KernelSweep(sweep.dist, sweep.h,
-                            np.arange(lo, min(lo + _MIN_B_SPAN, cap + 1), dtype=float))
-        gx, g_xr, g_r = _g_values(g, span.x, span.r)
-        n, bad = _check_g(span.x, gx, span.h)
+        ((x, r, K, tail_r, failed),) = _cutoff_kernels(
+            sweep.dist, [sweep.h], np.arange(lo, min(lo + _MIN_B_SPAN, cap + 1), dtype=float))
+        gx, g_xr, g_r = _g_values(g, x, r)
+        n, bad = _check_g(x, gx, sweep.h)
         with np.errstate(over="ignore", invalid="ignore"):
-            at = np.flatnonzero(_f1(params, gx[:n], g_xr[:n], span.K[:n], span.tail_r[:n]) < 1.0)
-            done = 0
-            for J in _kernel_chunks(J_kernel, span.dist, span.x[at], span.r[at]):
-                i = at[done : done + J.size]
-                done += J.size
-                f1, f2, _ = _combine(params, gx[i], g_xr[i], g_r[i], span.K[i], J,
-                                     span.tail_r[i])
+            factors = _kernel_factors(params, K[:n], tail_r[:n])
+            at = np.flatnonzero(_f1(params, gx[:n], g_xr[:n], factors) < 1.0)
+            for first in range(0, at.size, _J_CHUNK):
+                i = at[first : first + _J_CHUNK]
+                ((J, error),) = _kernel_parts(J_kernel, sweep.dist, [(x[i], r[i])])
+                i = i[: J.size]
+                f1, f2, _ = _combine(params, gx[i], g_xr[i], g_r[i], J, [f[i] for f in factors])
                 below = np.flatnonzero(f1 + f2 < 1.0)
                 if below.size:
-                    return int(span.x[i[below[0]]])
-        if bad or span.error:
-            raise bad or span.error
+                    return int(x[i[below[0]]])
+                if error is not None:
+                    raise error
+        if bad or failed:
+            raise bad or failed
     return None
 
 
@@ -1143,26 +1260,27 @@ class _Anchor:
             self._spliced[key] = build_spliced_g(self.table, key, self._spliced[None])
         return self._spliced[key]
 
-    def certify(self, sweep: _KernelSweep, bstars) -> list:
-        """The certificates for the sweep's cutoff and the g at each splice
+    def certify(self, sweeps: list, bstars) -> list:
+        """The certificates for each sweep's cutoff and the g at each splice
         point of bstars (None for g itself), from one _sup_pair call: per
-        splice point a BoundCertificate; when delta >= 1, the contraction
-        failing at its verdict, the delta SupResult, with no phi, no interval
-        constant and, unspliced, no table; or the exception its candidate
-        raises, which a NaN delta (not below one to the min-b search too)
-        is. An engine failure, which ends every candidate, raises: the table
-        is read before any candidate reads it, ahead of the splices when
-        there are any and after the sweep when a delta is below one."""
+        sweep, a list with per splice point a BoundCertificate; when delta
+        >= 1, the contraction failing at its verdict, the delta SupResult,
+        with no phi, no interval constant and, unspliced, no table; or the
+        exception its candidate raises, which a NaN delta (not below one to
+        the min-b search too) is. An engine failure, which ends every
+        candidate, raises: the table is read before any candidate reads it,
+        ahead of the splices when there are any and after the sweep when a
+        delta is below one."""
         if any(bstar is not None for bstar in bstars):
             self.table
         gs = [_attempt(self.spliced, bstar) for bstar in bstars]
-        pairs = _sup_pair(sweep, self.params, [g for g in gs if not isinstance(g, Exception)])
+        pairs = _sup_pair(sweeps, self.params, [g for g in gs if not isinstance(g, Exception)])
         if any(not isinstance(pair, Exception) and pair[0].value < 1.0 for pair in pairs):
             self.table
         pairs = iter(pairs)
-        return [g if isinstance(g, Exception)
-                else _attempt(self._certificate, sweep, bstar, g, next(pairs))
-                for bstar, g in zip(bstars, gs)]
+        return [[g if isinstance(g, Exception)
+                 else _attempt(self._certificate, sweep, bstar, g, next(pairs))
+                 for bstar, g in zip(bstars, gs)] for sweep in sweeps]
 
     def _certificate(self, sweep: _KernelSweep, bstar, g: TestFunction, pair):
         """certify's result for one splice point, from its _sup_pair result."""
@@ -1232,7 +1350,7 @@ def build_bound(
         raise ValueError("splicing requires a power test function for the tail piece")
     anchor.spliced(bstar)  # a splice reads the error table: it is built before the sweep
     sweep = _KernelSweep(dist, h, anchor.grid)
-    (cert,) = anchor.certify(sweep, [bstar])
+    ((cert,),) = anchor.certify([sweep], [bstar])
     if isinstance(cert, Exception):
         raise cert
     if isinstance(cert, SupResult):
@@ -1283,24 +1401,29 @@ def tune(
     coefficient C * kappa (spliced) or C * coef (pure power).
 
     The exact-error table, on the upper lattice as build_bound's, does not
-    depend on the cutoff or the splice, so it is built once: at the first
-    scale's splice, or, with no splice point, after the first sweep that
-    finds a delta below one; an engine error ends the tune. Every candidate is certified
-    by build_bound's core (_Anchor.certify), a feasible row's C and
-    coefficient read off its certificate, and what candidates share is
-    computed once:
+    depend on the cutoff or the splice, so it is built once: before the
+    sweep when there is a splice point, or, with none, after it when some
+    candidate's delta is below one; an engine error ends the tune. Every
+    candidate is certified by build_bound's core (_Anchor.certify), a
+    feasible row's C and coefficient read off its certificate, and what
+    candidates share is computed once:
 
-    - per scale, one _sup_pair call for all its splice points: one kernel
-      sweep (_KernelSweep), the far-tail envelope's parts that do not read
-      g, and the contraction terms of every splice point's g, each g
-      evaluated once, as the rows of one array;
-    - per splice point, the spliced g, and one table of interval constants
-      over [min h(B), B], which each scale reads at its own h(B)
+    - one _sup_pair call for every (usable scale, splice point) row: one
+      kernel sweep per scale (_KernelSweep), their h, K and tail(h) from one
+      call each over all scales' points (_cutoff_kernels), J in rounds of
+      one call on the next chunk of every scale with a live row, up to
+      _J_STACK points a call (_next_J), each g evaluated once over all
+      scales' points, the far-tail envelope's parts that do not read g from
+      one _power_bounds call per exponent, and one combine and stop loop
+      over all rows;
+    - per splice point, the spliced g, whose failure to splice is every
+      scale's row note, and one table of interval constants over
+      [min h(B), B], which each scale reads at its own h(B)
       (_interval_constants), built at the splice point's first feasible
       candidate.
 
-    A splice point that fails to splice is retried at every scale, so each
-    row carries its note. Ties prefer the smaller scale, then the smaller
+    Each row is, bit for bit, the one-cutoff call of build_bound at its
+    scale and splice point. Ties prefer the smaller scale, then the smaller
     splice point, with the pure (unspliced) candidate ordered last. When
     every usable candidate fails the contraction alone, tune raises
     build_bound's ProcedureFailed for the smallest delta (first row on ties),
@@ -1320,6 +1443,9 @@ def tune(
     anchor = _Anchor(dist, params, g, B, usable, engine, bandwidth, mc_samples, seed,
                      x_far, grid_ratio)
 
+    sweeps = [_KernelSweep(dist, hs, anchor.grid, kernels)
+              for hs, kernels in zip(usable, _cutoff_kernels(dist, usable, anchor.grid))]
+    certs = iter(zip(sweeps, anchor.certify(sweeps, b_list)))
     rows: list[TuneRow] = []
     errors: list[Exception] = []
     refused: list[tuple] = []  # (sweep, bstar, d_res) of each candidate with delta >= 1
@@ -1328,8 +1454,8 @@ def tune(
             rows += [TuneRow(s, bst, False, None, None, "horizon below cutoff domain")
                      for bst in b_list]
             continue
-        sweep = _KernelSweep(dist, hs, anchor.grid)
-        for bst, cert in zip(b_list, anchor.certify(sweep, b_list)):
+        sweep, scale_certs = next(certs)
+        for bst, cert in zip(b_list, scale_certs):
             if isinstance(cert, Exception):
                 errors.append(cert)
                 rows.append(TuneRow(s, bst, False, None, None, str(cert)))

@@ -188,6 +188,9 @@ _GL_NODES = np.concatenate((_GL24[0], _GL16[0]))
 # most _J_HALVINGS rounds
 _J_RTOL = 1e-10
 _J_HALVINGS = 8
+# an estimate at most the smallest normal double passes: below it a J of
+# subnormal size cannot meet _J_RTOL, and an error that small moves no term
+_J_ATOL = 2.0**-1022
 
 
 def _j_panels(x: np.ndarray, r: np.ndarray) -> tuple:
@@ -490,8 +493,9 @@ def _j_quadrature(dist: SummandDistribution, x: np.ndarray, r: np.ndarray) -> np
     rule on panels that grow geometrically from both ends (``_j_panels``),
     the panels of every point evaluated by one call of the family's
     integrand. Every panel whose 24- and 16-node rules differ by more than
-    ``_J_RTOL`` of its own point's |J| is halved, all in one pass per round,
-    and each round evaluates only the two halves of the failing panels. A
+    ``_J_RTOL`` of its own point's |J|, and by more than ``_J_ATOL``, is
+    halved, all in one pass per round, and each round evaluates only the two
+    halves of the failing panels. A
     panel's sums are formed from its own nodes alone and a point's J from
     its own panels, so J at a point is the same double in any batch. A point
     still failing after ``_J_HALVINGS`` rounds, and a NaN value, are
@@ -503,7 +507,7 @@ def _j_quadrature(dist: SummandDistribution, x: np.ndarray, r: np.ndarray) -> np
         # failing one replaced by its lower half, then the upper halves in
         # the order of the rounds that made them
         J = np.bincount(owner, vals, x.size)
-        bad = errs > _J_RTOL * np.abs(J)[owner]
+        bad = errs > np.maximum(_J_RTOL * np.abs(J), _J_ATOL)[owner]
         if not bad.any():
             break
         if halvings == _J_HALVINGS:

@@ -106,8 +106,8 @@ def test_f_terms_equals_sweep_at_grid_points():
     for g in (G_PARETO, spliced, KKernelTestFunction(PARETO, H_PARETO)):
         terms = [f_terms(PARETO, HALF, H_PARETO, g, x) for x in sweep.x.tolist()]
         assert [ft.x for ft in terms] == sweep.x.tolist()
-        f1, f2, f3 = bounder._combine(HALF, *bounder._g_values(g, sweep.x, sweep.r),
-                                      sweep.K, sweep.J, sweep.tail_r)
+        f1, f2, f3 = bounder._combine(HALF, *bounder._g_values(g, sweep.x, sweep.r), sweep.J,
+                                      bounder._kernel_factors(HALF, sweep.K, sweep.tail_r))
         assert [ft.f1 for ft in terms] == f1.tolist()
         assert [ft.f2 for ft in terms] == f2.tolist()
         assert [ft.f3 for ft in terms] == f3.tolist()
@@ -204,7 +204,7 @@ def test_sup_uncertified_for_small_log_cutoff():
 def sup_pair(sweep, params, g):
     """_sup_pair's one-row case, as build_bound and delta_sup make it: the
     pair (d_res, p_res) of g alone, or the exception of its row, raised."""
-    (res,) = bounder._sup_pair(sweep, params, [g])
+    (res,) = bounder._sup_pair([sweep], params, [g])
     if isinstance(res, Exception):
         raise res
     return res
@@ -321,12 +321,12 @@ def test_one_sweep_serves_many_test_functions_each_as_alone(case):
     the longest of those, and no further."""
     dist, params, h, gs, grid = case
     shared = bounder._KernelSweep(dist, h, grid)
-    rows = bounder._sup_pair(shared, params, gs)
+    rows = bounder._sup_pair([shared], params, gs)
     assert len(rows) == len(gs)
     longest = np.empty(0)
     for g, row in zip(gs, rows):
         alone = bounder._KernelSweep(dist, h, grid)
-        (want,) = bounder._sup_pair(alone, params, [g])
+        (want,) = bounder._sup_pair([alone], params, [g])
         if isinstance(want, Exception):
             assert (type(row), str(row)) == (type(want), str(want))
         else:
@@ -337,12 +337,74 @@ def test_one_sweep_serves_many_test_functions_each_as_alone(case):
     assert shared.J.tobytes() == longest.tobytes()
 
 
+@st.composite
+def stacked_cases(draw):
+    """sweep_cases' model, grid and test functions, plus a K-kernel g on its
+    cutoff (which raises at some stacked cutoffs' small h(x)), on 1 to 5
+    cutoffs stacked on the grid, in any order: the drawn one, up to two
+    others of its family at other scales, and possibly one whose domain
+    start lies above B, so that h leaves (0, x/2] at the grid's first point,
+    and a log-power cutoff that leaves (0, x/2] mid-grid."""
+    dist, params, h, gs, grid = draw(sweep_cases())
+    B = float(grid[0])
+    cutoffs = [h] + [h.with_scale(h.scale * draw(st.floats(0.3, 2.0)))
+                     for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        # domain start (2 s)^(1 / (1 - gamma)) above B
+        cutoffs.append(h.with_scale(B ** (1.0 - h.gamma) / 2.0 * draw(st.floats(1.1, 3.0))))
+    if draw(st.booleans()):
+        # h(x)/x = s (log x)^kappa / x peaks at x = e^kappa, e^3 times B:
+        # 0.4 at B, and at least 0.8 there
+        kappa = math.log(B) + 3.0
+        leaves = CutoffFunction.logpower(0.4 * B / math.log(B) ** kappa, kappa)
+        r = leaves(grid)
+        assert r[0] <= B / 2.0 and np.any(r > grid / 2.0)
+        cutoffs.append(leaves)
+    if draw(st.booleans()):
+        gs = gs + [KKernelTestFunction(dist, h)]
+    return dist, params, draw(st.permutations(cutoffs)), gs, grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacked_cases())
+def test_each_stacked_row_is_the_one_cutoff_call(case):
+    """One _sup_pair call over the sweeps of several cutoffs stacked on one
+    grid gives each (cutoff, g) row, bit for bit, what _sup_pair gives on a
+    fresh one-cutoff sweep with that g alone, or the same exception, by type
+    and message. Each stacked sweep holds the kernels of its cutoff alone
+    and pulls the J that its cutoff pulls alone with all the test functions,
+    the longest of its rows' J."""
+    dist, params, cutoffs, gs, grid = case
+    stacked = [bounder._KernelSweep(dist, h, grid, kernels)
+               for h, kernels in zip(cutoffs, bounder._cutoff_kernels(dist, cutoffs, grid))]
+    rows = bounder._sup_pair(stacked, params, gs)
+    assert len(rows) == len(cutoffs) * len(gs)
+    for k, (h, sweep) in enumerate(zip(cutoffs, stacked)):
+        longest = np.empty(0)
+        for j, g in enumerate(gs):
+            alone = bounder._KernelSweep(dist, h, grid)
+            (want,) = bounder._sup_pair([alone], params, [g])
+            row = rows[k * len(gs) + j]
+            if isinstance(want, Exception):
+                assert (type(row), str(row)) == (type(want), str(want))
+            else:
+                assert repr(row) == repr(want)
+            if alone.J.size > longest.size:
+                longest = alone.J
+        solo = bounder._KernelSweep(dist, h, grid)
+        bounder._sup_pair([solo], params, gs)
+        for name in ("x", "r", "K", "tail_r", "J"):
+            assert getattr(sweep, name).tobytes() == getattr(solo, name).tobytes()
+        assert (type(sweep.error), str(sweep.error)) == (type(solo.error), str(solo.error))
+        assert sweep.J.tobytes() == longest.tobytes()
+
+
 def test_a_row_whose_g_fails_reads_no_J_past_that_points_chunk():
     # 0.75 exceeds min(2 * 0.5, 1 - 0.5): no envelope is certified and the
     # row never stops, but its g is 0 from the grid's first point on
     grid = bounder._sup_grid(8.0, 1e5, 1.02)
     sweep = bounder._KernelSweep(ParetoDist(2.0), CutoffFunction.power(1.0, 0.5), grid)
-    (res,) = bounder._sup_pair(sweep, HALF, [ZeroFrom(PowerTestFunction(1.0, 0.75), 8.0)])
+    (res,) = bounder._sup_pair([sweep], HALF, [ZeroFrom(PowerTestFunction(1.0, 0.75), 8.0)])
     assert (type(res), str(res)) == (ValueError, "test function must be positive; g(8)=0")
     assert grid.size == 478 and sweep.J.size == 8
 
@@ -1125,6 +1187,58 @@ def test_a_K_failure_is_found_chunk_by_chunk(monkeypatch):
     assert sizes == [760]
 
 
+def test_a_stacked_kernel_failure_ends_its_own_scale_alone(monkeypatch):
+    """Three scales stacked on one grid, where K fails from x = 1000 on at
+    scale 1.4 alone and J from x = 3000 on at scale 2 alone: a stacked call
+    that raises is redone scale by scale, and a failing scale's part
+    _J_CHUNK points at a time and then point by point. The other
+    scales keep every value, and each row and each sweep is what its cutoff
+    gives alone, up to the same error. The exponent 0.9 exceeds the
+    envelope's rule, so no row stops before a failure."""
+    grid = bounder._sup_grid(100.0, 1e5, 1.2)
+    cutoffs = [H_PARETO.with_scale(s) for s in (1.0, 1.4, 2.0)]
+    g = PowerTestFunction(1.0, 0.9)
+    sizes = {"K": [], "J": []}
+
+    def failing(name, real, error, h, x0):
+        def kernel(dist, x, r):
+            sizes[name].append(np.size(x))
+            x, r = np.ravel(x), np.ravel(r)
+            hit = x[(r == h(x)) & (x > x0)]
+            if hit.size:
+                raise error(f"{name} fails at x={hit[0]:g}")
+            return real(dist, x, r)
+        return kernel
+
+    monkeypatch.setattr(bounder, "K_kernel",
+                        failing("K", bounder.K_kernel, ValueError, cutoffs[1], 1e3))
+    monkeypatch.setattr(bounder, "J_kernel",
+                        failing("J", bounder.J_kernel, RuntimeError, cutoffs[2], 3e3))
+    stacked = [bounder._KernelSweep(PARETO, h, grid, kernels)
+               for h, kernels in zip(cutoffs, bounder._cutoff_kernels(PARETO, cutoffs, grid))]
+    k_fail, j_fail = int(np.argmax(grid > 1e3)), int(np.argmax(grid > 3e3))
+    # the stacked call, each scale whole, the failing one's chunks up to the
+    # failing point's, and that chunk's points up to the failing one
+    chunk = k_fail // bounder._J_CHUNK * bounder._J_CHUNK
+    assert sizes["K"] == ([3 * grid.size, grid.size, grid.size]
+                          + [bounder._J_CHUNK] * (chunk // bounder._J_CHUNK + 1)
+                          + [1] * (k_fail - chunk + 1) + [grid.size])
+    rows = bounder._sup_pair(stacked, HALF, [g])
+    # rounds of a chunk of every live scale, scale 1.4 ending at its K
+    # failure: the third raises, its two scales are redone one by one, and
+    # scale 2's chunk point by point up to its failing point
+    assert (k_fail, j_fail, grid.size) == (13, 19, 39)
+    assert sizes["J"] == [24, 8 + 5 + 8, 16, 8, 8, 1, 1, 1, 1, 8, 7]
+    for h, sweep, row in zip(cutoffs, stacked, rows):
+        alone = bounder._KernelSweep(PARETO, h, grid)
+        (want,) = bounder._sup_pair([alone], HALF, [g])
+        assert (type(row), str(row)) == (type(want), str(want))
+        assert sweep.J.tobytes() == alone.J.tobytes() and sweep.x.size == alone.x.size
+    assert [str(row) for row in rows[1:]] == [f"K fails at x={grid[k_fail]:g}",
+                                              f"J fails at x={grid[j_fail]:g}"]
+    assert isinstance(rows[0], tuple) and stacked[0].J.size == grid.size
+
+
 def test_a_negative_remainder_supremum_is_clamped_to_zero(monkeypatch):
     """f3 = (q J + (1 - p^2) K - q (K + 1) tail(h)) / g is negative where K
     and J vanish. No real severity is known to get there: J >= tail(h) -
@@ -1354,14 +1468,15 @@ ON_TABLE_SCALES = st.integers(40, 140).map(lambda k: k * 0.05 / 100.0 ** H_PARET
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from([0.5, 0.7, 1.0, 1.14, 1.7, 1e6]), ON_TABLE_SCALES),
-                min_size=1, max_size=3, unique=True),
+                min_size=1, max_size=5, unique=True),
        st.lists(st.one_of(st.sampled_from([None, 15.0, 21.3, 150.0]), st.floats(5.0, 99.0),
                           st.floats(100.5, 1e4)), min_size=1, max_size=4, unique=True))
 def test_tune_rows_are_the_certificates_bit_for_bit(s_grid, b_grid):
-    """Every tune row holds the C, coefficient and note of an independent
-    build_bound: infeasible and unusable scales, scales whose h(B) is a table
-    point, splice points whose power start lies above some of the sweep's
-    chunk ends (so the splices of one scale read the far-tail envelope at
+    """Every tune row, on 1 to 5 scales certified in one _sup_pair call,
+    holds the C, coefficient and note of an independent build_bound:
+    infeasible and unusable scales, scales whose h(B) is a table point,
+    splice points whose power start lies above some of the sweep's chunk
+    ends (so the splices of one scale read the far-tail envelope at
     different points) and out-of-range splice points (150 and above, whose
     note is the same at every scale) among them. When no row is feasible,
     tune raises."""
@@ -1428,9 +1543,9 @@ def test_tune_sweeps_kernels_once_per_scale(monkeypatch):
 def test_tune_computes_what_its_candidates_share_once(monkeypatch):
     """On criterion 2's grid of 5 scales and 4 splice points (none and three
     spliced), tune builds each spliced g once, not once per scale, certifies
-    each scale's 4 splice points in one _sup_pair call, computes the
-    far-tail envelope's terms that do not read g once per scale, not once
-    per candidate, and forms one table of interval constants per test
+    all 20 candidates in one _sup_pair call, computes the far-tail
+    envelope's terms that do not read g once for all scales, not once per
+    scale or candidate, and forms one table of interval constants per test
     function, which every scale reads, where each candidate computed its own
     interval constant."""
     calls = collections.Counter()
@@ -1447,8 +1562,37 @@ def test_tune_computes_what_its_candidates_share_once(monkeypatch):
                [None, 15.0, 21.3, 27.1], engine="panjer", bandwidth=0.05, grid_ratio=1.2)
     assert len(res.rows) == 20 and {r.bstar for r in res.rows if r.feasible} == {
         None, 15.0, 21.3, 27.1}
-    assert calls == {"build_spliced_g": 3, "_sup_pair": 5, "_power_bounds": 5,
+    assert calls == {"build_spliced_g": 3, "_sup_pair": 1, "_power_bounds": 1,
                      "_interval_constants": 4}
+    # each feasible row is the certificate of its scale and splice point alone
+    for row in (r for r in res.rows if r.feasible):
+        cert = build_bound(PARETO, HALF, H_PARETO.with_scale(row.scale), G_PARETO, 100.0,
+                           engine="panjer", bandwidth=0.05, bstar=row.bstar, grid_ratio=1.2)
+        assert (row.C, row.coefficient) == (cert.C, cert.tail_coefficient)
+
+
+def test_tune_caps_the_points_of_a_stacked_J_call(monkeypatch):
+    """Twelve scales stack their J chunks, _J_STACK points a call at most
+    (eight scales' chunks), so J's temporaries stay bounded however many
+    scales tune takes; each scale reads J only as far as it reads alone."""
+    sizes = []
+    real = bounder.J_kernel
+
+    def recording(dist, x, r):
+        sizes.append(np.size(x))
+        return real(dist, x, r)
+
+    monkeypatch.setattr(bounder, "J_kernel", recording)
+    s_grid = np.linspace(1.0, 2.0, 12).tolist()
+    tune(PARETO, HALF, H_PARETO, G_PARETO, 100.0, s_grid, [None], engine="panjer",
+         bandwidth=0.05, **COARSE)
+    assert max(sizes) == bounder._J_STACK == 8 * bounder._J_CHUNK
+    stacked = sum(sizes)
+    sizes.clear()
+    for s in s_grid:
+        build_bound(PARETO, HALF, H_PARETO.with_scale(s), G_PARETO, 100.0, engine="panjer",
+                    bandwidth=0.05, **COARSE)
+    assert stacked == sum(sizes) and max(sizes) == bounder._J_CHUNK
 
 
 def test_tune_on_a_power_tail_runs_no_quadrature(monkeypatch):

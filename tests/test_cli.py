@@ -316,6 +316,21 @@ def test_an_overflowing_K_kernel_warns_nothing(tmp_path, capsys, g, code, messag
     assert capsys.readouterr().err == message
 
 
+def test_a_subnormal_J_fails_the_contraction_not_the_engine(tmp_path, capsys):
+    # J at x = 7.00209e7 is 9e-312, below the smallest normal double, where
+    # the quadrature's relative test alone cannot pass (kernels._J_ATOL):
+    # the construction fails its contraction, exit 2, and no engine error
+    # (exit 4) names a J that did not converge
+    text = ("family = weibull\nbeta = 0.490724\np = 0.048392\nengine = panjer\n"
+            "bandwidth = 0.151081\nB = 153.121\ngrid_ratio = 1.98566\nx_far = 3.16514e11\n"
+            "h.family = power\nh.scale = 0.207028\nh.gamma = 0.83437\ng.variant = spliced\n"
+            "g.bstar = 32.436\ng.exponent = 0.0804794\ng.coef = 1\n")
+    assert main(["bound", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "bound construction failed: delta(153.121) = 7.64721e+241 >= 1; the bound construction "
+        "requires delta < 1 (no b <= 10000 achieves delta(b) < 1)\n")
+
+
 def test_tune_with_every_candidate_infeasible_fails_as_bound(tmp_path, capsys, monkeypatch):
     # the 1.5 scale has the smaller delta (1.087 against 1.257 at scale 1):
     # tune exits with the line bound prints for it, and builds no table

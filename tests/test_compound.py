@@ -292,6 +292,29 @@ def test_panjer_matches_the_oldest_first_recursion(case):
     assert np.all(np.abs(got - want) <= bound * np.maximum(want, 1e-290))
 
 
+@settings(max_examples=100, deadline=None)
+@given(panjer_cases())
+# a subnormal tail, where a rounding loses up to 2^-1075 absolutely
+@example((LatticeDistribution(bandwidth=0.02, tails=np.array([2.22507386e-313, 0.0]),
+                             truncation_point=0.02),
+          GeometricParams(0.875), 0.02))
+def test_panjer_is_at_least_the_one_big_jump_bound(case):
+    # S = X_1 + ... + X_N with N >= 1, P(N = n) = p q^(n - 1), and X >= 0
+    # exceeds x once one summand does: P(S > x) >= P(max X_i > x) =
+    # 1 - E[(1 - T)^N] = T / (p + q T), T = P(X > x). It holds on any
+    # lattice with that lattice's own tail, and shares no step with the
+    # recursion; panjer_tail reads a lattice that ends before the table as
+    # holding its truncated mass beyond, so T stays at its last tail there.
+    # The slack is panjer_tail's stated rounding, read against 1e-290 below
+    # it, as rounding_bound's is
+    lattice, params, xmax = case
+    tails = panjer_tail(lattice, params, xmax).tails
+    n = tails.size - 1
+    T = lattice.tails[np.minimum(np.arange(n + 1), lattice.tails.size - 1)]
+    bound = T / (params.p + params.q * T)
+    assert np.all(tails >= bound - panjer_rounding(n) * np.maximum(bound, 1e-290))
+
+
 @pytest.mark.parametrize("d, p, bw, xmax, cells", [
     (ParetoDist(2.2), 0.5, 0.02, 100.0, 5_001),
     (ParetoDist(5.0), 0.5, 0.008, 50.0, 6_251),

@@ -29,7 +29,7 @@ G_LOG2 = KKernelTestFunction(dist=WEIBULL, h=H_LOG2)
 def power_envelope(dist, params, h, g, xs):
     """The power envelope's bounds on f1 + f2 and f3 at each point of xs: the
     terms of bounder._power_bounds, the f3 numerator divided by g."""
-    f12, numerator = bounder._power_bounds(dist, params, h, g.power_tail[2], xs)
+    f12, numerator = bounder._power_bounds(dist, params, g.power_tail[2], xs, h(xs))
     return f12, numerator / g.evaluate(xs)
 
 

@@ -441,6 +441,19 @@ def test_J_reports_panels_that_do_not_settle():
     assert math.isclose(J_kernel(d, 100.0, 0.3), mpmath_J(d, 100.0, 0.3), rel_tol=1e-12)
 
 
+def test_a_subnormal_J_converges():
+    # Weibull 0.490724 at the sweep point x = 7.00209e7 of h = 0.207028 x^0.83437:
+    # J is about 9e-312, below the smallest normal double, where a panel's
+    # 24/16-node gap cannot reach _J_RTOL of J. A gap of at most _J_ATOL =
+    # 2^-1022 passes, which leaves J 0.7% off mpmath's here, an absolute
+    # error of 6.5e-314 that moves no contraction term
+    x, r = 70020888.13950413, 727531.2487576086
+    d = WeibullDist(0.490724)
+    J = J_kernel(d, x, r)
+    assert 0.0 < J < 2.0**-1022 == kernels._J_ATOL
+    assert math.isclose(J, mpmath_J(d, x, r), rel_tol=0.01)
+
+
 class NanAt70(JumpAtOne):
     """JumpAtOne whose J integrand is NaN at x = 70."""
 
