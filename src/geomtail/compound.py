@@ -40,9 +40,11 @@ _MC_MAX_WORKERS = 8
 _MC_SCREEN_MAX_LEN = 1 << 12
 # cells per block of panjer_tail's recursion; its block matrix is this square
 _PANJER_BLOCK = 64
-# most terms of one dot product in panjer_tail's history product: OpenBLAS
-# splits a longer ddot across its threads, which changes how it rounds
-_PANJER_HISTORY_CHUNK = 10_000
+# cells per tile of panjer_tail's history product
+_PANJER_TILE = 16
+# most tiles one matrix product of the history product sums over: OpenBLAS
+# rounds a longer one differently on different thread counts
+_PANJER_MATMUL_TILES = 256
 
 
 @dataclass(frozen=True)
@@ -198,31 +200,44 @@ def panjer_tail(
     the block of cells s .. s + L - 1 they solve (I - a T) Z = r: T is the
     strictly lower Toeplitz matrix of f_1 .. f_(L-1), and r is what the
     cells before s contribute plus the severity tail, a * (F(s + t) +
-    sum_{j<s} f_(s+t-j) Z_j) for the t-th cell, the sum one
-    ``np.correlate`` over the history in place. So Z = M r, with
+    sum_{j<s} f_(s+t-j) Z_j) for the t-th cell. So Z = M r, with
     M = (I - a T)^-1 = sum_k (a T)^k the lower Toeplitz matrix whose first
     column is the recursion itself run for L cells from 1; it is the same
     matrix for every block.
+
+    The history sum of cell s + t is sum_i f_(t+1+i) Z_(s-1-i) over the
+    s earlier cells, newest first. Cut into tiles of _PANJER_TILE = 16
+    cells, i = 16 b + v, its masses for b = 0 .. k - 1 are the tile rows
+    g .. g + k - 1 of the masses, for g the tile of t + v. So one matrix
+    product per band g, of those rows (a strided view of the masses) with
+    the history as a k x 16 matrix (a view of the tails), gives every
+    product P[16 g + u, v] of a mass row u and a history column v, and
+    r[t] = sum_v P[t + v, v]. Both are zero-padded to whole tiles; nothing
+    is copied.
 
     Every term of the history product, of r, of M and of M r is
     non-negative, and no tail is 1 minus a sum, so nothing cancels: for the
     rounded a, f_k and F(j) it reads, each computed tail is its exact value
     to a relative gamma_N = N u / (1 - N u), u = 2^-53, for N the longest
-    chain of roundings behind it. A block adds at most L (m + 3) to it, for
-    the m = min(n, cells - 1) masses a cell reads, and the division by q
+    chain of roundings behind it. A history sum adds the same m nonzero
+    terms f_k Z_j, for the m = min(n, cells - 1) masses a cell reads,
+    whatever order the matrix products, their pieces and the diagonal sum
+    add them in: the padding adds exact zeros, and a term passes through
+    its product and at most one inexact addition per other nonzero term, m
+    roundings. With the factor a, the severity tail, the entries of M (the
+    recursion run for up to L - 1 cells, (L - 1)(m + 1)) and the L-term
+    product M r, a block adds at most L (m + 3) to N, and the division by q
     one more: N <= (n + L)(m + 3) + 1, 3e-9 relative at 5,000 cells of
     history 5,000, at 1 or at 1e-30 alike; only tails near the underflow
     threshold, 2.2e-308, lose it.
 
     The cost is still quadratic in xmax / bandwidth, but the Python work is
-    per block, not per cell: one history product and one L x L product. The
-    dot products of the history product read at most _PANJER_HISTORY_CHUNK
-    = 10,000 terms each, and a longer history is added up in pieces of that
-    length from the oldest, in a fixed order. OpenBLAS (0.3.31, x86_64)
-    splits a dot product of more than 10,000 terms across its threads, which
-    rounds it differently; so the tails are the same bytes whatever the BLAS
-    thread count. Tables of at most 10,001 cells read their history in one
-    piece.
+    per block, not per cell: one history product and one L x L product. A
+    matrix product of the history product sums over at most
+    _PANJER_MATMUL_TILES = 256 tiles (4,096 cells), and a longer history is
+    added up in pieces of that many tiles from the newest, in a fixed order.
+    OpenBLAS can round a longer product differently on different thread
+    counts; so the tails are the same bytes whatever the BLAS thread count.
     """
     q = params.q
     bw = lattice.bandwidth
@@ -243,10 +258,14 @@ def panjer_tail(
 
     a = q / (1.0 - q * f0)
     size = _PANJER_BLOCK
-    # fs[i - 1] = f_i for i <= n, zero past the lattice or up to one block
-    fs = fbar[:-1] - fbar[1:]
-    if fs.size < size:
-        fs = np.concatenate([fs, np.zeros(size - fs.size)])
+    tile = _PANJER_TILE
+    # the longest history, n cells, in whole tiles, and one band g for each
+    # tile that t + v reaches, for the cells t of a block and columns v
+    tiles = -(-n // tile)
+    bands = -(-(size + tile - 1) // tile)
+    # fs[i - 1] = f_i for i <= n, zero past the lattice and up to whole tiles
+    fs = np.zeros((bands - 1 + tiles) * tile)
+    fs[:n] = fbar[:-1] - fbar[1:]
     # M[i, j] = c[i - j] below the diagonal, for c the recursion from c[0] = 1
     c = np.empty(size)
     c[0] = 1.0
@@ -255,23 +274,41 @@ def panjer_tail(
     lag = np.subtract.outer(np.arange(size), np.arange(size))
     block_inverse = np.where(lag >= 0, c[np.maximum(lag, 0)], 0.0)
 
-    # rev[n - j] = Z_j: kept newest first, each history is a slice that
-    # np.correlate reads in place
-    rev = np.empty(n + 1)
+    # band g of Fs, Fs[g, u, b] = fs[(g + b) tile + u], is the tile rows
+    # g .. g + tiles - 1 of fs, transposed: a view, as is each history
+    item = fs.itemsize
+    Fs = np.lib.stride_tricks.as_strided(
+        fs, shape=(bands, tile, tiles), strides=(tile * item, item, tile * item),
+        writeable=False,
+    )
+    # rev[n - j] = Z_j: kept newest first, zero past Z_0 up to whole tiles
+    rev = np.zeros(n + tile)
     rev[n] = a * fbar[0]
+    P = np.empty((bands, tile, tile))
+    piece = np.empty_like(P)
+    # D[t, v] = P[t + v, v], for P read as bands * tile rows of tile
+    # products: row t of D sums to cell t's history sum
+    D = np.lib.stride_tricks.as_strided(
+        P, shape=(size, tile), strides=(tile * item, (tile + 1) * item), writeable=False
+    )
     for s in range(1, n + 1, size):
         e = min(s + size, n + 1)
-        # the history Z_(j1-1) .. Z_j0 reaches cell s + t through
-        # f_(s+t-j) = fs[s - j1 + t + (j1 - 1 - j)]
-        r = np.zeros(e - s)
-        for j0 in range(0, s, _PANJER_HISTORY_CHUNK):
-            j1 = min(j0 + _PANJER_HISTORY_CHUNK, s)
-            r += np.correlate(fs[s - j1 : e - 1 - j0], rev[n - j1 + 1 : n - j0 + 1], "valid")
+        # the history Z_(s-1) .. Z_0 in k tiles, V[b, v] = Z_(s-1-b tile-v),
+        # and P[g, u, v] = sum_b fs[(g + b) tile + u] V[b, v]
+        k = -(-s // tile)
+        V = rev[n - s + 1 : n - s + 1 + k * tile].reshape(k, tile)
+        # in pieces of at most _PANJER_MATMUL_TILES tiles, newest first
+        b1 = min(k, _PANJER_MATMUL_TILES)
+        np.matmul(Fs[:, :, :b1], V[:b1], out=P)
+        for b0 in range(b1, k, _PANJER_MATMUL_TILES):
+            b1 = min(k, b0 + _PANJER_MATMUL_TILES)
+            P += np.matmul(Fs[:, :, b0:b1], V[b0:b1], out=piece)
+        r = D[: e - s].sum(axis=1)
         r += fbar[s:e]
         r *= a
         rev[n - e + 1 : n - s + 1] = block_inverse[: e - s, : e - s].dot(r)[::-1]
 
-    tails = rev[::-1] / q
+    tails = rev[n::-1] / q
     np.minimum(tails, 1.0, out=tails)
     return TailTable(
         xs=np.arange(n + 1, dtype=float) * bw,

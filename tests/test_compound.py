@@ -249,7 +249,11 @@ def rounding_bound(lattice, params, xmax):
     - blocked, a block of L cells costs the history product and the factor
       a (m + 1), the severity tail (1), the entries of M (the recursion
       itself for up to L - 1 cells, (L - 1)(m + 1)) and the L-term product
-      M r (L), so at most L (m + 3), over ceil(n / L) blocks.
+      M r (L), so at most L (m + 3), over ceil(n / L) blocks. Its history
+      product adds its m nonzero terms in matrix products over tiles, their
+      pieces and a diagonal sum, in an order BLAS chooses; the zeros it
+      pads the tiles with add exactly, so each term still passes through at
+      most m roundings there.
 
     Each order then divides by q, one rounding more. So the two differ by at
     most (gamma_N1 + gamma_N2) times the exact tail, which is at most the
@@ -280,6 +284,13 @@ def rounding_bound(lattice, params, xmax):
 # whose tails fall below the underflow threshold
 @example((NINE_CELLS, GeometricParams(0.05), 0.38))
 @example((lattice_from_masses(0.02, [16.0 / 17.0, 1.0 / 17.0]), GeometricParams(0.5), 4.94))
+# the history product sums at most 256 tiles of 16 cells, 4,096 cells, per
+# matrix product: tables of 4,097 cells (one piece), 4,098 (the block of
+# cell 4,097 reads its oldest cell in a second piece) and 4,200 (a part
+# block after it)
+@example((discretize(ParetoDist(2.2), 0.25, 2048.0), GeometricParams(0.5), 1024.0))
+@example((discretize(ParetoDist(2.2), 0.25, 2048.5), GeometricParams(0.5), 1024.25))
+@example((discretize(ParetoDist(2.2), 0.25, 2099.5), GeometricParams(0.5), 1049.75))
 def test_panjer_matches_the_oldest_first_recursion(case):
     # the blocked recursion adds the same non-negative terms in another
     # order; the tails agree within the rounding of the two orders,
@@ -326,9 +337,9 @@ def test_panjer_is_at_least_the_one_big_jump_bound(case):
 def test_panjer_matches_the_oldest_first_recursion_on_acceptance_lattices(
         d, p, bw, xmax, cells):
     # the benchmark's lattices of criteria 2, 4 and 6, and the acceptance
-    # lattices of criteria 3 and 6; from 12,501 cells on, the longest
-    # histories are read in pieces of compound._PANJER_HISTORY_CHUNK terms.
-    # The two orders differ by at most 1.2e-15 relative on these lattices,
+    # lattices of criteria 3 and 6; from 5,001 cells on, the longest
+    # histories are read in pieces of compound._PANJER_MATMUL_TILES tiles.
+    # The two orders differ by at most 1.6e-15 relative on these lattices,
     # far inside rounding_bound's worst case of 1e-8 to 1e-6
     lattice = discretize(d, bw, 2.0 * xmax)
     params = GeometricParams(p)
@@ -340,8 +351,9 @@ def test_panjer_matches_the_oldest_first_recursion_on_acceptance_lattices(
 
 
 def test_panjer_tails_do_not_depend_on_the_blas_thread_count():
-    # criterion 6's acceptance lattice: histories of up to 50,000 terms, which
-    # OpenBLAS would split across its threads in one dot product
+    # criterion 6's acceptance lattice: histories of up to 50,000 terms, read
+    # in matrix products of up to compound._PANJER_MATMUL_TILES tiles, which
+    # OpenBLAS may round differently on different thread counts past it
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r})\n"
@@ -352,13 +364,13 @@ def test_panjer_tails_do_not_depend_on_the_blas_thread_count():
         "sys.stdout.buffer.write(tails.tobytes())\n"
     )
     out = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr.decode()
         out.append(proc.stdout)
     assert len(out[0]) == 8 * 50_001
-    assert out[0] == out[1]
+    assert out[0] == out[1] == out[2]
 
 
 def test_brute_force_single_term():
@@ -430,17 +442,17 @@ def test_engines_reject_an_empty_range(call, message):
 # ---------------------------------------------------------------- kept table
 
 class CountingNumpy:
-    """numpy, with a count of its np.correlate calls."""
+    """numpy, with a count of its np.matmul calls."""
 
     def __init__(self):
-        self.correlations = 0
+        self.products = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def correlate(self, *args, **kwargs):
-        self.correlations += 1
-        return np.correlate(*args, **kwargs)
+    def matmul(self, *args, **kwargs):
+        self.products += 1
+        return np.matmul(*args, **kwargs)
 
 
 def test_panjer_tail_recurses_on_every_call_with_writable_tails(monkeypatch):
@@ -451,9 +463,9 @@ def test_panjer_tail_recurses_on_every_call_with_writable_tails(monkeypatch):
     monkeypatch.setattr(compound, "np", counting)
     lattice, params = discretize(ParetoDist(2.2), 0.05, 200.0), GeometricParams(0.5)
     first = panjer_tail(lattice, params, 100.0)
-    assert counting.correlations == 32
+    assert counting.products == 32
     second = panjer_tail(lattice, params, 100.0)
-    assert counting.correlations == 64
+    assert counting.products == 64
     assert same_table(first, second)
     for a, b in ((first.xs, second.xs), (first.tails, second.tails)):
         assert a.flags.writeable and b.flags.writeable and not np.shares_memory(a, b)

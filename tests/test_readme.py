@@ -60,7 +60,7 @@ def test_readme_configuration_keys_are_the_config_keys():
         if re.fullmatch(r"[A-Za-z_][\w.]*", name):
             named.add(name)
     values = {v for choices in config._STR_KEYS.values() for v in choices} | {"none"}
-    other = {"K", "OPENBLAS_NUM_THREADS", "bstar", "np.correlate", "u_cap", "x", "x0", "xmax"}
+    other = {"K", "OPENBLAS_NUM_THREADS", "bstar", "np.matmul", "u_cap", "x", "x0", "xmax"}
     assert named - values - other - set(cli._COMMANDS) == config.CONFIG_KEYS
 
 
